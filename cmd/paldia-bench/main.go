@@ -25,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/hardware"
@@ -272,7 +273,7 @@ func cases(includeE2E bool) []benchCase {
 	}
 	cs = append(cs, shardedGridCase(1), shardedGridCase(2), shardedGridCase(4))
 	cs = append(cs, streamWriterCase(), curveStreamCase())
-	cs = append(cs, cloneDispatchCase(), ageTrackerCase())
+	cs = append(cs, cloneDispatchCase(), ageTrackerCase(), poolChurnCase())
 	return cs
 }
 
@@ -441,6 +442,63 @@ func ageTrackerCase() benchCase {
 				_ = tr.Threshold()
 			}
 			return nil
+		},
+	}
+}
+
+// poolChurnCase measures container-pool churn under the keep-alive policy:
+// eight pools each acquire and release a container every 50 ms of virtual
+// time, with a six-container burst every 15 minutes whose surplus idles past
+// the 10-minute keep-alive and is reaped. The warm-up covers two burst
+// periods, so the timed loop is steady state: it must not allocate, and the
+// event queue holds at most one keep-alive timer per pool (pending_events is
+// its peak length during the timed loop).
+func poolChurnCase() benchCase {
+	return benchCase{
+		name:  "container/Pool-keepalive-churn",
+		gated: true,
+		fn: func(b *testing.B) map[string]float64 {
+			const (
+				pools  = 8
+				step   = 50 * time.Millisecond
+				period = 15 * time.Minute
+				burst  = 6
+			)
+			eng := sim.NewEngine()
+			ps := make([]*container.Pool, pools)
+			for i := range ps {
+				ps[i] = container.NewPool(eng, container.CPUColdStart, container.DefaultKeepAlive)
+				ps[i].AddWarm(2)
+			}
+			var now time.Duration
+			pending := 0
+			cycle := func() {
+				now += step
+				eng.Run(now)
+				n := 1
+				if now%period < step {
+					n = burst
+				}
+				for _, p := range ps {
+					for j := 0; j < n; j++ {
+						p.Acquire()
+					}
+					for j := 0; j < n; j++ {
+						p.Release()
+					}
+				}
+				pending = max(pending, eng.Pending())
+			}
+			for i := 0; i < int(2*period/step); i++ {
+				cycle()
+			}
+			pending = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+			return map[string]float64{"pending_events": float64(pending)}
 		},
 	}
 }

@@ -29,7 +29,8 @@ type Pool struct {
 	eng       *sim.Engine
 	coldStart time.Duration
 	keepAlive time.Duration
-	reapFn    func() // bound once; pushIdle schedules it per release
+	timerFn   func()    // bound once; the keep-alive timer's callback
+	timer     sim.Timer // the pool's one keep-alive timer, armed while containers idle
 
 	// Sink, when set, receives container lifecycle events (waits, boots,
 	// pre-warms, reaps) labelled with NodeID/Spec/Tenant. A nil Sink costs
@@ -44,10 +45,11 @@ type Pool struct {
 	// per transition.
 	Check *invariant.Checker
 
-	idleSince []time.Duration // one entry per idle container, LIFO
-	busy      int
-	starting  int // background pre-warms in flight
-	booting   int // dedicated synchronous cold boots in flight
+	idle     []idleEntry     // one entry per idle container, ascending since; LIFO reuse
+	recent   []time.Duration // distinct idle-push instants of the last millisecond, ascending
+	busy     int
+	starting int // background pre-warms in flight
+	booting  int // dedicated synchronous cold boots in flight
 
 	waiters []func() // FIFO claims waiting for a container
 
@@ -58,12 +60,18 @@ type Pool struct {
 	terminated uint64
 }
 
+// idleEntry is one idle container: when it went idle, and the instant its
+// keep-alive is first checked (see checkInstant).
+type idleEntry struct {
+	since, check time.Duration
+}
+
 // NewPool creates a pool with the given cold-start latency and keep-alive
 // window. keepAlive == 0 means containers terminate the moment they go idle
 // (the paper's scale-down-immediately baseline).
 func NewPool(eng *sim.Engine, coldStart, keepAlive time.Duration) *Pool {
 	p := &Pool{eng: eng, coldStart: coldStart, keepAlive: keepAlive}
-	p.reapFn = p.reap
+	p.timerFn = p.onTimer
 	return p
 }
 
@@ -87,19 +95,24 @@ func (p *Pool) emit(kind telemetry.Kind, n int, detail string) {
 // guard Check != nil. The snapshot reads the fields directly (no reap) so
 // checking never perturbs the pool it is checking.
 func (p *Pool) checkNow() {
-	p.Check.Pool(p.eng.Now(), p.NodeID, p.Tenant, invariant.PoolCounts{
-		Idle: len(p.idleSince), Busy: p.busy, Starting: p.starting,
+	p.Check.Pool(p.eng.Now(), p.NodeID, p.Tenant, p.counts())
+}
+
+// counts is the pool's counter snapshot, read without reaping.
+func (p *Pool) counts() invariant.PoolCounts {
+	return invariant.PoolCounts{
+		Idle: len(p.idle), Busy: p.busy, Starting: p.starting,
 		Booting: p.booting, Waiting: len(p.waiters),
 		Boots: p.boots, SyncColds: p.syncColds,
 		WarmAdded: p.warmAdded, Terminated: p.terminated,
-	})
+	}
 }
 
 // ColdStartLatency returns the pool's configured cold-start latency.
 func (p *Pool) ColdStartLatency() time.Duration { return p.coldStart }
 
 // Idle returns the number of warm idle containers.
-func (p *Pool) Idle() int { p.reap(); return len(p.idleSince) }
+func (p *Pool) Idle() int { p.reap(); return len(p.idle) }
 
 // Busy returns the number of containers currently serving a job.
 func (p *Pool) Busy() int { return p.busy }
@@ -107,7 +120,7 @@ func (p *Pool) Busy() int { return p.busy }
 // Total returns warm (idle+busy) plus starting/booting containers.
 func (p *Pool) Total() int {
 	p.reap()
-	return len(p.idleSince) + p.busy + p.starting + p.booting
+	return len(p.idle) + p.busy + p.starting + p.booting
 }
 
 // Waiting returns the number of claims waiting for a container.
@@ -181,8 +194,8 @@ func (p *Pool) EnsureWithin(n int, d time.Duration) {
 // request). Either way the container is busy afterwards; pair with Release.
 func (p *Pool) Acquire() (delay time.Duration) {
 	p.reap()
-	if n := len(p.idleSince); n > 0 {
-		p.idleSince = p.idleSince[:n-1] // LIFO: keep cold candidates aging
+	if n := len(p.idle); n > 0 {
+		p.idle = p.idle[:n-1] // LIFO: keep cold candidates aging
 		p.busy++
 		p.reuses++
 		if p.Check != nil {
@@ -210,8 +223,8 @@ func (p *Pool) Acquire() (delay time.Duration) {
 // the delay until ready fires. Pair with Release.
 func (p *Pool) AcquireOrWait(ready func()) {
 	p.reap()
-	if n := len(p.idleSince); n > 0 {
-		p.idleSince = p.idleSince[:n-1]
+	if n := len(p.idle); n > 0 {
+		p.idle = p.idle[:n-1]
 		p.busy++
 		p.reuses++
 		if p.Check != nil {
@@ -293,39 +306,78 @@ func (p *Pool) serveWaiter() bool {
 	return true
 }
 
+// pushIdle hands a free container to the oldest waiting claim or makes it
+// idle, arming the keep-alive timer if none is armed. The timer is armed
+// whenever containers idle (onTimer re-arms it), so an unarmed timer means
+// the new entry is the only one.
 func (p *Pool) pushIdle() {
 	if p.serveWaiter() {
 		return
 	}
-	p.idleSince = append(p.idleSince, p.eng.Now())
-	// One-shot reap when this container's keep-alive would expire; lazy
-	// reaping at every operation handles the rest.
-	if p.keepAlive > 0 {
-		p.eng.Schedule(p.keepAlive+time.Millisecond, p.reapFn)
+	now := p.eng.Now()
+	if p.keepAlive <= 0 {
+		p.idle = append(p.idle, idleEntry{since: now})
+		return
+	}
+	p.idle = append(p.idle, idleEntry{since: now, check: p.checkInstant(now)})
+	if !p.timer.Active() {
+		p.timer = p.eng.ScheduleAt(p.idle[0].check, p.timerFn)
+	}
+}
+
+// checkInstant records an idle push at now and returns the instant the
+// keep-alive policy first looks at the container pushed: one millisecond
+// past the keep-alive of the earliest idle push in the last millisecond.
+// That is when a reap event scheduled per push (keepAlive+1ms ahead) would
+// first have removed it: an event owed by a push up to 1ms earlier fires
+// that much sooner and already finds it expired. Pinning timer reaps to
+// these instants keeps every ContainerReaped event and checker snapshot
+// where per-push scheduling put them, with one queued event per pool.
+func (p *Pool) checkInstant(now time.Duration) time.Duration {
+	cut := 0
+	for cut < len(p.recent) && p.recent[cut] < now-time.Millisecond {
+		cut++
+	}
+	if cut > 0 {
+		p.recent = p.recent[:copy(p.recent, p.recent[cut:])]
+	}
+	if n := len(p.recent); n == 0 || p.recent[n-1] != now {
+		p.recent = append(p.recent, now)
+	}
+	return p.recent[0] + p.keepAlive + time.Millisecond
+}
+
+// onTimer fires the keep-alive timer: reap, then re-arm for the oldest idle
+// container. Check instants ascend with idle-push time, and the oldest entry
+// only ever gets younger, so the timer is never later than the instant it
+// stands for; firing early reaps nothing, which is unobservable.
+func (p *Pool) onTimer() {
+	p.reap()
+	if len(p.idle) > 0 {
+		p.timer = p.eng.ScheduleAt(p.idle[0].check, p.timerFn)
 	}
 }
 
 // reap terminates idle containers whose keep-alive window has expired.
+// Entries ascend by idle time, so the expired ones are a prefix.
 func (p *Pool) reap() {
 	if p.keepAlive <= 0 {
 		return
 	}
 	now := p.eng.Now()
-	keep := p.idleSince[:0]
 	reaped := 0
-	for _, since := range p.idleSince {
-		if now-since >= p.keepAlive {
-			p.terminated++
-			reaped++
-		} else {
-			keep = append(keep, since)
-		}
+	for reaped < len(p.idle) && now-p.idle[reaped].since >= p.keepAlive {
+		reaped++
 	}
-	p.idleSince = keep
-	if reaped > 0 && p.Sink != nil {
+	if reaped == 0 {
+		return
+	}
+	p.idle = p.idle[:copy(p.idle, p.idle[reaped:])]
+	p.terminated += uint64(reaped)
+	if p.Sink != nil {
 		p.emit(telemetry.ContainerReaped, reaped, "")
 	}
-	if reaped > 0 && p.Check != nil {
+	if p.Check != nil {
 		p.checkNow()
 	}
 }

@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -234,22 +235,57 @@ func TestBestYOptimalProperty(t *testing.T) {
 	}
 }
 
-// Property: T_max is nonincreasing as SLO plays no role, but must increase
-// with N at fixed y-policy extremes.
+// monotoneInputs is the workload shape of the N-monotonicity properties: a
+// 32-request batch size with a contended FBR.
+func monotoneInputs(n int) Inputs {
+	return Inputs{Solo: 50 * time.Millisecond, BatchSize: 32, FBR: 0.6, N: n, SLO: time.Second}
+}
+
+// Property: more requests never finish sooner at the all-queued extreme, and
+// never sooner at the all-spatial extreme while the batch count k stays
+// fixed. Across a batch-count boundary the all-spatial estimate is *not*
+// monotone (see TestTMaxSpatialDropsAcrossBatchBoundary), so the property
+// only compares N values that split into the same k.
 func TestTMaxMonotoneInNProperty(t *testing.T) {
-	f := func(n1Raw, n2Raw uint16) bool {
+	f := func(n1Raw, n2Raw uint16, kRaw uint8) bool {
 		n1, n2 := int(n1Raw%1000)+1, int(n2Raw%1000)+1
 		if n1 > n2 {
 			n1, n2 = n2, n1
 		}
-		in1 := Inputs{Solo: 50 * time.Millisecond, BatchSize: 32, FBR: 0.6, N: n1, SLO: time.Second}
-		in2 := in1
-		in2.N = n2
-		// All-spatial and all-queued extremes are monotone in N.
-		return TMax(in2, 0) >= TMax(in1, 0) && TMax(in2, n2) >= TMax(in1, n1)
+		if TMax(monotoneInputs(n2), n2) < TMax(monotoneInputs(n1), n1) {
+			return false
+		}
+		// Two N values that both split into k batches of 32.
+		base := int(kRaw) % 31 * 32
+		a, b := int(n1Raw%32)+1, int(n2Raw%32)+1
+		if a > b {
+			a, b = b, a
+		}
+		return TMax(monotoneInputs(base+b), 0) >= TMax(monotoneInputs(base+a), 0)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTMaxSpatialDropsAcrossBatchBoundary pins a non-theorem: the all-spatial
+// estimate can fall when N grows past a batch boundary. At N=32 one full
+// batch runs alone (50 ms); at N=33 two batches run, each charged its fill
+// (33/64 of a batch) times the two-job contention inflation, which comes to
+// less than one full batch (39.4 ms). Eq. (1)'s fractional-fill
+// approximation is what makes two half-full jobs cheaper than one full one;
+// with this shape 38 of the 500,500 pairs n1 <= n2 <= 1000 break
+// monotonicity, all at such boundaries. If this test starts failing the
+// approximation changed, and TestTMaxMonotoneInNProperty may be able to drop
+// its fixed-k guard.
+func TestTMaxSpatialDropsAcrossBatchBoundary(t *testing.T) {
+	full, split := TMax(monotoneInputs(32), 0), TMax(monotoneInputs(33), 0)
+	if full != 50*time.Millisecond {
+		t.Fatalf("TMax(N=32, y=0) = %v, want one solo batch (50ms)", full)
+	}
+	if split >= full {
+		t.Fatalf("TMax(N=33, y=0) = %v, no longer below TMax(N=32, y=0) = %v", split, full)
 	}
 }
 
