@@ -85,10 +85,11 @@ type Controller struct {
 	Interval time.Duration
 
 	// Sink, when set, receives AutoscalePrewarm events whenever a
-	// predictive tick grows the pool; NodeID/Spec label them.
+	// predictive tick grows the pool; NodeID/Spec/Tenant label them.
 	Sink   telemetry.Sink
 	NodeID int
 	Spec   string
+	Tenant int
 
 	stopped bool
 }
@@ -123,6 +124,7 @@ func (c *Controller) tick() {
 			e := telemetry.Ev(c.eng.Now(), telemetry.AutoscalePrewarm)
 			e.Node = c.NodeID
 			e.Spec = c.Spec
+			e.Tenant = c.Tenant
 			e.N = need
 			e.Detail = "predictive"
 			c.Sink.Event(e)

@@ -26,7 +26,9 @@ import (
 // nothing.
 type jobState struct {
 	r          *runner
+	t          *tenant
 	node       *servingNode
+	ln         *lane           // t's lane on node
 	reqs       []batch.Request // owned copy; reused across lifetimes
 	job        device.Job
 	dispatched time.Duration
@@ -57,18 +59,21 @@ func (r *runner) newJobState() *jobState {
 
 func (r *runner) dispatchTick() {
 	now := r.eng.Now()
-	if now < r.end || r.bat.Pending() > 0 {
+	if now < r.end || r.pending() > 0 {
 		r.eng.Schedule(r.cfg.DispatchWindow, r.dispatchTickFn)
 	}
 	if r.red != nil {
 		r.red.dispatch()
 		return
 	}
-	r.dispatch()
+	for _, t := range r.tenants {
+		r.dispatch(t)
+	}
 }
 
-func (r *runner) dispatch() {
-	if r.bat.Pending() == 0 {
+// dispatch serves tenant t's pending requests.
+func (r *runner) dispatch(t *tenant) {
+	if t.bat.Pending() == 0 {
 		return
 	}
 	if r.cur == nil || r.cur.node.Device == nil || r.cur.node.Device.Failed() ||
@@ -81,22 +86,22 @@ func (r *runner) dispatch() {
 	}
 	nodes := r.healthyNodes()
 	if len(nodes) == 1 {
-		r.dispatchOn(nodes[0], r.bat.Pending())
+		r.dispatchOn(t, nodes[0], t.bat.Pending())
 		return
 	}
 	// Scale-out: spread this window's pending requests evenly across the
 	// replicas; each node runs its own Eq. (1) split against its own state.
-	n := r.bat.Pending()
+	n := t.bat.Pending()
 	share := (n + len(nodes) - 1) / len(nodes)
 	for _, node := range nodes {
-		if r.bat.Pending() == 0 {
+		if t.bat.Pending() == 0 {
 			break
 		}
 		take := share
-		if p := r.bat.Pending(); take > p {
+		if p := t.bat.Pending(); take > p {
 			take = p
 		}
-		r.dispatchOn(node, take)
+		r.dispatchOn(t, node, take)
 	}
 }
 
@@ -113,15 +118,16 @@ func (r *runner) healthyNodes() []*servingNode {
 	return nodes
 }
 
-// dispatchOn serves up to limit pending requests on one node.
-func (r *runner) dispatchOn(node *servingNode, limit int) {
+// dispatchOn serves up to limit of tenant t's pending requests on one node.
+func (r *runner) dispatchOn(t *tenant, node *servingNode, limit int) {
 	n := limit
 	if n <= 0 {
 		return
 	}
-	st := r.stateOf(node)
+	ln := &node.lanes[t.idx]
+	st := r.stateOf(t, node)
 	st.Pending = n
-	bs := node.entry.PreferredBatch
+	bs := ln.entry.PreferredBatch
 
 	y := r.cfg.Scheme.Policy.SplitY(st, n)
 	if y < 0 {
@@ -142,7 +148,7 @@ func (r *runner) dispatchOn(node *servingNode, limit int) {
 	// it, MPS-only schemes still consolidate enough batches to interfere
 	// heavily.
 	if node.node.Spec.IsGPU() {
-		free := node.entry.MaxResidentJobs - node.node.Device.ActiveCount() - laneCap
+		free := ln.entry.MaxResidentJobs - node.node.Device.ActiveCount() - laneCap
 		if free < 0 {
 			free = 0
 		}
@@ -153,7 +159,7 @@ func (r *runner) dispatchOn(node *servingNode, limit int) {
 	// Admit only laneCap time-share jobs onto the device; the remainder of
 	// the queued portion waits in the batcher (rerouted on a hardware
 	// switch, re-split next window).
-	slots := laneCap - node.queuedOutstanding
+	slots := laneCap - ln.queuedOutstanding
 	if slots < 0 {
 		slots = 0
 	}
@@ -166,7 +172,7 @@ func (r *runner) dispatchOn(node *servingNode, limit int) {
 		total := spatialN + y
 		full := total / bs * bs
 		if full < total {
-			oldest, ok := r.bat.OldestArrival()
+			oldest, ok := t.bat.OldestArrival()
 			if !ok || r.eng.Now()-oldest < r.cfg.SLO/4 {
 				// Trim the queued portion first, then the spatial one.
 				drop := total - full
@@ -185,37 +191,41 @@ func (r *runner) dispatchOn(node *servingNode, limit int) {
 	// containers already serving in-flight batches. (Taking requests out of
 	// the batcher schedules no events, so sizing the pool before the take is
 	// observationally identical to the historical take-then-ensure order.)
-	node.pool.Ensure(node.pool.Busy() + autoscale.ReactiveContainers(spatialN, bs))
+	ln.pool.Ensure(ln.pool.Busy() + autoscale.ReactiveContainers(spatialN, bs))
 
 	// Each batch takes its requests straight out of the batcher, in the same
 	// arrival-order partition batch.Split produced over a materialized take.
 	r.sizesScratch = batch.SplitSizes(r.sizesScratch, spatialN, bs)
 	for _, size := range r.sizesScratch {
-		r.dispatchJob(node, size, device.Spatial)
+		r.dispatchJob(t, node, size, device.Spatial)
 	}
 	r.sizesScratch = batch.SplitSizes(r.sizesScratch, y, bs)
 	for _, size := range r.sizesScratch {
-		r.dispatchJob(node, size, device.Queued)
+		r.dispatchJob(t, node, size, device.Queued)
 	}
 }
 
-// dispatchJob takes the next n pending requests as one batch job on node.
-func (r *runner) dispatchJob(node *servingNode, n int, mode device.Mode) {
+// dispatchJob takes tenant t's next n pending requests as one batch job on
+// node.
+func (r *runner) dispatchJob(t *tenant, node *servingNode, n int, mode device.Mode) {
 	now := r.eng.Now()
+	ln := &node.lanes[t.idx]
 	js := r.newJobState()
+	js.t = t
 	js.node = node
+	js.ln = ln
 	js.mode = mode
 	js.dispatched = now
 	js.cold = 0
-	js.reqs = r.bat.TakeInto(js.reqs[:0], n)
+	js.reqs = t.bat.TakeInto(js.reqs[:0], n)
 	reqs := js.reqs
 
 	job := &js.job
 	job.Reset()
 	job.Batch = len(reqs)
-	job.Solo = profile.Solo(r.cfg.Model, node.node.Spec, len(reqs))
-	job.FBR = node.entry.FBR
-	job.Compute = profile.ComputeFraction(r.cfg.Model, node.node.Spec, len(reqs))
+	job.Solo = profile.Solo(t.model, node.node.Spec, len(reqs))
+	job.FBR = ln.entry.FBR
+	job.Compute = profile.ComputeFraction(t.model, node.node.Spec, len(reqs))
 	job.Mode = mode
 	job.Done = js.doneFn
 	if r.tel != nil {
@@ -224,6 +234,7 @@ func (r *runner) dispatchJob(node *servingNode, n int, mode device.Mode) {
 		for _, q := range reqs {
 			e := telemetry.Ev(now, telemetry.Dispatched)
 			e.Req = int64(q.ID)
+			e.Tenant = t.idx
 			e.Job = job.ID
 			e.Node = node.node.ID
 			e.Spec = node.node.Spec.Name
@@ -234,24 +245,24 @@ func (r *runner) dispatchJob(node *servingNode, n int, mode device.Mode) {
 	}
 
 	if mode == device.Spatial {
-		node.pool.AcquireOrWait(js.submitFn)
+		ln.pool.AcquireOrWait(js.submitFn)
 		return
 	}
-	node.queuedOutstanding++
-	if node.laneReady {
+	ln.queuedOutstanding++
+	if ln.laneReady {
 		// Time-shared batches reuse the single warm lane container.
 		js.submitFn()
 		return
 	}
-	node.lanePending = append(node.lanePending, js.submitFn)
-	if node.laneHeld {
+	ln.lanePending = append(ln.lanePending, js.submitFn)
+	if ln.laneHeld {
 		return
 	}
-	node.laneHeld = true
-	node.pool.AcquireOrWait(func() {
-		node.laneReady = true
-		pending := node.lanePending
-		node.lanePending = nil
+	ln.laneHeld = true
+	ln.pool.AcquireOrWait(func() {
+		ln.laneReady = true
+		pending := ln.lanePending
+		ln.lanePending = nil
 		for _, f := range pending {
 			f()
 		}
@@ -262,10 +273,12 @@ func (r *runner) dispatchJob(node *servingNode, n int, mode device.Mode) {
 // recycles the jobState. By the time the device invokes Done the job is out
 // of every device queue, and its submit closure has either run or — for jobs
 // failed while waiting on a container — belongs to a retired pool, so the
-// state cannot be referenced again and is safe to reuse.
+// state cannot be referenced again and is safe to reuse. The lane teardown
+// uses the node captured at dispatch, which may differ from r.cur after a
+// hardware switch.
 func (js *jobState) complete(j *device.Job) {
 	r := js.r
-	node := js.node
+	t, node, ln := js.t, js.node, js.ln
 	finish := r.eng.Now()
 	if r.tel != nil {
 		kind := telemetry.Completed
@@ -275,6 +288,7 @@ func (js *jobState) complete(j *device.Job) {
 		for _, req := range js.reqs {
 			e := telemetry.Ev(finish, kind)
 			e.Req = int64(req.ID)
+			e.Tenant = t.idx
 			e.Job = j.ID
 			e.Node = node.node.ID
 			r.tel.Event(e)
@@ -294,18 +308,18 @@ func (js *jobState) complete(j *device.Job) {
 		if j.Failed {
 			r.failedRq++
 		}
-		r.col.Add(rec)
+		t.col.Add(rec)
 	}
 	mode := js.mode
 	r.jobPool = append(r.jobPool, js)
 	if mode == device.Spatial {
-		node.pool.Release()
+		ln.pool.Release()
 		return
 	}
-	node.queuedOutstanding--
-	if node.queuedOutstanding == 0 && node.laneReady {
-		node.pool.Release()
-		node.laneHeld = false
-		node.laneReady = false
+	ln.queuedOutstanding--
+	if ln.queuedOutstanding == 0 && ln.laneReady {
+		ln.pool.Release()
+		ln.laneHeld = false
+		ln.laneReady = false
 	}
 }

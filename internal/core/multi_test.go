@@ -1,12 +1,18 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/hardware"
+	"repro/internal/invariant"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -109,5 +115,119 @@ func TestRunMultiInterferenceAcrossTenants(t *testing.T) {
 	p99Both := both.PerWorkload[0].Percentile(99)
 	if p99Both <= p99Alone {
 		t.Fatalf("co-tenancy did not raise P99: alone %v, both %v", p99Alone, p99Both)
+	}
+}
+
+// TestRunMultiOneWorkloadEqualsRun pins that RunMulti is the single-workload
+// runtime with N tenants: one workload through RunMulti must reproduce Run on
+// the same model, trace and scheme — every per-request record, cost,
+// switches, residency, and the span and event exports byte for byte. The
+// schemes cover the forecast-driven path (Paldia), the clairvoyant one
+// (Oracle) and pinned hardware.
+func TestRunMultiOneWorkloadEqualsRun(t *testing.T) {
+	m60, _ := hardware.ByName("M60")
+	for _, tc := range []struct {
+		name    string
+		scheme  func() Scheme
+		initial *hardware.Spec
+	}{
+		{"paldia", NewPaldia, nil},
+		{"oracle", NewOracle, nil},
+		{"pinned-m60", func() Scheme { return NewOfflineHybrid(m60, 0.3) }, &m60},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := model.MustByName("ResNet 50")
+			tr := trace.Azure(sim.NewRNG(21), 250, 90*time.Second)
+			type out struct {
+				records       []metrics.Record
+				cost          float64
+				switches      int
+				held          map[string]time.Duration
+				spans, events bytes.Buffer
+			}
+			export := func(o *out, rec *telemetry.Recorder) {
+				if err := rec.WriteSpansJSONL(&o.spans); err != nil {
+					t.Fatal(err)
+				}
+				if err := rec.WriteEventsJSONL(&o.events); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			var single out
+			rec := telemetry.NewRecorder()
+			res := Run(Config{Model: m, Trace: tr, Scheme: tc.scheme(),
+				InitialHardware: tc.initial, Telemetry: rec, Invariants: invariant.New()})
+			single.records = res.Collector.Records()
+			single.cost, single.switches, single.held = res.Cost, res.Switches, res.HeldBySpec
+			export(&single, rec)
+
+			var multi out
+			rec = telemetry.NewRecorder()
+			mres := RunMulti(MultiConfig{Workloads: []Workload{{Model: m, Trace: tr}},
+				Scheme: tc.scheme(), InitialHardware: tc.initial, Telemetry: rec,
+				Invariants: invariant.New()})
+			multi.records = mres.PerWorkload[0].Records()
+			multi.cost, multi.switches, multi.held = mres.Cost, mres.Switches, mres.HeldBySpec
+			export(&multi, rec)
+
+			if len(single.records) == 0 {
+				t.Fatal("run recorded no requests")
+			}
+			if !reflect.DeepEqual(single.records, multi.records) {
+				t.Fatalf("per-request records differ (%d vs %d)", len(single.records), len(multi.records))
+			}
+			if single.cost != multi.cost || single.switches != multi.switches {
+				t.Fatalf("cost/switches differ: Run %v/%d, RunMulti %v/%d",
+					single.cost, single.switches, multi.cost, multi.switches)
+			}
+			if !reflect.DeepEqual(single.held, multi.held) {
+				t.Fatalf("HeldBySpec differs: Run %v, RunMulti %v", single.held, multi.held)
+			}
+			if !bytes.Equal(single.spans.Bytes(), multi.spans.Bytes()) {
+				t.Fatal("span JSONL differs")
+			}
+			if !bytes.Equal(single.events.Bytes(), multi.events.Bytes()) {
+				t.Fatal("event JSONL differs")
+			}
+		})
+	}
+}
+
+func TestMultiConfigValidate(t *testing.T) {
+	valid := func() MultiConfig {
+		return MultiConfig{Workloads: multiWorkloads(1, time.Minute), Scheme: NewPaldia()}
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		tweak func(*MultiConfig)
+		want  string
+	}{
+		{"no workloads", func(c *MultiConfig) { c.Workloads = nil }, "Workloads is empty"},
+		{"redundancy scheme", func(c *MultiConfig) { c.Scheme = NewPaldiaCloneK(2, false) },
+			"does not serve redundancy schemes"},
+		{"workload without model", func(c *MultiConfig) { c.Workloads[1].Model = model.Spec{} },
+			"workload 1: Model is unset"},
+		{"workload without arrivals", func(c *MultiConfig) { c.Workloads[0].Trace = nil },
+			"workload 0: Trace and Stream are both nil"},
+		{"clairvoyant over a lazy stream", func(c *MultiConfig) {
+			c.Scheme = NewOracle()
+			c.Workloads[0].Trace = nil
+			c.Workloads[0].Stream = trace.PoissonCurve(sim.NewRNG(1), 50, time.Minute).Stream(sim.NewRNG(1))
+		}, "workload 0: clairvoyant scheme needs a materialized trace"},
+		{"negative shared constant", func(c *MultiConfig) { c.SLO = -time.Second }, "SLO is negative"},
+		{"unknown forecaster", func(c *MultiConfig) { c.Forecaster = "tea-leaves" }, "tea-leaves"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := valid()
+			tc.tweak(&c)
+			err := c.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

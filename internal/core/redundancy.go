@@ -33,8 +33,9 @@ const maxCopies = 3
 // pool) and only replaced when a node dies or is revoked.
 type redundancy struct {
 	r     *runner
-	k     int  // copies per set (clone mode)
-	sync  bool // synchronized-service variant
+	t     *tenant // the one workload served (redundancy is single-tenant)
+	k     int     // copies per set (clone mode)
+	sync  bool    // synchronized-service variant
 	hedge bool
 	age   *metrics.AgeTracker // hedge mode: online completion-latency percentile
 
@@ -61,7 +62,7 @@ type redPool struct {
 
 func newRedundancy(r *runner) *redundancy {
 	rd := r.cfg.Scheme.Redundancy
-	d := &redundancy{r: r, k: rd.CloneK, sync: rd.Synchronized, hedge: rd.HedgePct > 0}
+	d := &redundancy{r: r, t: r.tenants[0], k: rd.CloneK, sync: rd.Synchronized, hedge: rd.HedgePct > 0}
 	if d.hedge {
 		d.age = metrics.NewAgeTracker(rd.HedgePct)
 	}
@@ -106,8 +107,8 @@ func (d *redundancy) warmStart() {
 	if d.hedge {
 		need = 2
 	}
-	rate := r.arr.InitRPS(2 * time.Second)
-	specs := redundantSpecs(r.cfg.Model, rate, r.cfg.SLO, need)
+	rate := d.t.arr.InitRPS(2 * time.Second)
+	specs := redundantSpecs(d.t.model, rate, r.cfg.SLO, need)
 	spotCount := 0
 	if r.cfg.SpotDiscount > 0 {
 		spotCount = int(r.cfg.SpotFraction*float64(len(specs)) + 0.5)
@@ -118,10 +119,10 @@ func (d *redundancy) warmStart() {
 		if p.spot {
 			disc = r.cfg.SpotDiscount
 		}
-		node := r.clu.AcquireSpot(spec, profile.MaxResidentJobs(r.cfg.Model, spec), disc)
+		node := r.clu.AcquireSpot(spec, r.maxResident(spec), disc)
 		p.sn = r.wireNode(node)
-		p.sn.pool.AddWarm(2)
-		p.sn.ctl.Start()
+		p.sn.lanes[0].pool.AddWarm(2)
+		p.sn.startControllers()
 		d.pools = append(d.pools, p)
 	}
 	r.history = append(r.history, SwitchEvent{At: 0, Spec: specs[0].Name})
@@ -152,7 +153,7 @@ func (d *redundancy) healthy() []*redPool {
 // a pool returns.
 func (d *redundancy) dispatch() {
 	r := d.r
-	n := r.bat.Pending()
+	n := d.t.bat.Pending()
 	if n == 0 {
 		return
 	}
@@ -161,7 +162,7 @@ func (d *redundancy) dispatch() {
 		return
 	}
 	primary := healthy[0].sn
-	bs := primary.entry.PreferredBatch
+	bs := primary.lanes[0].entry.PreferredBatch
 	used := healthy[:1]
 	if !d.hedge {
 		if k := d.k; k < len(healthy) {
@@ -178,10 +179,11 @@ func (d *redundancy) dispatch() {
 	// mid-queue revocation kill.
 	for _, p := range used {
 		if p.capSN != p.sn {
-			p.resCap = residentCap(r.cfg.Model, p.sn, r.cfg.SLO)
+			p.resCap = residentCap(d.t.model, p.sn, r.cfg.SLO)
 			p.capSN = p.sn
 		}
-		free := p.resCap - p.sn.pool.Busy() - p.sn.pool.Waiting()
+		pool := p.sn.lanes[0].pool
+		free := p.resCap - pool.Busy() - pool.Waiting()
 		if free < 0 {
 			free = 0
 		}
@@ -196,7 +198,7 @@ func (d *redundancy) dispatch() {
 	for _, size := range d.sizesScratch {
 		s := d.newSet()
 		s.dispatched = r.eng.Now()
-		s.reqs = r.bat.TakeInto(s.reqs[:0], size)
+		s.reqs = d.t.bat.TakeInto(s.reqs[:0], size)
 		if d.hedge {
 			s.launch(0, primary, "")
 			// The backup launches when the batch's oldest request is older
@@ -229,12 +231,13 @@ func (d *redundancy) dispatch() {
 // preferred batch inside the SLO. Without it a drained backlog piles onto
 // the device all at once and every job slows every other past the deadline.
 func residentCap(m model.Spec, sn *servingNode, slo time.Duration) int {
-	bs := sn.entry.PreferredBatch
+	entry := sn.lanes[0].entry
+	bs := entry.PreferredBatch
 	solo := profile.Solo(m, sn.node.Spec, bs)
-	fbr := sn.entry.FBR
+	fbr := entry.FBR
 	comp := profile.ComputeFraction(m, sn.node.Spec, bs)
 	best := 1
-	for c := 2; c <= sn.entry.MaxResidentJobs; c++ {
+	for c := 2; c <= entry.MaxResidentJobs; c++ {
 		slow := profile.Slowdown(float64(c)*fbr, fbr)
 		if agg := float64(c) * comp; agg > 1 && agg > slow {
 			slow = agg
@@ -269,15 +272,15 @@ func (d *redundancy) hedgeThreshold() time.Duration {
 // keep serving through the gap.
 func (d *redundancy) maintain() {
 	r := d.r
-	obs := r.observedRPS(r.eng.Now())
+	obs := d.t.observedRPS(r.eng.Now())
 	upgraded := false
 	for _, p := range d.pools {
 		if p.sn != nil {
 			n := p.sn.node
 			if n.Device != nil && !n.Device.Failed() && !n.Revoked() {
-				if !upgraded && obs > profile.Headroom*profile.ThroughputRPS(r.cfg.Model, p.spec) &&
+				if !upgraded && obs > profile.Headroom*profile.ThroughputRPS(d.t.model, p.spec) &&
 					d.othersHealthy(p) {
-					if up, ok := upgradeSpec(r.cfg.Model, obs, p.spec); ok {
+					if up, ok := upgradeSpec(d.t.model, obs, p.spec); ok {
 						upgraded = true
 						p.spec = up
 						old := p.sn
@@ -304,14 +307,15 @@ func (d *redundancy) maintain() {
 		}
 		pp := p
 		spec := p.spec
-		r.clu.AcquireAsyncSpot(spec, profile.MaxResidentJobs(r.cfg.Model, spec), disc,
+		r.clu.AcquireAsyncSpot(spec, r.maxResident(spec), disc,
 			func(node *cluster.Node) {
 				sn := r.wireNode(node)
-				sn.pool.EnsureWithin(r.containerTarget(sn), swapTail)
+				ln := &sn.lanes[0]
+				ln.pool.EnsureWithin(r.containerTarget(d.t, ln), swapTail)
 				r.eng.Schedule(swapTail, func() {
 					pp.sn = sn
 					pp.acquiring = false
-					sn.ctl.Start()
+					sn.startControllers()
 					r.switches++
 					r.emit(telemetry.HWSwitch, node.ID, node.Spec.Name, "respawn")
 				})
@@ -476,9 +480,10 @@ func (s *cloneSet) launch(idx int, sn *servingNode, kind string) {
 	job := &c.job
 	job.Reset()
 	job.Batch = len(s.reqs)
-	job.Solo = profile.Solo(r.cfg.Model, sn.node.Spec, len(s.reqs))
-	job.FBR = sn.entry.FBR
-	job.Compute = profile.ComputeFraction(r.cfg.Model, sn.node.Spec, len(s.reqs))
+	m := s.red.t.model
+	job.Solo = profile.Solo(m, sn.node.Spec, len(s.reqs))
+	job.FBR = sn.lanes[0].entry.FBR
+	job.Compute = profile.ComputeFraction(m, sn.node.Spec, len(s.reqs))
 	job.Mode = device.Spatial // copies follow the pure-PS cloning model
 	job.Done = c.doneFn
 	if r.tel != nil {
@@ -506,15 +511,16 @@ func (s *cloneSet) launch(idx int, sn *servingNode, kind string) {
 	// Reactive scale-up, one container per copy: Busy covers in-flight
 	// batches, Waiting the claims earlier sets filed this window (Ensure
 	// compares against Total, which already counts their boots).
-	sn.pool.Ensure(sn.pool.Busy() + sn.pool.Waiting() + 1)
-	sn.pool.AcquireOrWait(c.submitFn)
+	pool := sn.lanes[0].pool
+	pool.Ensure(pool.Busy() + pool.Waiting() + 1)
+	pool.AcquireOrWait(c.submitFn)
 }
 
 // submit runs when the copy's container claim lands. A copy cancelled while
 // still waiting gives the container straight back.
 func (c *cloneCopy) submit() {
 	if c.cancelled {
-		c.node.pool.Release()
+		c.node.lanes[0].pool.Release()
 		c.set.live--
 		c.set.maybeRecycle()
 		return
@@ -532,7 +538,7 @@ func (c *cloneCopy) complete(j *device.Job) {
 	c.finished = true
 	s.done++
 	s.live--
-	c.node.pool.Release()
+	c.node.lanes[0].pool.Release()
 	if j.Failed {
 		s.failedC++
 		if !s.resolved && s.done == s.launched {
@@ -601,7 +607,7 @@ func (s *cloneSet) resolveWin(c *cloneCopy) {
 		o.cancelled = true
 		if o.submitted {
 			o.node.node.Device.Cancel(&o.job)
-			o.node.pool.Release()
+			o.node.lanes[0].pool.Release()
 			s.live--
 		}
 		s.emitCancelled(o)
@@ -617,7 +623,7 @@ func (s *cloneSet) resolveWin(c *cloneCopy) {
 	}
 	for _, q := range s.reqs {
 		lat := now - q.Arrival
-		r.col.Add(metrics.Record{
+		d.t.col.Add(metrics.Record{
 			Arrival:      q.Arrival,
 			Latency:      lat,
 			BatchWait:    s.dispatched - q.Arrival,
@@ -650,7 +656,7 @@ func (s *cloneSet) resolveFailed(c *cloneCopy) {
 	}
 	for _, q := range s.reqs {
 		r.failedRq++
-		r.col.Add(metrics.Record{
+		s.red.t.col.Add(metrics.Record{
 			Arrival:   q.Arrival,
 			Latency:   now - q.Arrival,
 			BatchWait: s.dispatched - q.Arrival,

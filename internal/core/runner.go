@@ -270,9 +270,36 @@ type SwitchEvent struct {
 	Spec string
 }
 
-// servingNode is a procured node actively (or about to be) serving.
-type servingNode struct {
-	node  *cluster.Node
+// tenant is one workload served by the runtime: its model, arrival stream,
+// batcher, aggregator, forecast and observed-rate window. A single-workload
+// run has one tenant; a multi-tenant run (RunMulti) has one per workload, all
+// sharing the serving node.
+type tenant struct {
+	idx   int // workload index: Event.Tenant, pool and controller labels
+	model model.Spec
+	arr   trace.Stream // arrival source (Stream, or Trace adapted)
+	bat   batch.Batcher
+	col   metrics.Aggregator
+
+	// perSample is the model's solo per-sample time on the reference GPU,
+	// the unit desiredHardware converts other tenants' load into.
+	perSample float64
+
+	// predictAt is the confidence-gated forecast: below the confidence
+	// floor it returns the observed rate (see setupPredictor).
+	predictAt func(now, horizon time.Duration) float64
+	onArrive  func(now time.Duration)
+
+	// observed-rate bookkeeping
+	obsWindow      time.Duration
+	obsWindowStart time.Duration
+	obsCount       int
+	obsRate        float64
+}
+
+// lane is one tenant's share of a serving node: its container pool, profile
+// entry, predictive autoscaler and time-share lane claim.
+type lane struct {
 	pool  *container.Pool
 	entry profile.Entry
 	ctl   *autoscale.Controller
@@ -283,13 +310,27 @@ type servingNode struct {
 	lanePending       []func() // lane submissions buffered until the claim lands
 }
 
+// servingNode is a procured node actively (or about to be) serving, with one
+// lane per tenant.
+type servingNode struct {
+	node  *cluster.Node
+	lanes []lane
+}
+
+// outstanding is the node's queued-lane jobs summed over its lanes.
+func (sn *servingNode) outstanding() int {
+	n := 0
+	for i := range sn.lanes {
+		n += sn.lanes[i].queuedOutstanding
+	}
+	return n
+}
+
 type runner struct {
-	cfg Config
-	eng *sim.Engine
-	clu *cluster.Cluster
-	bat batch.Batcher
-	col metrics.Aggregator
-	arr trace.Stream // arrival source (cfg.Stream, or cfg.Trace adapted)
+	cfg     Config
+	eng     *sim.Engine
+	clu     *cluster.Cluster
+	tenants []*tenant
 
 	// tel is the combined telemetry sink (Config.Telemetry plus the adapted
 	// legacy OnEvent); nil when both are unset. jobSeq numbers device jobs
@@ -312,33 +353,25 @@ type runner struct {
 	replicaPending int
 	lastScale      time.Duration
 
-	// predictAt is the confidence-gated forecast: below the confidence
-	// floor it returns the observed rate (see setupPredictor).
-	predictAt  func(now, horizon time.Duration) float64
-	predictRPS func(now time.Duration) float64
-	onArrive   func(now time.Duration)
-
-	// observed-rate bookkeeping
-	obsWindowStart time.Duration
-	obsCount       int
-	obsRate        float64
-
 	waitCtr  int
 	switches int
 	failures int
 	failedRq int
 	history  []SwitchEvent
 
-	arrived  int // arrivals fed to the batcher so far
+	arrived  int // arrivals fed to the batchers so far
 	end      time.Duration
 	lastSwap time.Duration
 
 	// stScratch backs the *State handed to policies. stateWithRates rebuilds
 	// it from scratch on every call and no caller retains the pointer past
 	// the policy invocation, so one per runner keeps the monitor and dispatch
-	// paths allocation-free. nodesScratch likewise backs healthyNodes.
+	// paths allocation-free. nodesScratch likewise backs healthyNodes, and
+	// predScratch/obsScratch the per-tenant rates of a selection pass.
 	stScratch    State
 	nodesScratch []*servingNode
+	predScratch  []float64
+	obsScratch   []float64
 
 	// jobPool recycles per-dispatch jobState values (device job + request
 	// batch + bound closures); sizesScratch backs the per-window batch-size
@@ -379,23 +412,39 @@ type Running struct {
 // Drive it with StepTo and settle it with Finish, or call Finish directly for
 // the whole run.
 func Start(cfg Config) *Running {
+	return start(cfg, []Workload{{Model: cfg.Model, Trace: cfg.Trace, Stream: cfg.Stream}})
+}
+
+// start builds the runtime serving ws on one node at a time. Single-workload
+// runs (Start) pass one workload; RunMulti passes one per tenant.
+func start(cfg Config, ws []Workload) *Running {
 	cfg.applyDefaults()
 	r := &runner{
 		cfg: cfg,
 		eng: sim.NewEngine(),
 	}
-	r.arr = cfg.Stream
-	if r.arr == nil {
-		r.arr = cfg.Trace.Stream()
+	ref := hardware.MostPerformant(hardware.GPU)
+	for i, w := range ws {
+		t := &tenant{idx: i, model: w.Model, arr: w.Stream, obsWindow: cfg.ObserveWindow}
+		if t.arr == nil {
+			t.arr = w.Trace.Stream()
+		}
+		r.setupPredictor(t, w.Trace)
+		t.perSample = profile.SoloSample(w.Model, ref).Seconds()
+		if d := t.arr.Duration(); d > r.end {
+			r.end = d
+		}
+		r.tenants = append(r.tenants, t)
 	}
-	r.end = r.arr.Duration()
-	switch {
-	case cfg.Aggregator != nil:
-		r.col = cfg.Aggregator
-	case cfg.Metrics == MetricsOnline:
-		r.col = metrics.NewOnline(cfg.SLO, r.end, metrics.DefaultGoodputWindow)
-	default:
-		r.col = metrics.NewCollector(cfg.SLO)
+	for _, t := range r.tenants {
+		switch {
+		case cfg.Aggregator != nil:
+			t.col = cfg.Aggregator
+		case cfg.Metrics == MetricsOnline:
+			t.col = metrics.NewOnline(cfg.SLO, r.end, metrics.DefaultGoodputWindow)
+		default:
+			t.col = metrics.NewCollector(cfg.SLO)
+		}
 	}
 	if cfg.Pacer != nil {
 		r.eng.SetOnAdvance(cfg.Pacer)
@@ -408,7 +457,6 @@ func Start(cfg Config) *Running {
 		r.eng.SetOnFire(cfg.Invariants.Tick)
 		r.clu.Check = cfg.Invariants
 	}
-	r.setupPredictor()
 	if cfg.Scheme.Redundancy.Active() {
 		r.red = newRedundancy(r)
 	}
@@ -416,7 +464,9 @@ func Start(cfg Config) *Running {
 	if r.tel != nil && cfg.SampleEvery > 0 {
 		telemetry.NewSampler(r.eng, r.tel, cfg.SampleEvery, r.gauges()).Start()
 	}
-	r.scheduleArrivals()
+	for _, t := range r.tenants {
+		r.scheduleArrivals(t)
+	}
 	r.dispatchTickFn = r.dispatchTick
 	r.monitorTickFn = r.monitorTick
 	r.failureTickFn = r.failureTick
@@ -443,7 +493,7 @@ func (ru *Running) End() time.Duration { return ru.r.end }
 func (ru *Running) Horizon() time.Duration { return ru.r.end + DefaultDrain }
 
 // Count returns the number of request outcomes recorded so far.
-func (ru *Running) Count() int { return ru.r.col.Count() }
+func (ru *Running) Count() int { return ru.r.count() }
 
 // StepTo fires every event up to and including virtual time t (clamped to
 // Horizon), leaving the clock at min(t, Horizon). Calls with t <= Now are
@@ -460,82 +510,103 @@ func (ru *Running) StepTo(t time.Duration) {
 // requests still drain, records anything still unserved as failed, and returns the
 // run's Result. It must be called exactly once.
 func (ru *Running) Finish() Result {
+	ru.settle()
+	return ru.r.results()
+}
+
+// settle is Finish without the Result: it runs the simulation to completion,
+// fails whatever is still unserved and audits the outcome.
+func (ru *Running) settle() {
 	if ru.done {
 		panic("core: Running.Finish called twice")
 	}
 	ru.done = true
 	r := ru.r
-	cfg := r.cfg
 	r.eng.Run(r.end + DefaultDrain)
 	// Overloaded runs can still hold deep backlogs at the drain bound; keep
 	// simulating until every request completes (so conservation holds and
 	// stragglers are recorded with their true, awful latencies), giving up
 	// only if a whole chunk passes without any progress.
-	for guard := 0; r.col.Count() < r.arrived && guard < 720; guard++ {
-		before := r.col.Count()
+	for guard := 0; r.count() < r.arrived && guard < 720; guard++ {
+		before := r.count()
 		r.eng.Run(r.eng.Now() + 60*time.Second)
-		if r.col.Count() == before {
+		if r.count() == before {
 			break
 		}
 	}
 	// Anything still unserved (e.g. no healthy node ever came back) is
 	// recorded as failed.
-	for _, req := range r.bat.TakeAll() {
-		r.failedRq++
-		if r.tel != nil {
-			e := telemetry.Ev(r.eng.Now(), telemetry.Failed)
-			e.Req = int64(req.ID)
-			r.tel.Event(e)
+	for _, t := range r.tenants {
+		for _, req := range t.bat.TakeAll() {
+			r.failedRq++
+			if r.tel != nil {
+				e := telemetry.Ev(r.eng.Now(), telemetry.Failed)
+				e.Req = int64(req.ID)
+				e.Tenant = t.idx
+				r.tel.Event(e)
+			}
+			t.col.Add(metrics.Record{
+				Arrival: req.Arrival,
+				Latency: r.eng.Now() - req.Arrival,
+				Failed:  true,
+			})
 		}
-		r.col.Add(metrics.Record{
-			Arrival: req.Arrival,
-			Latency: r.eng.Now() - req.Arrival,
-			Failed:  true,
-		})
 	}
-	res := r.results()
-	if cfg.Invariants != nil {
-		cfg.Invariants.CheckResult(r.eng.Now(), res.Requests, res.FailedRequests,
-			res.FailuresInjected)
+	if r.cfg.Invariants != nil {
+		r.cfg.Invariants.CheckResult(r.eng.Now(), r.count(), r.failedRq, r.failures)
 	}
-	return res
 }
 
-func (r *runner) setupPredictor() {
+// count is the number of request outcomes recorded across tenants.
+func (r *runner) count() int {
+	n := 0
+	for _, t := range r.tenants {
+		n += t.col.Count()
+	}
+	return n
+}
+
+// pending is the number of requests waiting in the tenants' batchers.
+func (r *runner) pending() int {
+	n := 0
+	for _, t := range r.tenants {
+		n += t.bat.Pending()
+	}
+	return n
+}
+
+// setupPredictor installs t's forecast; clairvoyant schemes read tr, or the
+// trace behind a materialized stream.
+func (r *runner) setupPredictor(t *tenant, tr *trace.Trace) {
 	if r.cfg.Scheme.Clairvoyant {
-		t := r.cfg.Trace
-		if t == nil {
+		if tr == nil {
 			var ok bool
-			if t, ok = trace.Materialized(r.arr); !ok {
+			if tr, ok = trace.Materialized(t.arr); !ok {
 				panic("core: clairvoyant scheme needs a materialized trace " +
 					"(set Trace, or a Stream implementing trace.Materializer)")
 			}
 		}
-		c := predict.NewClairvoyant(t)
-		r.predictAt = c.PredictRPS
-		r.onArrive = func(time.Duration) {}
-	} else {
-		p := newForecaster(r.cfg)
-		obs := predict.NewWindowObserver(p, r.cfg.ObserveWindow)
-		// The confidence gate lives at the source, so every consumer of the
-		// forecast — hardware selection, the container autoscaler, telemetry
-		// gauges — sees the same gated value: when the forecaster reports
-		// confidence below the floor, the forecast is replaced with the
-		// reactive observed rate (see DESIGN.md §10). Confidence is read
-		// after PredictRPS flushed windows up to now, so it reflects the
-		// same forecaster state as the forecast it gates.
-		r.predictAt = func(now, horizon time.Duration) float64 {
-			pred := obs.PredictRPS(now, horizon)
-			if obs.Confidence() < predict.ConfidenceFloor {
-				return r.observedRPS(now)
-			}
-			return pred
+		c := predict.NewClairvoyant(tr)
+		t.predictAt = c.PredictRPS
+		t.onArrive = func(time.Duration) {}
+		return
+	}
+	obs := predict.NewWindowObserver(newForecaster(r.cfg), r.cfg.ObserveWindow)
+	// The confidence gate lives at the source, so every consumer of the
+	// forecast — hardware selection, the container autoscaler, telemetry
+	// gauges — sees the same gated value: when the forecaster reports
+	// confidence below the floor, the forecast is replaced with the
+	// reactive observed rate (see DESIGN.md §10). Confidence is read
+	// after PredictRPS flushed windows up to now, so it reflects the
+	// same forecaster state as the forecast it gates.
+	t.predictAt = func(now, horizon time.Duration) float64 {
+		pred := obs.PredictRPS(now, horizon)
+		if obs.Confidence() < predict.ConfidenceFloor {
+			return t.observedRPS(now)
 		}
-		r.onArrive = obs.Arrive
+		return pred
 	}
-	r.predictRPS = func(now time.Duration) float64 {
-		return r.predictAt(now, r.cfg.Horizon)
-	}
+	t.onArrive = obs.Arrive
 }
 
 // newForecaster resolves the configured forecasting model: the NewPredictor
@@ -553,7 +624,8 @@ func newForecaster(cfg Config) predict.Forecaster {
 }
 
 // warmStart brings up the initial node with warm containers, as a system
-// already in service would have.
+// already in service would have. A node's two warm containers are shared
+// among its tenants, at least one each.
 func (r *runner) warmStart() {
 	if r.red != nil {
 		r.red.warmStart()
@@ -563,14 +635,19 @@ func (r *runner) warmStart() {
 	if r.cfg.InitialHardware != nil {
 		spec = *r.cfg.InitialHardware
 	} else {
-		initRate := r.arr.InitRPS(2 * time.Second)
-		st := r.stateWithRates(initRate, initRate)
-		spec = r.cfg.Scheme.Policy.DesiredHardware(st)
+		init := r.predScratch[:0]
+		for _, t := range r.tenants {
+			init = append(init, t.arr.InitRPS(2*time.Second))
+		}
+		r.predScratch = init
+		spec = r.desiredHardware(init, init)
 	}
 	n := r.acquire(spec)
-	n.pool.AddWarm(2)
+	for i := range n.lanes {
+		n.lanes[i].pool.AddWarm(max(1, 2/len(r.tenants)))
+	}
 	r.cur = n
-	n.ctl.Start()
+	n.startControllers()
 	r.history = append(r.history, SwitchEvent{At: 0, Spec: spec.Name})
 }
 
@@ -584,10 +661,21 @@ func (r *runner) spotDiscount() float64 {
 	return 0
 }
 
-// acquire procures a node immediately and wires its pool and autoscaler.
+// maxResident is the node's resident-job cap: the shared device's memory
+// must fit whichever tenant packs tightest, so the smallest per-model cap.
+func (r *runner) maxResident(spec hardware.Spec) int {
+	n := 0
+	for _, t := range r.tenants {
+		if c := profile.MaxResidentJobs(t.model, spec); n == 0 || c < n {
+			n = c
+		}
+	}
+	return n
+}
+
+// acquire procures a node immediately and wires its lanes.
 func (r *runner) acquire(spec hardware.Spec) *servingNode {
-	node := r.clu.AcquireSpot(spec, profile.MaxResidentJobs(r.cfg.Model, spec), r.spotDiscount())
-	return r.wireNode(node)
+	return r.wireNode(r.clu.AcquireSpot(spec, r.maxResident(spec), r.spotDiscount()))
 }
 
 func (r *runner) wireNode(node *cluster.Node) *servingNode {
@@ -599,38 +687,54 @@ func (r *runner) wireNode(node *cluster.Node) *servingNode {
 	if r.cfg.Scheme.InstantProcure {
 		cold = 0
 	}
-	sn := &servingNode{
-		node:  node,
-		pool:  container.NewPool(r.eng, cold, r.cfg.KeepAlive),
-		entry: profile.Lookup(r.cfg.Model, node.Spec),
-	}
-	if r.tel != nil {
-		sn.pool.Sink = r.tel
-		sn.pool.NodeID = node.ID
-		sn.pool.Spec = node.Spec.Name
-	}
-	if r.cfg.Invariants != nil {
-		sn.pool.NodeID = node.ID
-		sn.pool.Check = r.cfg.Invariants
-	}
-	// Containers are sized for the batches resident at once: a batch
-	// occupies its container for its (possibly inflated) execution time, so
-	// the pool target is predicted-rate x residence / batch-size.
-	// The controller is started when the node begins serving (swapTo);
-	// starting it earlier would race the swap-time pre-warm with slower
-	// predictive boots. It forecasts Config.Horizon ahead through the
-	// pluggable Forecaster seam.
-	sn.ctl = autoscale.NewController(r.eng, sn.pool,
-		func(now, horizon time.Duration) float64 { return r.predictAt(now, horizon) },
-		func() int { return sn.entry.PreferredBatch },
-		residenceOf(sn.entry))
-	sn.ctl.Horizon = r.cfg.Horizon
-	if r.tel != nil {
-		sn.ctl.Sink = r.tel
-		sn.ctl.NodeID = node.ID
-		sn.ctl.Spec = node.Spec.Name
+	sn := &servingNode{node: node, lanes: make([]lane, len(r.tenants))}
+	for i, t := range r.tenants {
+		ln := &sn.lanes[i]
+		ln.pool = container.NewPool(r.eng, cold, r.cfg.KeepAlive)
+		ln.pool.Tenant = t.idx
+		ln.entry = profile.Lookup(t.model, node.Spec)
+		if r.tel != nil {
+			ln.pool.Sink = r.tel
+			ln.pool.NodeID = node.ID
+			ln.pool.Spec = node.Spec.Name
+		}
+		if r.cfg.Invariants != nil {
+			ln.pool.NodeID = node.ID
+			ln.pool.Check = r.cfg.Invariants
+		}
+		// Containers are sized for the batches resident at once: a batch
+		// occupies its container for its (possibly inflated) execution time,
+		// so the pool target is predicted-rate x residence / batch-size.
+		// The controller is started when the node begins serving (swapTo);
+		// starting it earlier would race the swap-time pre-warm with slower
+		// predictive boots. It forecasts Config.Horizon ahead through the
+		// pluggable Forecaster seam.
+		ln.ctl = autoscale.NewController(r.eng, ln.pool, t.predictAt,
+			func() int { return ln.entry.PreferredBatch },
+			residenceOf(ln.entry))
+		ln.ctl.Horizon = r.cfg.Horizon
+		ln.ctl.Tenant = t.idx
+		if r.tel != nil {
+			ln.ctl.Sink = r.tel
+			ln.ctl.NodeID = node.ID
+			ln.ctl.Spec = node.Spec.Name
+		}
 	}
 	return sn
+}
+
+// startControllers starts every lane's predictive autoscaler; stopControllers
+// halts them.
+func (sn *servingNode) startControllers() {
+	for i := range sn.lanes {
+		sn.lanes[i].ctl.Start()
+	}
+}
+
+func (sn *servingNode) stopControllers() {
+	for i := range sn.lanes {
+		sn.lanes[i].ctl.Stop()
+	}
 }
 
 // emit sends one control-plane telemetry event; a no-op without a sink.
@@ -657,6 +761,7 @@ func (r *runner) curStats() (device.Stats, bool) {
 // gauges is the sampled-series catalogue for single-workload runs. Every
 // reader is side-effect-free so sampling never changes the run's trajectory.
 func (r *runner) gauges() []telemetry.Gauge {
+	t := r.tenants[0]
 	devGauge := func(read func(device.Stats) float64) func() float64 {
 		return func() float64 {
 			s, ok := r.curStats()
@@ -666,40 +771,28 @@ func (r *runner) gauges() []telemetry.Gauge {
 			return read(s)
 		}
 	}
-	return []telemetry.Gauge{
-		{Name: "pending_requests", Read: func() float64 { return float64(r.bat.Pending()) }},
-		{Name: "predicted_rps", Read: func() float64 { return r.predictRPS(r.eng.Now()) }},
-		{Name: "observed_rps", Read: func() float64 { return r.observedRPS(r.eng.Now()) }},
-		{Name: "active_jobs", Read: devGauge(func(s device.Stats) float64 { return float64(s.ActiveJobs) })},
-		{Name: "lane_queued", Read: devGauge(func(s device.Stats) float64 { return float64(s.LaneQueued) })},
-		{Name: "lane_outstanding", Read: func() float64 {
+	laneGauge := func(read func(*lane) float64) func() float64 {
+		return func() float64 {
 			if r.cur == nil {
 				return 0
 			}
-			return float64(r.cur.queuedOutstanding)
-		}},
+			return read(&r.cur.lanes[0])
+		}
+	}
+	return []telemetry.Gauge{
+		{Name: "pending_requests", Read: func() float64 { return float64(t.bat.Pending()) }},
+		{Name: "predicted_rps", Read: func() float64 { return t.predictAt(r.eng.Now(), r.cfg.Horizon) }},
+		{Name: "observed_rps", Read: func() float64 { return t.observedRPS(r.eng.Now()) }},
+		{Name: "active_jobs", Read: devGauge(func(s device.Stats) float64 { return float64(s.ActiveJobs) })},
+		{Name: "lane_queued", Read: devGauge(func(s device.Stats) float64 { return float64(s.LaneQueued) })},
+		{Name: "lane_outstanding", Read: laneGauge(func(ln *lane) float64 { return float64(ln.queuedOutstanding) })},
 		{Name: "lane_cap", Read: func() float64 { return laneCap }},
 		{Name: "lane_backlog_s", Read: devGauge(func(s device.Stats) float64 { return s.LaneBacklogSolo.Seconds() })},
 		{Name: "backlog_s", Read: devGauge(func(s device.Stats) float64 { return s.BacklogSolo.Seconds() })},
 		{Name: "fbr_demand", Read: devGauge(func(s device.Stats) float64 { return s.ActiveDemand })},
-		{Name: "containers_idle", Read: func() float64 {
-			if r.cur == nil {
-				return 0
-			}
-			return float64(r.cur.pool.Idle())
-		}},
-		{Name: "containers_busy", Read: func() float64 {
-			if r.cur == nil {
-				return 0
-			}
-			return float64(r.cur.pool.Busy())
-		}},
-		{Name: "containers_total", Read: func() float64 {
-			if r.cur == nil {
-				return 0
-			}
-			return float64(r.cur.pool.Total())
-		}},
+		{Name: "containers_idle", Read: laneGauge(func(ln *lane) float64 { return float64(ln.pool.Idle()) })},
+		{Name: "containers_busy", Read: laneGauge(func(ln *lane) float64 { return float64(ln.pool.Busy()) })},
+		{Name: "containers_total", Read: laneGauge(func(ln *lane) float64 { return float64(ln.pool.Total()) })},
 		{Name: "cost_usd", Read: func() float64 { return r.clu.TotalCost() }},
 		{Name: "nodes", Read: func() float64 { return float64(len(r.clu.ActiveNodes())) }},
 	}
@@ -709,11 +802,11 @@ func (r *runner) gauges() []telemetry.Gauge {
 // execution latency with a 2x margin for interference.
 func residenceOf(e profile.Entry) time.Duration { return 2 * e.SoloBatch }
 
-// containerTarget is the predictive container requirement for a node at the
-// current forecast.
-func (r *runner) containerTarget(sn *servingNode) int {
-	n := autoscale.PredictiveContainers(r.predictRPS(r.eng.Now()), residenceOf(sn.entry),
-		sn.entry.PreferredBatch)
+// containerTarget is the predictive container requirement for tenant t's
+// lane at the current forecast.
+func (r *runner) containerTarget(t *tenant, ln *lane) int {
+	n := autoscale.PredictiveContainers(t.predictAt(r.eng.Now(), r.cfg.Horizon),
+		residenceOf(ln.entry), ln.entry.PreferredBatch)
 	if n < 2 {
 		n = 2
 	}
@@ -730,12 +823,12 @@ func (r *runner) applyHostFactor(node *cluster.Node) {
 	}
 }
 
-// scheduleArrivals feeds arrivals from the stream one event at a time: one
-// pending arrival is held while the engine advances to it, so memory is
+// scheduleArrivals feeds t's arrivals from its stream one event at a time:
+// one pending arrival is held while the engine advances to it, so memory is
 // constant regardless of trace size (with a CurveStream, the trace never
 // materializes at all).
-func (r *runner) scheduleArrivals() {
-	pending, ok := r.arr.Next()
+func (r *runner) scheduleArrivals(t *tenant) {
+	pending, ok := t.arr.Next()
 	if !ok {
 		return
 	}
@@ -743,18 +836,19 @@ func (r *runner) scheduleArrivals() {
 	fire = func() {
 		now := r.eng.Now()
 		for pending <= now {
-			req := r.bat.Add(pending)
+			req := t.bat.Add(pending)
 			r.arrived++
 			if r.tel != nil {
 				e := telemetry.Ev(req.Arrival, telemetry.Arrived)
 				e.Req = int64(req.ID)
+				e.Tenant = t.idx
 				r.tel.Event(e)
 				e.Kind = telemetry.Batched
 				r.tel.Event(e)
 			}
-			r.onArrive(now)
-			r.observeArrival(now)
-			if pending, ok = r.arr.Next(); !ok {
+			t.onArrive(now)
+			t.observeArrival(now)
+			if pending, ok = t.arr.Next(); !ok {
 				return
 			}
 		}
@@ -763,39 +857,35 @@ func (r *runner) scheduleArrivals() {
 	r.eng.ScheduleAt(pending, fire)
 }
 
-func (r *runner) observeArrival(now time.Duration) {
-	for now >= r.obsWindowStart+r.cfg.ObserveWindow {
-		r.obsRate = float64(r.obsCount) / r.cfg.ObserveWindow.Seconds()
-		r.obsCount = 0
-		r.obsWindowStart += r.cfg.ObserveWindow
-	}
-	r.obsCount++
+func (t *tenant) observeArrival(now time.Duration) {
+	t.rollWindow(now)
+	t.obsCount++
 }
 
-func (r *runner) observedRPS(now time.Duration) float64 {
+func (t *tenant) observedRPS(now time.Duration) float64 {
 	// Roll the window forward even without arrivals so silence decays.
-	for now >= r.obsWindowStart+r.cfg.ObserveWindow {
-		r.obsRate = float64(r.obsCount) / r.cfg.ObserveWindow.Seconds()
-		r.obsCount = 0
-		r.obsWindowStart += r.cfg.ObserveWindow
+	t.rollWindow(now)
+	return t.obsRate
+}
+
+func (t *tenant) rollWindow(now time.Duration) {
+	for now >= t.obsWindowStart+t.obsWindow {
+		t.obsRate = float64(t.obsCount) / t.obsWindow.Seconds()
+		t.obsCount = 0
+		t.obsWindowStart += t.obsWindow
 	}
-	return r.obsRate
 }
 
-func (r *runner) state() *State {
+// stateOf builds tenant t's policy state at the dispatch horizon against a
+// specific node's device (the primary's is the common case).
+func (r *runner) stateOf(t *tenant, sn *servingNode) *State {
 	now := r.eng.Now()
-	return r.stateWithRates(r.predictRPS(now), r.observedRPS(now))
-}
-
-// stateOf builds the policy state against a specific node's device (the
-// primary's state() is the scale-in special case).
-func (r *runner) stateOf(sn *servingNode) *State {
-	s := r.state()
+	s := r.stateWithRates(t, t.predictAt(now, r.cfg.Horizon), t.observedRPS(now))
 	if sn == nil || sn == r.cur {
 		return s
 	}
 	s.Current = sn.node.Spec
-	s.Entry = sn.entry
+	s.Entry = sn.lanes[t.idx].entry
 	s.ActiveDemand, s.ActiveCompute, s.ActiveJobs = 0, 0, 0
 	s.Backlog, s.LaneBacklog = 0, 0
 	if dev := sn.node.Device; dev != nil && !dev.Failed() {
@@ -808,15 +898,15 @@ func (r *runner) stateOf(sn *servingNode) *State {
 	return s
 }
 
-func (r *runner) stateWithRates(predicted, observed float64) *State {
+func (r *runner) stateWithRates(t *tenant, predicted, observed float64) *State {
 	s := &r.stScratch
 	*s = State{
 		Now:          r.eng.Now(),
-		Model:        r.cfg.Model,
+		Model:        t.model,
 		SLO:          r.cfg.SLO,
 		PredictedRPS: predicted,
 		ObservedRPS:  observed,
-		Pending:      r.bat.Pending(),
+		Pending:      t.bat.Pending(),
 		Window:       r.cfg.DispatchWindow,
 		poolScratch:  s.poolScratch,
 		candScratch:  s.candScratch,
@@ -824,7 +914,7 @@ func (r *runner) stateWithRates(predicted, observed float64) *State {
 	if r.cur != nil {
 		s.Current = r.cur.node.Spec
 		s.HasCurrent = true
-		s.Entry = r.cur.entry
+		s.Entry = r.cur.lanes[t.idx].entry
 		if dev := r.cur.node.Device; dev != nil && !dev.Failed() {
 			s.ActiveDemand = dev.ActiveDemand()
 			s.ActiveCompute = dev.ActiveCompute()
@@ -840,27 +930,28 @@ func (r *runner) stateWithRates(predicted, observed float64) *State {
 
 func (r *runner) results() Result {
 	if r.cur != nil {
-		r.accumulatePool(r.cur.pool)
+		r.accumulateNode(r.cur)
 		for _, rep := range r.replicas {
-			r.accumulatePool(rep.pool)
+			r.accumulateNode(rep)
 		}
 	}
 	if r.red != nil {
 		for _, p := range r.red.pools {
 			if p.sn != nil {
-				r.accumulatePool(p.sn.pool)
+				r.accumulateNode(p.sn)
 			}
 		}
 	}
+	col := r.tenants[0].col
 	cpuCost, gpuCost := r.clu.CostByKind()
 	res := Result{
 		Scheme:           r.cfg.Scheme.Name(),
-		Model:            r.cfg.Model.Name,
-		Requests:         r.col.Count(),
-		SLOCompliance:    r.col.SLOCompliance(),
-		P50:              r.col.Percentile(50),
-		P99:              r.col.Percentile(99),
-		MeanLatency:      r.col.Mean(),
+		Model:            r.tenants[0].model.Name,
+		Requests:         col.Count(),
+		SLOCompliance:    col.SLOCompliance(),
+		P50:              col.Percentile(50),
+		P99:              col.Percentile(99),
+		MeanLatency:      col.Mean(),
 		Cost:             r.clu.TotalCost(),
 		CPUCost:          cpuCost,
 		GPUCost:          gpuCost,
@@ -876,7 +967,6 @@ func (r *runner) results() Result {
 		HeldBySpec:       r.clu.HeldBySpec(),
 		SwitchHistory:    r.history,
 	}
-	col := r.col
 	if tee, ok := col.(*metrics.Tee); ok {
 		// A teed run's own aggregator is the primary; the mirror belongs to
 		// whoever attached it (the live plane's shared Online).

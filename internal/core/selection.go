@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
-	"repro/internal/container"
 	"repro/internal/hardware"
 	"repro/internal/profile"
 	"repro/internal/telemetry"
@@ -24,7 +23,7 @@ func (r *runner) monitorTick() {
 	now := r.eng.Now()
 	// Hardware selection keeps running while a backlog is draining past the
 	// trace end (a failover may have left the system on an undersized node).
-	if now < r.end || r.bat.Pending() > 0 {
+	if now < r.end || r.pending() > 0 {
 		r.eng.Schedule(r.cfg.MonitorInterval, r.monitorTickFn)
 	}
 	if r.red != nil {
@@ -42,13 +41,16 @@ func (r *runner) monitorTick() {
 	// multiplies model error, so predictAt is confidence-gated at the
 	// source — below the floor it returns the observed (reactive) rate
 	// instead (see setupPredictor and DESIGN.md §10).
-	pred := r.predictAt(now, r.cfg.HWLead)
-	obs := r.observedRPS(now)
-	st := r.stateWithRates(pred, obs)
-	desired := r.cfg.Scheme.Policy.DesiredHardware(st)
+	pred, obs := r.predScratch[:0], r.obsScratch[:0]
+	for _, t := range r.tenants {
+		pred = append(pred, t.predictAt(now, r.cfg.HWLead))
+		obs = append(obs, t.observedRPS(now))
+	}
+	r.predScratch, r.obsScratch = pred, obs
+	desired := r.desiredHardware(pred, obs)
 	if r.cur != nil && desired.Name == r.cur.node.Spec.Name {
 		r.waitCtr = 0
-		r.manageScaleOut(st.PredictedRPS)
+		r.manageScaleOut(pred[0])
 		return
 	}
 	// Downgrades are held off briefly after a switch and need a longer run
@@ -67,6 +69,38 @@ func (r *runner) monitorTick() {
 	r.reconfigure(desired)
 }
 
+// desiredHardware resolves the tenants' predicted and observed rates into
+// one node type. A tenant's policy only understands its own workload, so
+// each tenant's rate is first converted into a work-equivalent rate covering
+// every tenant: its own rate plus the other tenants' work per second (rate x
+// per-sample time on a reference GPU) divided by its own per-sample time.
+// The policy sizes hardware for that aggregate in its own units, and the
+// most capable of the per-tenant answers wins — a node every tenant accepts.
+// With one tenant this is exactly the policy's DesiredHardware.
+func (r *runner) desiredHardware(pred, obs []float64) hardware.Spec {
+	var best hardware.Spec
+	for i, t := range r.tenants {
+		p, o := pred[i], obs[i]
+		if t.perSample > 0 {
+			var predWork, obsWork float64
+			for j, u := range r.tenants {
+				if j != i {
+					predWork += pred[j] * u.perSample
+					obsWork += obs[j] * u.perSample
+				}
+			}
+			p += predWork / t.perSample
+			o += obsWork / t.perSample
+		}
+		d := r.cfg.Scheme.Policy.DesiredHardware(r.stateWithRates(t, p, o))
+		if i == 0 || d.ComputeScore > best.ComputeScore ||
+			(d.ComputeScore == best.ComputeScore && d.CostPerHour > best.CostPerHour) {
+			best = d
+		}
+	}
+	return best
+}
+
 // reconfigure procures the desired node in the background and swaps to it
 // once its containers are warm (Algorithm 1's reconfigure_HW).
 func (r *runner) reconfigure(desired hardware.Spec) {
@@ -75,11 +109,13 @@ func (r *runner) reconfigure(desired hardware.Spec) {
 	}
 	r.procured = true
 	r.waitCtr = 0
-	maxRes := profile.MaxResidentJobs(r.cfg.Model, desired)
+	maxRes := r.maxResident(desired)
 	if r.cfg.Scheme.InstantProcure {
 		node := r.clu.AcquireSpot(desired, maxRes, r.spotDiscount())
 		sn := r.wireNode(node)
-		sn.pool.AddWarm(1)
+		for i := range sn.lanes {
+			sn.lanes[i].pool.AddWarm(1)
+		}
 		r.swapTo(sn)
 		r.procured = false
 		return
@@ -91,16 +127,19 @@ func (r *runner) reconfigure(desired hardware.Spec) {
 		// exposed. Pre-warm for the predicted load plus any backlog
 		// awaiting reroute, so the swap does not stall on synchronous cold
 		// starts.
-		need := r.containerTarget(sn)
-		if backlog := autoscale.ReactiveContainers(r.bat.Pending(), sn.entry.PreferredBatch); backlog > need {
-			need = backlog
+		for i, t := range r.tenants {
+			ln := &sn.lanes[i]
+			need := r.containerTarget(t, ln)
+			if backlog := autoscale.ReactiveContainers(t.bat.Pending(), ln.entry.PreferredBatch); backlog > need {
+				need = backlog
+			}
+			// In-flight jobs are bounded by device memory plus the lane, so
+			// the pool never needs more than that.
+			if cap := ln.entry.MaxResidentJobs + laneCap; need > cap {
+				need = cap
+			}
+			ln.pool.EnsureWithin(need, swapTail)
 		}
-		// In-flight jobs are bounded by device memory plus the lane, so the
-		// pool never needs more than that.
-		if cap := sn.entry.MaxResidentJobs + laneCap; need > cap {
-			need = cap
-		}
-		sn.pool.EnsureWithin(need, swapTail)
 		r.eng.Schedule(swapTail, func() {
 			r.swapTo(sn)
 			r.procured = false
@@ -109,12 +148,14 @@ func (r *runner) reconfigure(desired hardware.Spec) {
 }
 
 // manageScaleOut adjusts the replica count when the current node type is
-// the right choice but one instance cannot sustain the forecast.
+// the right choice but one instance cannot sustain the forecast. Scale-out
+// is single-tenant (RunMulti cannot set MaxNodes).
 func (r *runner) manageScaleOut(rate float64) {
 	if r.cfg.MaxNodes <= 1 || r.cur == nil {
 		return
 	}
-	sustainable := profile.Headroom * profile.ThroughputRPS(r.cfg.Model, r.cur.node.Spec)
+	t := r.tenants[0]
+	sustainable := profile.Headroom * profile.ThroughputRPS(t.model, r.cur.node.Spec)
 	want := 1
 	if sustainable > 0 && rate > sustainable {
 		want = int(rate/sustainable) + 1
@@ -127,13 +168,14 @@ func (r *runner) manageScaleOut(rate float64) {
 	for ; have < want; have++ {
 		r.replicaPending++
 		spec := r.cur.node.Spec
-		r.clu.AcquireAsyncSpot(spec, profile.MaxResidentJobs(r.cfg.Model, spec), r.spotDiscount(), func(node *cluster.Node) {
+		r.clu.AcquireAsyncSpot(spec, r.maxResident(spec), r.spotDiscount(), func(node *cluster.Node) {
 			sn := r.wireNode(node)
-			sn.pool.EnsureWithin(r.containerTarget(sn), swapTail)
+			ln := &sn.lanes[0]
+			ln.pool.EnsureWithin(r.containerTarget(t, ln), swapTail)
 			r.eng.Schedule(swapTail, func() {
 				r.replicaPending--
 				r.replicas = append(r.replicas, sn)
-				sn.ctl.Start()
+				sn.startControllers()
 				r.lastScale = r.eng.Now()
 				r.emit(telemetry.ScaleOut, node.ID, node.Spec.Name, "")
 			})
@@ -156,7 +198,7 @@ func (r *runner) swapTo(sn *servingNode) {
 	r.switches++
 	r.lastSwap = r.eng.Now()
 	r.history = append(r.history, SwitchEvent{At: r.eng.Now(), Spec: sn.node.Spec.Name})
-	sn.ctl.Start()
+	sn.startControllers()
 	// A node-type switch retires any replicas of the old type; scale-out
 	// re-evaluates against the new type on the next monitor tick.
 	for _, rep := range r.replicas {
@@ -171,16 +213,16 @@ func (r *runner) swapTo(sn *servingNode) {
 
 // retire drains and releases a node that no longer receives new work.
 func (r *runner) retire(old *servingNode) {
-	old.ctl.Stop()
+	old.stopControllers()
 	attempts := 0
 	var poll func()
 	poll = func() {
 		dev := old.node.Device
 		drained := dev == nil || dev.Failed() ||
-			(dev.ActiveCount() == 0 && dev.LaneLength() == 0 && old.queuedOutstanding == 0)
+			(dev.ActiveCount() == 0 && dev.LaneLength() == 0 && old.outstanding() == 0)
 		attempts++
 		if drained || attempts > 240 {
-			r.accumulatePool(old.pool)
+			r.accumulateNode(old)
 			r.clu.Release(old.node)
 			return
 		}
@@ -189,9 +231,13 @@ func (r *runner) retire(old *servingNode) {
 	poll()
 }
 
-func (r *runner) accumulatePool(p *container.Pool) {
-	r.boots += p.Boots()
-	r.syncColds += p.SyncColdStarts()
+// accumulateNode folds a node's container boot counts into the run totals.
+func (r *runner) accumulateNode(sn *servingNode) {
+	for i := range sn.lanes {
+		p := sn.lanes[i].pool
+		r.boots += p.Boots()
+		r.syncColds += p.SyncColdStarts()
+	}
 }
 
 // --- failures ------------------------------------------------------------------

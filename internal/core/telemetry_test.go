@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hardware"
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -185,6 +186,60 @@ func TestMultiTelemetrySpansPerTenant(t *testing.T) {
 	for i, col := range mres.PerWorkload {
 		if perTenant[i] != col.Count() {
 			t.Fatalf("tenant %d: %d spans vs %d records", i, perTenant[i], col.Count())
+		}
+	}
+	checkPoolTenants(t, rec.Events(), len(mres.PerWorkload), false)
+
+	// Predictive prewarms rarely fire on the GPU runs above; language models
+	// pinned to a CPU node (long batch residence) make both tenants' pools
+	// grow.
+	cpu, _ := hardware.ByName("c6i.4xlarge")
+	rec = telemetry.NewRecorder()
+	mres = RunMulti(MultiConfig{
+		Workloads: []Workload{
+			{Model: model.MustByName("BERT"), Trace: trace.Azure(sim.NewRNG(5), 20, 45*time.Second)},
+			{Model: model.MustByName("DistilBERT"), Trace: trace.Azure(sim.NewRNG(6), 20, 45*time.Second)},
+		},
+		Scheme:    NewPaldiaPinned(cpu),
+		Telemetry: rec,
+	})
+	checkPoolTenants(t, rec.Events(), len(mres.PerWorkload), true)
+}
+
+// checkPoolTenants asserts that pool and autoscaler events name the tenant
+// whose pool emitted them. A predictive tick that grows a pool emits
+// AutoscalePrewarm and then, from the very pool it grew, ContainerPrewarm at
+// the same instant on the same node — so the two must agree on the tenant.
+// With wantPrewarms, every tenant must show up in the autoscaler's stream.
+func checkPoolTenants(t *testing.T, events []telemetry.Event, tenants int, wantPrewarms bool) {
+	t.Helper()
+	prewarmed := map[int]bool{}
+	for i, e := range events {
+		switch e.Kind {
+		case telemetry.ContainerWait, telemetry.ContainerBoot, telemetry.ContainerPrewarm,
+			telemetry.ContainerReaped:
+			if e.Tenant < 0 || e.Tenant >= tenants {
+				t.Fatalf("pool event %v names tenant %d", e.Kind, e.Tenant)
+			}
+		case telemetry.AutoscalePrewarm:
+			prewarmed[e.Tenant] = true
+			j := i + 1
+			for j < len(events) && events[j].Kind != telemetry.ContainerPrewarm {
+				j++
+			}
+			if j == len(events) {
+				t.Fatalf("autoscale prewarm at %v grew no pool", e.At)
+			}
+			p := events[j]
+			if p.At != e.At || p.Node != e.Node || p.Tenant != e.Tenant {
+				t.Fatalf("autoscale prewarm (t=%v node=%d tenant=%d) but pool prewarm (t=%v node=%d tenant=%d)",
+					e.At, e.Node, e.Tenant, p.At, p.Node, p.Tenant)
+			}
+		}
+	}
+	for i := 0; wantPrewarms && i < tenants; i++ {
+		if !prewarmed[i] {
+			t.Fatalf("no autoscale prewarm for tenant %d (seen %v)", i, prewarmed)
 		}
 	}
 }

@@ -18,21 +18,59 @@ import (
 // malformed config panics as it always has — but config-constructing code
 // (and the fuzzer) can reject bad inputs up front with a named reason.
 func (c Config) Validate() error {
+	errs := validateWorkload("core: ", Workload{Model: c.Model, Trace: c.Trace, Stream: c.Stream},
+		c.Scheme.Clairvoyant)
+	return errors.Join(append(errs, c.validateShared()...)...)
+}
+
+// Validate reports whether the config describes a runnable multi-tenant
+// simulation: each workload passes the checks Config.Validate makes of its
+// model and trace, the shared fields pass Config.Validate's checks, and the
+// config stays within what RunMulti serves — at least one workload, and no
+// redundancy scheme (RunMulti would serve only its base policy). Like Run,
+// RunMulti does not call Validate.
+func (c MultiConfig) Validate() error {
 	var errs []error
-	if c.Model.Name == "" {
-		errs = append(errs, errors.New("core: Model is unset"))
+	if len(c.Workloads) == 0 {
+		errs = append(errs, errors.New("core: Workloads is empty"))
 	}
-	if c.Trace == nil && c.Stream == nil {
-		errs = append(errs, errors.New("core: Trace and Stream are both nil"))
+	for i, w := range c.Workloads {
+		errs = append(errs, validateWorkload(fmt.Sprintf("core: workload %d: ", i), w,
+			c.Scheme.Clairvoyant)...)
 	}
+	errs = append(errs, c.config().validateShared()...)
+	if c.Scheme.Redundancy.Active() {
+		errs = append(errs, errors.New(
+			"core: RunMulti does not serve redundancy schemes (it would run only the base policy)"))
+	}
+	return errors.Join(errs...)
+}
+
+// validateWorkload checks one workload's model and arrival source; prefix
+// opens every message.
+func validateWorkload(prefix string, w Workload, clairvoyant bool) []error {
+	var errs []error
+	if w.Model.Name == "" {
+		errs = append(errs, errors.New(prefix+"Model is unset"))
+	}
+	if w.Trace == nil && w.Stream == nil {
+		errs = append(errs, errors.New(prefix+"Trace and Stream are both nil"))
+	}
+	if clairvoyant && w.Trace == nil && w.Stream != nil {
+		if _, ok := trace.Materialized(w.Stream); !ok {
+			errs = append(errs, errors.New(prefix+
+				"clairvoyant scheme needs a materialized trace (set Trace, or a Stream implementing trace.Materializer)"))
+		}
+	}
+	return errs
+}
+
+// validateShared checks everything but the workload: scheme, time
+// constants, factors, failure and spot injection, redundancy.
+func (c Config) validateShared() []error {
+	var errs []error
 	if c.Scheme.Policy == nil {
 		errs = append(errs, errors.New("core: Scheme has no policy (use a New* constructor)"))
-	}
-	if c.Scheme.Clairvoyant && c.Trace == nil && c.Stream != nil {
-		if _, ok := trace.Materialized(c.Stream); !ok {
-			errs = append(errs, errors.New(
-				"core: clairvoyant scheme needs a materialized trace (set Trace, or a Stream implementing trace.Materializer)"))
-		}
 	}
 	for _, d := range []struct {
 		name string
@@ -104,5 +142,5 @@ func (c Config) Validate() error {
 	if rd.Active() && c.MaxNodes > 1 {
 		errs = append(errs, errors.New("core: redundancy schemes do not compose with MaxNodes scale-out"))
 	}
-	return errors.Join(errs...)
+	return errs
 }

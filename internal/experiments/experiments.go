@@ -51,15 +51,6 @@ type Options struct {
 	// predict.NewByName for the registry.
 	Forecaster string
 
-	// Streaming routes every simulation's arrivals through the lazy stream
-	// path (core.Config.Stream) instead of the materialized Arrivals slice.
-	// Results are byte-identical either way (the equivalence suite pins
-	// this); the point is exercising the constant-memory path across whole
-	// experiment grids. Traces stay materialized here so clairvoyant schemes
-	// keep working; for truly unmaterialized runs use core.Config.Stream
-	// with a trace.CurveStream directly (cmd/paldia-sim -stream).
-	Streaming bool
-
 	// Run and RunMulti, when set, replace core.Run / core.RunMulti for every
 	// simulation an experiment executes. Tests use them to instrument whole
 	// experiment grids (e.g. attach a fresh invariant.Checker per run); they
@@ -73,9 +64,6 @@ func (o Options) run(cfg core.Config) core.Result {
 	if cfg.Forecaster == "" {
 		cfg.Forecaster = o.Forecaster
 	}
-	if o.Streaming && cfg.Stream == nil && cfg.Trace != nil {
-		cfg.Stream = cfg.Trace.Stream()
-	}
 	if o.Run != nil {
 		return o.Run(cfg)
 	}
@@ -87,18 +75,6 @@ func (o Options) run(cfg core.Config) core.Result {
 func (o Options) runMulti(cfg core.MultiConfig) core.MultiResult {
 	if cfg.Forecaster == "" {
 		cfg.Forecaster = o.Forecaster
-	}
-	if o.Streaming {
-		// Copy before rewriting: streams are single-use, so the caller's
-		// workloads must not end up holding consumed iterators.
-		ws := make([]core.Workload, len(cfg.Workloads))
-		copy(ws, cfg.Workloads)
-		for i := range ws {
-			if ws[i].Stream == nil && ws[i].Trace != nil {
-				ws[i].Stream = ws[i].Trace.Stream()
-			}
-		}
-		cfg.Workloads = ws
 	}
 	if o.RunMulti != nil {
 		return o.RunMulti(cfg)

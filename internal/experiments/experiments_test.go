@@ -18,30 +18,6 @@ import (
 // tiny keeps experiment tests fast.
 func tiny() Options { return Options{Seed: 1, Reps: 1, Scale: 0.05} }
 
-// TestStreamingOptionDeterministic: Options.Streaming reroutes every
-// simulation through the lazy arrival path and must leave every rendered
-// table byte-identical — both the single-tenant dispatcher (run) and the
-// multi-tenant one (runMulti).
-func TestStreamingOptionDeterministic(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		gen  func(o Options) *Table
-	}{
-		{"fig5", Fig5},
-		{"multitenant", MultiTenant},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			o := tiny()
-			plain := tc.gen(o).String()
-			o.Streaming = true
-			streamed := tc.gen(o).String()
-			if plain != streamed {
-				t.Errorf("Streaming changed the table:\n--- plain ---\n%s\n--- streaming ---\n%s", plain, streamed)
-			}
-		})
-	}
-}
-
 func TestOptionsNormalize(t *testing.T) {
 	o := Options{}.normalize()
 	if o.Reps != 1 || o.Scale != 1 || o.Seed == 0 {
