@@ -63,7 +63,7 @@ bench-smoke:
 # the 91h rate curve; 192 MiB only trips if an O(requests) buffer or a
 # per-lane curve copy sneaks back into the streaming path.
 scale-smoke:
-	$(GO) run ./cmd/paldia-sim -stream -requests 10000000 -tenants 4 -shards 4 -max-heap-mib 192
+	$(GO) run ./cmd/paldia-sim -stream -requests 10000000 -tenants 4 -j 4 -max-heap-mib 192
 
 # Refresh the committed PGO profile from the representative sharded
 # 10M-request streaming run (the same workload as scale-smoke). go build
@@ -71,7 +71,7 @@ scale-smoke:
 # refreshed profile is all it takes for every subsequent build — local and
 # CI — to be guided by it.
 pgo:
-	$(GO) run ./cmd/paldia-sim -stream -requests 10000000 -tenants 4 -shards 4 -cpuprofile cmd/paldia-sim/default.pgo
+	$(GO) run ./cmd/paldia-sim -stream -requests 10000000 -tenants 4 -j 4 -cpuprofile cmd/paldia-sim/default.pgo
 	@echo "refreshed cmd/paldia-sim/default.pgo — commit it to apply everywhere"
 
 # CPU + allocation profiles of the same sharded 10M grid, for pprof work
@@ -81,7 +81,7 @@ pgo:
 profile:
 	mkdir -p profiles
 	$(GO) build -o profiles/paldia-sim ./cmd/paldia-sim
-	profiles/paldia-sim -stream -requests 10000000 -tenants 4 -shards 4 \
+	profiles/paldia-sim -stream -requests 10000000 -tenants 4 -j 4 \
 		-cpuprofile profiles/scale.cpu.pprof -memprofile profiles/scale.allocs.pprof
 	$(GO) tool pprof -top -nodecount 15 profiles/paldia-sim profiles/scale.cpu.pprof
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space profiles/paldia-sim profiles/scale.allocs.pprof
@@ -117,11 +117,11 @@ test-invariants:
 	$(GO) test ./internal/experiments/ -run TestAllExperimentsCleanUnderInvariants -count=1 -v
 
 # The seed-determinism contract — byte-identical Result, per-request CSV,
-# spans JSONL and series CSV from identically seeded runs, and byte-identical
-# sharded output at any worker count — under the race detector at 1 and 4
-# procs.
+# spans JSONL and series CSV from identically seeded runs, byte-identical
+# sharded output at any worker count, and paldia-sim's CLI goldens at -j 1
+# and -j 4 — under the race detector at 1 and 4 procs.
 test-determinism:
-	$(GO) test -race -cpu 1,4 -run 'Deterministic' ./internal/core/ ./internal/shard/ ./internal/predict/ -count=1
+	$(GO) test -race -cpu 1,4 -run 'Deterministic' ./internal/core/ ./internal/shard/ ./internal/predict/ ./cmd/paldia-sim/ -count=1
 
 clean:
 	rm -rf figures

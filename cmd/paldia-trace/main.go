@@ -32,39 +32,17 @@ func main() {
 	)
 	flag.Parse()
 
+	rate := *peak
+	if *name == "twitter" || *name == "stable" {
+		rate = *mean
+	}
 	rng := sim.NewRNG(*seed)
-	var tr *trace.Trace
-	switch *name {
-	case "azure":
-		d := *duration
-		if d == 0 {
-			d = trace.AzureDuration
-		}
-		tr = trace.Azure(rng, *peak, d)
-	case "wikipedia":
-		tr = trace.Wikipedia(rng, *peak, 5, trace.WikipediaCompression)
-	case "twitter":
-		d := *duration
-		if d == 0 {
-			d = trace.TwitterDuration
-		}
-		tr = trace.Twitter(rng, *mean, d)
-	case "poisson":
-		d := *duration
-		if d == 0 {
-			d = 10 * time.Minute
-		}
-		tr = trace.Poisson(rng, *peak, d)
-	case "stable":
-		d := *duration
-		if d == 0 {
-			d = 10 * time.Minute
-		}
-		tr = trace.Stable(rng, *mean, d)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown trace %q\n", *name)
+	c, err := trace.NamedCurve(rng, *name, rate, *duration)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	tr := c.Realize(rng)
 
 	if *dump {
 		w := bufio.NewWriter(os.Stdout)

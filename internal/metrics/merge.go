@@ -10,7 +10,7 @@ import "time"
 // observations in merge order (beyond it the sketch's α-bounded buckets
 // answer, as for any large run). Merging is deterministic: merging the same
 // sources in the same order always yields the same state, which is how the
-// sharded simulation keeps `-shards N` output byte-identical for every N —
+// sharded simulation keeps `-j N` output byte-identical for every N —
 // lanes are merged in lane order regardless of how many workers ran them.
 //
 // src is read under its own lock and left untouched. o and src must judge

@@ -10,8 +10,8 @@
 // event processing yields the same per-lane trajectories; the barrier exists
 // only to keep lanes close enough in virtual time that merged telemetry can
 // flush incrementally (bounded memory) and live observers see a coherent
-// front. Workers only change wall-clock, which is what makes `-shards N`
-// byte-identical to `-shards 1` by construction rather than by luck.
+// front. Workers only change wall-clock, which is what makes `-j N`
+// byte-identical to `-j 1` by construction rather than by luck.
 package shard
 
 import (

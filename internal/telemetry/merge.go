@@ -18,7 +18,7 @@ import (
 //
 // Merge order is (key, lane, arrival-within-lane), where key is the lane's
 // running maximum of event times — a deterministic function of the lane's
-// own event sequence, never of worker scheduling — so `-shards N` output is
+// own event sequence, never of worker scheduling — so `-j N` output is
 // byte-identical for every N. With a single lane the output is byte-identical
 // to StreamWriter's: the merge reduces to the lane's FIFO, which is exactly
 // completion order.

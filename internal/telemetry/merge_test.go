@@ -92,7 +92,7 @@ func TestMergeWriterSingleLaneMatchesStreamWriter(t *testing.T) {
 
 // The merged output is a pure function of the per-lane feeds: flushing at
 // different barrier cadences (or only at Close) yields identical bytes.
-// This is the property that makes `-shards N` byte-identical for every N —
+// This is the property that makes `-j N` byte-identical for every N —
 // worker count only changes when flushes happen, never what they contain.
 func TestMergeWriterFlushCadenceIndependent(t *testing.T) {
 	run := func(flushEvery time.Duration) (spans, events string) {

@@ -207,3 +207,30 @@ func StableCurve(rng *sim.RNG, meanRPS float64, dur time.Duration) *Curve {
 	scaleToMean(rates, meanRPS)
 	return &Curve{Name: name, Rates: rates, Bucket: curveBucket}
 }
+
+// NamedCurve builds the rate curve of the generator called name. rate is the
+// generator's own target: the peak for azure, wikipedia and poisson (whose
+// constant rate is its peak), the mean for twitter and stable. A zero dur
+// picks the generator's default length; wikipedia's length is fixed by its
+// five compressed days and ignores dur.
+func NamedCurve(rng *sim.RNG, name string, rate float64, dur time.Duration) (*Curve, error) {
+	orDefault := func(d time.Duration) time.Duration {
+		if dur != 0 {
+			return dur
+		}
+		return d
+	}
+	switch name {
+	case "azure":
+		return AzureCurve(rng, rate, orDefault(AzureDuration)), nil
+	case "wikipedia":
+		return WikipediaCurve(rng, rate, 5, WikipediaCompression), nil
+	case "twitter":
+		return TwitterCurve(rng, rate, orDefault(TwitterDuration)), nil
+	case "poisson":
+		return PoissonCurve(rng, rate, orDefault(10*time.Minute)), nil
+	case "stable":
+		return StableCurve(rng, rate, orDefault(10*time.Minute)), nil
+	}
+	return nil, fmt.Errorf("unknown trace %q (want azure, wikipedia, twitter, poisson or stable)", name)
+}

@@ -13,7 +13,7 @@ import "fmt"
 // of thinned Poisson processes), not sample-path identical to it: partitioned
 // runs are a different — equally deterministic — experiment from the
 // single-lane run, which is why the lane count is a workload knob (-tenants)
-// and not the worker knob (-shards).
+// and not the worker knob (-j).
 func (c *Curve) Partition(n int) []*Curve {
 	if n <= 1 {
 		return []*Curve{c}

@@ -148,3 +148,33 @@ func TestCurveStats(t *testing.T) {
 		t.Errorf("DurationForRequests(0) = %v, want 0", d)
 	}
 }
+
+// TestNamedCurve pins the trace-by-name builder to the generator it names,
+// including each generator's default duration, and rejects unknown names.
+func TestNamedCurve(t *testing.T) {
+	rng := sim.NewRNG(5)
+	cases := []struct {
+		name string
+		dur  time.Duration
+		want *Curve
+	}{
+		{"azure", 0, AzureCurve(rng, 60, AzureDuration)},
+		{"azure", 2 * time.Minute, AzureCurve(rng, 60, 2*time.Minute)},
+		{"wikipedia", time.Minute, WikipediaCurve(rng, 60, 5, WikipediaCompression)},
+		{"twitter", 0, TwitterCurve(rng, 60, TwitterDuration)},
+		{"poisson", 0, PoissonCurve(rng, 60, 10*time.Minute)},
+		{"stable", time.Minute, StableCurve(rng, 60, time.Minute)},
+	}
+	for _, c := range cases {
+		got, err := NamedCurve(rng, c.name, 60, c.dur)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s dur=%v: curve %s differs from %s", c.name, c.dur, got.Name, c.want.Name)
+		}
+	}
+	if _, err := NamedCurve(rng, "file:x.txt", 60, 0); err == nil {
+		t.Error("NamedCurve accepted a file trace")
+	}
+}

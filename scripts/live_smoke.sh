@@ -88,7 +88,7 @@ OUT2="$(mktemp)"
 ERR2="$(mktemp)"
 OFF="$(mktemp)"
 trap 'kill "$SIM_PID" 2>/dev/null || true; rm -f "$OUT" "$OUT2" "$ERR2" "$OFF"' EXIT
-"$BIN" -serve "$ADDR" -speedup 30 -duration 2m -peak 100 -tenants 2 -shards 2 \
+"$BIN" -serve "$ADDR" -speedup 30 -duration 2m -peak 100 -tenants 2 -j 2 \
   -progress 1s -linger 2s >"$OUT2" 2>"$ERR2" &
 SIM_PID=$!
 i=0
@@ -117,7 +117,7 @@ wait "$SIM_PID" 2>/dev/null || { echo "live-smoke: sharded simulator exited non-
 trap 'rm -f "$OUT" "$OUT2" "$ERR2" "$OFF"' EXIT
 grep -q "shard-lag=" "$ERR2" ||
   { echo "live-smoke: sharded progress has no shard-lag field" >&2; cat "$ERR2" >&2; exit 1; }
-"$BIN" -stream -duration 2m -peak 100 -tenants 2 -shards 2 >"$OFF" 2>/dev/null
+"$BIN" -stream -duration 2m -peak 100 -tenants 2 -j 2 >"$OFF" 2>/dev/null
 if ! cmp -s "$OUT2" "$OFF"; then
   echo "live-smoke: sharded -serve perturbed the simulation output" >&2
   diff "$OFF" "$OUT2" >&2 || true
