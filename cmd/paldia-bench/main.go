@@ -248,6 +248,17 @@ func cases(includeE2E bool) []benchCase {
 			}
 			return nil
 		}},
+		{"core/DesiredHardware-cheapest", true, false, func(b *testing.B) map[string]float64 {
+			// The $-schemes' selection (INFless/Llama and Molecule): the
+			// cheapest isolated-capable node at the observed rate.
+			st := schedState(400)
+			p := core.NewINFlessLlamaCost().Policy
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.DesiredHardware(st)
+			}
+			return nil
+		}},
 	}
 	if includeE2E {
 		cs = append(cs, benchCase{"experiments/Fig3-end-to-end", false, false, func(b *testing.B) map[string]float64 {

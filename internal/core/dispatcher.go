@@ -12,7 +12,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/device"
 	"repro/internal/metrics"
-	"repro/internal/profile"
 	"repro/internal/telemetry"
 )
 
@@ -223,9 +222,9 @@ func (r *runner) dispatchJob(t *tenant, node *servingNode, n int, mode device.Mo
 	job := &js.job
 	job.Reset()
 	job.Batch = len(reqs)
-	job.Solo = profile.Solo(t.model, node.node.Spec, len(reqs))
+	job.Solo = ln.entry.SoloAt(len(reqs))
 	job.FBR = ln.entry.FBR
-	job.Compute = profile.ComputeFraction(t.model, node.node.Spec, len(reqs))
+	job.Compute = ln.entry.ComputeAt(len(reqs))
 	job.Mode = mode
 	job.Done = js.doneFn
 	if r.tel != nil {

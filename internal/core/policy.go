@@ -31,8 +31,8 @@ type State struct {
 	// before the first node is up.
 	Current    hardware.Spec
 	HasCurrent bool
-	// Entry is the profiling entry for (Model, Current).
-	Entry profile.Entry
+	// Entry is the profiling entry for (Model, Current); read-only.
+	Entry *profile.Entry
 	// PredictedRPS is the predictor's rate forecast over the horizon
 	// (EWMA for Paldia, clairvoyant for Oracle).
 	PredictedRPS float64
@@ -56,18 +56,32 @@ type State struct {
 	// lane (queued requests wait behind it).
 	LaneBacklog time.Duration
 
+	// rows are Model's profiling rows, resolved once per tenant by the
+	// runner; a State built without them (or whose Model changed since)
+	// resolves them on first use (see profileRows).
+	rows *profile.Rows
+
 	// poolScratch and candScratch back DesiredHardware's capable-pool and
 	// candidate lists, reused across monitor ticks so the steady-state
 	// selection pass allocates nothing. They live on the State (one per
 	// runner) rather than the Policy because schemes are shared across
 	// concurrently running experiments and must stay stateless.
-	poolScratch []hardware.Spec
+	poolScratch []*profile.Entry
 	candScratch []hwCand
 }
 
-// hwCand pairs a probed node type with its predicted T_max.
+// profileRows returns the State's profiling rows for Model, resolving them
+// if the State carries none or carries another model's.
+func (s *State) profileRows() *profile.Rows {
+	if s.rows == nil || s.rows.Model != s.Model {
+		s.rows = profile.RowsFor(s.Model)
+	}
+	return s.rows
+}
+
+// hwCand pairs a probed node type's row with its predicted T_max.
 type hwCand struct {
-	hw   hardware.Spec
+	e    *profile.Entry
 	tmax time.Duration
 }
 
@@ -131,21 +145,20 @@ func paldiaHardwareReactive(s *State) hardware.Spec {
 func paldiaHardwareAtRate(s *State, rate float64) hardware.Spec {
 	// get_HW_pool, sorted by cost; appended into runner-owned scratch so the
 	// per-tick pass is allocation-free once the buffers have grown.
-	s.poolScratch = profile.AppendCapablePool(s.poolScratch[:0], s.Model, rate, s.SLO)
-	pool := s.poolScratch
+	s.poolScratch = s.profileRows().AppendCapable(s.poolScratch[:0], rate, s.SLO)
 	n := paldiaPlanN(rate, s.SLO, s.Pending)
 
 	cands := s.candScratch[:0]
 	in := perfmodel.Inputs{N: n, SLO: s.SLO} // one Inputs reused across the pass
-	for _, hw := range pool {
-		e := profile.Lookup(s.Model, hw)
-		if !hw.IsGPU() {
+	for _, e := range s.poolScratch {
+		current := s.HasCurrent && s.Current.Name == e.Hardware.Name
+		if !e.Hardware.IsGPU() {
 			// Algorithm 1 stops probing y values for CPU candidates (there
 			// is no spatial sharing to tune); every capable CPU shape is
 			// still costed, since a bigger CPU node with queueing headroom
 			// can beat a marginal cheap one.
 			backlog := time.Duration(0)
-			if s.HasCurrent && s.Current.Name == hw.Name {
+			if current {
 				backlog = s.Backlog
 			}
 			// A CPU node serves each dispatch window's worth of requests
@@ -161,8 +174,8 @@ func paldiaHardwareAtRate(s *State, rate float64) hardware.Spec {
 			if s.Pending > nWin {
 				nWin = s.Pending
 			}
-			b := profile.EffectiveBatch(s.Model, hw, rate, s.SLO/4)
-			solo := profile.Solo(s.Model, hw, b)
+			b := e.EffectiveBatchAt(rate, s.SLO/4)
+			solo := e.SoloAt(b)
 			tmax := perfmodel.ApproxCPUTMax(solo, b, nWin, backlog)
 			// Serial CPU service queues at utilization: T_max is a
 			// worst-case estimate, so charge a tail-flavoured M/D/1 wait.
@@ -175,7 +188,7 @@ func paldiaHardwareAtRate(s *State, rate float64) hardware.Spec {
 			} else {
 				tmax += wait
 			}
-			cands = append(cands, hwCand{hw, tmax})
+			cands = append(cands, hwCand{e, tmax})
 			continue
 		}
 		in.Solo = e.SoloBatch
@@ -185,14 +198,14 @@ func paldiaHardwareAtRate(s *State, rate float64) hardware.Spec {
 		in.PenaltyByJobs = e.PenaltyByJobs
 		in.ExistingDemand, in.ExistingCompute = 0, 0
 		in.ExistingJobs, in.ExistingLane = 0, 0
-		if s.HasCurrent && s.Current.Name == hw.Name {
+		if current {
 			in.ExistingDemand = s.ActiveDemand
 			in.ExistingCompute = s.ActiveCompute
 			in.ExistingJobs = s.ActiveJobs
 			in.ExistingLane = s.LaneBacklog
 		}
 		_, tmax, _ := perfmodel.BestY(in) // serial Eq. (1) y probing per GPU
-		cands = append(cands, hwCand{hw, tmax})
+		cands = append(cands, hwCand{e, tmax})
 	}
 	s.candScratch = cands
 	if len(cands) == 0 {
@@ -208,10 +221,10 @@ func paldiaHardwareAtRate(s *State, rate float64) hardware.Spec {
 	}
 	for _, c := range cands { // pool is cost-ascending
 		if c.tmax <= best+chooseBestHWWindow {
-			return c.hw
+			return c.e.Hardware
 		}
 	}
-	return cands[len(cands)-1].hw
+	return cands[len(cands)-1].e.Hardware
 }
 
 // cheapestIsolated is the $-variants' selection: the cheapest hardware that
@@ -222,17 +235,17 @@ func paldiaHardwareAtRate(s *State, rate float64) hardware.Spec {
 // its documented failure modes.
 func cheapestIsolated(s *State) hardware.Spec {
 	rate := s.ObservedRPS
-	for _, hw := range hardware.CostSorted() {
-		e := profile.Lookup(s.Model, hw)
+	rows := s.profileRows()
+	for _, e := range rows.ByCost {
 		if e.SoloBatch > s.SLO*3/4 {
 			continue
 		}
 		if rate > profile.Headroom*e.ThroughputRPS {
 			continue
 		}
-		return hw
+		return e.Hardware
 	}
-	return hardware.MostPerformant(hardware.GPU)
+	return rows.Fallback.Hardware
 }
 
 // fixedHW always returns the given node type (the (P) variants' V100, and

@@ -232,3 +232,44 @@ func TestTimeSharedAndMPSOnlySchemes(t *testing.T) {
 		t.Fatal("motivation schemes must stay pinned")
 	}
 }
+
+// TestStateRowsFollowModel pins the State's profiling-row cache: a State
+// literal resolves its rows on first use, and a State whose Model changes —
+// to another catalog model, or to a doctored spec that keeps a catalog name —
+// re-resolves them instead of deciding on the old model's rows.
+func TestStateRowsFollowModel(t *testing.T) {
+	for _, p := range []Policy{NewPaldia().Policy, NewINFlessLlamaCost().Policy} {
+		st := mkState("ResNet 50", "m4.xlarge", 220, 220)
+		p.DesiredHardware(st)
+		if st.rows != profile.RowsFor(st.Model) {
+			t.Fatalf("%s: State literal did not resolve the catalog rows of %s", p.Name(), st.Model.Name)
+		}
+
+		vgg := model.MustByName("VGG 19")
+		st.Model = vgg
+		want := p.DesiredHardware(mkState("VGG 19", "m4.xlarge", 220, 220))
+		if got := p.DesiredHardware(st); got != want {
+			t.Errorf("%s: after Model changed to %s the State picked %s, want %s", p.Name(), vgg.Name, got.Name, want.Name)
+		}
+		if st.rows != profile.RowsFor(vgg) {
+			t.Errorf("%s: State kept rows for %s after Model changed to %s", p.Name(), st.rows.Model.Name, vgg.Name)
+		}
+
+		light := vgg
+		light.GFLOPsPerSample /= 8
+		light.TrafficGBPerSample /= 8
+		st.Model = light
+		fresh := mkState("VGG 19", "m4.xlarge", 220, 220)
+		fresh.Model = light
+		want = p.DesiredHardware(fresh)
+		if want.Name == p.DesiredHardware(mkState("VGG 19", "m4.xlarge", 220, 220)).Name {
+			t.Fatalf("%s: the doctored model picks the catalog model's node %s; the test cannot tell their rows apart", p.Name(), want.Name)
+		}
+		if got := p.DesiredHardware(st); got != want {
+			t.Errorf("%s: doctored %s picked %s, want %s", p.Name(), light.Name, got.Name, want.Name)
+		}
+		if st.rows == profile.RowsFor(vgg) || st.rows.Model != light {
+			t.Errorf("%s: doctored %s was served the catalog model's rows", p.Name(), light.Name)
+		}
+	}
+}

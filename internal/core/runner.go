@@ -281,6 +281,10 @@ type tenant struct {
 	bat   batch.Batcher
 	col   metrics.Aggregator
 
+	// rows are the model's profiling rows, resolved once at start: every
+	// selection pass and lane entry reads them instead of re-finding a
+	// (model, node) pair by name.
+	rows *profile.Rows
 	// perSample is the model's solo per-sample time on the reference GPU,
 	// the unit desiredHardware converts other tenants' load into.
 	perSample float64
@@ -301,7 +305,7 @@ type tenant struct {
 // entry, predictive autoscaler and time-share lane claim.
 type lane struct {
 	pool  *container.Pool
-	entry profile.Entry
+	entry *profile.Entry // the tenant's row for the node; read-only
 	ctl   *autoscale.Controller
 
 	queuedOutstanding int
@@ -430,7 +434,8 @@ func start(cfg Config, ws []Workload) *Running {
 			t.arr = w.Trace.Stream()
 		}
 		r.setupPredictor(t, w.Trace)
-		t.perSample = profile.SoloSample(w.Model, ref).Seconds()
+		t.rows = profile.RowsFor(w.Model)
+		t.perSample = t.rows.Entry(ref).SoloSample.Seconds()
 		if d := t.arr.Duration(); d > r.end {
 			r.end = d
 		}
@@ -692,7 +697,7 @@ func (r *runner) wireNode(node *cluster.Node) *servingNode {
 		ln := &sn.lanes[i]
 		ln.pool = container.NewPool(r.eng, cold, r.cfg.KeepAlive)
 		ln.pool.Tenant = t.idx
-		ln.entry = profile.Lookup(t.model, node.Spec)
+		ln.entry = t.rows.Entry(node.Spec)
 		if r.tel != nil {
 			ln.pool.Sink = r.tel
 			ln.pool.NodeID = node.ID
@@ -800,7 +805,7 @@ func (r *runner) gauges() []telemetry.Gauge {
 
 // residenceOf estimates how long one batch holds a container: the solo
 // execution latency with a 2x margin for interference.
-func residenceOf(e profile.Entry) time.Duration { return 2 * e.SoloBatch }
+func residenceOf(e *profile.Entry) time.Duration { return 2 * e.SoloBatch }
 
 // containerTarget is the predictive container requirement for tenant t's
 // lane at the current forecast.
@@ -908,6 +913,7 @@ func (r *runner) stateWithRates(t *tenant, predicted, observed float64) *State {
 		ObservedRPS:  observed,
 		Pending:      t.bat.Pending(),
 		Window:       r.cfg.DispatchWindow,
+		rows:         t.rows,
 		poolScratch:  s.poolScratch,
 		candScratch:  s.candScratch,
 	}

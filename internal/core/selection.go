@@ -155,7 +155,7 @@ func (r *runner) manageScaleOut(rate float64) {
 		return
 	}
 	t := r.tenants[0]
-	sustainable := profile.Headroom * profile.ThroughputRPS(t.model, r.cur.node.Spec)
+	sustainable := profile.Headroom * r.cur.lanes[0].entry.ThroughputRPS
 	want := 1
 	if sustainable > 0 && rate > sustainable {
 		want = int(rate/sustainable) + 1

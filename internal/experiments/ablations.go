@@ -250,9 +250,9 @@ func ModelError(o Options) *Table {
 				count -= b
 				dev.Submit(&device.Job{
 					Batch:   b,
-					Solo:    profile.Solo(m, hw, b),
+					Solo:    e.SoloAt(b),
 					FBR:     e.FBR,
-					Compute: profile.ComputeFraction(m, hw, b),
+					Compute: e.ComputeAt(b),
 					Mode:    mode,
 					Done: func(j *device.Job) {
 						if j.Finished > last {

@@ -67,8 +67,8 @@ func EffectiveGFLOPs(m model.Spec, hw hardware.Spec) float64 {
 // SoloSample returns the profiled per-sample execution time of the workload
 // on the node, in isolation (excluding the fixed per-batch overhead).
 func SoloSample(m model.Spec, hw hardware.Spec) time.Duration {
-	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i].SoloSample
+	if e := tableEntry(m, hw); e != nil {
+		return e.SoloSample
 	}
 	return computeSoloSample(m, hw)
 }
@@ -79,15 +79,11 @@ func computeSoloSample(m model.Spec, hw hardware.Spec) time.Duration {
 }
 
 // Solo returns the profiled execution latency of one batch of the given size
-// run in isolation on the node — the paper's Solo_M. For catalog pairs at
-// in-range batch sizes this is a table read: the dispatcher prices every job
-// it opens with Solo, so the call sits on the per-dispatch hot path.
+// run in isolation on the node — the paper's Solo_M. Hot paths price jobs
+// with Entry.SoloAt on a resolved row instead.
 func Solo(m model.Spec, hw hardware.Spec, batch int) time.Duration {
-	if batch < 1 {
-		batch = 1
-	}
-	if i, ok := pairIndex(m, hw); ok && batch <= len(soloMemo[i]) {
-		return soloMemo[i][batch-1]
+	if e := tableEntry(m, hw); e != nil {
+		return e.SoloAt(batch)
 	}
 	return computeSolo(m, hw, batch)
 }
@@ -96,11 +92,15 @@ func computeSolo(m model.Spec, hw hardware.Spec, batch int) time.Duration {
 	if batch < 1 {
 		batch = 1
 	}
-	overhead := GPULaunchOverhead
-	if !hw.IsGPU() {
-		overhead = CPULaunchOverhead
+	return launchOverhead(hw) + time.Duration(batch)*computeSoloSample(m, hw)
+}
+
+// launchOverhead is the fixed per-batch cost on the node.
+func launchOverhead(hw hardware.Spec) time.Duration {
+	if hw.IsGPU() {
+		return GPULaunchOverhead
 	}
-	return overhead + time.Duration(batch)*computeSoloSample(m, hw)
+	return CPULaunchOverhead
 }
 
 // FBR returns the workload's Fractional Bandwidth Requirement on the node:
@@ -110,8 +110,8 @@ func computeSolo(m model.Spec, hw hardware.Spec, batch int) time.Duration {
 // models on the cheaper GPUs). CPU nodes return 0 — the paper's interference
 // model only covers MPS co-location on GPUs.
 func FBR(m model.Spec, hw hardware.Spec) float64 {
-	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i].FBR
+	if e := tableEntry(m, hw); e != nil {
+		return e.FBR
 	}
 	return computeFBR(m, hw)
 }
@@ -147,14 +147,10 @@ func SaturationBatch(m model.Spec, hw hardware.Spec) int {
 }
 
 // ComputeFraction returns the fraction of the device's compute units a batch
-// job occupies while executing, in (0, 1]. Batch-indexed memo for catalog
-// pairs, like Solo.
+// job occupies while executing, in (0, 1]. Hot paths use Entry.ComputeAt.
 func ComputeFraction(m model.Spec, hw hardware.Spec, batch int) float64 {
-	if batch < 1 {
-		batch = 1
-	}
-	if i, ok := pairIndex(m, hw); ok && batch <= len(computeMemo[i]) {
-		return computeMemo[i][batch-1]
+	if e := tableEntry(m, hw); e != nil {
+		return e.ComputeAt(batch)
 	}
 	return computeComputeFraction(m, hw, batch)
 }
@@ -209,8 +205,8 @@ func ClientOverhead(k int) float64 {
 // if a single sample misses the target (the device is then simply a bad
 // candidate; hardware selection will notice via T_max).
 func PreferredBatch(m model.Spec, hw hardware.Spec) int {
-	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i].PreferredBatch
+	if e := tableEntry(m, hw); e != nil {
+		return e.PreferredBatch
 	}
 	return computePreferredBatch(m, hw)
 }
@@ -228,8 +224,8 @@ func computePreferredBatch(m model.Spec, hw hardware.Spec) int {
 // ThroughputRPS returns the sustained request throughput of the node for the
 // workload: back-to-back batches at the preferred size, in isolation.
 func ThroughputRPS(m model.Spec, hw hardware.Spec) float64 {
-	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i].ThroughputRPS
+	if e := tableEntry(m, hw); e != nil {
+		return e.ThroughputRPS
 	}
 	return computeThroughputRPS(m, hw)
 }
@@ -251,8 +247,8 @@ const MPSMaxClients = 48
 // the node at once — the hard cap on spatial co-location: device memory,
 // further clamped by the MPS client limit on GPUs.
 func MaxResidentJobs(m model.Spec, hw hardware.Spec) int {
-	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i].MaxResidentJobs
+	if e := tableEntry(m, hw); e != nil {
+		return e.MaxResidentJobs
 	}
 	return computeMaxResidentJobs(m, hw)
 }
@@ -269,7 +265,8 @@ func computeMaxResidentJobs(m model.Spec, hw hardware.Spec) int {
 }
 
 // Entry is one row of the profiling table for a (model, hardware) pair —
-// everything the scheduling policies consume.
+// everything the scheduling policies consume. Catalog rows are shared and
+// read-only: Lookup and RowsFor hand out pointers into one table.
 type Entry struct {
 	Model    model.Spec
 	Hardware hardware.Spec
@@ -290,28 +287,77 @@ type Entry struct {
 	// PenaltyByJobs memoizes Penalty(k*FBR) for k = 0..MPSMaxClients
 	// co-located batch jobs: the contention curve Eq. (1) evaluates when
 	// probing an otherwise-idle device, precomputed so the probe walk never
-	// calls math.Pow. Read-only — catalog entries share one slice.
+	// calls math.Pow.
 	PenaltyByJobs []float64
+
+	// launch (the per-batch overhead) and satBatch (SaturationBatch) are
+	// the pair's two constants besides SoloSample that Solo and
+	// ComputeFraction depend on, so SoloAt and ComputeAt evaluate the same
+	// formulas for any batch size with no lookup.
+	launch   time.Duration
+	satBatch int
 }
 
-// Lookup assembles the profiling entry for a pair. Catalog pairs resolve to
-// a precomputed row (an array read); unknown or doctored specs are profiled
-// on the fly exactly as before.
-func Lookup(m model.Spec, hw hardware.Spec) Entry {
-	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i]
+// SoloAt is Solo for the row's pair: the isolated latency of one batch.
+func (e *Entry) SoloAt(batch int) time.Duration {
+	if batch < 1 {
+		batch = 1
+	}
+	return e.launch + time.Duration(batch)*e.SoloSample
+}
+
+// ComputeAt is ComputeFraction for the row's pair: the compute occupancy of
+// one batch.
+func (e *Entry) ComputeAt(batch int) float64 {
+	if batch < 1 {
+		batch = 1
+	}
+	if batch >= e.satBatch {
+		return 1
+	}
+	return float64(batch) / float64(e.satBatch)
+}
+
+// EffectiveBatchAt is EffectiveBatch for the row's pair.
+func (e *Entry) EffectiveBatchAt(rateRPS float64, maxWait time.Duration) int {
+	b := int(rateRPS * maxWait.Seconds())
+	if b > e.PreferredBatch {
+		b = e.PreferredBatch
+	}
+	if b < 1 {
+		b = 1
+	}
+	return b
+}
+
+// CanSustain is the package-level CanSustain for the row's pair.
+func (e *Entry) CanSustain(rateRPS float64, maxWait time.Duration) bool {
+	if rateRPS <= 0 {
+		return true
+	}
+	b := e.EffectiveBatchAt(rateRPS, maxWait)
+	util := rateRPS * e.SoloAt(b).Seconds() / float64(b)
+	return util <= Headroom
+}
+
+// Lookup returns the profiling entry for a pair. Catalog pairs resolve to
+// their shared precomputed row; unknown or doctored specs are profiled on
+// the fly.
+func Lookup(m model.Spec, hw hardware.Spec) *Entry {
+	if e := tableEntry(m, hw); e != nil {
+		return e
 	}
 	return computeEntry(m, hw)
 }
 
-func computeEntry(m model.Spec, hw hardware.Spec) Entry {
+func computeEntry(m model.Spec, hw hardware.Spec) *Entry {
 	b := computePreferredBatch(m, hw)
 	fbr := computeFBR(m, hw)
 	pen := make([]float64, MPSMaxClients+1)
 	for k := range pen {
 		pen[k] = Penalty(float64(k) * fbr)
 	}
-	return Entry{
+	return &Entry{
 		Model:           m,
 		Hardware:        hw,
 		SoloSample:      computeSoloSample(m, hw),
@@ -322,77 +368,122 @@ func computeEntry(m model.Spec, hw hardware.Spec) Entry {
 		MaxResidentJobs: computeMaxResidentJobs(m, hw),
 		ComputeFrac:     computeComputeFraction(m, hw, b),
 		PenaltyByJobs:   pen,
+		launch:          launchOverhead(hw),
+		satBatch:        SaturationBatch(m, hw),
 	}
+}
+
+// Rows is one model's profiling rows, resolved once so per-tick selection
+// and per-job pricing do only indexed reads: every catalog node cheapest
+// first, plus the capable pool's fallback GPU. Rows are read-only.
+type Rows struct {
+	Model model.Spec
+	// ByCost holds one row per catalog node in hardware.CostSorted order.
+	ByCost []*Entry
+	// Fallback is the most performant GPU's row, the capable pool's last
+	// resort (it is also one of ByCost).
+	Fallback *Entry
+}
+
+// RowsFor returns the model's profiling rows. Catalog models share one
+// precomputed Rows; any other spec — including a doctored spec that keeps a
+// catalog name — gets freshly computed rows, so a stale row is never served.
+func RowsFor(m model.Spec) *Rows {
+	if i, ok := modelIndex[m.Name]; ok && catalogRows[i].Model == m {
+		return catalogRows[i]
+	}
+	return computeRows(m)
+}
+
+func computeRows(m model.Spec) *Rows {
+	cs := hardware.CostSorted()
+	rows := &Rows{Model: m, ByCost: make([]*Entry, len(cs))}
+	for i, hw := range cs {
+		rows.ByCost[i] = computeEntry(m, hw)
+		if hw == fallbackGPU {
+			rows.Fallback = rows.ByCost[i]
+		}
+	}
+	return rows
+}
+
+// Entry returns the row for hw: the resolved one for a catalog node, or the
+// pair profiled on the fly for any other spec.
+func (r *Rows) Entry(hw hardware.Spec) *Entry {
+	for _, e := range r.ByCost {
+		if e.Hardware == hw {
+			return e
+		}
+	}
+	return computeEntry(r.Model, hw)
+}
+
+// AppendCapable appends the capable pool (see CapablePool) to dst as rows,
+// cheapest first, for callers that reuse a scratch slice across monitor
+// ticks (the selection hot path). The catalog's prices are distinct, so
+// filtering the cost-sorted rows in order yields exactly the sorted pool.
+func (r *Rows) AppendCapable(dst []*Entry, rateRPS float64, slo time.Duration) []*Entry {
+	base := len(dst)
+	maxWait := capabilityMaxWait(slo)
+	for _, e := range r.ByCost {
+		if e.SoloBatch > slo*3/4 || !e.CanSustain(rateRPS, maxWait) {
+			continue
+		}
+		dst = append(dst, e)
+	}
+	if len(dst) == base {
+		dst = append(dst, r.Fallback)
+	}
+	return dst
 }
 
 // The profiling campaign, run once at init: every catalog model profiled on
-// every catalog node, plus batch-indexed Solo and ComputeFraction memos
-// (batch sizes 1..MaxBatch). pairIndex verifies specs against the catalog
-// snapshot by full struct equality, so the tables can never serve a stale
-// row for a modified Spec.
+// every catalog node. tableEntry verifies specs against the snapshot by full
+// struct equality, so it can never serve a stale row for a modified Spec.
 var (
-	tableModels  []model.Spec
-	tableHW      []hardware.Spec
-	modelIndex   map[string]int
-	hwIndex      map[string]int
-	tableEntries []Entry
-	soloMemo     [][]time.Duration
-	computeMemo  [][]float64
-	fallbackGPU  hardware.Spec
+	catalogRows []*Rows        // by model.Catalog index
+	modelIndex  map[string]int // model name -> catalogRows index
+	hwIndex     map[string]int // node name -> Rows.ByCost index
+	fallbackGPU hardware.Spec
 )
 
 func init() {
-	ms, hws := model.Catalog(), hardware.Catalog()
-	entries := make([]Entry, 0, len(ms)*len(hws))
-	solos := make([][]time.Duration, 0, len(ms)*len(hws))
-	comps := make([][]float64, 0, len(ms)*len(hws))
-	for _, m := range ms {
-		for _, hw := range hws {
-			entries = append(entries, computeEntry(m, hw))
-			s := make([]time.Duration, m.MaxBatch)
-			c := make([]float64, m.MaxBatch)
-			for b := 1; b <= m.MaxBatch; b++ {
-				s[b-1] = computeSolo(m, hw, b)
-				c[b-1] = computeComputeFraction(m, hw, b)
-			}
-			solos = append(solos, s)
-			comps = append(comps, c)
-		}
-	}
-	mi := make(map[string]int, len(ms))
-	for i, m := range ms {
-		mi[m.Name] = i
-	}
-	hi := make(map[string]int, len(hws))
-	for i, hw := range hws {
-		hi[hw.Name] = i
-	}
-	tableModels, tableHW, tableEntries = ms, hws, entries
-	soloMemo, computeMemo = solos, comps
-	modelIndex, hwIndex = mi, hi
 	fallbackGPU = hardware.MostPerformant(hardware.GPU)
+	ms := model.Catalog()
+	modelIndex = make(map[string]int, len(ms))
+	for i, m := range ms {
+		catalogRows = append(catalogRows, computeRows(m))
+		modelIndex[m.Name] = i
+	}
+	hwIndex = make(map[string]int)
+	for i, hw := range hardware.CostSorted() {
+		hwIndex[hw.Name] = i
+	}
 }
 
-// pairIndex resolves a (model, hardware) pair to its precomputed row. Both
-// specs must equal their catalog snapshots exactly — name collisions with
-// different field values (tests doctor specs to probe behavior) fall through
-// to the compute path.
-func pairIndex(m model.Spec, hw hardware.Spec) (int, bool) {
+// tableEntry resolves a pair to its precomputed row, or nil. Both specs must
+// equal their catalog snapshots exactly — name collisions with different
+// field values (tests doctor specs to probe behavior) fall through to the
+// compute path. Only the pair-keyed accessors use it; hot paths hold rows.
+func tableEntry(m model.Spec, hw hardware.Spec) *Entry {
 	mi, ok := modelIndex[m.Name]
-	if !ok || tableModels[mi] != m {
-		return 0, false
+	if !ok || catalogRows[mi].Model != m {
+		return nil
 	}
 	hi, ok := hwIndex[hw.Name]
-	if !ok || tableHW[hi] != hw {
-		return 0, false
+	if !ok {
+		return nil
 	}
-	return mi*len(tableHW) + hi, true
+	if e := catalogRows[mi].ByCost[hi]; e.Hardware == hw {
+		return e
+	}
+	return nil
 }
 
 // Table returns the full profiling campaign: every catalog model on every
 // catalog node.
-func Table() []Entry {
-	var out []Entry
+func Table() []*Entry {
+	var out []*Entry
 	for _, m := range model.Catalog() {
 		for _, hw := range hardware.Catalog() {
 			out = append(out, Lookup(m, hw))
@@ -446,38 +537,11 @@ func capabilityMaxWait(slo time.Duration) time.Duration { return slo / 4 }
 // sorted cheapest first; it is never empty — if nothing qualifies, the most
 // performant GPU is returned as the fallback of last resort (matching the
 // paper's escalation to the next more performant GPU when no feasible y
-// exists).
+// exists). It is a convenience over RowsFor(m).AppendCapable.
 func CapablePool(m model.Spec, rateRPS float64, slo time.Duration) []hardware.Spec {
-	return AppendCapablePool(nil, m, rateRPS, slo)
-}
-
-// AppendCapablePool is CapablePool appending into dst, for callers that reuse
-// a scratch slice across monitor ticks (the selection hot path). It walks the
-// shared cost-sorted catalog snapshot — the catalog's prices are distinct, so
-// appending in walk order yields exactly the sorted pool CapablePool has
-// always returned, without copying or re-sorting per call.
-func AppendCapablePool(dst []hardware.Spec, m model.Spec, rateRPS float64, slo time.Duration) []hardware.Spec {
-	base := len(dst)
-	for _, hw := range hardware.CostSorted() {
-		if SoloAtPreferred(m, hw) > slo*3/4 {
-			continue
-		}
-		if !CanSustain(m, hw, rateRPS, capabilityMaxWait(slo)) {
-			continue
-		}
-		dst = append(dst, hw)
+	var pool []hardware.Spec
+	for _, e := range RowsFor(m).AppendCapable(nil, rateRPS, slo) {
+		pool = append(pool, e.Hardware)
 	}
-	if len(dst) == base {
-		dst = append(dst, fallbackGPU)
-	}
-	return dst
-}
-
-// SoloAtPreferred returns Solo at the preferred batch size (Entry.SoloBatch)
-// without assembling a full Entry.
-func SoloAtPreferred(m model.Spec, hw hardware.Spec) time.Duration {
-	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i].SoloBatch
-	}
-	return computeSolo(m, hw, computePreferredBatch(m, hw))
+	return pool
 }
