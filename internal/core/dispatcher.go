@@ -57,10 +57,6 @@ func (r *runner) newJobState() *jobState {
 // --- dispatch ----------------------------------------------------------------
 
 func (r *runner) dispatchTick() {
-	now := r.eng.Now()
-	if now < r.end || r.pending() > 0 {
-		r.eng.Schedule(r.cfg.DispatchWindow, r.dispatchTickFn)
-	}
 	if r.red != nil {
 		r.red.dispatch()
 		return
@@ -75,42 +71,34 @@ func (r *runner) dispatch(t *tenant) {
 	if t.bat.Pending() == 0 {
 		return
 	}
-	if r.cur == nil || r.cur.node.Device == nil || r.cur.node.Device.Failed() ||
-		r.cur.node.Revoked() {
+	if !r.primary().healthy() {
 		// No healthy node (a revoked one is draining out and takes no new
 		// work): requests wait in the batcher; make sure a replacement is
 		// on the way.
 		r.ensureFailover()
 		return
 	}
+	// This window's pending requests spread evenly across the healthy nodes
+	// (the primary, plus its replicas under scale-out); each node runs its
+	// own Eq. (1) split against its own state.
 	nodes := r.healthyNodes()
-	if len(nodes) == 1 {
-		r.dispatchOn(t, nodes[0], t.bat.Pending())
-		return
-	}
-	// Scale-out: spread this window's pending requests evenly across the
-	// replicas; each node runs its own Eq. (1) split against its own state.
-	n := t.bat.Pending()
-	share := (n + len(nodes) - 1) / len(nodes)
+	share := (t.bat.Pending() + len(nodes) - 1) / len(nodes)
 	for _, node := range nodes {
 		if t.bat.Pending() == 0 {
 			break
 		}
-		take := share
-		if p := t.bat.Pending(); take > p {
-			take = p
-		}
-		r.dispatchOn(t, node, take)
+		r.dispatchOn(t, node, min(share, t.bat.Pending()))
 	}
 }
 
-// healthyNodes returns the primary plus any healthy replicas. The returned
-// slice is runner-owned scratch, valid until the next call.
+// healthyNodes returns the slots' healthy serving nodes in slot order: the
+// primary and its healthy replicas, or the healthy clone/hedge pools. The
+// returned slice is runner-owned scratch, valid until the next call.
 func (r *runner) healthyNodes() []*servingNode {
-	nodes := append(r.nodesScratch[:0], r.cur)
-	for _, rep := range r.replicas {
-		if rep.node.Device != nil && !rep.node.Device.Failed() {
-			nodes = append(nodes, rep)
+	nodes := r.nodesScratch[:0]
+	for _, s := range r.slots {
+		if s.sn.healthy() {
+			nodes = append(nodes, s.sn)
 		}
 	}
 	r.nodesScratch = nodes
@@ -230,17 +218,10 @@ func (r *runner) dispatchJob(t *tenant, node *servingNode, n int, mode device.Mo
 	if r.tel != nil {
 		r.jobSeq++
 		job.ID = r.jobSeq
-		for _, q := range reqs {
-			e := telemetry.Ev(now, telemetry.Dispatched)
-			e.Req = int64(q.ID)
-			e.Tenant = t.idx
-			e.Job = job.ID
-			e.Node = node.node.ID
-			e.Spec = node.node.Spec.Name
-			e.N = len(reqs)
-			e.Detail = mode.String()
-			r.tel.Event(e)
-		}
+		e := telemetry.Ev(now, telemetry.Dispatched)
+		e.Tenant, e.Job, e.Node, e.Spec = t.idx, job.ID, node.node.ID, node.node.Spec.Name
+		e.N, e.Detail = len(reqs), mode.String()
+		r.emitReqs(e, reqs)
 	}
 
 	if mode == device.Spatial {
@@ -273,42 +254,21 @@ func (r *runner) dispatchJob(t *tenant, node *servingNode, n int, mode device.Mo
 // of every device queue, and its submit closure has either run or — for jobs
 // failed while waiting on a container — belongs to a retired pool, so the
 // state cannot be referenced again and is safe to reuse. The lane teardown
-// uses the node captured at dispatch, which may differ from r.cur after a
-// hardware switch.
+// uses the node captured at dispatch, which may differ from the primary
+// after a hardware switch.
 func (js *jobState) complete(j *device.Job) {
 	r := js.r
-	t, node, ln := js.t, js.node, js.ln
-	finish := r.eng.Now()
+	t, ln := js.t, js.ln
 	if r.tel != nil {
 		kind := telemetry.Completed
 		if j.Failed {
 			kind = telemetry.Failed
 		}
-		for _, req := range js.reqs {
-			e := telemetry.Ev(finish, kind)
-			e.Req = int64(req.ID)
-			e.Tenant = t.idx
-			e.Job = j.ID
-			e.Node = node.node.ID
-			r.tel.Event(e)
-		}
+		e := telemetry.Ev(r.eng.Now(), kind)
+		e.Tenant, e.Job, e.Node = t.idx, j.ID, js.node.node.ID
+		r.emitReqs(e, js.reqs)
 	}
-	for _, req := range js.reqs {
-		rec := metrics.Record{
-			Arrival:      req.Arrival,
-			Latency:      finish - req.Arrival,
-			BatchWait:    js.dispatched - req.Arrival,
-			ColdStart:    js.cold,
-			QueueDelay:   j.QueueDelay(),
-			Interference: j.Interference(),
-			MinExec:      j.Solo,
-			Failed:       j.Failed,
-		}
-		if j.Failed {
-			r.failedRq++
-		}
-		t.col.Add(rec)
-	}
+	r.record(t, js.reqs, js.dispatched, jobRecord(j, js.cold))
 	mode := js.mode
 	r.jobPool = append(r.jobPool, js)
 	if mode == device.Spatial {
@@ -320,5 +280,18 @@ func (js *jobState) complete(j *device.Job) {
 		ln.pool.Release()
 		ln.laneHeld = false
 		ln.laneReady = false
+	}
+}
+
+// jobRecord is the batch-level part of the outcomes a finished job j
+// records: its cold wait, device queueing, interference and solo time, and
+// whether it failed.
+func jobRecord(j *device.Job, cold time.Duration) metrics.Record {
+	return metrics.Record{
+		ColdStart:    cold,
+		QueueDelay:   j.QueueDelay(),
+		Interference: j.Interference(),
+		MinExec:      j.Solo,
+		Failed:       j.Failed,
 	}
 }

@@ -115,6 +115,12 @@ func (c *composite) DesiredHardware(s *State) hardware.Spec { return c.hw(s) }
 func (c *composite) SplitY(s *State, n int) int             { return c.split(s, n) }
 func (c *composite) WaitLimit() int                         { return c.waitLimit }
 
+// newScheme returns the scheme running the policy assembled from a name, a
+// hardware-selection rule, a GPU-sharing rule and Algorithm 1's wait_limit.
+func newScheme(name string, hw func(*State) hardware.Spec, split func(*State, int) int, waitLimit int) Scheme {
+	return Scheme{Policy: &composite{name: name, hw: hw, split: split, waitLimit: waitLimit}}
+}
+
 // --- Hardware-selection rules ----------------------------------------------
 
 // chooseBestHWWindow is the paper's choose_best_HW slack: the cheapest node
@@ -345,12 +351,7 @@ func (s Scheme) Name() string { return s.Policy.Name() }
 // NewPaldia returns the paper's scheme: Algorithm 1 hardware selection,
 // hybrid time/spatial sharing, EWMA prediction, wait_limit 3.
 func NewPaldia() Scheme {
-	return Scheme{Policy: &composite{
-		name:      "Paldia",
-		hw:        paldiaHardware,
-		split:     paldiaSplit,
-		waitLimit: 3,
-	}}
+	return newScheme("Paldia", paldiaHardware, paldiaSplit, 3)
 }
 
 // NewPaldiaWithWaitLimit returns Paldia with a non-default Algorithm 1
@@ -359,82 +360,46 @@ func NewPaldiaWithWaitLimit(waitLimit int) Scheme {
 	if waitLimit < 1 {
 		waitLimit = 1
 	}
-	return Scheme{Policy: &composite{
-		name:      fmt.Sprintf("Paldia (wait_limit=%d)", waitLimit),
-		hw:        paldiaHardware,
-		split:     paldiaSplit,
-		waitLimit: waitLimit,
-	}}
+	return newScheme(fmt.Sprintf("Paldia (wait_limit=%d)", waitLimit), paldiaHardware, paldiaSplit, waitLimit)
 }
 
 // NewPaldiaReactive returns the no-prediction ablation: Paldia's selection
 // and splitting driven by the observed rather than forecast rate.
 func NewPaldiaReactive() Scheme {
-	return Scheme{Policy: &composite{
-		name:      "Paldia (reactive)",
-		hw:        paldiaHardwareReactive,
-		split:     paldiaSplit,
-		waitLimit: 3,
-	}}
+	return newScheme("Paldia (reactive)", paldiaHardwareReactive, paldiaSplit, 3)
 }
 
 // NewOracle returns the clairvoyant variant: Paldia's policies with exact
 // future knowledge of the trace and pre-positioned ideal hardware.
 func NewOracle() Scheme {
-	return Scheme{
-		Policy: &composite{
-			name:      "Oracle",
-			hw:        paldiaHardware,
-			split:     paldiaSplit,
-			waitLimit: 1,
-		},
-		Clairvoyant:    true,
-		InstantProcure: true,
-	}
+	s := newScheme("Oracle", paldiaHardware, paldiaSplit, 1)
+	s.Clairvoyant = true
+	s.InstantProcure = true
+	return s
 }
 
 // NewINFlessLlamaCost returns INFless/Llama ($): cheapest isolated-capable
 // hardware, all requests spatially shared via MPS.
 func NewINFlessLlamaCost() Scheme {
-	return Scheme{Policy: &composite{
-		name:      "INFless/Llama ($)",
-		hw:        cheapestIsolated,
-		split:     spatialAll,
-		waitLimit: 2,
-	}}
+	return newScheme("INFless/Llama ($)", cheapestIsolated, spatialAll, 2)
 }
 
 // NewINFlessLlamaPerf returns INFless/Llama (P): always the most performant
 // GPU, all requests spatially shared.
 func NewINFlessLlamaPerf() Scheme {
-	return Scheme{Policy: &composite{
-		name:      "INFless/Llama (P)",
-		hw:        fixedHW(hardware.MostPerformant(hardware.GPU)),
-		split:     spatialAll,
-		waitLimit: 1,
-	}}
+	return newScheme("INFless/Llama (P)", fixedHW(hardware.MostPerformant(hardware.GPU)), spatialAll, 1)
 }
 
 // NewMoleculeCost returns Molecule (beta) ($): the same hardware selection
 // as INFless/Llama ($) (Molecule has none of its own), time sharing only.
 func NewMoleculeCost() Scheme {
-	return Scheme{Policy: &composite{
-		name:      "Molecule (beta) ($)",
-		hw:        cheapestIsolated,
-		split:     timeShareAll,
-		waitLimit: 2,
-	}}
+	return newScheme("Molecule (beta) ($)", cheapestIsolated, timeShareAll, 2)
 }
 
 // NewMoleculePerf returns Molecule (beta) (P): most performant GPU, time
 // sharing only.
 func NewMoleculePerf() Scheme {
-	return Scheme{Policy: &composite{
-		name:      "Molecule (beta) (P)",
-		hw:        fixedHW(hardware.MostPerformant(hardware.GPU)),
-		split:     timeShareAll,
-		waitLimit: 1,
-	}}
+	return newScheme("Molecule (beta) (P)", fixedHW(hardware.MostPerformant(hardware.GPU)), timeShareAll, 1)
 }
 
 // NewPaldiaPinned pins the hardware but keeps Paldia's online hybrid
@@ -442,45 +407,25 @@ func NewMoleculePerf() Scheme {
 // every scheme resorts to the most performant GPU and only the sharing
 // policy differs.
 func NewPaldiaPinned(spec hardware.Spec) Scheme {
-	return Scheme{Policy: &composite{
-		name:      "Paldia (pinned)",
-		hw:        fixedHW(spec),
-		split:     paldiaSplit,
-		waitLimit: 3,
-	}}
+	return newScheme("Paldia (pinned)", fixedHW(spec), paldiaSplit, 3)
 }
 
 // NewOfflineHybrid pins the hardware and queues a fixed fraction of every
 // window's requests — the motivation study's offline-swept hybrid.
 func NewOfflineHybrid(spec hardware.Spec, queuedFraction float64) Scheme {
-	return Scheme{Policy: &composite{
-		name:      "Offline Hybrid",
-		hw:        fixedHW(spec),
-		split:     fixedFraction(queuedFraction),
-		waitLimit: 1,
-	}}
+	return newScheme("Offline Hybrid", fixedHW(spec), fixedFraction(queuedFraction), 1)
 }
 
 // NewTimeSharedOnly pins the hardware and time-shares everything — the
 // motivation study's "Time Shared Only" scheme on the given GPU.
 func NewTimeSharedOnly(spec hardware.Spec, label string) Scheme {
-	return Scheme{Policy: &composite{
-		name:      "Time Shared Only " + label,
-		hw:        fixedHW(spec),
-		split:     timeShareAll,
-		waitLimit: 1,
-	}}
+	return newScheme("Time Shared Only "+label, fixedHW(spec), timeShareAll, 1)
 }
 
 // NewMPSOnly pins the hardware and spatially shares everything — the
 // motivation study's "MPS Only" scheme on the given GPU.
 func NewMPSOnly(spec hardware.Spec, label string) Scheme {
-	return Scheme{Policy: &composite{
-		name:      "MPS Only " + label,
-		hw:        fixedHW(spec),
-		split:     spatialAll,
-		waitLimit: 1,
-	}}
+	return newScheme("MPS Only "+label, fixedHW(spec), spatialAll, 1)
 }
 
 // NewPaldiaCloneK returns the clone-to-k scheme: Paldia's policy stack with
@@ -500,15 +445,10 @@ func NewPaldiaCloneK(k int, synchronized bool) Scheme {
 	if synchronized {
 		name += " (sync)"
 	}
-	return Scheme{
-		Policy: &composite{
-			name:      name,
-			hw:        paldiaHardware,
-			split:     spatialAll, // copies follow the pure-PS cloning model
-			waitLimit: 3,
-		},
-		Redundancy: Redundancy{CloneK: k, Synchronized: synchronized},
-	}
+	// Copies follow the pure-PS cloning model: every one is spatially shared.
+	s := newScheme(name, paldiaHardware, spatialAll, 3)
+	s.Redundancy = Redundancy{CloneK: k, Synchronized: synchronized}
+	return s
 }
 
 // NewPaldiaHedged returns the hedged-dispatch scheme: Paldia's policy stack
@@ -518,15 +458,9 @@ func NewPaldiaHedged(pct float64) Scheme {
 	if !(pct > 0 && pct <= 100) {
 		pct = 95
 	}
-	return Scheme{
-		Policy: &composite{
-			name:      fmt.Sprintf("Paldia Hedge-p%g", pct),
-			hw:        paldiaHardware,
-			split:     spatialAll,
-			waitLimit: 3,
-		},
-		Redundancy: Redundancy{HedgePct: pct},
-	}
+	s := newScheme(fmt.Sprintf("Paldia Hedge-p%g", pct), paldiaHardware, spatialAll, 3)
+	s.Redundancy = Redundancy{HedgePct: pct}
+	return s
 }
 
 // StandardSchemes returns the five schemes of the paper's primary

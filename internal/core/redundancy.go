@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/cluster"
 	"repro/internal/device"
 	"repro/internal/metrics"
 	"repro/internal/profile"
@@ -25,10 +24,11 @@ import (
 // hedged backup.
 const maxCopies = 3
 
-// redundancy manages the static hardware pools and in-flight clone sets of a
-// redundant-dispatch run. Unlike the adaptive path there is no hardware
-// switching: the pools are chosen once (cost-ascending from the capable
-// pool) and only replaced when a node dies or is revoked.
+// redundancy manages the in-flight clone sets of a redundant-dispatch run
+// and the hardware pools they race on, which are the runner's slots. Unlike
+// the adaptive path there is no hardware switching: the pools are chosen
+// once (cost-ascending from the capable pool) and only replaced when a node
+// dies or is revoked, or upgraded when the load outgrows them.
 type redundancy struct {
 	r     *runner
 	t     *tenant // the one workload served (redundancy is single-tenant)
@@ -37,33 +37,27 @@ type redundancy struct {
 	hedge bool
 	age   *metrics.AgeTracker // hedge mode: online completion-latency percentile
 
-	pools []*redPool
-
-	free         []*cloneSet // recycled sets
-	sizesScratch []int
-	poolScratch  []*redPool
-
-	revokeCursor int
-	failCursor   int
+	free []*cloneSet // recycled sets
 }
 
-// redPool is one hardware pool: a fixed node type (row.Hardware) whose
-// serving node is replaced (as spot, when so marked) whenever it fails or
-// is revoked.
-type redPool struct {
-	row       *profile.Entry // the tenant's profiling row for the pool's type
-	spot      bool
-	sn        *servingNode // nil while a replacement is procuring
-	acquiring bool
-	resCap    int          // memoized residentCap for capSN
-	capSN     *servingNode // node resCap was computed for
-}
-
+// newRedundancy sets up the manager and the run's pool slots: the distinct
+// GPU types for the warm-start rate, SpotFraction of them — the costliest
+// ones, where the discount buys the most — on spot capacity.
 func newRedundancy(r *runner) *redundancy {
 	rd := r.cfg.Scheme.Redundancy
 	d := &redundancy{r: r, t: r.tenants[0], k: rd.CloneK, sync: rd.Synchronized, hedge: rd.HedgePct > 0}
+	need := d.k
 	if d.hedge {
 		d.age = metrics.NewAgeTracker(rd.HedgePct)
+		need = 2
+	}
+	rows := redundantSpecs(d.t.rows, d.t.arr.InitRPS(2*time.Second), r.cfg.SLO, need)
+	spotCount := 0
+	if r.cfg.SpotDiscount > 0 {
+		spotCount = int(r.cfg.SpotFraction*float64(len(rows)) + 0.5)
+	}
+	for i, row := range rows {
+		r.slots = append(r.slots, &slot{spec: row.Hardware, spot: i >= len(rows)-spotCount, pool: true})
 	}
 	return d
 }
@@ -97,55 +91,6 @@ func redundantSpecs(rows *profile.Rows, rate float64, slo time.Duration, need in
 	return picked
 }
 
-// warmStart brings up every pool with warm containers. SpotFraction of the
-// pools — the costliest ones, where the discount buys the most — run on
-// spot capacity.
-func (d *redundancy) warmStart() {
-	r := d.r
-	need := d.k
-	if d.hedge {
-		need = 2
-	}
-	rate := d.t.arr.InitRPS(2 * time.Second)
-	rows := redundantSpecs(d.t.rows, rate, r.cfg.SLO, need)
-	spotCount := 0
-	if r.cfg.SpotDiscount > 0 {
-		spotCount = int(r.cfg.SpotFraction*float64(len(rows)) + 0.5)
-	}
-	for i, row := range rows {
-		p := &redPool{row: row, spot: i >= len(rows)-spotCount}
-		spec := row.Hardware
-		disc := 0.0
-		if p.spot {
-			disc = r.cfg.SpotDiscount
-		}
-		node := r.clu.AcquireSpot(spec, r.maxResident(spec), disc)
-		p.sn = r.wireNode(node)
-		p.sn.lanes[0].pool.AddWarm(2)
-		p.sn.startControllers()
-		d.pools = append(d.pools, p)
-	}
-	r.history = append(r.history, SwitchEvent{At: 0, Spec: rows[0].Hardware.Name})
-}
-
-// healthy returns the pools able to take new work, in pool (cost) order.
-// The returned slice is manager-owned scratch, valid until the next call.
-func (d *redundancy) healthy() []*redPool {
-	pools := d.poolScratch[:0]
-	for _, p := range d.pools {
-		if p.sn == nil {
-			continue
-		}
-		n := p.sn.node
-		if n.Device == nil || n.Device.Failed() || n.Revoked() {
-			continue
-		}
-		pools = append(pools, p)
-	}
-	d.poolScratch = pools
-	return pools
-}
-
 // dispatch serves this window's pending requests: each batch becomes one
 // clone set with k racing copies (clone mode) or a primary plus an armed
 // hedge timer. With zero healthy pools requests wait in the batcher —
@@ -157,19 +102,15 @@ func (d *redundancy) dispatch() {
 	if n == 0 {
 		return
 	}
-	healthy := d.healthy()
+	healthy := r.healthyNodes()
 	if len(healthy) == 0 {
 		return
 	}
-	primary := healthy[0].sn
+	primary := healthy[0]
 	bs := primary.lanes[0].entry.PreferredBatch
 	used := healthy[:1]
 	if !d.hedge {
-		if k := d.k; k < len(healthy) {
-			used = healthy[:k]
-		} else {
-			used = healthy
-		}
+		used = healthy[:min(d.k, len(healthy))]
 	}
 	// Interference-aware admission, the Eq. (1) spirit on the cloning path:
 	// every used pool must have a free resident slot per batch (Busy+Waiting
@@ -177,13 +118,12 @@ func (d *redundancy) dispatch() {
 	// are capped so PS sharing still meets the SLO. Work beyond that waits
 	// in the batcher — reroutable, and out of the blast radius of a
 	// mid-queue revocation kill.
-	for _, p := range used {
-		if p.capSN != p.sn {
-			p.resCap = residentCap(p.sn, r.cfg.SLO)
-			p.capSN = p.sn
+	for _, sn := range used {
+		if sn.resCap == 0 {
+			sn.resCap = residentCap(sn, r.cfg.SLO)
 		}
-		pool := p.sn.lanes[0].pool
-		free := p.resCap - pool.Busy() - pool.Waiting()
+		pool := sn.lanes[0].pool
+		free := sn.resCap - pool.Busy() - pool.Waiting()
 		if free < 0 {
 			free = 0
 		}
@@ -194,13 +134,13 @@ func (d *redundancy) dispatch() {
 	if n <= 0 {
 		return
 	}
-	d.sizesScratch = batch.SplitSizes(d.sizesScratch, n, bs)
-	for _, size := range d.sizesScratch {
+	r.sizesScratch = batch.SplitSizes(r.sizesScratch, n, bs)
+	for _, size := range r.sizesScratch {
 		s := d.newSet()
 		s.dispatched = r.eng.Now()
 		s.reqs = d.t.bat.TakeInto(s.reqs[:0], size)
 		if d.hedge {
-			s.launch(0, primary, "")
+			s.launch(0, primary)
 			// The backup launches when the batch's oldest request is older
 			// than the tracked completion-latency percentile.
 			fireAt := s.reqs[0].Arrival + d.hedgeThreshold()
@@ -211,16 +151,8 @@ func (d *redundancy) dispatch() {
 			s.hedgeTimer = r.eng.Schedule(delay, s.hedgeFn)
 			continue
 		}
-		k := d.k
-		if k > len(healthy) {
-			k = len(healthy)
-		}
-		for i := 0; i < k; i++ {
-			kind := "clone"
-			if i == 0 {
-				kind = ""
-			}
-			s.launch(i, healthy[i].sn, kind)
+		for i, sn := range used {
+			s.launch(i, sn)
 		}
 	}
 }
@@ -273,67 +205,41 @@ func (d *redundancy) maintain() {
 	r := d.r
 	obs := d.t.observedRPS(r.eng.Now())
 	upgraded := false
-	for _, p := range d.pools {
-		if p.sn != nil {
-			n := p.sn.node
-			if n.Device != nil && !n.Device.Failed() && !n.Revoked() {
-				if !upgraded && obs > profile.Headroom*p.row.ThroughputRPS &&
-					d.othersHealthy(p) {
-					if up, ok := upgradeSpec(d.t.rows, obs, p.row); ok {
-						upgraded = true
-						p.row = up
-						old := p.sn
-						p.sn = nil
-						r.retire(old)
-					}
-				}
-				if p.sn != nil {
-					continue
-				}
-			} else {
-				old := p.sn
-				p.sn = nil
-				r.retire(old)
+	for _, s := range r.slots {
+		if s.sn.healthy() {
+			row := s.sn.lanes[0].entry
+			if upgraded || !(obs > profile.Headroom*row.ThroughputRPS) || !d.othersHealthy(s) {
+				continue
 			}
+			up, ok := upgradeSpec(d.t.rows, obs, row)
+			if !ok {
+				continue
+			}
+			upgraded = true
+			s.spec = up.Hardware
 		}
-		if p.acquiring {
-			continue
+		if s.sn != nil {
+			r.retire(s.sn)
+			s.sn = nil
 		}
-		p.acquiring = true
-		disc := 0.0
-		if p.spot {
-			disc = r.cfg.SpotDiscount
+		if !s.acquiring {
+			r.procure(s, 0, d.respawned)
 		}
-		pp := p
-		spec := p.row.Hardware
-		r.clu.AcquireAsyncSpot(spec, r.maxResident(spec), disc,
-			func(node *cluster.Node) {
-				sn := r.wireNode(node)
-				ln := &sn.lanes[0]
-				ln.pool.EnsureWithin(r.containerTarget(d.t, ln), swapTail)
-				r.eng.Schedule(swapTail, func() {
-					pp.sn = sn
-					pp.acquiring = false
-					sn.startControllers()
-					r.switches++
-					r.emit(telemetry.HWSwitch, node.ID, node.Spec.Name, "respawn")
-				})
-			})
 	}
 }
 
-// othersHealthy reports whether every pool except p has a live, unfailed,
-// unrevoked node — the precondition for taking p down for an upgrade.
-func (d *redundancy) othersHealthy(p *redPool) bool {
-	for _, o := range d.pools {
-		if o == p {
-			continue
-		}
-		if o.sn == nil || o.acquiring {
-			return false
-		}
-		n := o.sn.node
-		if n.Device == nil || n.Device.Failed() || n.Revoked() {
+// respawned counts a pool's replacement node as a hardware switch once it
+// serves.
+func (d *redundancy) respawned(sn, _ *servingNode) {
+	d.r.switches++
+	d.r.emit(telemetry.HWSwitch, sn.node.ID, sn.node.Spec.Name, "respawn")
+}
+
+// othersHealthy reports whether every pool except s has a live, unfailed,
+// unrevoked node — the precondition for taking s down for an upgrade.
+func (d *redundancy) othersHealthy(s *slot) bool {
+	for _, o := range d.r.slots {
+		if o != s && (o.acquiring || !o.sn.healthy()) {
 			return false
 		}
 	}
@@ -366,35 +272,6 @@ func upgradeSpec(rows *profile.Rows, rate float64, cur *profile.Entry) (*profile
 		}
 	}
 	return best, best != nil
-}
-
-// revokeNext delivers a revocation notice to the next spot pool in
-// round-robin order.
-func (d *redundancy) revokeNext() {
-	for range d.pools {
-		p := d.pools[d.revokeCursor%len(d.pools)]
-		d.revokeCursor++
-		if !p.spot || p.sn == nil || p.sn.node.Revoked() {
-			continue
-		}
-		d.r.clu.Revoke(p.sn.node, d.r.cfg.RevokeNotice)
-		return
-	}
-}
-
-// failNext injects a node failure on the next pool in round-robin order,
-// reporting whether one was actually injected.
-func (d *redundancy) failNext() bool {
-	for range d.pools {
-		p := d.pools[d.failCursor%len(d.pools)]
-		d.failCursor++
-		if p.sn == nil || p.sn.node.Device == nil || p.sn.node.Revoked() {
-			continue
-		}
-		d.r.clu.Fail(p.sn.node, d.r.cfg.FailureDuration)
-		return true
-	}
-	return false
 }
 
 // --- clone sets ----------------------------------------------------------------
@@ -465,16 +342,14 @@ func (s *cloneSet) reset() {
 	}
 }
 
-// launch dispatches copy idx on the given pool node. Copy 0 is the primary
-// (a normal Dispatched); later copies emit Cloned with kind "clone" or
-// "hedge". Each copy claims its own container on its own pool.
-func (s *cloneSet) launch(idx int, sn *servingNode, kind string) {
+// launch dispatches copy idx (reset with its set) on the given pool node.
+// Copy 0 is the primary (a normal Dispatched); later copies emit Cloned with
+// detail "clone" or "hedge". Each copy claims its own container on its own
+// pool.
+func (s *cloneSet) launch(idx int, sn *servingNode) {
 	r := s.red.r
-	now := r.eng.Now()
 	c := &s.copies[idx]
 	c.node = sn
-	c.cold = 0
-	c.submitted, c.cancelled, c.finished = false, false, false
 
 	job := &c.job
 	job.Reset()
@@ -488,22 +363,16 @@ func (s *cloneSet) launch(idx int, sn *servingNode, kind string) {
 	if r.tel != nil {
 		r.jobSeq++
 		job.ID = r.jobSeq
-		evKind := telemetry.Dispatched
-		detail := device.Spatial.String()
+		e := telemetry.Ev(r.eng.Now(), telemetry.Dispatched)
+		e.Detail = device.Spatial.String()
 		if idx > 0 {
-			evKind = telemetry.Cloned
-			detail = kind
+			e.Kind, e.Detail = telemetry.Cloned, "clone"
+			if s.red.hedge {
+				e.Detail = "hedge"
+			}
 		}
-		for _, q := range s.reqs {
-			e := telemetry.Ev(now, evKind)
-			e.Req = int64(q.ID)
-			e.Job = job.ID
-			e.Node = sn.node.ID
-			e.Spec = sn.node.Spec.Name
-			e.N = len(s.reqs)
-			e.Detail = detail
-			r.tel.Event(e)
-		}
+		e.Job, e.Node, e.Spec, e.N = job.ID, sn.node.ID, sn.node.Spec.Name, len(s.reqs)
+		r.emitReqs(e, s.reqs)
 	}
 	s.launched++
 	s.live++
@@ -575,9 +444,9 @@ func (s *cloneSet) hedgeFire() {
 	}
 	primary := s.copies[0].node
 	var backup *servingNode
-	for _, p := range s.red.healthy() {
-		if p.sn != primary {
-			backup = p.sn
+	for _, sn := range s.red.r.healthyNodes() {
+		if sn != primary {
+			backup = sn
 			break
 		}
 	}
@@ -585,7 +454,7 @@ func (s *cloneSet) hedgeFire() {
 		return
 	}
 	s.hedged = true
-	s.launch(1, backup, "hedge")
+	s.launch(1, backup)
 }
 
 // resolveWin completes the set on the scoring copy: every unfinished
@@ -609,30 +478,17 @@ func (s *cloneSet) resolveWin(c *cloneCopy) {
 			o.node.lanes[0].pool.Release()
 			s.live--
 		}
-		s.emitCancelled(o)
+		e := telemetry.Ev(now, telemetry.CloneCancelled)
+		e.Job = o.job.ID
+		r.emitReqs(e, s.reqs)
 	}
-	if r.tel != nil {
+	e := telemetry.Ev(now, telemetry.Completed)
+	e.Job, e.Node = c.job.ID, c.node.node.ID
+	r.emitReqs(e, s.reqs)
+	r.record(d.t, s.reqs, s.dispatched, jobRecord(&c.job, c.cold))
+	if d.hedge {
 		for _, q := range s.reqs {
-			e := telemetry.Ev(now, telemetry.Completed)
-			e.Req = int64(q.ID)
-			e.Job = c.job.ID
-			e.Node = c.node.node.ID
-			r.tel.Event(e)
-		}
-	}
-	for _, q := range s.reqs {
-		lat := now - q.Arrival
-		d.t.col.Add(metrics.Record{
-			Arrival:      q.Arrival,
-			Latency:      lat,
-			BatchWait:    s.dispatched - q.Arrival,
-			ColdStart:    c.cold,
-			QueueDelay:   c.job.QueueDelay(),
-			Interference: c.job.Interference(),
-			MinExec:      c.job.Solo,
-		})
-		if d.hedge {
-			d.age.Add(lat)
+			d.age.Add(now - q.Arrival)
 		}
 	}
 }
@@ -643,41 +499,11 @@ func (s *cloneSet) resolveFailed(c *cloneCopy) {
 	r := s.red.r
 	s.resolved = true
 	s.hedgeTimer.Cancel()
-	now := r.eng.Now()
-	if r.tel != nil {
-		for _, q := range s.reqs {
-			e := telemetry.Ev(now, telemetry.Failed)
-			e.Req = int64(q.ID)
-			e.Job = c.job.ID
-			e.Node = c.node.node.ID
-			r.tel.Event(e)
-		}
-	}
-	for _, q := range s.reqs {
-		r.failedRq++
-		s.red.t.col.Add(metrics.Record{
-			Arrival:   q.Arrival,
-			Latency:   now - q.Arrival,
-			BatchWait: s.dispatched - q.Arrival,
-			ColdStart: c.cold,
-			MinExec:   c.job.Solo,
-			Failed:    true,
-		})
-	}
-}
-
-func (s *cloneSet) emitCancelled(o *cloneCopy) {
-	r := s.red.r
-	if r.tel == nil {
-		return
-	}
-	now := r.eng.Now()
-	for _, q := range s.reqs {
-		e := telemetry.Ev(now, telemetry.CloneCancelled)
-		e.Req = int64(q.ID)
-		e.Job = o.job.ID
-		r.tel.Event(e)
-	}
+	e := telemetry.Ev(r.eng.Now(), telemetry.Failed)
+	e.Job, e.Node = c.job.ID, c.node.node.ID
+	r.emitReqs(e, s.reqs)
+	// A failed set's outcomes carry no queueing or interference components.
+	r.record(s.red.t, s.reqs, s.dispatched, metrics.Record{ColdStart: c.cold, MinExec: c.job.Solo, Failed: true})
 }
 
 // maybeRecycle returns the set to the free list once it has resolved and no

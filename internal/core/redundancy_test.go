@@ -168,7 +168,7 @@ func TestSyncCloneNoCancellation(t *testing.T) {
 // primary's completion: once the set has resolved (or already hedged), a
 // firing timer must launch nothing.
 func TestHedgeFireAfterResolutionIsNoOp(t *testing.T) {
-	d := &redundancy{hedge: true}
+	d := &redundancy{r: &runner{}, hedge: true}
 	s := &cloneSet{red: d}
 	s.resolved = true
 	s.hedgeFire() // must not touch pools or launch

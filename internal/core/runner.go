@@ -319,6 +319,18 @@ type lane struct {
 type servingNode struct {
 	node  *cluster.Node
 	lanes []lane
+
+	// resCap memoizes residentCap for clone/hedge admission; 0 until first
+	// computed.
+	resCap int
+}
+
+// healthy reports whether sn can take new work: it exists (a slot's node is
+// nil while its replacement procures), its device has not failed, and it has
+// no revocation notice (a revoked node drains out). A wired node always has
+// its device.
+func (sn *servingNode) healthy() bool {
+	return sn != nil && !sn.node.Device.Failed() && !sn.node.Revoked()
 }
 
 // outstanding is the node's queued-lane jobs summed over its lanes.
@@ -328,6 +340,19 @@ func (sn *servingNode) outstanding() int {
 		n += sn.lanes[i].queuedOutstanding
 	}
 	return n
+}
+
+// slot is one serving position of the runtime: a node type, whether it runs
+// on spot capacity, the node serving it and whether a procurement for it is
+// in flight. Split-dispatch schemes hold the primary at slot 0 — the node
+// Algorithm 1 selects and fails over — and same-type scale-out replicas after
+// it; clone and hedge schemes hold their hardware pools at slots 0..k-1.
+type slot struct {
+	spec      hardware.Spec
+	spot      bool
+	pool      bool         // a clone/hedge pool: respawned in kind (redundancy.go)
+	sn        *servingNode // nil while a replacement procures
+	acquiring bool
 }
 
 type runner struct {
@@ -343,8 +368,8 @@ type runner struct {
 	tel    telemetry.Sink
 	jobSeq int64
 
-	cur      *servingNode
-	procured bool // a primary procurement is in flight
+	// slots is the run's node set (see slot); never empty.
+	slots []*slot
 
 	// red, when set, replaces the split-dispatch and hardware-selection
 	// paths with redundant dispatch over static hardware pools (clone-to-k
@@ -352,10 +377,12 @@ type runner struct {
 	// leaving their event sequences untouched.
 	red *redundancy
 
-	// scale-out state (MaxNodes > 1)
-	replicas       []*servingNode
-	replicaPending int
-	lastScale      time.Duration
+	lastScale time.Duration // last scale-out or scale-in (MaxNodes > 1)
+
+	// failCursor and revokeCursor round-robin fault injection over the
+	// slots it may hit.
+	failCursor   int
+	revokeCursor int
 
 	waitCtr  int
 	switches int
@@ -383,13 +410,6 @@ type runner struct {
 	// allocation-free in steady state.
 	jobPool      []*jobState
 	sizesScratch []int
-
-	// Tick closures bound once at Start: rescheduling with a method value
-	// (r.dispatchTick) allocates a fresh closure per tick.
-	dispatchTickFn func()
-	monitorTickFn  func()
-	failureTickFn  func()
-	revokeTickFn   func()
 
 	boots, syncColds uint64 // accumulated from retired pools
 }
@@ -464,6 +484,10 @@ func start(cfg Config, ws []Workload) *Running {
 	}
 	if cfg.Scheme.Redundancy.Active() {
 		r.red = newRedundancy(r)
+	} else {
+		p := &slot{spot: cfg.SpotDiscount > 0 && cfg.SpotFraction > 0}
+		r.slots = []*slot{p}
+		p.spec = r.initialHardware()
 	}
 	r.warmStart()
 	if r.tel != nil && cfg.SampleEvery > 0 {
@@ -472,19 +496,32 @@ func start(cfg Config, ws []Workload) *Running {
 	for _, t := range r.tenants {
 		r.scheduleArrivals(t)
 	}
-	r.dispatchTickFn = r.dispatchTick
-	r.monitorTickFn = r.monitorTick
-	r.failureTickFn = r.failureTick
-	r.eng.Schedule(cfg.DispatchWindow, r.dispatchTickFn)
-	r.eng.Schedule(cfg.MonitorInterval, r.monitorTickFn)
+	// Dispatch and hardware selection keep running while a backlog drains
+	// past the trace end (a failover may have left the system on an
+	// undersized node); fault injection stops with the trace.
+	r.every(cfg.DispatchWindow, true, r.dispatchTick)
+	r.every(cfg.MonitorInterval, true, r.monitorTick)
 	if cfg.FailureEvery > 0 {
-		r.eng.Schedule(cfg.FailureEvery, r.failureTickFn)
+		r.every(cfg.FailureEvery, false, r.failureTick)
 	}
 	if cfg.RevokeEvery > 0 {
-		r.revokeTickFn = r.revokeTick
-		r.eng.Schedule(cfg.RevokeEvery, r.revokeTickFn)
+		r.every(cfg.RevokeEvery, false, r.revokeTick)
 	}
 	return &Running{r: r}
+}
+
+// every runs tick each interval, rescheduling it first: until the trace
+// ends, or with drain until the batchers' backlog has drained as well. The
+// rescheduling closure is bound once, so a tick allocates nothing.
+func (r *runner) every(interval time.Duration, drain bool, tick func()) {
+	var fn func()
+	fn = func() {
+		if r.eng.Now() < r.end || drain && r.pending() > 0 {
+			r.eng.Schedule(interval, fn)
+		}
+		tick()
+	}
+	r.eng.Schedule(interval, fn)
 }
 
 // Now returns the simulation's current virtual time.
@@ -542,19 +579,13 @@ func (ru *Running) settle() {
 	// Anything still unserved (e.g. no healthy node ever came back) is
 	// recorded as failed.
 	for _, t := range r.tenants {
-		for _, req := range t.bat.TakeAll() {
-			r.failedRq++
-			if r.tel != nil {
-				e := telemetry.Ev(r.eng.Now(), telemetry.Failed)
-				e.Req = int64(req.ID)
-				e.Tenant = t.idx
-				r.tel.Event(e)
-			}
-			t.col.Add(metrics.Record{
-				Arrival: req.Arrival,
-				Latency: r.eng.Now() - req.Arrival,
-				Failed:  true,
-			})
+		reqs := t.bat.TakeAll()
+		e := telemetry.Ev(r.eng.Now(), telemetry.Failed)
+		e.Tenant = t.idx
+		r.emitReqs(e, reqs)
+		// Never dispatched: no batch wait is attributed.
+		for i := range reqs {
+			r.record(t, reqs[i:i+1], reqs[i].Arrival, metrics.Record{Failed: true})
 		}
 	}
 	if r.cfg.Invariants != nil {
@@ -628,42 +659,102 @@ func newForecaster(cfg Config) predict.Forecaster {
 	return f
 }
 
-// warmStart brings up the initial node with warm containers, as a system
+// initialHardware is the primary's warm-start node type: the configured
+// override, else the scheme's choice for the traces' opening rates.
+func (r *runner) initialHardware() hardware.Spec {
+	if r.cfg.InitialHardware != nil {
+		return *r.cfg.InitialHardware
+	}
+	init := r.predScratch[:0]
+	for _, t := range r.tenants {
+		init = append(init, t.arr.InitRPS(2*time.Second))
+	}
+	r.predScratch = init
+	return r.desiredHardware(init, init)
+}
+
+// warmStart brings up every slot's node with warm containers, as a system
 // already in service would have. A node's two warm containers are shared
 // among its tenants, at least one each.
 func (r *runner) warmStart() {
-	if r.red != nil {
-		r.red.warmStart()
-		return
+	for _, s := range r.slots {
+		r.procure(s, max(1, 2/len(r.tenants)), nil)
 	}
-	var spec hardware.Spec
-	if r.cfg.InitialHardware != nil {
-		spec = *r.cfg.InitialHardware
-	} else {
-		init := r.predScratch[:0]
-		for _, t := range r.tenants {
-			init = append(init, t.arr.InitRPS(2*time.Second))
-		}
-		r.predScratch = init
-		spec = r.desiredHardware(init, init)
-	}
-	n := r.acquire(spec)
-	for i := range n.lanes {
-		n.lanes[i].pool.AddWarm(max(1, 2/len(r.tenants)))
-	}
-	r.cur = n
-	n.startControllers()
-	r.history = append(r.history, SwitchEvent{At: 0, Spec: spec.Name})
+	r.history = append(r.history, SwitchEvent{At: 0, Spec: r.slots[0].spec.Name})
 }
 
-// spotDiscount is the discount plain-path acquisitions run at: the
-// configured one when spot serving is enabled, else zero (plain on-demand —
-// AcquireSpot at discount 0 is exactly Acquire).
-func (r *runner) spotDiscount() float64 {
-	if r.cfg.SpotDiscount > 0 && r.cfg.SpotFraction > 0 {
-		return r.cfg.SpotDiscount
+// primary is the split-dispatch primary's serving node (slot 0); nil for
+// clone and hedge runs, whose pools are peers.
+func (r *runner) primary() *servingNode {
+	if s := r.slots[0]; !s.pool {
+		return s.sn
 	}
-	return 0
+	return nil
+}
+
+// procure brings a node of s.spec up for slot s — on spot capacity when the
+// slot is spot — and lands it there: the node becomes s's serving node, its
+// autoscalers start, and land (when set) finishes the slot role's
+// bookkeeping with the node it displaced. Every acquisition goes through
+// here: warm start, Algorithm 1's reconfigure and failover, scale-out, and
+// pool respawn and upgrade.
+//
+// With warm > 0 the node is acquired at once with that many warm containers
+// per lane (warm start, instant procurement). Otherwise the VM launches in
+// the background and container spawning overlaps it (Algorithm 1 does both
+// before rerouting), so only a short boot tail is exposed: the lanes
+// pre-warm for the predicted load, and the node lands swapTail later.
+func (r *runner) procure(s *slot, warm int, land func(sn, old *servingNode)) {
+	disc := 0.0
+	if s.spot {
+		disc = r.cfg.SpotDiscount
+	}
+	maxRes := r.maxResident(s.spec)
+	if warm > 0 {
+		sn := r.wireNode(r.clu.AcquireSpot(s.spec, maxRes, disc))
+		for i := range sn.lanes {
+			sn.lanes[i].pool.AddWarm(warm)
+		}
+		r.serve(s, sn, land)
+		return
+	}
+	s.acquiring = true
+	r.clu.AcquireAsyncSpot(s.spec, maxRes, disc, func(node *cluster.Node) {
+		sn := r.wireNode(node)
+		for i, t := range r.tenants {
+			ln := &sn.lanes[i]
+			ln.pool.EnsureWithin(r.prewarmTarget(s, t, ln), swapTail)
+		}
+		r.eng.Schedule(swapTail, func() { r.serve(s, sn, land) })
+	})
+}
+
+// serve lands sn in slot s (see procure).
+func (r *runner) serve(s *slot, sn *servingNode, land func(sn, old *servingNode)) {
+	old := s.sn
+	s.sn, s.acquiring = sn, false
+	for i := range sn.lanes {
+		sn.lanes[i].ctl.Start()
+	}
+	if land != nil {
+		land(sn, old)
+	}
+}
+
+// prewarmTarget is the container count tenant t's lane on a node procured
+// for slot s pre-warms to: the predictive requirement at the current
+// forecast (at least two), and for a new primary also the backlog awaiting
+// reroute, so the swap does not stall on synchronous cold starts.
+func (r *runner) prewarmTarget(s *slot, t *tenant, ln *lane) int {
+	need := max(2, autoscale.PredictiveContainers(t.predictAt(r.eng.Now(), r.cfg.Horizon),
+		residenceOf(ln.entry), ln.entry.PreferredBatch))
+	if s.pool || s != r.slots[0] {
+		return need
+	}
+	need = max(need, autoscale.ReactiveContainers(t.bat.Pending(), ln.entry.PreferredBatch))
+	// In-flight jobs are bounded by device memory plus the lane, so the
+	// pool never needs more than that.
+	return min(need, ln.entry.MaxResidentJobs+laneCap)
 }
 
 // maxResident is the node's resident-job cap: the shared device's memory
@@ -678,16 +769,13 @@ func (r *runner) maxResident(spec hardware.Spec) int {
 	return n
 }
 
-// acquire procures a node immediately and wires its lanes.
-func (r *runner) acquire(spec hardware.Spec) *servingNode {
-	return r.wireNode(r.clu.AcquireSpot(spec, r.maxResident(spec), r.spotDiscount()))
-}
-
 func (r *runner) wireNode(node *cluster.Node) *servingNode {
-	r.applyHostFactor(node)
-	cold := container.CPUColdStart
+	cold, hostFactor := container.CPUColdStart, r.cfg.HostFactorCPU
 	if node.Spec.IsGPU() {
-		cold = container.GPUColdStart
+		cold, hostFactor = container.GPUColdStart, r.cfg.HostFactorGPU
+	}
+	if hostFactor > 1 {
+		node.Device.SetHostFactor(hostFactor)
 	}
 	if r.cfg.Scheme.InstantProcure {
 		cold = 0
@@ -710,7 +798,7 @@ func (r *runner) wireNode(node *cluster.Node) *servingNode {
 		// Containers are sized for the batches resident at once: a batch
 		// occupies its container for its (possibly inflated) execution time,
 		// so the pool target is predicted-rate x residence / batch-size.
-		// The controller is started when the node begins serving (swapTo);
+		// The controller is started when the node begins serving (serve);
 		// starting it earlier would race the swap-time pre-warm with slower
 		// predictive boots. It forecasts Config.Horizon ahead through the
 		// pluggable Forecaster seam.
@@ -728,20 +816,6 @@ func (r *runner) wireNode(node *cluster.Node) *servingNode {
 	return sn
 }
 
-// startControllers starts every lane's predictive autoscaler; stopControllers
-// halts them.
-func (sn *servingNode) startControllers() {
-	for i := range sn.lanes {
-		sn.lanes[i].ctl.Start()
-	}
-}
-
-func (sn *servingNode) stopControllers() {
-	for i := range sn.lanes {
-		sn.lanes[i].ctl.Stop()
-	}
-}
-
 // emit sends one control-plane telemetry event; a no-op without a sink.
 func (r *runner) emit(kind telemetry.Kind, nodeID int, spec, detail string) {
 	if r.tel == nil {
@@ -754,34 +828,58 @@ func (r *runner) emit(kind telemetry.Kind, nodeID int, spec, detail string) {
 	r.tel.Event(e)
 }
 
-// curStats reads the primary device's state without perturbing it (see
-// device.SampleStats); ok is false when no healthy device is serving.
-func (r *runner) curStats() (device.Stats, bool) {
-	if r.cur == nil || r.cur.node.Device == nil {
-		return device.Stats{}, false
+// emitReqs sends e once per request of reqs, with Req set to each request's
+// ID; a no-op without a sink.
+func (r *runner) emitReqs(e telemetry.Event, reqs []batch.Request) {
+	if r.tel == nil {
+		return
 	}
-	return r.cur.node.Device.SampleStats(), true
+	for _, q := range reqs {
+		e.Req = int64(q.ID)
+		r.tel.Event(e)
+	}
 }
 
-// gauges is the sampled-series catalogue for single-workload runs. Every
-// reader is side-effect-free so sampling never changes the run's trajectory.
+// record adds one outcome per request of reqs, which left the batcher at
+// dispatched and finish now, to t's aggregator. rec carries the batch-level
+// components (cold start, queueing, interference, solo time, failure); each
+// request's arrival, latency and batch wait are its own. Failed outcomes
+// count toward FailedRequests.
+func (r *runner) record(t *tenant, reqs []batch.Request, dispatched time.Duration, rec metrics.Record) {
+	now := r.eng.Now()
+	for _, q := range reqs {
+		rec.Arrival = q.Arrival
+		rec.Latency = now - q.Arrival
+		rec.BatchWait = dispatched - q.Arrival
+		if rec.Failed {
+			r.failedRq++
+		}
+		t.col.Add(rec)
+	}
+}
+
+// gauges is the sampled-series catalogue for single-workload runs. Device
+// and lane gauges describe the primary (zero for clone/hedge runs). Every
+// reader is side-effect-free so sampling never changes the run's trajectory
+// (device.SampleStats reads without perturbing).
 func (r *runner) gauges() []telemetry.Gauge {
 	t := r.tenants[0]
 	devGauge := func(read func(device.Stats) float64) func() float64 {
 		return func() float64 {
-			s, ok := r.curStats()
-			if !ok {
+			sn := r.primary()
+			if sn == nil {
 				return 0
 			}
-			return read(s)
+			return read(sn.node.Device.SampleStats())
 		}
 	}
 	laneGauge := func(read func(*lane) float64) func() float64 {
 		return func() float64 {
-			if r.cur == nil {
+			sn := r.primary()
+			if sn == nil {
 				return 0
 			}
-			return read(&r.cur.lanes[0])
+			return read(&sn.lanes[0])
 		}
 	}
 	return []telemetry.Gauge{
@@ -806,27 +904,6 @@ func (r *runner) gauges() []telemetry.Gauge {
 // residenceOf estimates how long one batch holds a container: the solo
 // execution latency with a 2x margin for interference.
 func residenceOf(e *profile.Entry) time.Duration { return 2 * e.SoloBatch }
-
-// containerTarget is the predictive container requirement for tenant t's
-// lane at the current forecast.
-func (r *runner) containerTarget(t *tenant, ln *lane) int {
-	n := autoscale.PredictiveContainers(t.predictAt(r.eng.Now(), r.cfg.Horizon),
-		residenceOf(ln.entry), ln.entry.PreferredBatch)
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
-
-func (r *runner) applyHostFactor(node *cluster.Node) {
-	f := r.cfg.HostFactorCPU
-	if node.Spec.IsGPU() {
-		f = r.cfg.HostFactorGPU
-	}
-	if f > 1 && node.Device != nil {
-		node.Device.SetHostFactor(f)
-	}
-}
 
 // scheduleArrivals feeds t's arrivals from its stream one event at a time:
 // one pending arrival is held while the engine advances to it, so memory is
@@ -886,19 +963,8 @@ func (t *tenant) rollWindow(now time.Duration) {
 func (r *runner) stateOf(t *tenant, sn *servingNode) *State {
 	now := r.eng.Now()
 	s := r.stateWithRates(t, t.predictAt(now, r.cfg.Horizon), t.observedRPS(now))
-	if sn == nil || sn == r.cur {
-		return s
-	}
-	s.Current = sn.node.Spec
-	s.Entry = sn.lanes[t.idx].entry
-	s.ActiveDemand, s.ActiveCompute, s.ActiveJobs = 0, 0, 0
-	s.Backlog, s.LaneBacklog = 0, 0
-	if dev := sn.node.Device; dev != nil && !dev.Failed() {
-		s.ActiveDemand = dev.ActiveDemand()
-		s.ActiveCompute = dev.ActiveCompute()
-		s.ActiveJobs = dev.ActiveCount()
-		s.Backlog = dev.BacklogSolo()
-		s.LaneBacklog = dev.LaneBacklogSolo()
+	if sn != r.primary() {
+		s.fillNode(sn, t.idx)
 	}
 	return s
 }
@@ -917,35 +983,35 @@ func (r *runner) stateWithRates(t *tenant, predicted, observed float64) *State {
 		poolScratch:  s.poolScratch,
 		candScratch:  s.candScratch,
 	}
-	if r.cur != nil {
-		s.Current = r.cur.node.Spec
+	if sn := r.primary(); sn != nil {
 		s.HasCurrent = true
-		s.Entry = r.cur.lanes[t.idx].entry
-		if dev := r.cur.node.Device; dev != nil && !dev.Failed() {
-			s.ActiveDemand = dev.ActiveDemand()
-			s.ActiveCompute = dev.ActiveCompute()
-			s.ActiveJobs = dev.ActiveCount()
-			s.Backlog = dev.BacklogSolo()
-			s.LaneBacklog = dev.LaneBacklogSolo()
-		}
+		s.fillNode(sn, t.idx)
 	}
 	return s
+}
+
+// fillNode points s at node sn: its type, tenant's profiling row for it and,
+// while its device is up, the device's load.
+func (s *State) fillNode(sn *servingNode, tenant int) {
+	s.Current = sn.node.Spec
+	s.Entry = sn.lanes[tenant].entry
+	s.ActiveDemand, s.ActiveCompute, s.ActiveJobs = 0, 0, 0
+	s.Backlog, s.LaneBacklog = 0, 0
+	if dev := sn.node.Device; !dev.Failed() {
+		s.ActiveDemand = dev.ActiveDemand()
+		s.ActiveCompute = dev.ActiveCompute()
+		s.ActiveJobs = dev.ActiveCount()
+		s.Backlog = dev.BacklogSolo()
+		s.LaneBacklog = dev.LaneBacklogSolo()
+	}
 }
 
 // --- results -------------------------------------------------------------------
 
 func (r *runner) results() Result {
-	if r.cur != nil {
-		r.accumulateNode(r.cur)
-		for _, rep := range r.replicas {
-			r.accumulateNode(rep)
-		}
-	}
-	if r.red != nil {
-		for _, p := range r.red.pools {
-			if p.sn != nil {
-				r.accumulateNode(p.sn)
-			}
+	for _, s := range r.slots {
+		if s.sn != nil {
+			r.accumulateNode(s.sn)
 		}
 	}
 	col := r.tenants[0].col

@@ -10,8 +10,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/autoscale"
-	"repro/internal/cluster"
 	"repro/internal/hardware"
 	"repro/internal/profile"
 	"repro/internal/telemetry"
@@ -20,18 +18,12 @@ import (
 // --- hardware selection ------------------------------------------------------
 
 func (r *runner) monitorTick() {
-	now := r.eng.Now()
-	// Hardware selection keeps running while a backlog is draining past the
-	// trace end (a failover may have left the system on an undersized node).
-	if now < r.end || r.pending() > 0 {
-		r.eng.Schedule(r.cfg.MonitorInterval, r.monitorTickFn)
-	}
 	if r.red != nil {
 		r.red.maintain()
 		return
 	}
-	if r.cur != nil && r.cur.node.Device != nil &&
-		(r.cur.node.Device.Failed() || r.cur.node.Revoked()) {
+	now, cur := r.eng.Now(), r.primary()
+	if !cur.healthy() {
 		r.ensureFailover()
 		return
 	}
@@ -48,7 +40,7 @@ func (r *runner) monitorTick() {
 	}
 	r.predScratch, r.obsScratch = pred, obs
 	desired := r.desiredHardware(pred, obs)
-	if r.cur != nil && desired.Name == r.cur.node.Spec.Name {
+	if desired.Name == cur.node.Spec.Name {
 		r.waitCtr = 0
 		r.manageScaleOut(pred[0])
 		return
@@ -56,7 +48,7 @@ func (r *runner) monitorTick() {
 	// Downgrades are held off briefly after a switch and need a longer run
 	// of consistent mismatches; upgrades are never delayed.
 	limit := r.cfg.Scheme.Policy.WaitLimit()
-	if r.cur != nil && desired.CostPerHour < r.cur.node.Spec.CostPerHour {
+	if desired.CostPerHour < cur.node.Spec.CostPerHour {
 		if now-r.lastSwap < minHold {
 			return
 		}
@@ -104,58 +96,28 @@ func (r *runner) desiredHardware(pred, obs []float64) hardware.Spec {
 // reconfigure procures the desired node in the background and swaps to it
 // once its containers are warm (Algorithm 1's reconfigure_HW).
 func (r *runner) reconfigure(desired hardware.Spec) {
-	if r.procured {
+	p := r.slots[0]
+	if p.acquiring {
 		return // one acquisition in flight at a time
 	}
-	r.procured = true
 	r.waitCtr = 0
-	maxRes := r.maxResident(desired)
+	p.spec = desired
+	warm := 0
 	if r.cfg.Scheme.InstantProcure {
-		node := r.clu.AcquireSpot(desired, maxRes, r.spotDiscount())
-		sn := r.wireNode(node)
-		for i := range sn.lanes {
-			sn.lanes[i].pool.AddWarm(1)
-		}
-		r.swapTo(sn)
-		r.procured = false
-		return
+		warm = 1
 	}
-	r.clu.AcquireAsyncSpot(desired, maxRes, r.spotDiscount(), func(node *cluster.Node) {
-		sn := r.wireNode(node)
-		// Container spawning overlaps the VM launch (Algorithm 1 does both
-		// in the background before rerouting); only a short boot tail is
-		// exposed. Pre-warm for the predicted load plus any backlog
-		// awaiting reroute, so the swap does not stall on synchronous cold
-		// starts.
-		for i, t := range r.tenants {
-			ln := &sn.lanes[i]
-			need := r.containerTarget(t, ln)
-			if backlog := autoscale.ReactiveContainers(t.bat.Pending(), ln.entry.PreferredBatch); backlog > need {
-				need = backlog
-			}
-			// In-flight jobs are bounded by device memory plus the lane, so
-			// the pool never needs more than that.
-			if cap := ln.entry.MaxResidentJobs + laneCap; need > cap {
-				need = cap
-			}
-			ln.pool.EnsureWithin(need, swapTail)
-		}
-		r.eng.Schedule(swapTail, func() {
-			r.swapTo(sn)
-			r.procured = false
-		})
-	})
+	r.procure(p, warm, r.swapped)
 }
 
 // manageScaleOut adjusts the replica count when the current node type is
 // the right choice but one instance cannot sustain the forecast. Scale-out
 // is single-tenant (RunMulti cannot set MaxNodes).
 func (r *runner) manageScaleOut(rate float64) {
-	if r.cfg.MaxNodes <= 1 || r.cur == nil {
+	if r.cfg.MaxNodes <= 1 {
 		return
 	}
-	t := r.tenants[0]
-	sustainable := profile.Headroom * r.cur.lanes[0].entry.ThroughputRPS
+	p := r.slots[0]
+	sustainable := profile.Headroom * p.sn.lanes[0].entry.ThroughputRPS
 	want := 1
 	if sustainable > 0 && rate > sustainable {
 		want = int(rate/sustainable) + 1
@@ -163,48 +125,51 @@ func (r *runner) manageScaleOut(rate float64) {
 			want = r.cfg.MaxNodes
 		}
 	}
-	have := 1 + len(r.replicas) + r.replicaPending
 	now := r.eng.Now()
-	for ; have < want; have++ {
-		r.replicaPending++
-		spec := r.cur.node.Spec
-		r.clu.AcquireAsyncSpot(spec, r.maxResident(spec), r.spotDiscount(), func(node *cluster.Node) {
-			sn := r.wireNode(node)
-			ln := &sn.lanes[0]
-			ln.pool.EnsureWithin(r.containerTarget(t, ln), swapTail)
-			r.eng.Schedule(swapTail, func() {
-				r.replicaPending--
-				r.replicas = append(r.replicas, sn)
-				sn.startControllers()
-				r.lastScale = r.eng.Now()
-				r.emit(telemetry.ScaleOut, node.ID, node.Spec.Name, "")
-			})
+	for have := len(r.slots); have < want; have++ {
+		s := &slot{spec: p.sn.node.Spec, spot: p.spot}
+		r.slots = append(r.slots, s)
+		r.procure(s, 0, func(sn, _ *servingNode) {
+			r.lastScale = r.eng.Now()
+			r.emit(telemetry.ScaleOut, sn.node.ID, sn.node.Spec.Name, "")
 		})
 		r.lastScale = now
 	}
-	// Scale-in with hysteresis, one replica at a time.
-	if want < 1+len(r.replicas) && now-r.lastScale >= minHold {
-		last := r.replicas[len(r.replicas)-1]
-		r.replicas = r.replicas[:len(r.replicas)-1]
-		r.retire(last)
+	// Scale-in with hysteresis, one replica at a time: the one that landed
+	// last (replicas land in slot order; still-procuring ones don't count).
+	landed, last := 0, 0
+	for i, s := range r.slots[1:] {
+		if s.sn != nil {
+			landed, last = landed+1, i+1
+		}
+	}
+	if want < 1+landed && now-r.lastScale >= minHold {
+		sn := r.slots[last].sn
+		r.slots = append(r.slots[:last], r.slots[last+1:]...)
+		r.retire(sn)
 		r.lastScale = now
-		r.emit(telemetry.ScaleIn, last.node.ID, last.node.Spec.Name, "")
+		r.emit(telemetry.ScaleIn, sn.node.ID, sn.node.Spec.Name, "")
 	}
 }
 
-func (r *runner) swapTo(sn *servingNode) {
-	old := r.cur
-	r.cur = sn
+// swapped finishes a primary switch once the new node sn serves: the
+// switch is counted and timed, and the replicas and the old node retire.
+func (r *runner) swapped(sn, old *servingNode) {
 	r.switches++
 	r.lastSwap = r.eng.Now()
 	r.history = append(r.history, SwitchEvent{At: r.eng.Now(), Spec: sn.node.Spec.Name})
-	sn.startControllers()
 	// A node-type switch retires any replicas of the old type; scale-out
 	// re-evaluates against the new type on the next monitor tick.
-	for _, rep := range r.replicas {
-		r.retire(rep)
+	kept := r.slots[:1]
+	for _, s := range r.slots[1:] {
+		if s.sn == nil {
+			kept = append(kept, s)
+			continue
+		}
+		r.retire(s.sn)
 	}
-	r.replicas = nil
+	clear(r.slots[len(kept):])
+	r.slots = kept
 	r.emit(telemetry.HWSwitch, sn.node.ID, sn.node.Spec.Name, "")
 	if old != nil {
 		r.retire(old)
@@ -213,7 +178,9 @@ func (r *runner) swapTo(sn *servingNode) {
 
 // retire drains and releases a node that no longer receives new work.
 func (r *runner) retire(old *servingNode) {
-	old.stopControllers()
+	for i := range old.lanes {
+		old.lanes[i].ctl.Stop()
+	}
 	attempts := 0
 	var poll func()
 	poll = func() {
@@ -240,52 +207,56 @@ func (r *runner) accumulateNode(sn *servingNode) {
 	}
 }
 
-// --- failures ------------------------------------------------------------------
+// --- faults --------------------------------------------------------------------
 
-func (r *runner) failureTick() {
-	now := r.eng.Now()
-	if now < r.end {
-		r.eng.Schedule(r.cfg.FailureEvery, r.failureTickFn)
-	}
-	if r.red != nil {
-		if r.red.failNext() {
-			r.failures++
+// faultTarget advances cursor round-robin over the slots fault injection may
+// hit — the primary, or every clone/hedge pool; scale-out replicas are
+// spared — and returns the first whose node exists, has no revocation notice
+// and, when spotOnly, runs on spot capacity. Nil when none qualifies.
+func (r *runner) faultTarget(cursor *int, spotOnly bool) *slot {
+	for range r.slots {
+		i := *cursor % len(r.slots)
+		*cursor++
+		s := r.slots[i]
+		if (i == 0 || s.pool) && s.sn != nil && !s.sn.node.Revoked() && (s.spot || !spotOnly) {
+			return s
 		}
-		return
 	}
-	if r.cur == nil || r.cur.node.Device == nil || r.cur.node.Revoked() {
+	return nil
+}
+
+// failureTick injects one node failure. A failed primary fails over at
+// once; a failed pool is respawned by the next maintenance tick.
+func (r *runner) failureTick() {
+	s := r.faultTarget(&r.failCursor, false)
+	if s == nil {
 		return
 	}
 	r.failures++
-	r.clu.Fail(r.cur.node, r.cfg.FailureDuration)
-	r.ensureFailover()
+	r.clu.Fail(s.sn.node, r.cfg.FailureDuration)
+	if !s.pool {
+		r.ensureFailover()
+	}
 }
 
-// revokeTick injects one spot revocation: in redundancy mode the next spot
-// pool in round-robin order gets its notice; in the plain path the serving
-// node does (if it is spot), and a failover replacement is procured while it
+// revokeTick injects one spot revocation: the targeted node gets its notice
+// and drains; a revoked primary's failover replacement is procured while it
 // drains.
 func (r *runner) revokeTick() {
-	now := r.eng.Now()
-	if now < r.end {
-		r.eng.Schedule(r.cfg.RevokeEvery, r.revokeTickFn)
-	}
-	if r.red != nil {
-		r.red.revokeNext()
+	s := r.faultTarget(&r.revokeCursor, true)
+	if s == nil {
 		return
 	}
-	if r.cur == nil || !r.cur.node.Spot() || r.cur.node.Revoked() {
-		return
+	r.clu.Revoke(s.sn.node, r.cfg.RevokeNotice)
+	if !s.pool {
+		r.ensureFailover()
 	}
-	r.clu.Revoke(r.cur.node, r.cfg.RevokeNotice)
-	r.ensureFailover()
 }
 
-// ensureFailover procures the failure-study replacement node if the current
-// one is down and nothing is on the way.
+// ensureFailover procures the failure-study replacement node if the primary
+// is down and nothing is on the way.
 func (r *runner) ensureFailover() {
-	if r.procured || r.cur == nil {
-		return
+	if p := r.slots[0]; !p.acquiring {
+		r.reconfigure(FailoverSpec(p.sn.node.Spec))
 	}
-	r.reconfigure(FailoverSpec(r.cur.node.Spec))
 }
