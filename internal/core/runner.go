@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/autoscale"
@@ -729,8 +730,16 @@ func (r *runner) procure(s *slot, warm int, land func(sn, old *servingNode)) {
 	})
 }
 
-// serve lands sn in slot s (see procure).
+// serve lands sn in slot s (see procure). A scale-out replica ordered for a
+// type the primary has since switched away from never serves: its slot
+// leaves the set and the node is released.
 func (r *runner) serve(s *slot, sn *servingNode, land func(sn, old *servingNode)) {
+	if p := r.slots[0]; s != p && !s.pool && sn.node.Spec != p.sn.node.Spec {
+		i := slices.Index(r.slots, s)
+		r.slots = slices.Delete(r.slots, i, i+1)
+		r.retire(sn)
+		return
+	}
 	old := s.sn
 	s.sn, s.acquiring = sn, false
 	for i := range sn.lanes {

@@ -351,3 +351,44 @@ func TestLastCapableNodeFailureFailsOver(t *testing.T) {
 		t.Fatal("no request ever met the SLO after the top node failed")
 	}
 }
+
+// TestScaleOutReplicasMatchPrimary steps scale-out runs whose primary
+// switches type while replicas are still procuring, and checks every 100 ms
+// that each serving replica runs the primary's node type: a replica ordered
+// for the old type must be released when it lands, not serve beside the new
+// primary. Seeds 6 and 7 order only such replicas; seed 5's replicas serve.
+func TestScaleOutReplicasMatchPrimary(t *testing.T) {
+	m := model.MustByName("BERT")
+	served := 0
+	for _, seed := range []uint64{5, 6, 7} {
+		ru := Start(Config{
+			Model:    m,
+			Trace:    trace.Azure(sim.NewRNG(seed), 2*m.DefaultPeakRPS(), 6*time.Minute),
+			Scheme:   NewPaldia(),
+			MaxNodes: 4,
+		})
+		r := ru.r
+		ordered := map[*slot]bool{}
+		for now := time.Duration(0); now < ru.Horizon(); now += 100 * time.Millisecond {
+			ru.StepTo(now)
+			for _, s := range r.slots[1:] {
+				ordered[s] = true
+				if s.sn == nil {
+					continue
+				}
+				served++
+				if s.sn.node.Spec != r.slots[0].sn.node.Spec {
+					t.Fatalf("seed %d, %v: replica runs %s beside a %s primary",
+						seed, now, s.sn.node.Spec.Name, r.slots[0].sn.node.Spec.Name)
+				}
+			}
+		}
+		ru.Finish()
+		if len(ordered) == 0 {
+			t.Errorf("seed %d: no replica was ever ordered; the test lost its coverage", seed)
+		}
+	}
+	if served == 0 {
+		t.Error("no replica ever served; the test lost its coverage")
+	}
+}

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/hardware"
@@ -145,7 +146,7 @@ func (r *runner) manageScaleOut(rate float64) {
 	}
 	if want < 1+landed && now-r.lastScale >= minHold {
 		sn := r.slots[last].sn
-		r.slots = append(r.slots[:last], r.slots[last+1:]...)
+		r.slots = slices.Delete(r.slots, last, last+1)
 		r.retire(sn)
 		r.lastScale = now
 		r.emit(telemetry.ScaleIn, sn.node.ID, sn.node.Spec.Name, "")
