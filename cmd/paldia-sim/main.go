@@ -269,13 +269,46 @@ func (o *options) execute(stdout, stderr io.Writer) (err error) {
 // simulate is the one execution path. It builds the arrival input once —
 // a realized trace, or a rate curve each lane streams from — turns it into
 // one core.Config per lane (one per scheme, or one per tenant partition),
-// runs every lane through shard.Run and prints and writes the outputs.
+// validates every lane before anything is printed or written, runs every
+// lane through shard.Run and prints and writes the outputs.
 func (o *options) simulate(m model.Spec, schemes []core.Scheme, stdout, stderr io.Writer) error {
 	rng := sim.NewRNG(o.seed)
 	tr, c, err := o.arrivals(rng)
 	if err != nil {
 		return err
 	}
+	n := len(schemes) * o.tenants
+	var parts []*trace.Curve
+	if o.stream {
+		parts = c.Partition(o.tenants)
+	}
+	cfgs := make([]core.Config, n)
+	for i := range cfgs {
+		cfg := core.Config{
+			Model:           m,
+			Scheme:          schemes[i/o.tenants],
+			SLO:             o.slo,
+			Seed:            o.seed,
+			Forecaster:      o.forecaster,
+			FailureEvery:    o.failEvery,
+			FailureDuration: o.failFor,
+			SpotDiscount:    o.red.spotDiscount,
+			SpotFraction:    o.red.spotFraction,
+			RevokeEvery:     o.red.revokeEvery,
+			RevokeNotice:    o.red.revokeNotice,
+		}
+		if o.stream {
+			cfg.Stream = parts[i%o.tenants].Stream(rng)
+			cfg.Metrics = core.MetricsOnline
+		} else {
+			cfg.Trace = tr
+		}
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		cfgs[i] = cfg
+	}
+
 	if o.stream {
 		fmt.Fprintf(stdout, "curve %s: ~%.0f requests expected, mean %.1f rps, peak %.0f rps, %v\n",
 			c.Name, c.ExpectedRequests(), c.MeanRPS(), c.PeakRPS(), c.Duration())
@@ -300,7 +333,6 @@ func (o *options) simulate(m model.Spec, schemes []core.Scheme, stdout, stderr i
 		mw         *telemetry.MergeWriter
 		closeFiles func() error
 	)
-	n := len(schemes) * o.tenants
 	switch {
 	case o.telemetryOn() && o.stream:
 		ws, closeAll, err := createAll(o.spansOut, o.eventsOut)
@@ -331,32 +363,9 @@ func (o *options) simulate(m model.Spec, schemes []core.Scheme, stdout, stderr i
 		return err
 	}
 
-	var parts []*trace.Curve
-	if o.stream {
-		parts = c.Partition(o.tenants)
-	}
-	cfgs := make([]core.Config, n)
 	checks := make([]*invariant.Checker, n)
 	for i := range cfgs {
-		cfg := core.Config{
-			Model:           m,
-			Scheme:          schemes[i/o.tenants],
-			SLO:             o.slo,
-			Seed:            o.seed,
-			Forecaster:      o.forecaster,
-			FailureEvery:    o.failEvery,
-			FailureDuration: o.failFor,
-			SpotDiscount:    o.red.spotDiscount,
-			SpotFraction:    o.red.spotFraction,
-			RevokeEvery:     o.red.revokeEvery,
-			RevokeNotice:    o.red.revokeNotice,
-		}
-		if o.stream {
-			cfg.Stream = parts[i%o.tenants].Stream(rng)
-			cfg.Metrics = core.MetricsOnline
-		} else {
-			cfg.Trace = tr
-		}
+		cfg := &cfgs[i]
 		switch {
 		case rec != nil:
 			cfg.Telemetry = rec
@@ -380,7 +389,6 @@ func (o *options) simulate(m model.Spec, schemes []core.Scheme, stdout, stderr i
 			checks[i] = invariant.New()
 			cfg.Invariants = checks[i]
 		}
-		cfgs[i] = cfg
 	}
 
 	workers := o.jobs

@@ -24,6 +24,8 @@ func TestFlagConflicts(t *testing.T) {
 		{"clone-k out of range", []string{"-clone-k", "4"}, 1, "-clone-k must be 0, 2 or 3"},
 		{"clone-k with hedge-pct", []string{"-clone-k", "2", "-hedge-pct", "95"}, 1, "mutually exclusive"},
 		{"revoke without spot", []string{"-revoke-every", "20s"}, 1, "-revoke-every needs spot nodes"},
+		{"spot discount of 1 or more", []string{"-spot-discount", "1.5", "-spot-fraction", "1"}, 1, "SpotDiscount must be in [0,1)"},
+		{"failures without an outage", []string{"-fail-every", "20s", "-fail-for", "0"}, 1, "FailureEvery without a positive FailureDuration"},
 		{"stream with csv", []string{"-stream", "-csv", "@run.csv"}, 1, "-stream keeps no per-request records"},
 		{"stream with timeline", []string{"-stream", "-timeline"}, 1, "-stream keeps no per-request records"},
 		{"stream with trace-out", []string{"-stream", "-trace-out", "@t.json"}, 1, "-stream keeps no per-request records"},
