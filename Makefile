@@ -109,6 +109,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace/ -fuzz '^FuzzWindowCounts$$' -fuzztime 10s
 	$(GO) test ./internal/metrics/ -fuzz '^FuzzReadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/core/ -fuzz '^FuzzConfigValidate$$' -fuzztime 10s
+	$(GO) test ./internal/core/ -fuzz '^FuzzRun$$' -fuzztime 10s
 
 # The entire registered experiment grid (every figure, table, ablation) with
 # the runtime invariant checker attached to every simulation; any law
