@@ -26,6 +26,13 @@ func Azure(rng *sim.RNG, peakRPS float64, dur time.Duration) *Trace {
 // AzureCurve builds the Azure rate curve without realizing it; Stream it for
 // a constant-memory arrival source or Realize it for the full Trace.
 func AzureCurve(rng *sim.RNG, peakRPS float64, dur time.Duration) *Curve {
+	return azureCurve(rng, peakRPS, dur, addSurge)
+}
+
+// azureCurve is AzureCurve with the surge-adding step as a parameter, so
+// tests can build the same curve with a reference implementation of it.
+func azureCurve(rng *sim.RNG, peakRPS float64, dur time.Duration,
+	addSurge func(rates []float64, start, ramp, plateau, height float64)) *Curve {
 	name := fmt.Sprintf("azure(peak=%.0f,dur=%v)", peakRPS, dur)
 	r := rng.Stream("curve/" + name)
 	n := int(dur / curveBucket)
@@ -66,27 +73,40 @@ func AzureCurve(rng *sim.RNG, peakRPS float64, dur time.Duration) *Curve {
 			start = 0
 		}
 		height := (0.5 + 0.5*r.Float64()) * AzurePeakToMean * 1.1
-		for i := range rates {
-			x := float64(i)
-			var f float64
-			switch {
-			case x < start || x > start+2*ramp+plateau:
-				continue
-			case x < start+ramp:
-				f = (x - start) / ramp
-			case x < start+ramp+plateau:
-				f = 1
-			default:
-				f = (start + 2*ramp + plateau - x) / ramp
-			}
-			rates[i] += height * f
-		}
+		addSurge(rates, start, ramp, plateau, height)
 	}
 
 	// Scale so the realized peak hits the target; the mean then follows the
 	// designed ratio.
 	scaleToPeak(rates, peakRPS)
 	return &Curve{Name: name, Rates: rates, Bucket: curveBucket}
+}
+
+// addSurge adds one trapezoidal surge of the given height to rates: rising
+// over ramp buckets from bucket start, holding for plateau, falling over
+// ramp. Only the buckets the surge covers, [ceil(start), floor(start +
+// 2*ramp + plateau)], are visited — widened by one on each side so float
+// rounding can never drop one, with the exact boundary test kept inside —
+// so a curve costs O(buckets + surge lengths) instead of O(buckets x
+// surges), which made multi-hour curves quadratic in their duration.
+func addSurge(rates []float64, start, ramp, plateau, height float64) {
+	lo := max(int(math.Ceil(start))-1, 0)
+	hi := min(int(math.Floor(start+2*ramp+plateau))+1, len(rates)-1)
+	for i := lo; i <= hi; i++ {
+		x := float64(i)
+		var f float64
+		switch {
+		case x < start || x > start+2*ramp+plateau:
+			continue
+		case x < start+ramp:
+			f = (x - start) / ramp
+		case x < start+ramp+plateau:
+			f = 1
+		default:
+			f = (start + 2*ramp + plateau - x) / ramp
+		}
+		rates[i] += height * f
+	}
 }
 
 // WikipediaCompression is the default time compression applied to the 5-day
