@@ -46,7 +46,7 @@ const (
 	// hardware").
 	DefaultHWLead = 15 * time.Second
 	// swapTail is the exposed part of container spawning on a newly
-	// procured node; the rest overlaps the VM launch.
+	// acquired node; the rest overlaps the VM launch.
 	swapTail = time.Second
 	// laneCap bounds the time-share jobs handed to a device ahead of
 	// execution; the rest of the backlog waits in the batcher, where it can
@@ -167,7 +167,7 @@ type Config struct {
 
 	// MaxNodes enables horizontal scale-out beyond the paper: when even the
 	// selected node type cannot sustain the forecast rate alone, up to this
-	// many replicas of it are procured and load is spread across them.
+	// many replicas of it are acquired and load is spread across them.
 	// Zero or one keeps the paper's single-serving-node behaviour.
 	MaxNodes int
 
@@ -315,7 +315,7 @@ type lane struct {
 	lanePending       []func() // lane submissions buffered until the claim lands
 }
 
-// servingNode is a procured node actively (or about to be) serving, with one
+// servingNode is an acquired node actively (or about to be) serving, with one
 // lane per tenant.
 type servingNode struct {
 	node  *cluster.Node
@@ -750,7 +750,7 @@ func (r *runner) serve(s *slot, sn *servingNode, land func(sn, old *servingNode)
 	}
 }
 
-// prewarmTarget is the container count tenant t's lane on a node procured
+// prewarmTarget is the container count tenant t's lane on a node acquired
 // for slot s pre-warms to: the predictive requirement at the current
 // forecast (at least two), and for a new primary also the backlog awaiting
 // reroute, so the swap does not stall on synchronous cold starts.

@@ -1,7 +1,7 @@
 // The hardware-selection half of the serving runtime (Fig. 2's Hardware
 // Selection module): every monitor interval the scheme's desired node type
 // is evaluated against the procurement-lead forecast, debounced with
-// Algorithm 1's wait_ctr, procured in the background and swapped in once
+// Algorithm 1's wait_ctr, acquired in the background and swapped in once
 // its containers are warm; node failures trigger the failover rule; the
 // optional scale-out extension manages same-type replicas.
 
@@ -241,7 +241,7 @@ func (r *runner) failureTick() {
 }
 
 // revokeTick injects one spot revocation: the targeted node gets its notice
-// and drains; a revoked primary's failover replacement is procured while it
+// and drains; a revoked primary's failover replacement is acquired while it
 // drains.
 func (r *runner) revokeTick() {
 	s := r.faultTarget(&r.revokeCursor, true)
