@@ -478,13 +478,17 @@ func (s *cloneSet) resolveWin(c *cloneCopy) {
 			o.node.lanes[0].pool.Release()
 			s.live--
 		}
-		e := telemetry.Ev(now, telemetry.CloneCancelled)
-		e.Job = o.job.ID
+		if r.tel != nil {
+			e := telemetry.Ev(now, telemetry.CloneCancelled)
+			e.Job = o.job.ID
+			r.emitReqs(e, s.reqs)
+		}
+	}
+	if r.tel != nil {
+		e := telemetry.Ev(now, telemetry.Completed)
+		e.Job, e.Node = c.job.ID, c.node.node.ID
 		r.emitReqs(e, s.reqs)
 	}
-	e := telemetry.Ev(now, telemetry.Completed)
-	e.Job, e.Node = c.job.ID, c.node.node.ID
-	r.emitReqs(e, s.reqs)
 	r.record(d.t, s.reqs, s.dispatched, jobRecord(&c.job, c.cold))
 	if d.hedge {
 		for _, q := range s.reqs {

@@ -87,8 +87,8 @@ func azureCurve(rng *sim.RNG, peakRPS float64, dur time.Duration,
 // ramp. Only the buckets the surge covers, [ceil(start), floor(start +
 // 2*ramp + plateau)], are visited — widened by one on each side so float
 // rounding can never drop one, with the exact boundary test kept inside —
-// so a curve costs O(buckets + surge lengths) instead of O(buckets x
-// surges), which made multi-hour curves quadratic in their duration.
+// so a curve costs O(buckets + surge lengths), not O(buckets x surges):
+// the surge count grows with the duration.
 func addSurge(rates []float64, start, ramp, plateau, height float64) {
 	lo := max(int(math.Ceil(start))-1, 0)
 	hi := min(int(math.Floor(start+2*ramp+plateau))+1, len(rates)-1)
