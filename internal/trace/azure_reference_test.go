@@ -10,7 +10,7 @@ import (
 	"repro/internal/sim"
 )
 
-// addSurgeReference is the historical surge step: it scans every bucket of
+// addSurgeReference is the unbounded surge step: it scans every bucket of
 // the curve for each surge. addSurge must produce bit-identical rates.
 func addSurgeReference(rates []float64, start, ramp, plateau, height float64) {
 	for i := range rates {
