@@ -26,8 +26,11 @@ lint:
 	$(GO) vet ./...
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
+# The bench module (bench/, its own go.mod) builds against this one, so a
+# change to an API it uses must pass its vet and tests too.
 test: vet
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Each simulation is single-goroutine, but the experiment runner fans cells
 # out over a worker pool; -race plus the -cpu 1,4 equality run guard the

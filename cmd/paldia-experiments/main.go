@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -28,25 +29,50 @@ import (
 	"repro/internal/predict"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses argv, prints the selected experiments' tables to stdout and
+// returns the exit code: 0 on success, 1 for an unknown experiment or
+// forecaster or a failed SVG/CSV write, 2 for a flag parse error. Timing and
+// "wrote" lines go to stderr.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paldia-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		runArg = flag.String("run", "all", "comma-separated experiment ids, or 'all' ("+
+		runArg = fs.String("run", "all", "comma-separated experiment ids, or 'all' ("+
 			strings.Join(experiments.IDs(), ", ")+")")
-		reps   = flag.Int("reps", 3, "repetitions per data point (paper: 5)")
-		scale  = flag.Float64("scale", 1, "trace duration scale (1 = paper scale)")
-		seed   = flag.Uint64("seed", 42, "root random seed")
-		md     = flag.Bool("md", false, "emit markdown instead of aligned text")
-		svgDir = flag.String("svg", "", "also write each experiment's figures as SVG files into this directory")
-		csvDir = flag.String("csv", "", "also write each experiment's table as a CSV file into this directory")
-		jobs   = flag.Int("j", runtime.NumCPU(), "simulations to run concurrently (1 = serial; output is identical at any value)")
-		fc     = flag.String("forecaster", "", "default rate forecaster for every simulation: "+
+		reps   = fs.Int("reps", 3, "repetitions per data point (paper: 5)")
+		scale  = fs.Float64("scale", 1, "trace duration scale (1 = paper scale)")
+		seed   = fs.Uint64("seed", 42, "root random seed")
+		md     = fs.Bool("md", false, "emit markdown instead of aligned text")
+		svgDir = fs.String("svg", "", "also write each experiment's figures as SVG files into this directory")
+		csvDir = fs.String("csv", "", "also write each experiment's table as a CSV file into this directory")
+		jobs   = fs.Int("j", runtime.NumCPU(), "simulations to run concurrently (1 = serial; output is identical at any value)")
+		fc     = fs.String("forecaster", "", "default rate forecaster for every simulation: "+
 			strings.Join(predict.Names(), ", ")+" (empty = ewma; forecast-frontier sweeps its own)")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
 
 	if _, err := predict.NewByName(*fc, time.Second); err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "%v\n", err)
+		return 1
+	}
+	reg := experiments.Registry()
+	var ids []string
+	if *runArg == "all" {
+		ids = experiments.Order()
+	} else {
+		for _, id := range strings.Split(*runArg, ",") {
+			id = strings.TrimSpace(id)
+			if _, ok := reg[id]; !ok {
+				fmt.Fprintf(stderr, "unknown experiment %q (known: %s)\n",
+					id, strings.Join(experiments.IDs(), ", "))
+				return 1
+			}
+			ids = append(ids, id)
+		}
 	}
 	opts := experiments.Options{
 		Seed: *seed, Reps: *reps, Scale: *scale, Parallelism: *jobs, Forecaster: *fc,
@@ -55,22 +81,6 @@ func main() {
 		// One pool shared by every experiment bounds total concurrency even
 		// when experiments themselves run concurrently below.
 		opts.Pool = experiments.NewPool(*jobs)
-	}
-	reg := experiments.Registry()
-
-	var ids []string
-	if *runArg == "all" {
-		ids = experiments.Order()
-	} else {
-		for _, id := range strings.Split(*runArg, ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := reg[id]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %s)\n",
-					id, strings.Join(experiments.IDs(), ", "))
-				os.Exit(1)
-			}
-			ids = append(ids, id)
-		}
 	}
 
 	// Experiments execute concurrently (their goroutines hold no pool tokens
@@ -102,27 +112,28 @@ func main() {
 	for i, id := range ids {
 		t := tables[i]
 		if *md {
-			fmt.Println(t.Markdown())
+			fmt.Fprintln(stdout, t.Markdown())
 		} else {
-			fmt.Println(t.String())
+			fmt.Fprintln(stdout, t.String())
 		}
 		if *svgDir != "" {
-			if err := writeSVGs(*svgDir, t); err != nil {
-				fmt.Fprintf(os.Stderr, "svg: %v\n", err)
-				os.Exit(1)
+			if err := writeSVGs(*svgDir, t, stderr); err != nil {
+				fmt.Fprintf(stderr, "svg: %v\n", err)
+				return 1
 			}
 		}
 		if *csvDir != "" {
-			if err := writeTableCSV(*csvDir, t); err != nil {
-				fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-				os.Exit(1)
+			if err := writeTableCSV(*csvDir, t, stderr); err != nil {
+				fmt.Fprintf(stderr, "csv: %v\n", err)
+				return 1
 			}
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", id, elapsed[i].Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[%s done in %v]\n", id, elapsed[i].Round(time.Millisecond))
 	}
+	return 0
 }
 
-func writeTableCSV(dir string, t *experiments.Table) error {
+func writeTableCSV(dir string, t *experiments.Table, stderr io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -138,11 +149,11 @@ func writeTableCSV(dir string, t *experiments.Table) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	fmt.Fprintf(stderr, "wrote %s\n", path)
 	return nil
 }
 
-func writeSVGs(dir string, t *experiments.Table) error {
+func writeSVGs(dir string, t *experiments.Table, stderr io.Writer) error {
 	if len(t.SVGs) == 0 {
 		return nil
 	}
@@ -161,7 +172,7 @@ func writeSVGs(dir string, t *experiments.Table) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", filepath.Join(dir, fig.Name+".svg"))
+		fmt.Fprintf(stderr, "wrote %s\n", filepath.Join(dir, fig.Name+".svg"))
 	}
 	return nil
 }

@@ -32,16 +32,6 @@ type MultiConfig struct {
 	Workloads []Workload
 	Scheme    Scheme
 
-	// SLO, DispatchWindow, MonitorInterval, Horizon, HWLead, ObserveWindow,
-	// KeepAlive: as in Config (zero = defaults).
-	SLO             time.Duration
-	DispatchWindow  time.Duration
-	MonitorInterval time.Duration
-	Horizon         time.Duration
-	HWLead          time.Duration
-	ObserveWindow   time.Duration
-	KeepAlive       time.Duration
-
 	// Forecaster selects the per-tenant rate-forecasting model by name, as
 	// Config.Forecaster does (empty means "ewma"); ignored for clairvoyant
 	// schemes.
@@ -105,13 +95,6 @@ func RunMulti(cfg MultiConfig) MultiResult {
 func (cfg MultiConfig) config() Config {
 	return Config{
 		Scheme:          cfg.Scheme,
-		SLO:             cfg.SLO,
-		DispatchWindow:  cfg.DispatchWindow,
-		MonitorInterval: cfg.MonitorInterval,
-		Horizon:         cfg.Horizon,
-		HWLead:          cfg.HWLead,
-		ObserveWindow:   cfg.ObserveWindow,
-		KeepAlive:       cfg.KeepAlive,
 		Forecaster:      cfg.Forecaster,
 		InitialHardware: cfg.InitialHardware,
 		Telemetry:       cfg.Telemetry,

@@ -218,7 +218,6 @@ func TestMultiConfigValidate(t *testing.T) {
 			c.Workloads[0].Trace = nil
 			c.Workloads[0].Stream = trace.PoissonCurve(sim.NewRNG(1), 50, time.Minute).Stream(sim.NewRNG(1))
 		}, "workload 0: clairvoyant scheme needs a materialized trace"},
-		{"negative shared constant", func(c *MultiConfig) { c.SLO = -time.Second }, "SLO is negative"},
 		{"unknown forecaster", func(c *MultiConfig) { c.Forecaster = "tea-leaves" }, "tea-leaves"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -310,12 +310,10 @@ type Scheme struct {
 	// Policy is the serving policy.
 	Policy Policy
 	// Clairvoyant selects the Oracle's exact-future predictor instead of
-	// EWMA.
+	// EWMA, and removes VM-launch and container cold-start latency from
+	// hardware switches — the Oracle "knows the ideal hardware beforehand"
+	// and has it ready.
 	Clairvoyant bool
-	// InstantProcure removes VM-launch and container cold-start latency
-	// from hardware switches — the Oracle "knows the ideal hardware
-	// beforehand" and has it ready.
-	InstantProcure bool
 	// Redundancy, when active, replaces Eq. (1) splitting with redundant
 	// dispatch across distinct hardware pools (see redundancy.go).
 	Redundancy Redundancy
@@ -374,7 +372,6 @@ func NewPaldiaReactive() Scheme {
 func NewOracle() Scheme {
 	s := newScheme("Oracle", paldiaHardware, paldiaSplit, 1)
 	s.Clairvoyant = true
-	s.InstantProcure = true
 	return s
 }
 

@@ -171,11 +171,11 @@ func TestStandardSchemes(t *testing.T) {
 
 func TestOracleFlags(t *testing.T) {
 	o := NewOracle()
-	if !o.Clairvoyant || !o.InstantProcure {
+	if !o.Clairvoyant {
 		t.Fatal("Oracle must be clairvoyant with pre-positioned hardware")
 	}
 	p := NewPaldia()
-	if p.Clairvoyant || p.InstantProcure {
+	if p.Clairvoyant {
 		t.Fatal("Paldia must not be clairvoyant")
 	}
 }

@@ -203,7 +203,7 @@ func (d *redundancy) hedgeThreshold() time.Duration {
 // keep serving through the gap.
 func (d *redundancy) maintain() {
 	r := d.r
-	obs := d.t.observedRPS(r.eng.Now())
+	obs := d.t.obs.ObservedRPS(r.eng.Now())
 	upgraded := false
 	for _, s := range r.slots {
 		if s.sn.healthy() {

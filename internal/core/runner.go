@@ -20,7 +20,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Defaults for the serving runtime's time constants.
+// The serving runtime's time constants. SLO, DispatchWindow and KeepAlive
+// are Config defaults; Algorithm 1's cadences (MonitorInterval, Horizon,
+// HWLead, ObserveWindow) are fixed design constants, as in the paper.
 const (
 	// DefaultSLO is the paper's 200 ms target for every workload.
 	DefaultSLO = 200 * time.Millisecond
@@ -112,15 +114,10 @@ type Config struct {
 	// runner; this seed only matters if the runner ever needs randomness).
 	Seed uint64
 
-	// DispatchWindow, MonitorInterval, Horizon, HWLead, ObserveWindow and
-	// KeepAlive default to the package constants /
+	// DispatchWindow and KeepAlive default to DefaultDispatchWindow and
 	// container.DefaultKeepAlive.
-	DispatchWindow  time.Duration
-	MonitorInterval time.Duration
-	Horizon         time.Duration
-	HWLead          time.Duration
-	ObserveWindow   time.Duration
-	KeepAlive       time.Duration
+	DispatchWindow time.Duration
+	KeepAlive      time.Duration
 
 	// HostFactorCPU/GPU inflate execution on each node class (mixed-workload
 	// study); zero means no inflation.
@@ -174,12 +171,6 @@ type Config struct {
 	// InitialHardware overrides the warm-start node choice.
 	InitialHardware *hardware.Spec
 
-	// OnEvent, when set, receives coarse runtime events (hardware switches,
-	// cold starts, failovers) as strings. It is served through the typed
-	// telemetry bus via telemetry.AdaptOnEvent; new consumers should set
-	// Telemetry instead.
-	OnEvent func(t time.Duration, kind, detail string)
-
 	// Telemetry, when set, receives every typed runtime event: per-request
 	// lifecycle (arrived/batched/dispatched/queued/exec/completed), container
 	// and node activity, hardware selection, and Sample observations when
@@ -207,18 +198,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.DispatchWindow == 0 {
 		c.DispatchWindow = DefaultDispatchWindow
-	}
-	if c.MonitorInterval == 0 {
-		c.MonitorInterval = DefaultMonitorInterval
-	}
-	if c.Horizon == 0 {
-		c.Horizon = DefaultHorizon
-	}
-	if c.HWLead == 0 {
-		c.HWLead = DefaultHWLead
-	}
-	if c.ObserveWindow == 0 {
-		c.ObserveWindow = DefaultObserveWindow
 	}
 	if c.KeepAlive == 0 {
 		c.KeepAlive = container.DefaultKeepAlive
@@ -272,7 +251,7 @@ type SwitchEvent struct {
 }
 
 // tenant is one workload served by the runtime: its model, arrival stream,
-// batcher, aggregator, forecast and observed-rate window. A single-workload
+// batcher, aggregator, forecast and arrival window. A single-workload
 // run has one tenant; a multi-tenant run (RunMulti) has one per workload, all
 // sharing the serving node.
 type tenant struct {
@@ -293,13 +272,9 @@ type tenant struct {
 	// predictAt is the confidence-gated forecast: below the confidence
 	// floor it returns the observed rate (see setupPredictor).
 	predictAt func(now, horizon time.Duration) float64
-	onArrive  func(now time.Duration)
-
-	// observed-rate bookkeeping
-	obsWindow      time.Duration
-	obsWindowStart time.Duration
-	obsCount       int
-	obsRate        float64
+	// obs counts arrivals per DefaultObserveWindow: it feeds the forecaster
+	// and reports the observed rate.
+	obs *predict.WindowObserver
 }
 
 // lane is one tenant's share of a serving node: its container pool, profile
@@ -362,8 +337,8 @@ type runner struct {
 	clu     *cluster.Cluster
 	tenants []*tenant
 
-	// tel is the combined telemetry sink (Config.Telemetry plus the adapted
-	// legacy OnEvent); nil when both are unset. jobSeq numbers device jobs
+	// tel is the combined telemetry sink (Config.Telemetry plus the
+	// invariant checker's); nil when both are unset. jobSeq numbers device jobs
 	// from 1 so spans can be joined to job-level events; it stays 0 (all jobs
 	// untracked) when telemetry is off.
 	tel    telemetry.Sink
@@ -450,7 +425,7 @@ func start(cfg Config, ws []Workload) *Running {
 	}
 	ref := hardware.MostPerformant(hardware.GPU)
 	for i, w := range ws {
-		t := &tenant{idx: i, model: w.Model, arr: w.Stream, obsWindow: cfg.ObserveWindow}
+		t := &tenant{idx: i, model: w.Model, arr: w.Stream}
 		if t.arr == nil {
 			t.arr = w.Trace.Stream()
 		}
@@ -476,8 +451,7 @@ func start(cfg Config, ws []Workload) *Running {
 		r.eng.SetOnAdvance(cfg.Pacer)
 	}
 	r.clu = cluster.New(r.eng)
-	r.tel = telemetry.Combine(cfg.Telemetry, telemetry.AdaptOnEvent(cfg.OnEvent),
-		cfg.Invariants.AsSink())
+	r.tel = telemetry.Combine(cfg.Telemetry, cfg.Invariants.AsSink())
 	r.clu.Sink = r.tel
 	if cfg.Invariants != nil {
 		r.eng.SetOnFire(cfg.Invariants.Tick)
@@ -501,7 +475,7 @@ func start(cfg Config, ws []Workload) *Running {
 	// past the trace end (a failover may have left the system on an
 	// undersized node); fault injection stops with the trace.
 	r.every(cfg.DispatchWindow, true, r.dispatchTick)
-	r.every(cfg.MonitorInterval, true, r.monitorTick)
+	r.every(DefaultMonitorInterval, true, r.monitorTick)
 	if cfg.FailureEvery > 0 {
 		r.every(cfg.FailureEvery, false, r.failureTick)
 	}
@@ -625,10 +599,11 @@ func (r *runner) setupPredictor(t *tenant, tr *trace.Trace) {
 		}
 		c := predict.NewClairvoyant(tr)
 		t.predictAt = c.PredictRPS
-		t.onArrive = func(time.Duration) {}
+		t.obs = predict.NewWindowObserver(c, DefaultObserveWindow)
 		return
 	}
-	obs := predict.NewWindowObserver(newForecaster(r.cfg), r.cfg.ObserveWindow)
+	obs := predict.NewWindowObserver(newForecaster(r.cfg), DefaultObserveWindow)
+	t.obs = obs
 	// The confidence gate lives at the source, so every consumer of the
 	// forecast — hardware selection, the container autoscaler, telemetry
 	// gauges — sees the same gated value: when the forecaster reports
@@ -639,11 +614,10 @@ func (r *runner) setupPredictor(t *tenant, tr *trace.Trace) {
 	t.predictAt = func(now, horizon time.Duration) float64 {
 		pred := obs.PredictRPS(now, horizon)
 		if obs.Confidence() < predict.ConfidenceFloor {
-			return t.observedRPS(now)
+			return obs.ObservedRPS(now)
 		}
 		return pred
 	}
-	t.onArrive = obs.Arrive
 }
 
 // newForecaster resolves the configured forecasting model: the NewPredictor
@@ -653,7 +627,7 @@ func newForecaster(cfg Config) predict.Forecaster {
 	if cfg.NewPredictor != nil {
 		return cfg.NewPredictor()
 	}
-	f, err := predict.NewByName(cfg.Forecaster, cfg.ObserveWindow)
+	f, err := predict.NewByName(cfg.Forecaster, DefaultObserveWindow)
 	if err != nil {
 		panic("core: " + err.Error())
 	}
@@ -755,7 +729,7 @@ func (r *runner) serve(s *slot, sn *servingNode, land func(sn, old *servingNode)
 // forecast (at least two), and for a new primary also the backlog awaiting
 // reroute, so the swap does not stall on synchronous cold starts.
 func (r *runner) prewarmTarget(s *slot, t *tenant, ln *lane) int {
-	need := max(2, autoscale.PredictiveContainers(t.predictAt(r.eng.Now(), r.cfg.Horizon),
+	need := max(2, autoscale.PredictiveContainers(t.predictAt(r.eng.Now(), DefaultHorizon),
 		residenceOf(ln.entry), ln.entry.PreferredBatch))
 	if s.pool || s != r.slots[0] {
 		return need
@@ -786,7 +760,7 @@ func (r *runner) wireNode(node *cluster.Node) *servingNode {
 	if hostFactor > 1 {
 		node.Device.SetHostFactor(hostFactor)
 	}
-	if r.cfg.Scheme.InstantProcure {
+	if r.cfg.Scheme.Clairvoyant {
 		cold = 0
 	}
 	sn := &servingNode{node: node, lanes: make([]lane, len(r.tenants))}
@@ -809,12 +783,12 @@ func (r *runner) wireNode(node *cluster.Node) *servingNode {
 		// so the pool target is predicted-rate x residence / batch-size.
 		// The controller is started when the node begins serving (serve);
 		// starting it earlier would race the swap-time pre-warm with slower
-		// predictive boots. It forecasts Config.Horizon ahead through the
+		// predictive boots. It forecasts DefaultHorizon ahead through the
 		// pluggable Forecaster seam.
 		ln.ctl = autoscale.NewController(r.eng, ln.pool, t.predictAt,
 			func() int { return ln.entry.PreferredBatch },
 			residenceOf(ln.entry))
-		ln.ctl.Horizon = r.cfg.Horizon
+		ln.ctl.Horizon = DefaultHorizon
 		ln.ctl.Tenant = t.idx
 		if r.tel != nil {
 			ln.ctl.Sink = r.tel
@@ -893,8 +867,8 @@ func (r *runner) gauges() []telemetry.Gauge {
 	}
 	return []telemetry.Gauge{
 		{Name: "pending_requests", Read: func() float64 { return float64(t.bat.Pending()) }},
-		{Name: "predicted_rps", Read: func() float64 { return t.predictAt(r.eng.Now(), r.cfg.Horizon) }},
-		{Name: "observed_rps", Read: func() float64 { return t.observedRPS(r.eng.Now()) }},
+		{Name: "predicted_rps", Read: func() float64 { return t.predictAt(r.eng.Now(), DefaultHorizon) }},
+		{Name: "observed_rps", Read: func() float64 { return t.obs.ObservedRPS(r.eng.Now()) }},
 		{Name: "active_jobs", Read: devGauge(func(s device.Stats) float64 { return float64(s.ActiveJobs) })},
 		{Name: "lane_queued", Read: devGauge(func(s device.Stats) float64 { return float64(s.LaneQueued) })},
 		{Name: "lane_outstanding", Read: laneGauge(func(ln *lane) float64 { return float64(ln.queuedOutstanding) })},
@@ -937,8 +911,7 @@ func (r *runner) scheduleArrivals(t *tenant) {
 				e.Kind = telemetry.Batched
 				r.tel.Event(e)
 			}
-			t.onArrive(now)
-			t.observeArrival(now)
+			t.obs.Arrive(now)
 			if pending, ok = t.arr.Next(); !ok {
 				return
 			}
@@ -948,30 +921,11 @@ func (r *runner) scheduleArrivals(t *tenant) {
 	r.eng.ScheduleAt(pending, fire)
 }
 
-func (t *tenant) observeArrival(now time.Duration) {
-	t.rollWindow(now)
-	t.obsCount++
-}
-
-func (t *tenant) observedRPS(now time.Duration) float64 {
-	// Roll the window forward even without arrivals so silence decays.
-	t.rollWindow(now)
-	return t.obsRate
-}
-
-func (t *tenant) rollWindow(now time.Duration) {
-	for now >= t.obsWindowStart+t.obsWindow {
-		t.obsRate = float64(t.obsCount) / t.obsWindow.Seconds()
-		t.obsCount = 0
-		t.obsWindowStart += t.obsWindow
-	}
-}
-
 // stateOf builds tenant t's policy state at the dispatch horizon against a
 // specific node's device (the primary's is the common case).
 func (r *runner) stateOf(t *tenant, sn *servingNode) *State {
 	now := r.eng.Now()
-	s := r.stateWithRates(t, t.predictAt(now, r.cfg.Horizon), t.observedRPS(now))
+	s := r.stateWithRates(t, t.predictAt(now, DefaultHorizon), t.obs.ObservedRPS(now))
 	if sn != r.primary() {
 		s.fillNode(sn, t.idx)
 	}

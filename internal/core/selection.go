@@ -36,8 +36,8 @@ func (r *runner) monitorTick() {
 	// instead (see setupPredictor and DESIGN.md §10).
 	pred, obs := r.predScratch[:0], r.obsScratch[:0]
 	for _, t := range r.tenants {
-		pred = append(pred, t.predictAt(now, r.cfg.HWLead))
-		obs = append(obs, t.observedRPS(now))
+		pred = append(pred, t.predictAt(now, DefaultHWLead))
+		obs = append(obs, t.obs.ObservedRPS(now))
 	}
 	r.predScratch, r.obsScratch = pred, obs
 	desired := r.desiredHardware(pred, obs)
@@ -104,7 +104,7 @@ func (r *runner) reconfigure(desired hardware.Spec) {
 	r.waitCtr = 0
 	p.spec = desired
 	warm := 0
-	if r.cfg.Scheme.InstantProcure {
+	if r.cfg.Scheme.Clairvoyant {
 		warm = 1
 	}
 	r.procure(p, warm, r.swapped)

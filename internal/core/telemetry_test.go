@@ -243,26 +243,3 @@ func checkPoolTenants(t *testing.T, events []telemetry.Event, tenants int, wantP
 		}
 	}
 }
-
-// The legacy OnEvent callback keeps working, served through the adapter.
-func TestOnEventStillServed(t *testing.T) {
-	kinds := map[string]int{}
-	Run(Config{
-		Model:  model.MustByName("ResNet 50"),
-		Trace:  trace.Azure(sim.NewRNG(9), 300, 60*time.Second),
-		Scheme: NewPaldia(),
-		Seed:   9,
-		OnEvent: func(ts time.Duration, kind, detail string) {
-			kinds[kind]++
-		},
-	})
-	if len(kinds) == 0 {
-		t.Fatal("OnEvent never fired")
-	}
-	for kind := range kinds {
-		switch kind {
-		case "arrived", "batched", "dispatched", "completed", "sample":
-			t.Fatalf("legacy OnEvent received fine-grained kind %q", kind)
-		}
-	}
-}

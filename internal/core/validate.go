@@ -78,10 +78,6 @@ func (c Config) validateShared() []error {
 	}{
 		{"SLO", c.SLO},
 		{"DispatchWindow", c.DispatchWindow},
-		{"MonitorInterval", c.MonitorInterval},
-		{"Horizon", c.Horizon},
-		{"HWLead", c.HWLead},
-		{"ObserveWindow", c.ObserveWindow},
 		{"KeepAlive", c.KeepAlive},
 		{"FailureEvery", c.FailureEvery},
 		{"FailureDuration", c.FailureDuration},

@@ -72,20 +72,17 @@ func TestParsePctRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRegistryMatchesOrder guards the one experiment list: a duplicated ID
+// would shadow a runner in Registry, and a nil runner would panic in the CLI.
 func TestRegistryMatchesOrder(t *testing.T) {
 	reg := Registry()
-	order := Order()
-	if len(reg) != len(order) {
-		t.Fatalf("registry has %d entries, order %d", len(reg), len(order))
+	if len(reg) != len(Order()) {
+		t.Fatalf("registry has %d entries, order %d: duplicate ID", len(reg), len(Order()))
 	}
-	for _, id := range order {
-		if reg[id] == nil {
-			t.Fatalf("ordered id %q missing from registry", id)
+	for id, run := range reg {
+		if run == nil {
+			t.Fatalf("experiment %q has no runner", id)
 		}
-	}
-	ids := IDs()
-	if len(ids) != len(reg) {
-		t.Fatal("IDs() incomplete")
 	}
 }
 

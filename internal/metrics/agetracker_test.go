@@ -10,9 +10,11 @@ import (
 // exact prefix) within the structural α guarantee, across distributions.
 func TestAgeTrackerMatchesSketchQuantile(t *testing.T) {
 	dists := map[string]func(i int) time.Duration{
-		"uniform":   func(i int) time.Duration { return time.Duration(i+1) * time.Millisecond },
-		"bimodal":   func(i int) time.Duration { return time.Duration(1+(i%2)*999) * time.Millisecond },
-		"heavytail": func(i int) time.Duration { return time.Duration(float64(time.Millisecond) * math.Pow(1.01, float64(i%1200))) },
+		"uniform": func(i int) time.Duration { return time.Duration(i+1) * time.Millisecond },
+		"bimodal": func(i int) time.Duration { return time.Duration(1+(i%2)*999) * time.Millisecond },
+		"heavytail": func(i int) time.Duration {
+			return time.Duration(float64(time.Millisecond) * math.Pow(1.01, float64(i%1200)))
+		},
 	}
 	for name, gen := range dists {
 		for _, pct := range []float64{50, 90, 95, 99} {

@@ -203,6 +203,7 @@ type WindowObserver struct {
 
 	windowStart time.Duration
 	count       int
+	lastRate    float64 // arrivals/s over the last completed window
 }
 
 // NewWindowObserver wraps p, flushing counts every window.
@@ -221,6 +222,7 @@ func (w *WindowObserver) Arrive(now time.Duration) {
 func (w *WindowObserver) catchUp(now time.Duration) {
 	for now >= w.windowStart+w.window {
 		w.p.Observe(w.windowStart+w.window, w.count)
+		w.lastRate = float64(w.count) / w.window.Seconds()
 		w.count = 0
 		w.windowStart += w.window
 	}
@@ -230,6 +232,14 @@ func (w *WindowObserver) catchUp(now time.Duration) {
 func (w *WindowObserver) PredictRPS(now, horizon time.Duration) float64 {
 	w.catchUp(now)
 	return w.p.PredictRPS(now, horizon)
+}
+
+// ObservedRPS flushes completed windows and returns the arrival rate of the
+// last one (0 before the first completes). Flushing even without arrivals
+// lets silence decay the rate.
+func (w *WindowObserver) ObservedRPS(now time.Duration) float64 {
+	w.catchUp(now)
+	return w.lastRate
 }
 
 // Confidence reports the wrapped forecaster's confidence (1 for models

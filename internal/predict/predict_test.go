@@ -164,3 +164,28 @@ func TestWindowObserverFlushesMultipleWindows(t *testing.T) {
 		t.Fatalf("gap windows not flushed as zeros; rate %.2f", r)
 	}
 }
+
+func TestWindowObserverObservedRPS(t *testing.T) {
+	w := NewWindowObserver(Static{}, 500*time.Millisecond)
+	if r := w.ObservedRPS(400 * time.Millisecond); r != 0 {
+		t.Fatalf("rate before the first window completes = %v, want 0", r)
+	}
+	// 30 arrivals in [0,500ms), 10 in [500ms,1s).
+	for i := 0; i < 30; i++ {
+		w.Arrive(time.Duration(i) * 10 * time.Millisecond)
+	}
+	for i := 0; i < 10; i++ {
+		w.Arrive(500*time.Millisecond + time.Duration(i)*40*time.Millisecond)
+	}
+	// The window in progress does not count: the last completed one does.
+	if r := w.ObservedRPS(999 * time.Millisecond); r != 60 {
+		t.Fatalf("rate at 999ms = %v, want 60 (first window)", r)
+	}
+	if r := w.ObservedRPS(time.Second); r != 20 {
+		t.Fatalf("rate at 1s = %v, want 20 (second window)", r)
+	}
+	// Silence decays the rate once a whole empty window has passed.
+	if r := w.ObservedRPS(1500 * time.Millisecond); r != 0 {
+		t.Fatalf("rate after a silent window = %v, want 0", r)
+	}
+}

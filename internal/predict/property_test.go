@@ -290,7 +290,10 @@ func TestAperiodicInputRejected(t *testing.T) {
 // --- percentile monotonicity -------------------------------------------------
 
 // monotoneInP checks Quantile over a fixed observation set is monotone in p
-// for the given quantile function.
+// for the given quantile function: over random p pairs, and over every
+// adjacent pair of the grid p = k/4096, which visits each gap between order
+// statistics several times (random pairs alone can miss a backwards step
+// inside one gap).
 func monotoneInP(q func(p float64) float64) bool {
 	f := func(p1Raw, p2Raw uint16) bool {
 		p1 := float64(p1Raw) / 65535
@@ -300,7 +303,16 @@ func monotoneInP(q func(p float64) float64) bool {
 		}
 		return q(p1) <= q(p2)+1e-12
 	}
-	return quick.Check(f, &quick.Config{MaxCount: 300}) == nil
+	if quick.Check(f, &quick.Config{MaxCount: 300}) != nil {
+		return false
+	}
+	const grid = 4096
+	for k := 0; k < grid; k++ {
+		if q(float64(k)/grid) > q(float64(k+1)/grid)+1e-12 {
+			return false
+		}
+	}
+	return true
 }
 
 func TestPercentileMonotoneInP(t *testing.T) {

@@ -221,35 +221,3 @@ func Combine(sinks ...Sink) Sink {
 	}
 	return keep
 }
-
-type onEventSink struct {
-	fn func(t time.Duration, kind, detail string)
-}
-
-func (s onEventSink) Event(e Event) {
-	// The legacy callback predates per-request spans and sampling; forward
-	// only the coarse runtime events it historically received.
-	if e.Req >= 0 || e.Kind == Sample {
-		return
-	}
-	detail := e.Spec
-	if e.Detail != "" {
-		if detail != "" {
-			detail += " "
-		}
-		detail += e.Detail
-	}
-	if e.N > 0 {
-		detail = fmt.Sprintf("%s n=%d", detail, e.N)
-	}
-	s.fn(e.At, e.Kind.String(), detail)
-}
-
-// AdaptOnEvent wraps a legacy OnEvent(t, kind, detail) callback as a Sink.
-// It returns nil for a nil callback so Combine keeps the fast path.
-func AdaptOnEvent(fn func(t time.Duration, kind, detail string)) Sink {
-	if fn == nil {
-		return nil
-	}
-	return onEventSink{fn}
-}

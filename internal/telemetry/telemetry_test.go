@@ -98,41 +98,29 @@ func TestRecorderTenantsKeepSeparateSpans(t *testing.T) {
 	}
 }
 
-func TestCombineAndAdapter(t *testing.T) {
+func TestCombine(t *testing.T) {
 	if Combine() != nil || Combine(nil, nil) != nil {
 		t.Fatal("Combine of no sinks must be nil (fast path)")
-	}
-	if AdaptOnEvent(nil) != nil {
-		t.Fatal("AdaptOnEvent(nil) must be nil")
 	}
 	rec := NewRecorder()
 	if Combine(nil, rec) != Sink(rec) {
 		t.Fatal("Combine with one sink must return it unchanged")
 	}
 
-	var legacy []string
-	fan := Combine(rec, AdaptOnEvent(func(ts time.Duration, kind, detail string) {
-		legacy = append(legacy, kind+" "+detail)
-	}))
+	// Two sinks each see every event, in order.
+	other := NewRecorder()
+	fan := Combine(rec, nil, other)
 	feedLifecycle(fan)
 	sw := Ev(ms(50), HWSwitch)
 	sw.Node, sw.Spec = 2, "p2.xlarge"
 	fan.Event(sw)
-	smp := Ev(ms(60), Sample)
-	smp.Detail, smp.Value = "cost_usd", 1.5
-	fan.Event(smp)
-
-	if len(rec.Spans()) != 1 || len(rec.Events()) != 9 {
-		t.Fatalf("recorder saw %d spans / %d events", len(rec.Spans()), len(rec.Events()))
-	}
-	// The legacy callback gets only coarse runtime events: no per-request
-	// lifecycle, no samples — here, the job events and the switch.
-	joined := strings.Join(legacy, ";")
-	if strings.Contains(joined, "arrived") || strings.Contains(joined, "sample") {
-		t.Fatalf("legacy adapter leaked per-request or sample events: %v", legacy)
-	}
-	if !strings.Contains(joined, "swap p2.xlarge") {
-		t.Fatalf("legacy adapter missed the switch: %v", legacy)
+	for _, r := range []*Recorder{rec, other} {
+		if len(r.Spans()) != 1 || len(r.Events()) != 8 {
+			t.Fatalf("recorder saw %d spans / %d events", len(r.Spans()), len(r.Events()))
+		}
+		if last := r.Events()[len(r.Events())-1]; last != sw {
+			t.Fatalf("last event %+v, want the switch", last)
+		}
 	}
 }
 
