@@ -10,6 +10,12 @@
 // ns/op and bytes/op against the committed baseline (-baseline, default
 // BENCH_sched.json) and fails on a regression beyond the tolerance;
 // re-baseline by committing a fresh `make bench` run.
+//
+// Every rewrite of the baseline file (-out naming the -baseline path) appends
+// one record to the history next to it (BENCH_sched.history.jsonl): the
+// commit, GOMAXPROCS and Go version, and the rows that changed — added or
+// re-measured, with their new values — and the names of rows that were
+// removed.
 package main
 
 import (
@@ -18,9 +24,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -323,38 +333,29 @@ func forecasterCase(name string) benchCase {
 	}
 }
 
-// streamWriterCase measures the streaming telemetry path per request: one
-// full lifecycle (arrival through completion) through the StreamWriter —
-// event-feed JSONL encoding, span assembly, span JSONL encoding, span
-// recycling — against discarded writers. Steady-state allocations are the
-// assembler's per-job bookkeeping, so the case is alloc-exempt but ns/op-
-// and bytes/op-gated.
+// streamWriterCase measures the streaming telemetry path per request as
+// the runtime drives it: one Arrive, one span filled in place and handed
+// over, JSONL-encoded against a discarded writer. The span is reused, as the
+// runtime reuses its own, so the case is fully gated — zero allocations.
 func streamWriterCase() benchCase {
 	return benchCase{
-		name:        "telemetry/StreamWriter-lifecycle",
-		gated:       true,
-		allocExempt: true,
+		name:  "telemetry/StreamWriter-lifecycle",
+		gated: true,
 		fn: func(b *testing.B) map[string]float64 {
-			w := telemetry.NewStreamWriter(io.Discard, io.Discard)
+			w := telemetry.NewStreamWriter(io.Discard, nil)
 			defer w.Close()
+			var sp telemetry.Span
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				req, at := int64(i), time.Duration(i)*time.Microsecond
-				e := telemetry.Ev(at, telemetry.Arrived)
-				e.Req = req
-				w.Event(e)
-				e = telemetry.Ev(at+time.Millisecond, telemetry.Dispatched)
-				e.Req, e.Job, e.Spec, e.N, e.Detail = req, req+1, "M60", 1, "spatial"
-				w.Event(e)
-				for _, k := range []telemetry.Kind{telemetry.Queued, telemetry.ExecStart, telemetry.ExecEnd} {
-					e = telemetry.Ev(at+2*time.Millisecond, k)
-					e.Req, e.Job = req, req+1
-					w.Event(e)
-				}
-				e = telemetry.Ev(at+40*time.Millisecond, telemetry.Completed)
-				e.Req = req
-				w.Event(e)
+				at := time.Duration(i) * time.Microsecond
+				w.Arrive()
+				sp.Reset(int64(i), 0)
+				sp.Arrived, sp.Batched, sp.Dispatched = at, at, at+time.Millisecond
+				sp.Queued, sp.ExecStart, sp.ExecEnd = at+2*time.Millisecond, at+2*time.Millisecond, at+2*time.Millisecond
+				sp.Completed = at + 40*time.Millisecond
+				sp.Job, sp.Node, sp.Spec, sp.BatchSize, sp.Mode = int64(i+1), 0, "M60", 1, "spatial"
+				w.Span(&sp)
 			}
 			return nil
 		},
@@ -609,6 +610,11 @@ func run() int {
 			return 1
 		}
 		enc = append(enc, '\n')
+		rebaseline := *baseline != "" && filepath.Clean(*out) == filepath.Clean(*baseline)
+		var prev []benchResult
+		if rebaseline {
+			prev = readBaseline(*baseline)
+		}
 		if *out == "-" {
 			os.Stdout.Write(enc)
 		} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
@@ -616,6 +622,14 @@ func run() int {
 			return 1
 		} else {
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
+		}
+		if rebaseline {
+			path := historyPath(*baseline)
+			if err := appendHistory(path, historyRecord(commit(), runtime.GOMAXPROCS(0), prev, results)); err != nil {
+				fmt.Fprintf(os.Stderr, "history %s: %v\n", path, err)
+				return 1
+			}
+			fmt.Fprintf(os.Stderr, "appended the re-baseline to %s\n", path)
 		}
 	}
 	if *gate && *baseline != "" && !checkBaseline(*baseline, results, *tol) {
@@ -626,6 +640,92 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// readBaseline returns the rows of the baseline file at path; none when it
+// is missing or malformed.
+func readBaseline(path string) []benchResult {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil
+	}
+	var doc struct {
+		Benchmarks []benchResult `json:"benchmarks"`
+	}
+	if json.Unmarshal(raw, &doc) != nil {
+		return nil
+	}
+	return doc.Benchmarks
+}
+
+// historyPath is the re-baseline history kept next to the baseline at path:
+// BENCH_sched.json -> BENCH_sched.history.jsonl.
+func historyPath(path string) string {
+	return strings.TrimSuffix(path, filepath.Ext(path)) + ".history.jsonl"
+}
+
+// history is one re-baseline: where and how it was measured, and what it
+// changed in the baseline.
+type history struct {
+	Commit     string        `json:"commit"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	Go         string        `json:"go"`
+	Changed    []benchResult `json:"changed"`
+	Removed    []string      `json:"removed,omitempty"`
+}
+
+// historyRecord diffs the new baseline rows against the previous ones: rows
+// added or whose numbers differ are Changed (new values), rows gone are
+// Removed.
+func historyRecord(commit string, procs int, prev, next []benchResult) history {
+	h := history{Commit: commit, GOMAXPROCS: procs, Go: runtime.Version()}
+	old := make(map[string]benchResult, len(prev))
+	for _, r := range prev {
+		old[r.Name] = r
+	}
+	for _, r := range next {
+		if o, ok := old[r.Name]; !ok || !reflect.DeepEqual(o, r) {
+			h.Changed = append(h.Changed, r)
+		}
+		delete(old, r.Name)
+	}
+	for _, r := range prev {
+		if _, gone := old[r.Name]; gone {
+			h.Removed = append(h.Removed, r.Name)
+		}
+	}
+	return h
+}
+
+// appendHistory appends h to the JSONL history at path.
+func appendHistory(path string, h history) error {
+	line, err := json.Marshal(h)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// commit is the checkout's git commit, suffixed "-dirty" when tracked files
+// differ from it; "unknown" outside a git tree.
+func commit() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	c := strings.TrimSpace(string(out))
+	if exec.Command("git", "diff", "--quiet", "HEAD").Run() != nil {
+		c += "-dirty"
+	}
+	return c
 }
 
 // checkBaseline compares each result's ns/op and bytes/op against the

@@ -15,6 +15,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hardware"
 	"repro/internal/model"
 	"repro/internal/perfmodel"
@@ -73,8 +74,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			tmax = tm
 			bestY = fmt.Sprint(y)
 		} else {
+			// One dispatch window's arrivals execute serially, as Hardware
+			// Selection approximates it — at least one request, so low
+			// rates are not planned as an empty window.
 			b := e.EffectiveBatchAt(*rate, *slo/4)
-			tmax = perfmodel.ApproxCPUTMax(e.SoloAt(b), b, int(*rate*0.025), 0)
+			nWin := max(1, int(*rate*core.DefaultDispatchWindow.Seconds()))
+			tmax = perfmodel.ApproxCPUTMax(e.SoloAt(b), b, nWin, 0)
 		}
 		capable := "no"
 		if inPool[hw.Name] {

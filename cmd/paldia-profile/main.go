@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/hardware"
@@ -18,19 +19,27 @@ import (
 	"repro/internal/profile"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses argv, prints the table to stdout and returns the exit code: 0
+// on success, 1 for an unknown model or node, 2 for a flag parse error.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paldia-profile", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		modelName = flag.String("model", "", "restrict to one model")
-		hwName    = flag.String("hw", "", "restrict to one node (instance or accelerator name)")
+		modelName = fs.String("model", "", "restrict to one model")
+		hwName    = fs.String("hw", "", "restrict to one node (instance or accelerator name)")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
 
 	models := model.Catalog()
 	if *modelName != "" {
 		m, ok := model.ByName(*modelName)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown model %q\n", *modelName)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "unknown model %q\n", *modelName)
+			return 1
 		}
 		models = []model.Spec{m}
 	}
@@ -38,13 +47,13 @@ func main() {
 	if *hwName != "" {
 		hw, ok := hardware.ByName(*hwName)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown hardware %q\n", *hwName)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "unknown hardware %q\n", *hwName)
+			return 1
 		}
 		nodes = []hardware.Spec{hw}
 	}
 
-	fmt.Printf("%-20s %-12s %6s %10s %7s %8s %9s %7s\n",
+	fmt.Fprintf(stdout, "%-20s %-12s %6s %10s %7s %8s %9s %7s\n",
 		"model", "node", "batch", "solo", "FBR", "thruput", "compute", "max-res")
 	for _, m := range models {
 		for _, hw := range nodes {
@@ -55,10 +64,11 @@ func main() {
 				fbr = fmt.Sprintf("%.2f", e.FBR)
 				comp = fmt.Sprintf("%.2f", e.ComputeFrac)
 			}
-			fmt.Printf("%-20s %-12s %6d %10s %7s %7.0f/s %9s %7d\n",
+			fmt.Fprintf(stdout, "%-20s %-12s %6d %10s %7s %7.0f/s %9s %7d\n",
 				m.Name, hw.Accel, e.PreferredBatch,
 				e.SoloBatch.Round(100000).String(), fbr,
 				e.ThroughputRPS, comp, e.MaxResidentJobs)
 		}
 	}
+	return 0
 }

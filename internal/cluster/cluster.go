@@ -64,7 +64,8 @@ type Cluster struct {
 	nextID int
 
 	// Sink, when set, receives node lifecycle events and is propagated to
-	// every device the cluster creates.
+	// every device the cluster creates (which emit job lifecycle events only
+	// when it wants them).
 	Sink telemetry.Sink
 
 	// Check, when set, audits the books (billing monotonicity and

@@ -33,6 +33,7 @@ type jobState struct {
 	dispatched time.Duration
 	cold       time.Duration // container-wait serialized into the request
 	mode       device.Mode
+	live       bool // dispatched and not yet complete
 	doneFn     func(*device.Job)
 	submitFn   func()
 }
@@ -50,7 +51,11 @@ func (r *runner) newJobState() *jobState {
 	js.submitFn = func() {
 		js.cold = js.r.eng.Now() - js.dispatched
 		js.node.node.Device.Submit(&js.job)
+		if js.r.spans != nil {
+			js.r.spans.Step()
+		}
 	}
+	r.jobStates = append(r.jobStates, js)
 	return js
 }
 
@@ -204,6 +209,7 @@ func (r *runner) dispatchJob(t *tenant, node *servingNode, n int, mode device.Mo
 	js.mode = mode
 	js.dispatched = now
 	js.cold = 0
+	js.live = true
 	js.reqs = t.bat.TakeInto(js.reqs[:0], n)
 	reqs := js.reqs
 
@@ -218,10 +224,15 @@ func (r *runner) dispatchJob(t *tenant, node *servingNode, n int, mode device.Mo
 	if r.tel != nil {
 		r.jobSeq++
 		job.ID = r.jobSeq
-		e := telemetry.Ev(now, telemetry.Dispatched)
-		e.Tenant, e.Job, e.Node, e.Spec = t.idx, job.ID, node.node.ID, node.node.Spec.Name
-		e.N, e.Detail = len(reqs), mode.String()
-		r.emitReqs(e, reqs)
+		if r.life {
+			e := telemetry.Ev(now, telemetry.Dispatched)
+			e.Tenant, e.Job, e.Node, e.Spec = t.idx, job.ID, node.node.ID, node.node.Spec.Name
+			e.N, e.Detail = len(reqs), mode.String()
+			r.emitReqs(e, reqs)
+		}
+		if r.spans != nil {
+			r.spans.Step()
+		}
 	}
 
 	if mode == device.Spatial {
@@ -249,13 +260,13 @@ func (r *runner) dispatchJob(t *tenant, node *servingNode, n int, mode device.Mo
 	})
 }
 
-// complete records the outcomes of a finished (or failed) job's requests and
-// recycles the jobState. By the time the device invokes Done the job is out
-// of every device queue, and its submit closure has either run or — for jobs
-// failed while waiting on a container — belongs to a retired pool, so the
-// state cannot be referenced again and is safe to reuse. The lane teardown
-// uses the node captured at dispatch, which may differ from the primary
-// after a hardware switch.
+// complete records the outcomes of a finished (or failed) job's requests,
+// hands their spans over and recycles the jobState. By the time the device
+// invokes Done the job is out of every device queue, and its submit closure
+// has either run or — for jobs failed while waiting on a container — belongs
+// to a retired pool, so the state cannot be referenced again and is safe to
+// reuse. The lane teardown uses the node captured at dispatch, which may
+// differ from the primary after a hardware switch.
 func (js *jobState) complete(j *device.Job) {
 	r := js.r
 	t, ln := js.t, js.ln
@@ -266,10 +277,17 @@ func (js *jobState) complete(j *device.Job) {
 		}
 		e := telemetry.Ev(r.eng.Now(), kind)
 		e.Tenant, e.Job, e.Node = t.idx, j.ID, js.node.node.ID
-		r.emitReqs(e, js.reqs)
+		if r.spans != nil {
+			sp := &r.span
+			sp.Reset(0, t.idx)
+			stampJob(sp, js.dispatched, js.node, j, js.mode, j.Finished)
+			sp.Completed, sp.Failed = e.At, j.Failed
+		}
+		r.finishReqs(e, js.reqs)
 	}
 	r.record(t, js.reqs, js.dispatched, jobRecord(j, js.cold))
 	mode := js.mode
+	js.live = false
 	r.jobPool = append(r.jobPool, js)
 	if mode == device.Spatial {
 		ln.pool.Release()

@@ -38,6 +38,7 @@ type redundancy struct {
 	age   *metrics.AgeTracker // hedge mode: online completion-latency percentile
 
 	free []*cloneSet // recycled sets
+	sets []*cloneSet // every set allocated, live or recycled
 }
 
 // newRedundancy sets up the manager and the run's pool slots: the distinct
@@ -318,6 +319,7 @@ func (d *redundancy) newSet() *cloneSet {
 		return s
 	}
 	s := &cloneSet{red: d}
+	d.sets = append(d.sets, s)
 	for i := range s.copies {
 		c := &s.copies[i]
 		c.set = s
@@ -363,16 +365,21 @@ func (s *cloneSet) launch(idx int, sn *servingNode) {
 	if r.tel != nil {
 		r.jobSeq++
 		job.ID = r.jobSeq
-		e := telemetry.Ev(r.eng.Now(), telemetry.Dispatched)
-		e.Detail = device.Spatial.String()
-		if idx > 0 {
-			e.Kind, e.Detail = telemetry.Cloned, "clone"
-			if s.red.hedge {
-				e.Detail = "hedge"
+		if r.life {
+			e := telemetry.Ev(r.eng.Now(), telemetry.Dispatched)
+			e.Detail = device.Spatial.String()
+			if idx > 0 {
+				e.Kind, e.Detail = telemetry.Cloned, "clone"
+				if s.red.hedge {
+					e.Detail = "hedge"
+				}
 			}
+			e.Job, e.Node, e.Spec, e.N = job.ID, sn.node.ID, sn.node.Spec.Name, len(s.reqs)
+			r.emitReqs(e, s.reqs)
 		}
-		e.Job, e.Node, e.Spec, e.N = job.ID, sn.node.ID, sn.node.Spec.Name, len(s.reqs)
-		r.emitReqs(e, s.reqs)
+		if r.spans != nil {
+			r.spans.Step()
+		}
 	}
 	s.launched++
 	s.live++
@@ -393,9 +400,13 @@ func (c *cloneCopy) submit() {
 		c.set.maybeRecycle()
 		return
 	}
-	c.cold = c.set.red.r.eng.Now() - c.set.dispatched
+	r := c.set.red.r
+	c.cold = r.eng.Now() - c.set.dispatched
 	c.submitted = true
 	c.node.node.Device.Submit(&c.job)
+	if r.spans != nil {
+		r.spans.Step()
+	}
 }
 
 // complete is the copy's device Done: first success wins the race (clone
@@ -403,6 +414,9 @@ func (c *cloneCopy) submit() {
 // copy failed fails its requests.
 func (c *cloneCopy) complete(j *device.Job) {
 	s := c.set
+	if r := s.red.r; r.spans != nil {
+		r.spans.Step()
+	}
 	c.finished = true
 	s.done++
 	s.live--
@@ -457,28 +471,42 @@ func (s *cloneSet) hedgeFire() {
 	s.launch(1, backup)
 }
 
+// stampSpan fills sp with the stamps the set's requests share: copy 0's
+// dispatch and device stages — its execution end once it finished — and
+// the redundancy counters.
+func (s *cloneSet) stampSpan(sp *telemetry.Span) {
+	c0 := &s.copies[0]
+	stampJob(sp, s.dispatched, c0.node, &c0.job, device.Spatial, telemetry.Stamp(c0.finished, c0.job.Finished))
+	sp.Clones = s.launched - 1
+	sp.Hedged = s.red.hedge && s.launched > 1
+}
+
 // resolveWin completes the set on the scoring copy: every unfinished
 // sibling is cancelled (its device capacity released, CloneCancelled
 // emitted before the Completed events), outcomes are recorded from the
 // winner's stamps, and in hedge mode the latencies feed the age tracker.
+// The requests' spans carry copy 0's stamps, its execution ending at the
+// cancel instant when it lost the race.
 func (s *cloneSet) resolveWin(c *cloneCopy) {
 	d := s.red
 	r := d.r
 	s.resolved = true
 	s.hedgeTimer.Cancel()
 	now := r.eng.Now()
+	cancelled := 0
 	for i := 0; i < s.launched; i++ {
 		o := &s.copies[i]
 		if o == c || o.finished || o.cancelled {
 			continue
 		}
 		o.cancelled = true
+		cancelled++
 		if o.submitted {
 			o.node.node.Device.Cancel(&o.job)
 			o.node.lanes[0].pool.Release()
 			s.live--
 		}
-		if r.tel != nil {
+		if r.life {
 			e := telemetry.Ev(now, telemetry.CloneCancelled)
 			e.Job = o.job.ID
 			r.emitReqs(e, s.reqs)
@@ -487,7 +515,17 @@ func (s *cloneSet) resolveWin(c *cloneCopy) {
 	if r.tel != nil {
 		e := telemetry.Ev(now, telemetry.Completed)
 		e.Job, e.Node = c.job.ID, c.node.node.ID
-		r.emitReqs(e, s.reqs)
+		if r.spans != nil {
+			sp := &r.span
+			sp.Reset(0, d.t.idx)
+			s.stampSpan(sp)
+			if s.copies[0].cancelled {
+				sp.ExecEnd = now
+			}
+			sp.Cancelled = cancelled
+			sp.Completed = now
+		}
+		r.finishReqs(e, s.reqs)
 	}
 	r.record(d.t, s.reqs, s.dispatched, jobRecord(&c.job, c.cold))
 	if d.hedge {
@@ -503,9 +541,17 @@ func (s *cloneSet) resolveFailed(c *cloneCopy) {
 	r := s.red.r
 	s.resolved = true
 	s.hedgeTimer.Cancel()
-	e := telemetry.Ev(r.eng.Now(), telemetry.Failed)
-	e.Job, e.Node = c.job.ID, c.node.node.ID
-	r.emitReqs(e, s.reqs)
+	if r.tel != nil {
+		e := telemetry.Ev(r.eng.Now(), telemetry.Failed)
+		e.Job, e.Node = c.job.ID, c.node.node.ID
+		if r.spans != nil {
+			sp := &r.span
+			sp.Reset(0, s.red.t.idx)
+			s.stampSpan(sp)
+			sp.Completed, sp.Failed = e.At, true
+		}
+		r.finishReqs(e, s.reqs)
+	}
 	// A failed set's outcomes carry no queueing or interference components.
 	r.record(s.red.t, s.reqs, s.dispatched, metrics.Record{ColdStart: c.cold, MinExec: c.job.Solo, Failed: true})
 }

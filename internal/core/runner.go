@@ -171,11 +171,14 @@ type Config struct {
 	// InitialHardware overrides the warm-start node choice.
 	InitialHardware *hardware.Spec
 
-	// Telemetry, when set, receives every typed runtime event: per-request
-	// lifecycle (arrived/batched/dispatched/queued/exec/completed), container
-	// and node activity, hardware selection, and Sample observations when
-	// SampleEvery is set. Nil disables the layer at the cost of one branch
-	// per emission site.
+	// Telemetry, when set, receives typed runtime events: container and
+	// node activity, hardware selection, Sample observations when
+	// SampleEvery is set, and — when a sink wants them
+	// (telemetry.WantsLifecycle) — per-request lifecycle events
+	// (arrived/batched/dispatched/queued/exec/completed). Sinks that are
+	// telemetry.SpanSinks also receive each request's span, built by the
+	// runtime as the request finishes. Nil disables the layer at the cost of
+	// one branch per emission site.
 	Telemetry telemetry.Sink
 
 	// SampleEvery is the virtual-time cadence at which runtime gauges (queue
@@ -343,6 +346,13 @@ type runner struct {
 	// untracked) when telemetry is off.
 	tel    telemetry.Sink
 	jobSeq int64
+	// life reports whether some sink wants per-request lifecycle events;
+	// every lifecycle emission site is guarded by it. spans is tel's span
+	// consumers, nil when none; span is the one span the runtime fills per
+	// finished request and hands over (sinks copy what they keep).
+	life  bool
+	spans telemetry.SpanSink
+	span  telemetry.Span
 
 	// slots is the run's node set (see slot); never empty.
 	slots []*slot
@@ -386,6 +396,9 @@ type runner struct {
 	// allocation-free in steady state.
 	jobPool      []*jobState
 	sizesScratch []int
+	// jobStates is every jobState ever allocated, live or pooled: the spans
+	// of requests still in flight when the run ends are found through it.
+	jobStates []*jobState
 
 	boots, syncColds uint64 // accumulated from retired pools
 }
@@ -452,6 +465,8 @@ func start(cfg Config, ws []Workload) *Running {
 	}
 	r.clu = cluster.New(r.eng)
 	r.tel = telemetry.Combine(cfg.Telemetry, cfg.Invariants.AsSink())
+	r.life = telemetry.WantsLifecycle(r.tel)
+	r.spans, _ = r.tel.(telemetry.SpanSink)
 	r.clu.Sink = r.tel
 	if cfg.Invariants != nil {
 		r.eng.SetOnFire(cfg.Invariants.Tick)
@@ -557,11 +572,16 @@ func (ru *Running) settle() {
 		reqs := t.bat.TakeAll()
 		e := telemetry.Ev(r.eng.Now(), telemetry.Failed)
 		e.Tenant = t.idx
-		r.emitReqs(e, reqs)
+		r.span.Reset(0, t.idx)
+		r.span.Completed, r.span.Failed = e.At, true
+		r.finishReqs(e, reqs)
 		// Never dispatched: no batch wait is attributed.
 		for i := range reqs {
 			r.record(t, reqs[i:i+1], reqs[i].Arrival, metrics.Record{Failed: true})
 		}
+	}
+	if r.spans != nil {
+		r.handOverOpen()
 	}
 	if r.cfg.Invariants != nil {
 		r.cfg.Invariants.CheckResult(r.eng.Now(), r.count(), r.failedRq, r.failures)
@@ -811,15 +831,82 @@ func (r *runner) emit(kind telemetry.Kind, nodeID int, spec, detail string) {
 	r.tel.Event(e)
 }
 
-// emitReqs sends e once per request of reqs, with Req set to each request's
-// ID; a no-op without a sink.
+// emitReqs sends the lifecycle event e once per request of reqs, with Req
+// set to each request's ID; a no-op unless a sink wants lifecycle events.
 func (r *runner) emitReqs(e telemetry.Event, reqs []batch.Request) {
-	if r.tel == nil {
+	if !r.life {
 		return
 	}
 	for _, q := range reqs {
 		e.Req = int64(q.ID)
 		r.tel.Event(e)
+	}
+}
+
+// finishReqs ends each request of reqs: the terminal lifecycle event e
+// (Completed or Failed, when wanted) and then its span — r.span, which the
+// caller filled with the stamps the requests share, completed with each
+// request's own ID and arrival.
+func (r *runner) finishReqs(e telemetry.Event, reqs []batch.Request) {
+	if !r.life && r.spans == nil {
+		return
+	}
+	sp := &r.span
+	for _, q := range reqs {
+		if r.life {
+			e.Req = int64(q.ID)
+			r.tel.Event(e)
+		}
+		if r.spans != nil {
+			sp.Req, sp.Arrived, sp.Batched = int64(q.ID), q.Arrival, q.Arrival
+			r.spans.Span(sp)
+		}
+	}
+}
+
+// stampJob fills span with the stamps of a request set dispatched at
+// dispatched as job j on node in mode: the device's submission and start
+// stamps for the stages j reached, and its end (Unset while it runs).
+func stampJob(sp *telemetry.Span, dispatched time.Duration, node *servingNode, j *device.Job, mode device.Mode, end time.Duration) {
+	sp.Dispatched = dispatched
+	sp.Job, sp.Node, sp.Spec = j.ID, node.node.ID, node.node.Spec.Name
+	sp.BatchSize, sp.Mode = j.Batch, mode.String()
+	sp.Queued = telemetry.Stamp(j.Admitted, j.Submitted)
+	sp.ExecStart = telemetry.Stamp(j.Ran, j.Started)
+	sp.ExecEnd = end
+}
+
+// handOverOpen hands the span sinks the spans of every request still in
+// flight — dispatched in a job or clone set that never finished — in
+// (Arrived, Tenant, Req) order, with the stamps reached so far.
+func (r *runner) handOverOpen() {
+	var open []telemetry.Span
+	add := func(tenant int, reqs []batch.Request, fill func(sp *telemetry.Span)) {
+		for _, q := range reqs {
+			var sp telemetry.Span
+			sp.Reset(int64(q.ID), tenant)
+			fill(&sp)
+			sp.Arrived, sp.Batched = q.Arrival, q.Arrival
+			open = append(open, sp)
+		}
+	}
+	for _, js := range r.jobStates {
+		if js.live {
+			add(js.t.idx, js.reqs, func(sp *telemetry.Span) {
+				stampJob(sp, js.dispatched, js.node, &js.job, js.mode, telemetry.Unset)
+			})
+		}
+	}
+	if r.red != nil {
+		for _, s := range r.red.sets {
+			if s.launched > 0 && !s.resolved {
+				add(r.red.t.idx, s.reqs, s.stampSpan)
+			}
+		}
+	}
+	slices.SortFunc(open, func(a, b telemetry.Span) int { return telemetry.ArrivalOrder(&a, &b) })
+	for i := range open {
+		r.spans.Span(&open[i])
 	}
 }
 
@@ -903,13 +990,16 @@ func (r *runner) scheduleArrivals(t *tenant) {
 		for pending <= now {
 			req := t.bat.Add(pending)
 			r.arrived++
-			if r.tel != nil {
+			if r.life {
 				e := telemetry.Ev(req.Arrival, telemetry.Arrived)
 				e.Req = int64(req.ID)
 				e.Tenant = t.idx
 				r.tel.Event(e)
 				e.Kind = telemetry.Batched
 				r.tel.Event(e)
+			}
+			if r.spans != nil {
+				r.spans.Arrive()
 			}
 			t.obs.Arrive(now)
 			if pending, ok = t.arr.Next(); !ok {

@@ -243,3 +243,68 @@ func checkPoolTenants(t *testing.T, events []telemetry.Event, tenants int, wantP
 		}
 	}
 }
+
+// spanOnlySink is a span consumer that declines lifecycle events: it counts
+// every event it is sent by kind and every span it is handed.
+type spanOnlySink struct {
+	lifecycle, other, arrivals, spans int
+}
+
+func (s *spanOnlySink) Event(e telemetry.Event) {
+	if e.Kind.Lifecycle() {
+		s.lifecycle++
+	} else {
+		s.other++
+	}
+}
+func (s *spanOnlySink) Lifecycle() bool      { return false }
+func (s *spanOnlySink) Arrive()              { s.arrivals++ }
+func (s *spanOnlySink) Step()                {}
+func (s *spanOnlySink) Span(*telemetry.Span) { s.spans++ }
+
+// Lifecycle events are opt-in: a run whose only sink takes spans sees no
+// lifecycle-kind event at all, yet every request's span and every control
+// and sample event; attaching an events writer next to the span writer
+// leaves the span bytes untouched.
+func TestLifecycleEventsAreOptIn(t *testing.T) {
+	cfg := func(seed uint64, tel telemetry.Sink) Config {
+		return Config{
+			Model:        model.MustByName("ResNet 50"),
+			Trace:        trace.Azure(sim.NewRNG(seed), 250, time.Minute),
+			Scheme:       NewPaldia(),
+			Telemetry:    tel,
+			SampleEvery:  time.Second,
+			FailureEvery: 20 * time.Second, FailureDuration: 5 * time.Second,
+		}
+	}
+	for _, scheme := range []Scheme{NewPaldia(), NewPaldiaCloneK(2, false), NewPaldiaHedged(90)} {
+		sink := &spanOnlySink{}
+		c := cfg(4, sink)
+		c.Scheme = scheme
+		res := Run(c)
+		if sink.lifecycle != 0 {
+			t.Errorf("%s: span-only sink was sent %d lifecycle events", scheme.Name(), sink.lifecycle)
+		}
+		if sink.spans != res.Requests || sink.arrivals != res.Requests || sink.other == 0 {
+			t.Errorf("%s: %d spans, %d arrivals, %d other events for %d requests",
+				scheme.Name(), sink.spans, sink.arrivals, sink.other, res.Requests)
+		}
+	}
+
+	var plain, withEvents, events bytes.Buffer
+	a := telemetry.NewStreamWriter(&plain, nil)
+	Run(cfg(5, a))
+	b := telemetry.NewStreamWriter(&withEvents, &events)
+	Run(cfg(5, b))
+	for _, w := range []*telemetry.StreamWriter{a, b} {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if plain.Len() == 0 || events.Len() == 0 {
+		t.Fatalf("empty exports: spans=%d events=%d bytes", plain.Len(), events.Len())
+	}
+	if !bytes.Equal(plain.Bytes(), withEvents.Bytes()) {
+		t.Error("attaching an events writer changed the span bytes")
+	}
+}

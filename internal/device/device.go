@@ -75,6 +75,11 @@ type Job struct {
 	Submitted time.Duration
 	Started   time.Duration
 	Finished  time.Duration
+	// Admitted and Ran record the stages the job reached: Admitted is set
+	// when a healthy device accepted it (a submission to a failed device
+	// fails on arrival), Ran when it began executing. A job failed before
+	// it ran still gets Started stamped at the failure.
+	Admitted, Ran bool
 	// Failed is set instead of a normal completion when the node fails
 	// while the job is in flight or waiting.
 	Failed bool
@@ -101,6 +106,7 @@ func (j *Job) Reset() {
 	j.Submitted = 0
 	j.Started = 0
 	j.Finished = 0
+	j.Admitted, j.Ran = false, false
 	j.Failed = false
 	j.remainingSec = 0
 	j.running = false
@@ -143,8 +149,9 @@ type Device struct {
 	// serverless workloads stealing host CPU (Table III).
 	hostFactor float64
 
-	// sink receives job lifecycle events; nodeID labels them. A nil sink
-	// costs one branch per lifecycle transition.
+	// sink receives job lifecycle events; nodeID labels them. A nil sink —
+	// no sink attached, or none that wants lifecycle events — costs one
+	// branch per lifecycle transition.
 	sink   telemetry.Sink
 	nodeID int
 
@@ -179,9 +186,13 @@ func New(eng *sim.Engine, spec hardware.Spec, maxResident int) *Device {
 func (d *Device) Spec() hardware.Spec { return d.spec }
 
 // SetTelemetry wires the device's job lifecycle events to a sink, labelled
-// with the owning node's ID.
+// with the owning node's ID. The device emits nothing unless the sink wants
+// lifecycle events (telemetry.WantsLifecycle).
 func (d *Device) SetTelemetry(s telemetry.Sink, nodeID int) {
-	d.sink = s
+	d.sink = nil
+	if telemetry.WantsLifecycle(s) {
+		d.sink = s
+	}
 	d.nodeID = nodeID
 }
 
@@ -303,6 +314,7 @@ func (d *Device) Submit(j *Job) {
 		return
 	}
 	d.advance()
+	j.Admitted = true
 	if !d.spec.IsGPU() {
 		j.Mode = Queued
 	}
@@ -434,7 +446,7 @@ func (d *Device) admitLane() {
 // start moves a job into the active set.
 func (d *Device) start(j *Job) {
 	j.Started = d.eng.Now()
-	j.running = true
+	j.running, j.Ran = true, true
 	j.remainingSec = j.Solo.Seconds()
 	j.dev = d
 	if j.finishFn == nil {

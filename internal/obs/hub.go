@@ -10,9 +10,8 @@ import (
 )
 
 // Hub is the plane's telemetry sink and state store. It consumes the typed
-// event bus (combined into Config.Telemetry alongside any other sinks),
-// assembles spans with the shared telemetry assembler, keeps per-tenant
-// compliance counters, the latest sampled gauges and operational counters,
+// event bus (combined into Config.Telemetry alongside any other sinks) and
+// the spans the runtime builds, keeps per-tenant compliance counters, the latest sampled gauges and operational counters,
 // feeds the burn-rate tracker, and broadcasts a rendered feed to SSE
 // subscribers. One mutex guards everything: the simulation goroutine writes
 // through Event, HTTP handler goroutines read through Snapshot/Subscribe.
@@ -25,8 +24,8 @@ type Hub struct {
 	vt         time.Duration // latest virtual time observed on the bus
 	eventsSeen uint64
 
-	tenants map[int]*tenantCounters
-	asm     *telemetry.SpanAssembler
+	tenants  map[int]*tenantCounters
+	inFlight int // requests arrived whose finished span has not come back
 
 	gauges  map[string]float64 // latest Sample value per series
 	gaugeAt map[string]time.Duration
@@ -48,8 +47,8 @@ type Hub struct {
 	dropTotal uint64
 }
 
-// tenantCounters is the per-tenant compliance ledger, fed from assembled
-// spans (latency judged against the SLO) and raw Failed events.
+// tenantCounters is the per-tenant compliance ledger, fed from the runtime's
+// spans (latency judged against the SLO) and Arrived events.
 type tenantCounters struct {
 	Arrived    uint64
 	Completed  uint64
@@ -68,9 +67,13 @@ func NewHub(slo time.Duration, burn *BurnTracker) *Hub {
 		gaugeAt: make(map[string]time.Duration),
 		subs:    make(map[*Subscriber]struct{}),
 	}
-	h.asm = telemetry.NewSpanAssembler(h.spanDone)
 	return h
 }
+
+// Lifecycle reports that the hub consumes lifecycle events: every event
+// advances its virtual clock (and with it the burn-rate windows), counts
+// toward events_seen, and Arrived feeds the per-tenant ledger.
+func (h *Hub) Lifecycle() bool { return true }
 
 // Event implements telemetry.Sink. It is called from the simulation
 // goroutine only, like every other sink on the bus.
@@ -115,18 +118,35 @@ func (h *Hub) Event(e telemetry.Event) {
 
 	// Control-plane events (no request scope) are interesting enough to
 	// stream individually; per-request lifecycle events would flood the feed
-	// and are represented by their assembled span instead.
+	// and are represented by their span instead.
 	if e.Req < 0 {
 		h.broadcast("ctrl", ctrlJSON{
 			AtNs: int64(e.At), Kind: e.Kind.String(), Node: e.Node,
 			Spec: e.Spec, N: e.N, Detail: e.Detail,
 		})
 	}
-	h.asm.Observe(e)
 }
 
-// spanDone runs inside Event's lock via the assembler callback.
-func (h *Hub) spanDone(s *telemetry.Span) {
+// Arrive implements telemetry.SpanSink: one more request is in flight.
+func (h *Hub) Arrive() {
+	h.mu.Lock()
+	h.inFlight++
+	h.mu.Unlock()
+}
+
+// Step implements telemetry.SpanSink; the hub tracks no high-water mark.
+func (h *Hub) Step() {}
+
+// Span implements telemetry.SpanSink: a finished request's span is judged
+// against the SLO, fed to the burn tracker and streamed. A request still
+// open when the run ended stays in flight.
+func (h *Hub) Span(s *telemetry.Span) {
+	if !s.Done() {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.inFlight--
 	tc := h.tenant(s.Tenant)
 	bad := s.Failed || s.Latency() > h.slo
 	if s.Failed {
@@ -137,12 +157,8 @@ func (h *Hub) spanDone(s *telemetry.Span) {
 	if bad {
 		tc.Violations++
 	}
-	at := s.Completed
-	if at < 0 {
-		at = h.vt
-	}
 	if h.burn != nil {
-		h.burn.Observe(at, bad)
+		h.burn.Observe(s.Completed, bad)
 	}
 	h.broadcast("span", telemetry.SpanJSON(s))
 }
@@ -305,7 +321,7 @@ func (h *Hub) Snapshot() State {
 		VirtualTime:   h.vt,
 		Done:          h.done,
 		EventsSeen:    h.eventsSeen,
-		InFlight:      h.asm.InFlight(),
+		InFlight:      h.inFlight,
 		Gauges:        make(map[string]float64, len(h.gauges)),
 		ColdBoots:     h.coldBoots,
 		Prewarms:      h.prewarms,

@@ -76,8 +76,9 @@ func NewPlane(o Options) *Plane {
 // Hub returns the plane's state store and SSE feed.
 func (p *Plane) Hub() *Hub { return p.hub }
 
-// Sink returns the telemetry sink to combine into Config.Telemetry.
-func (p *Plane) Sink() telemetry.Sink { return p.hub }
+// Sink returns the telemetry sink — events and spans — to combine into
+// Config.Telemetry.
+func (p *Plane) Sink() telemetry.SpanSink { return p.hub }
 
 // Pacer returns the clock-advance hook for core.Config.Pacer.
 func (p *Plane) Pacer() func(time.Duration) { return p.driver.Pace }

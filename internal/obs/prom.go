@@ -215,7 +215,7 @@ func buildMetrics(st State, online *metrics.Online, driver *Driver) *promSet {
 	p.add("paldia_bus_events_total", "counter",
 		"Telemetry events observed on the bus.", float64(st.EventsSeen))
 	p.add("paldia_inflight_requests", "gauge",
-		"Requests currently open in the span assembler.", float64(st.InFlight))
+		"Requests arrived whose span has not finished.", float64(st.InFlight))
 
 	for _, t := range st.Tenants {
 		lbl := Label{"tenant", strconv.Itoa(t.Tenant)}

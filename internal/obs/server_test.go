@@ -14,16 +14,27 @@ import (
 	"repro/internal/telemetry"
 )
 
+// serveRequest hand-feeds sink one request the way the runtime does: the
+// Arrived event and Arrive, then the Completed event and the finished span.
+func serveRequest(sink telemetry.SpanSink, req int64, arrived, completed time.Duration) {
+	ev := func(at time.Duration, kind telemetry.Kind) telemetry.Event {
+		return telemetry.Event{At: at, Kind: kind, Req: req, Node: -1, Job: -1}
+	}
+	sink.Event(ev(arrived, telemetry.Arrived))
+	sink.Arrive()
+	sink.Event(ev(completed, telemetry.Completed))
+	var sp telemetry.Span
+	sp.Reset(req, 0)
+	sp.Arrived, sp.Batched, sp.Completed = arrived, arrived, completed
+	sink.Span(&sp)
+}
+
 // planeWithTraffic hand-feeds the plane a tiny but complete request
 // lifecycle plus a gauge sample, so handler tests don't need a full replay.
 func planeWithTraffic() *Plane {
 	p := NewPlane(Options{Clock: NewFakeClock()})
 	sink := p.Sink()
-	ev := func(at time.Duration, kind telemetry.Kind, req int64) telemetry.Event {
-		return telemetry.Event{At: at, Kind: kind, Req: req, Node: -1, Job: -1}
-	}
-	sink.Event(ev(10*time.Millisecond, telemetry.Arrived, 1))
-	sink.Event(ev(90*time.Millisecond, telemetry.Completed, 1))
+	serveRequest(sink, 1, 10*time.Millisecond, 90*time.Millisecond)
 	sink.Event(telemetry.Event{
 		At: 100 * time.Millisecond, Kind: telemetry.Sample, Req: -1, Job: -1,
 		Detail: "cost_usd", Value: 0.25,
@@ -178,8 +189,7 @@ func TestServerSSEStream(t *testing.T) {
 	}
 
 	sink := p.Sink()
-	sink.Event(telemetry.Event{At: 200 * time.Millisecond, Kind: telemetry.Arrived, Req: 2, Node: -1, Job: -1})
-	sink.Event(telemetry.Event{At: 350 * time.Millisecond, Kind: telemetry.Completed, Req: 2, Node: -1, Job: -1})
+	serveRequest(sink, 2, 200*time.Millisecond, 350*time.Millisecond)
 	span := next("span")
 	var sj struct {
 		Req       int64 `json:"req"`

@@ -290,3 +290,51 @@ func TestRunMoreWorkersThanLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The merge writer's per-lane high-water mark — paldia-sim's `peak K queued
+// per lane` — is sampled where the lifecycle events it stands in for were
+// seen, so it reads what it read when the writer assembled spans from those
+// events. The pinned values were recorded that way, on the sharded grid with
+// sampled gauges (whose queued samples only count once a later event of the
+// lane samples the mark), with and without an events output, for split and
+// clone dispatch.
+func TestMergePeakQueuedPinned(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		scheme core.Scheme
+		events bool
+		want   int
+	}{
+		{"paldia", core.NewPaldia(), false, 184},
+		{"paldia-events", core.NewPaldia(), true, 942},
+		{"clone-2", core.NewPaldiaCloneK(2, false), false, 184},
+		{"clone-2-events", core.NewPaldiaCloneK(2, false), true, 1338},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var events bytes.Buffer
+			mw := telemetry.NewMergeWriter(&bytes.Buffer{}, nil, testTenants)
+			if c.events {
+				mw = telemetry.NewMergeWriter(&bytes.Buffer{}, &events, testTenants)
+			}
+			curve := trace.AzureCurve(sim.NewRNG(testSeed), testRPS, testDur)
+			var cfgs []core.Config
+			for i, lane := range curve.Partition(testTenants) {
+				cfgs = append(cfgs, core.Config{
+					Model:       model.MustByName("ResNet 50"),
+					Stream:      lane.Stream(sim.NewRNG(testSeed)),
+					Scheme:      c.scheme,
+					Metrics:     core.MetricsOnline,
+					Telemetry:   mw.Lane(i),
+					SampleEvery: 500 * time.Millisecond,
+				})
+			}
+			Run(cfgs, Options{Shards: 2, Merge: mw})
+			if err := mw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := mw.PeakQueued(); got != c.want {
+				t.Errorf("PeakQueued = %d, want %d", got, c.want)
+			}
+		})
+	}
+}

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -15,6 +17,54 @@ import (
 // encoding/json itself over adversarial inputs.
 
 const hexDigits = "0123456789abcdef"
+
+// digitPairs holds the two-digit decimal forms 00 through 99.
+const digitPairs = "0001020304050607080910111213141516171819" +
+	"2021222324252627282930313233343536373839" +
+	"4041424344454647484950515253545556575859" +
+	"6061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
+// pow10 holds 10^0 through 10^19, the decimal-length thresholds of a uint64.
+var pow10 = [...]uint64{
+	1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// appendInt appends i in decimal, byte-identical to strconv.AppendInt(buf,
+// i, 10). It sizes the number first and writes the digits in place, two at
+// a time, instead of formatting into a scratch array and copying: a span
+// line holds eleven integers, most of them nanosecond counts of seven or
+// more digits.
+func appendInt(buf []byte, i int64) []byte {
+	u := uint64(i)
+	if i < 0 {
+		buf = append(buf, '-')
+		u = -u
+	}
+	// Digits of u: log10 estimated from the bit length, then corrected.
+	n := bits.Len64(u) * 1233 >> 12
+	if n < len(pow10) && u >= pow10[n] {
+		n++
+	}
+	n = max(n, 1)
+	buf = slices.Grow(buf, n)
+	end := len(buf) + n
+	buf = buf[:end]
+	d := buf[end-n : end]
+	for j := n; u >= 100; {
+		r := u % 100 * 2
+		u /= 100
+		j -= 2
+		d[j], d[j+1] = digitPairs[r], digitPairs[r+1]
+	}
+	if u >= 10 {
+		d[0], d[1] = digitPairs[u*2], digitPairs[u*2+1]
+	} else {
+		d[0] = byte('0' + u)
+	}
+	return buf
+}
 
 // appendJSONString appends s as a JSON string exactly as encoding/json does
 // with its default (HTML-escaping) encoder: quotes and backslashes escaped,
@@ -94,43 +144,43 @@ func appendJSONFloat(buf []byte, f float64) []byte {
 // newline. Field order and the always-present fields match spanJSON.
 func appendSpanLine(buf []byte, s *Span) []byte {
 	buf = append(buf, `{"req":`...)
-	buf = strconv.AppendInt(buf, s.Req, 10)
+	buf = appendInt(buf, s.Req)
 	buf = append(buf, `,"tenant":`...)
-	buf = strconv.AppendInt(buf, int64(s.Tenant), 10)
+	buf = appendInt(buf, int64(s.Tenant))
 	buf = append(buf, `,"node":`...)
-	buf = strconv.AppendInt(buf, int64(s.Node), 10)
+	buf = appendInt(buf, int64(s.Node))
 	buf = append(buf, `,"spec":`...)
 	buf = appendJSONString(buf, s.Spec)
 	buf = append(buf, `,"job":`...)
-	buf = strconv.AppendInt(buf, s.Job, 10)
+	buf = appendInt(buf, s.Job)
 	buf = append(buf, `,"batch":`...)
-	buf = strconv.AppendInt(buf, int64(s.BatchSize), 10)
+	buf = appendInt(buf, int64(s.BatchSize))
 	buf = append(buf, `,"mode":`...)
 	buf = appendJSONString(buf, s.Mode)
 	buf = append(buf, `,"failed":`...)
 	buf = strconv.AppendBool(buf, s.Failed)
 	buf = append(buf, `,"arrived_ns":`...)
-	buf = strconv.AppendInt(buf, int64(s.Arrived), 10)
+	buf = appendInt(buf, int64(s.Arrived))
 	buf = append(buf, `,"batch_wait_ns":`...)
-	buf = strconv.AppendInt(buf, int64(s.BatchWait()), 10)
+	buf = appendInt(buf, int64(s.BatchWait()))
 	buf = append(buf, `,"cold_ns":`...)
-	buf = strconv.AppendInt(buf, int64(s.ColdStart()), 10)
+	buf = appendInt(buf, int64(s.ColdStart()))
 	buf = append(buf, `,"queue_ns":`...)
-	buf = strconv.AppendInt(buf, int64(s.QueueDelay()), 10)
+	buf = appendInt(buf, int64(s.QueueDelay()))
 	buf = append(buf, `,"exec_ns":`...)
-	buf = strconv.AppendInt(buf, int64(s.Exec()), 10)
+	buf = appendInt(buf, int64(s.Exec()))
 	buf = append(buf, `,"latency_ns":`...)
-	buf = strconv.AppendInt(buf, int64(s.Latency()), 10)
+	buf = appendInt(buf, int64(s.Latency()))
 	if s.Clones != 0 {
 		buf = append(buf, `,"clones":`...)
-		buf = strconv.AppendInt(buf, int64(s.Clones), 10)
+		buf = appendInt(buf, int64(s.Clones))
 	}
 	if s.Hedged {
 		buf = append(buf, `,"hedged":true`...)
 	}
 	if s.Cancelled != 0 {
 		buf = append(buf, `,"cancelled":`...)
-		buf = strconv.AppendInt(buf, int64(s.Cancelled), 10)
+		buf = appendInt(buf, int64(s.Cancelled))
 	}
 	return append(buf, '}', '\n')
 }
@@ -141,20 +191,20 @@ func appendSpanLine(buf []byte, s *Span) []byte {
 // and the trailing newline.
 func appendEventLine(buf []byte, e Event) []byte {
 	buf = append(buf, `{"at_ns":`...)
-	buf = strconv.AppendInt(buf, int64(e.At), 10)
+	buf = appendInt(buf, int64(e.At))
 	buf = append(buf, `,"kind":`...)
 	buf = appendJSONString(buf, e.Kind.String())
 	buf = append(buf, `,"req":`...)
-	buf = strconv.AppendInt(buf, e.Req, 10)
+	buf = appendInt(buf, e.Req)
 	if e.Job != 0 {
 		buf = append(buf, `,"job":`...)
-		buf = strconv.AppendInt(buf, e.Job, 10)
+		buf = appendInt(buf, e.Job)
 	}
 	buf = append(buf, `,"node":`...)
-	buf = strconv.AppendInt(buf, int64(e.Node), 10)
+	buf = appendInt(buf, int64(e.Node))
 	if e.Tenant != 0 {
 		buf = append(buf, `,"tenant":`...)
-		buf = strconv.AppendInt(buf, int64(e.Tenant), 10)
+		buf = appendInt(buf, int64(e.Tenant))
 	}
 	if e.Spec != "" {
 		buf = append(buf, `,"spec":`...)
@@ -162,7 +212,7 @@ func appendEventLine(buf []byte, e Event) []byte {
 	}
 	if e.N != 0 {
 		buf = append(buf, `,"n":`...)
-		buf = strconv.AppendInt(buf, int64(e.N), 10)
+		buf = appendInt(buf, int64(e.N))
 	}
 	if e.Value != 0 {
 		buf = append(buf, `,"value":`...)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -80,7 +82,8 @@ func TestAppendEncodersMatchEncodingJSON(t *testing.T) {
 	checkEvent(Event{})
 
 	for i, spec := range nastyStrings {
-		s := newSpan(int64(i-2), i-1)
+		s := new(Span)
+		s.Reset(int64(i-2), i-1)
 		s.Spec = spec
 		s.Mode = nastyStrings[(i+3)%len(nastyStrings)]
 		s.Node = i - 3
@@ -101,5 +104,31 @@ func TestAppendEncodersMatchEncodingJSON(t *testing.T) {
 		}
 		checkSpan(s)
 	}
-	checkSpan(newSpan(0, 0))
+	var fresh Span
+	fresh.Reset(0, 0)
+	checkSpan(&fresh)
+}
+
+// appendInt must format exactly as strconv.AppendInt: every power of ten and
+// its neighbours, the int64 extremes, and a spread of random values, each
+// appended after existing bytes.
+func TestAppendIntMatchesStrconv(t *testing.T) {
+	vals := []int64{0, math.MinInt64, math.MaxInt64, math.MinInt64 + 1}
+	for p := int64(1); ; p *= 10 {
+		vals = append(vals, p-1, p, p+1, -p+1, -p, -p-1)
+		if p > math.MaxInt64/10 {
+			break
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 2000 {
+		vals = append(vals, rng.Int63()>>rng.Intn(63), -rng.Int63()>>rng.Intn(63))
+	}
+	for _, v := range vals {
+		got := appendInt([]byte("x"), v)
+		want := strconv.AppendInt([]byte("x"), v, 10)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendInt(%d) = %q, want %q", v, got, want)
+		}
+	}
 }

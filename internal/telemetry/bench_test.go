@@ -6,62 +6,28 @@ import (
 	"time"
 )
 
-// lifecycle pushes one full request lifecycle (arrival through completion,
-// with the job-level queue/exec stamps in between) into the sink, the exact
-// event sequence the dispatcher emits per batched request.
-func lifecycle(sink Sink, req int64, at time.Duration) {
-	e := Ev(at, Arrived)
-	e.Req = req
-	sink.Event(e)
-
-	e = Ev(at+time.Millisecond, Dispatched)
-	e.Req, e.Job, e.Node, e.Spec, e.N, e.Detail = req, req+1, 0, "M60", 1, "spatial"
-	sink.Event(e)
-
-	for _, k := range []Kind{Queued, ExecStart, ExecEnd} {
-		e = Ev(at+2*time.Millisecond, k)
-		e.Req, e.Job = req, req+1
-		sink.Event(e)
-	}
-
-	e = Ev(at+40*time.Millisecond, Completed)
-	e.Req = req
-	sink.Event(e)
-}
-
-// BenchmarkStreamWriterLifecycle measures the full streaming span path per
-// request: event-feed JSONL encoding, span assembly, span JSONL encoding,
-// and span recycling, all against discarded writers so only the telemetry
-// work is on the clock.
+// BenchmarkStreamWriterLifecycle measures the streaming span path per
+// request as the runtime drives it — one Arrive and one finished span,
+// JSONL-encoded against a discarded writer — so only the telemetry work is
+// on the clock.
 func BenchmarkStreamWriterLifecycle(b *testing.B) {
-	w := NewStreamWriter(io.Discard, io.Discard)
+	w := NewStreamWriter(io.Discard, nil)
 	defer w.Close()
+	sp, _ := served(0, 0, 1, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lifecycle(w, int64(i), time.Duration(i)*time.Microsecond)
-	}
-}
-
-// BenchmarkSpanAssembly measures bare event->span assembly (no encoding):
-// the shared core behind the Recorder, StreamWriter and the live plane.
-func BenchmarkSpanAssembly(b *testing.B) {
-	var done int
-	sa := NewSpanAssembler(func(*Span) { done++ })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lifecycle(sinkFunc(sa.Observe), int64(i), time.Duration(i)*time.Microsecond)
-	}
-	if done != b.N {
-		b.Fatalf("assembled %d spans, want %d", done, b.N)
+		sp.Req, sp.Job = int64(i), int64(i+1)
+		w.Arrive()
+		w.Span(sp)
 	}
 }
 
 // BenchmarkAppendSpanLine and BenchmarkAppendEventLine isolate the JSONL
 // encoders that replaced encoding/json on the export paths.
 func BenchmarkAppendSpanLine(b *testing.B) {
-	s := newSpan(12345, 2)
+	s := new(Span)
+	s.Reset(12345, 2)
 	s.Node, s.Spec, s.Job, s.BatchSize, s.Mode = 1, "g4dn.xlarge", 678, 16, "spatial"
 	s.Arrived = 3 * time.Second
 	s.Dispatched = s.Arrived + time.Millisecond
@@ -87,8 +53,3 @@ func BenchmarkAppendEventLine(b *testing.B) {
 		buf = appendEventLine(buf[:0], e)
 	}
 }
-
-// sinkFunc adapts a func to Sink for the assembly benchmark.
-type sinkFunc func(Event)
-
-func (f sinkFunc) Event(e Event) { f(e) }

@@ -67,7 +67,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 
 	// Per-request async tracks with component sub-slices.
-	for _, s := range r.spans {
+	for _, s := range r.Spans() {
 		if s.Arrived < 0 {
 			continue
 		}

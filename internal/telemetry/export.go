@@ -60,7 +60,7 @@ func SpanJSON(s *Span) any { return toJSON(s) }
 func (r *Recorder) WriteSpansJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var buf []byte
-	for _, s := range r.spans {
+	for _, s := range r.Spans() {
 		buf = appendSpanLine(buf[:0], s)
 		if _, err := bw.Write(buf); err != nil {
 			return err
@@ -80,7 +80,8 @@ func ReadSpansJSONL(rd io.Reader) ([]*Span, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("telemetry: span %d: %w", len(out)+1, err)
 		}
-		s := newSpan(sj.Req, sj.Tenant)
+		s := new(Span)
+		s.Reset(sj.Req, sj.Tenant)
 		s.Node, s.Spec, s.Job = sj.Node, sj.Spec, sj.Job
 		s.BatchSize, s.Mode, s.Failed = sj.Batch, sj.Mode, sj.Failed
 		// Rebuild the lifecycle instants from the component durations.
@@ -122,7 +123,7 @@ type eventJSON struct {
 }
 
 // WriteEventsJSONL writes every recorded event as one JSON object per
-// line, in emission order — the raw feed behind spans and series.
+// line, in emission order — the raw feed behind the series.
 func (r *Recorder) WriteEventsJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var buf []byte

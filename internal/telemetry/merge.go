@@ -4,26 +4,26 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 )
 
-// MergeWriter is the sharded counterpart of StreamWriter: it assembles and
-// writes spans (and, optionally, the raw event feed) from several concurrent
-// simulation lanes into one output, in a deterministic virtual-time merge
-// order. Each lane gets its own Sink (Lane), safe to feed from that lane's
+// MergeWriter is the sharded counterpart of StreamWriter: it writes spans
+// (and, optionally, the raw event feed) from several concurrent simulation
+// lanes into one output, in a deterministic virtual-time merge order. Each
+// lane gets its own SpanSink (Lane), safe to feed from that lane's
 // goroutine; the coordinator drains the queues at virtual-time barriers with
 // FlushThrough, which must never run concurrently with lane feeds (the
 // sharded executor flushes between epochs, after joining the lane workers).
 //
 // Merge order is (key, lane, arrival-within-lane), where key is the lane's
-// running maximum of event times — a deterministic function of the lane's
-// own event sequence, never of worker scheduling — so `-j N` output is
-// byte-identical for every N. With a single lane the output is byte-identical
-// to StreamWriter's: the merge reduces to the lane's FIFO, which is exactly
-// completion order.
+// running maximum of event and span-completion times — a deterministic
+// function of the lane's own simulation, never of worker scheduling — so
+// `-j N` output is byte-identical for every N. With a single lane the output
+// is byte-identical to StreamWriter's: the merge reduces to the lane's FIFO,
+// which is exactly completion order.
 //
-// Multi-lane writers stamp the lane index into every event's Tenant field
+// Multi-lane writers stamp the lane index into every event's and span's Tenant
 // (lanes are single-tenant simulations), so spans and event lines identify
 // their lane and sample series names gain a "t<lane>/" prefix. A one-lane
 // writer stamps nothing.
@@ -52,16 +52,19 @@ type queuedEvent struct {
 	e   Event
 }
 
-// LaneSink is one lane's Sink into a MergeWriter. It is not safe for
+// LaneSink is one lane's SpanSink into a MergeWriter. It is not safe for
 // concurrent use; each lane feeds its own. Distinct lanes may feed
 // concurrently: a lane sink touches only its own queues, never the shared
 // writer state (which only FlushThrough and Close touch, between feeds).
 type LaneSink struct {
 	w    *MergeWriter
 	lane int
-	asm  assembler
-	key  time.Duration // running max of observed event times
+	key  time.Duration // running max of observed event and completion times
 	peak int           // lane-local queue high-water mark
+
+	inFlight int     // requests arrived whose span has not been handed over
+	open     []*Span // spans of requests still open when the run ended
+	free     []*Span // encoded spans, recycled by Span
 
 	spanQ  []queuedSpan
 	spanLo int // consumed prefix of spanQ
@@ -91,11 +94,7 @@ func NewMergeWriter(spans, events io.Writer, lanes int) *MergeWriter {
 	}
 	w.lanes = make([]*LaneSink, lanes)
 	for i := range w.lanes {
-		l := &LaneSink{w: w, lane: i, asm: newAssembler()}
-		l.asm.onDone = func(s *Span) {
-			l.spanQ = append(l.spanQ, queuedSpan{key: l.key, s: s})
-		}
-		w.lanes[i] = l
+		w.lanes[i] = &LaneSink{w: w, lane: i}
 	}
 	return w
 }
@@ -105,6 +104,10 @@ func (w *MergeWriter) Lane(i int) *LaneSink { return w.lanes[i] }
 
 // Lanes returns the number of lanes.
 func (w *MergeWriter) Lanes() int { return len(w.lanes) }
+
+// Lifecycle reports whether the lane consumes lifecycle events: only when
+// the writer has an events output.
+func (l *LaneSink) Lifecycle() bool { return l.w.haveEvents }
 
 // Event implements Sink for one lane.
 func (l *LaneSink) Event(e Event) {
@@ -135,7 +138,48 @@ func (l *LaneSink) Event(e Event) {
 	if l.w.haveEvents {
 		l.evQ = append(l.evQ, queuedEvent{key: l.key, e: e})
 	}
-	l.asm.observe(e)
+	l.sample()
+}
+
+// Arrive implements SpanSink: one more request is in flight.
+func (l *LaneSink) Arrive() {
+	l.inFlight++
+	l.sample()
+}
+
+// Step implements SpanSink: the high-water mark is sampled, as the lifecycle
+// event the step stands for would have sampled it.
+func (l *LaneSink) Step() { l.sample() }
+
+// Span implements SpanSink. The lane copies the span into one of its own
+// (recycled once encoded) and queues it under the completion time, or — for
+// a request still open at the end of the run — holds it for Close.
+func (l *LaneSink) Span(s *Span) {
+	var c *Span
+	if n := len(l.free); n > 0 {
+		c = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		c = new(Span)
+	}
+	*c = *s
+	if len(l.w.lanes) > 1 {
+		c.Tenant = l.lane
+	}
+	l.inFlight--
+	if !c.Done() {
+		l.open = append(l.open, c)
+	} else {
+		if c.Completed > l.key {
+			l.key = c.Completed
+		}
+		l.spanQ = append(l.spanQ, queuedSpan{key: l.key, s: c})
+	}
+	l.sample()
+}
+
+// sample updates the lane's queue high-water mark.
+func (l *LaneSink) sample() {
 	if n := l.queued(); n > l.peak {
 		l.peak = n
 	}
@@ -155,10 +199,10 @@ func (l *LaneSink) prefixed(detail string) string {
 	return p
 }
 
-// queued is the lane's current buffered load: assembler in-flight spans plus
-// spans and event lines awaiting flush.
+// queued is the lane's current buffered load: requests in flight and open
+// spans, plus spans and event lines awaiting flush.
 func (l *LaneSink) queued() int {
-	return l.asm.inFlight() + (len(l.spanQ) - l.spanLo) +
+	return l.inFlight + len(l.open) + (len(l.spanQ) - l.spanLo) +
 		(len(l.evQ) - l.evLo) + (len(l.sampQ) - l.sampLo)
 }
 
@@ -183,11 +227,7 @@ func (w *MergeWriter) FlushThrough(t time.Duration) {
 		l := w.lanes[best]
 		s := l.spanQ[l.spanLo].s
 		w.writeSpan(s)
-		if w.err == nil {
-			// The merge writer owns its spans end to end; recycle into the
-			// owning lane's assembler once encoded.
-			l.asm.recycle(s)
-		}
+		l.free = append(l.free, s)
 		l.spanQ[l.spanLo].s = nil
 		l.spanLo++
 		l.compact()
@@ -273,34 +313,20 @@ func (w *MergeWriter) writeSpan(s *Span) {
 	w.written++
 }
 
-// Close drains every queue, writes the spans still open in any lane's
-// assembler (requests that never reached a terminal state) in the
-// StreamWriter's deterministic (Arrived, Tenant, Req) order merged across
-// lanes, flushes the buffers, and returns the first error encountered.
+// Close drains every queue, writes the spans of requests still open when
+// the lanes' runs ended in the StreamWriter's deterministic (Arrived, Tenant,
+// Req) order merged across lanes, flushes the buffers, and returns the first
+// error encountered.
 func (w *MergeWriter) Close() error {
 	w.FlushThrough(1<<63 - 1)
 	var open []*Span
 	for _, l := range w.lanes {
-		open = append(open, l.asm.unflushed()...)
+		open = append(open, l.open...)
+		l.open = nil
 	}
-	sort.Slice(open, func(i, j int) bool {
-		if open[i].Arrived != open[j].Arrived {
-			return open[i].Arrived < open[j].Arrived
-		}
-		if open[i].Tenant != open[j].Tenant {
-			return open[i].Tenant < open[j].Tenant
-		}
-		return open[i].Req < open[j].Req
-	})
+	slices.SortFunc(open, ArrivalOrder)
 	for _, s := range open {
 		w.writeSpan(s)
-	}
-	for i := range w.lanes {
-		l := &LaneSink{w: w, lane: i, asm: newAssembler(), peak: w.lanes[i].peak}
-		l.asm.onDone = func(s *Span) {
-			l.spanQ = append(l.spanQ, queuedSpan{key: l.key, s: s})
-		}
-		w.lanes[i] = l
 	}
 	if err := w.spans.Flush(); err != nil && w.err == nil {
 		w.err = err
@@ -324,8 +350,8 @@ func (w *MergeWriter) Series() *SeriesSet { return w.series }
 // SpansWritten is the number of spans flushed so far.
 func (w *MergeWriter) SpansWritten() int { return w.written }
 
-// PeakQueued is the maximum number of spans and event lines any single lane
-// held at once (assembler in-flight plus barrier queues) — the writer's
+// PeakQueued is the maximum number of requests, spans and event lines any
+// single lane held at once (in flight plus barrier queues) — the writer's
 // memory high-water mark per lane. Call it only while no lane is feeding.
 func (w *MergeWriter) PeakQueued() int {
 	peak := 0
@@ -337,16 +363,20 @@ func (w *MergeWriter) PeakQueued() int {
 	return peak
 }
 
-// WithTenant returns a sink that stamps tenant into every event before
-// forwarding — how sharded lanes, each a single-tenant simulation emitting
-// Tenant 0, are told apart by a shared consumer (the live observability
-// plane's hub keys spans by (Tenant, Req)). A nil sink stays nil, preserving
-// the disabled-telemetry fast path.
+// WithTenant returns a sink that stamps tenant into every event, and every
+// span when s is a SpanSink, before forwarding — how sharded lanes, each a
+// single-tenant simulation emitting Tenant 0, are told apart by a shared
+// consumer (the live observability plane's hub counts per tenant). A nil
+// sink stays nil, preserving the disabled-telemetry fast path.
 func WithTenant(s Sink, tenant int) Sink {
 	if s == nil {
 		return nil
 	}
-	return tenantSink{s: s, tenant: tenant}
+	t := tenantSink{s: s, tenant: tenant}
+	if ss, ok := s.(SpanSink); ok {
+		return tenantSpanSink{tenantSink: t, ss: ss}
+	}
+	return t
 }
 
 type tenantSink struct {
@@ -357,4 +387,23 @@ type tenantSink struct {
 func (t tenantSink) Event(e Event) {
 	e.Tenant = t.tenant
 	t.s.Event(e)
+}
+
+func (t tenantSink) Lifecycle() bool { return WantsLifecycle(t.s) }
+
+type tenantSpanSink struct {
+	tenantSink
+	ss SpanSink
+}
+
+func (t tenantSpanSink) Arrive() { t.ss.Arrive() }
+func (t tenantSpanSink) Step()   { t.ss.Step() }
+
+// Span forwards s with the tenant stamped, restoring it afterwards: other
+// sinks of a fan-out share the same span.
+func (t tenantSpanSink) Span(s *Span) {
+	orig := s.Tenant
+	s.Tenant = t.tenant
+	t.ss.Span(s)
+	s.Tenant = orig
 }

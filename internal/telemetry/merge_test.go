@@ -7,31 +7,11 @@ import (
 	"time"
 )
 
-// feedLifecycle emits a full request lifecycle into sink: req arrives at
-// base, is dispatched in job, executes, completes. Times are strictly
-// increasing.
-func feedLaneLifecycle(sink Sink, req, job int64, base time.Duration) {
-	ms := func(n int) time.Duration { return base + time.Duration(n)*time.Millisecond }
-	e := Ev(ms(0), Arrived)
-	e.Req = req
-	sink.Event(e)
-	e.Kind = Batched
-	sink.Event(e)
-	d := Ev(ms(5), Dispatched)
-	d.Req, d.Job, d.Node, d.Spec, d.N, d.Detail = req, job, 1, "M60", 1, "queued"
-	sink.Event(d)
-	q := Ev(ms(6), Queued)
-	q.Job, q.Node = job, 1
-	sink.Event(q)
-	xs := Ev(ms(8), ExecStart)
-	xs.Job, xs.Node = job, 1
-	sink.Event(xs)
-	xe := Ev(ms(20), ExecEnd)
-	xe.Job, xe.Node = job, 1
-	sink.Event(xe)
-	c := Ev(ms(21), Completed)
-	c.Req = req
-	sink.Event(c)
+// feedLaneLifecycle hands sink one request served as job: it arrives at
+// base, is dispatched, executes and completes 21 ms later.
+func feedLaneLifecycle(sink SpanSink, req, job int64, base time.Duration) {
+	sp, mid := served(req, 0, job, base)
+	handOver(sink, sp, mid...)
 }
 
 // A single-lane MergeWriter is byte-identical to StreamWriter: same spans
@@ -52,11 +32,13 @@ func TestMergeWriterSingleLaneMatchesStreamWriter(t *testing.T) {
 		sw.Event(s)
 		lane.Event(s)
 	}
-	// One request that never completes exercises the unflushed path.
-	open := Ev(time.Second, Arrived)
-	open.Req = 99
-	sw.Event(open)
-	lane.Event(open)
+	// One request that never completes exercises the open-span path.
+	open := new(Span)
+	open.Reset(99, 0)
+	open.Arrived, open.Batched = time.Second, time.Second
+	for _, s := range []SpanSink{sw, lane} {
+		handOver(s, open)
+	}
 
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)

@@ -1,22 +1,20 @@
 package telemetry
 
-// Recorder is the in-memory Sink: it retains every event in emission
-// order, assembles per-request spans from lifecycle events, and collects
-// Sample events into time series. All output orderings are insertion
-// orderings, so a deterministic simulation yields byte-identical exports.
+import "slices"
+
+// Recorder is the in-memory SpanSink: it retains every event in emission
+// order, every span the runtime hands over, and the Sample events as time
+// series. Spans are exported in request-arrival order — (Arrived, Tenant,
+// Req) — and events in emission order, so a deterministic simulation yields
+// byte-identical exports.
 type Recorder struct {
 	events []Event
 	spans  []*Span
-	asm    assembler
+	sorted bool // spans is in arrival order
 	series *SeriesSet
 
 	nodes     []nodeInfo // node ID -> spec, in first-seen order
 	nodeIndex map[int]int
-}
-
-type spanKey struct {
-	tenant int
-	req    int64
 }
 
 type nodeInfo struct {
@@ -26,13 +24,11 @@ type nodeInfo struct {
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	r := &Recorder{
-		asm:       newAssembler(),
+	return &Recorder{
 		series:    NewSeriesSet(),
 		nodeIndex: make(map[int]int),
+		sorted:    true,
 	}
-	r.asm.onNew = func(s *Span) { r.spans = append(r.spans, s) }
-	return r
 }
 
 // Event implements Sink.
@@ -46,17 +42,36 @@ func (r *Recorder) Event(e Event) {
 	}
 	if e.Kind == Sample {
 		r.series.Observe(e.Detail, e.At, e.Value)
-		return
 	}
-	r.asm.observe(e)
+}
+
+// Arrive implements SpanSink; the recorder counts nothing.
+func (r *Recorder) Arrive() {}
+
+// Step implements SpanSink; the recorder counts nothing.
+func (r *Recorder) Step() {}
+
+// Span implements SpanSink: it keeps a copy of s.
+func (r *Recorder) Span(s *Span) {
+	c := *s
+	if n := len(r.spans); n > 0 && ArrivalOrder(r.spans[n-1], &c) > 0 {
+		r.sorted = false
+	}
+	r.spans = append(r.spans, &c)
 }
 
 // Events returns every recorded event in emission order.
 func (r *Recorder) Events() []Event { return r.events }
 
-// Spans returns every span in request-arrival order, including any still
-// open (requests that never completed).
-func (r *Recorder) Spans() []*Span { return r.spans }
+// Spans returns every span in request-arrival order, including those of
+// requests still open when the run ended.
+func (r *Recorder) Spans() []*Span {
+	if !r.sorted {
+		slices.SortStableFunc(r.spans, ArrivalOrder)
+		r.sorted = true
+	}
+	return r.spans
+}
 
 // Series returns the time series collected from Sample events.
 func (r *Recorder) Series() *SeriesSet { return r.series }

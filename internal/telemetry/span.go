@@ -1,15 +1,17 @@
 package telemetry
 
-import "time"
+import (
+	"cmp"
+	"time"
+)
 
-// unset marks a lifecycle timestamp that never happened. All real virtual
+// Unset marks a lifecycle timestamp that never happened. All real virtual
 // times are >= 0.
-const unset = time.Duration(-1)
+const Unset = time.Duration(-1)
 
-// Span is the assembled lifecycle of one request: every timestamp the
-// runtime stamped on its way through the system. Timestamps are unset (-1)
-// for stages the request never reached (e.g. a request flushed as failed
-// before dispatch).
+// Span is the lifecycle of one request: every timestamp the runtime stamped
+// on its way through the system. Timestamps are Unset (-1) for stages the
+// request never reached (e.g. a request flushed as failed before dispatch).
 type Span struct {
 	// Req is the request ID; Tenant the workload index (multi-tenant runs).
 	Req    int64
@@ -46,12 +48,35 @@ type Span struct {
 	Cancelled int
 }
 
-func newSpan(req int64, tenant int) *Span {
-	return &Span{
-		Req: req, Tenant: tenant, Job: 0, Node: -1,
-		Arrived: unset, Batched: unset, Dispatched: unset, Queued: unset,
-		ExecStart: unset, ExecEnd: unset, Completed: unset,
+// Reset clears s to the span of a request that has reached no stage yet:
+// every timestamp Unset, no job and no node.
+func (s *Span) Reset(req int64, tenant int) {
+	*s = Span{
+		Req: req, Tenant: tenant, Node: -1,
+		Arrived: Unset, Batched: Unset, Dispatched: Unset, Queued: Unset,
+		ExecStart: Unset, ExecEnd: Unset, Completed: Unset,
 	}
+}
+
+// Stamp returns at when the stage happened and Unset otherwise.
+func Stamp(happened bool, at time.Duration) time.Duration {
+	if happened {
+		return at
+	}
+	return Unset
+}
+
+// ArrivalOrder orders spans by (Arrived, Tenant, Req): request-arrival
+// order, and the order spans still open at the end of a run are handed over
+// and exported in.
+func ArrivalOrder(a, b *Span) int {
+	switch {
+	case a.Arrived != b.Arrived:
+		return cmp.Compare(a.Arrived, b.Arrived)
+	case a.Tenant != b.Tenant:
+		return cmp.Compare(a.Tenant, b.Tenant)
+	}
+	return cmp.Compare(a.Req, b.Req)
 }
 
 // gap returns to-from clamped to zero, or zero when either end is unset.

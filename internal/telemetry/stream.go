@@ -3,256 +3,47 @@ package telemetry
 import (
 	"bufio"
 	"io"
-	"sort"
 )
 
-// assembler turns the lifecycle event feed into Spans. It is the shared
-// core behind the buffering Recorder and the flush-as-you-go StreamWriter:
-// both see exactly the same span contents because both run this code.
-type assembler struct {
-	open    map[spanKey]*Span
-	jobs    map[int64][]*Span // job ID -> member spans awaiting exec stamps
-	waiting map[int64][]*Span // terminal spans awaiting their job's ExecEnd
-
-	// onNew fires when a span is first created; onDone fires when a span is
-	// terminal and its job stamps are resolved, i.e. it will never change
-	// again. Either may be nil.
-	onNew  func(*Span)
-	onDone func(*Span)
-
-	// free recycles flushed spans for reuse by span(). Only owners that
-	// never let spans escape (the streaming writers, which encode and drop
-	// them) call recycle; the Recorder and SpanAssembler hand spans to
-	// consumers that may retain them, so their free lists stay empty.
-	free []*Span
-}
-
-func newAssembler() assembler {
-	return assembler{
-		open:    make(map[spanKey]*Span),
-		jobs:    make(map[int64][]*Span),
-		waiting: make(map[int64][]*Span),
-	}
-}
-
-// observe absorbs one lifecycle event. Sample events are not lifecycle
-// events and must be handled by the caller.
-func (a *assembler) observe(e Event) {
-	switch e.Kind {
-	case Arrived:
-		a.span(e).Arrived = e.At
-	case Batched:
-		a.span(e).Batched = e.At
-	case Dispatched:
-		s := a.span(e)
-		s.Dispatched = e.At
-		s.Job = e.Job
-		s.Node = e.Node
-		s.Spec = e.Spec
-		s.BatchSize = e.N
-		s.Mode = e.Detail
-		if e.Job > 0 {
-			a.jobs[e.Job] = append(a.jobs[e.Job], s)
-		}
-	case Queued:
-		for _, s := range a.jobs[e.Job] {
-			s.Queued = e.At
-		}
-	case ExecStart:
-		for _, s := range a.jobs[e.Job] {
-			s.ExecStart = e.At
-		}
-	case ExecEnd:
-		a.resolveJob(e)
-	case Cloned:
-		s := a.span(e)
-		s.Clones++
-		if e.Detail == "hedge" {
-			s.Hedged = true
-		}
-	case CloneCancelled:
-		// A copy was withdrawn because a sibling finished first. Count it on
-		// the still-open span (cancellation always precedes the request's
-		// terminal event), and resolve the copy's job like an ExecEnd: when
-		// the primary copy loses the race its members' exec stamps end at the
-		// cancel instant, so their spans flush promptly instead of waiting for
-		// an ExecEnd that will never come.
-		if s, ok := a.open[spanKey{e.Tenant, e.Req}]; ok {
-			s.Cancelled++
-		}
-		a.resolveJob(e)
-	case Completed, Failed:
-		s := a.span(e)
-		s.Completed = e.At
-		s.Failed = e.Kind == Failed
-		delete(a.open, spanKey{e.Tenant, e.Req})
-		if s.Job > 0 {
-			if _, pending := a.jobs[s.Job]; pending {
-				// Completion outran the batch's ExecEnd; hold the span until
-				// the exec stamps land.
-				a.waiting[s.Job] = append(a.waiting[s.Job], s)
-				return
-			}
-		}
-		if a.onDone != nil {
-			a.onDone(s)
-		}
-	}
-}
-
-// resolveJob stamps ExecEnd on the job's member spans and releases any
-// terminal spans that were waiting on the job.
-func (a *assembler) resolveJob(e Event) {
-	for _, s := range a.jobs[e.Job] {
-		s.ExecEnd = e.At
-	}
-	delete(a.jobs, e.Job)
-	if ws := a.waiting[e.Job]; ws != nil {
-		delete(a.waiting, e.Job)
-		if a.onDone != nil {
-			for _, s := range ws {
-				a.onDone(s)
-			}
-		}
-	}
-}
-
-// span returns the open span for the event's request, creating one on
-// first sight (events may arrive without a prior Arrived in unit tests).
-func (a *assembler) span(e Event) *Span {
-	k := spanKey{e.Tenant, e.Req}
-	if s, ok := a.open[k]; ok {
-		return s
-	}
-	var s *Span
-	if n := len(a.free); n > 0 {
-		s = a.free[n-1]
-		a.free = a.free[:n-1]
-		*s = Span{
-			Req: e.Req, Tenant: e.Tenant, Node: -1,
-			Arrived: unset, Batched: unset, Dispatched: unset, Queued: unset,
-			ExecStart: unset, ExecEnd: unset, Completed: unset,
-		}
-	} else {
-		s = newSpan(e.Req, e.Tenant)
-	}
-	a.open[k] = s
-	if a.onNew != nil {
-		a.onNew(s)
-	}
-	return s
-}
-
-// recycle returns a flushed span to the free list. The caller guarantees no
-// reference to s survives; by onDone time the assembler itself holds none
-// (the span is out of open, jobs and waiting).
-func (a *assembler) recycle(s *Span) { a.free = append(a.free, s) }
-
-// inFlight is the number of spans the assembler currently retains.
-func (a *assembler) inFlight() int {
-	n := len(a.open)
-	for _, ws := range a.waiting {
-		n += len(ws)
-	}
-	return n
-}
-
-// unflushed returns every span the assembler still holds (never-terminal
-// requests plus terminal spans whose job never stamped ExecEnd), in a
-// deterministic order.
-func (a *assembler) unflushed() []*Span {
-	var out []*Span
-	for _, s := range a.open {
-		out = append(out, s)
-	}
-	for _, ws := range a.waiting {
-		out = append(out, ws...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Arrived != out[j].Arrived {
-			return out[i].Arrived < out[j].Arrived
-		}
-		if out[i].Tenant != out[j].Tenant {
-			return out[i].Tenant < out[j].Tenant
-		}
-		return out[i].Req < out[j].Req
-	})
-	return out
-}
-
-// SpanAssembler is the exported face of the event->span assembler for
-// consumers outside this package — the live observability plane (internal/
-// obs) assembles spans from the event feed to stream them over SSE and to
-// judge SLO compliance per tenant. It shares the exact assembly code behind
-// the Recorder and the StreamWriter, so a span observed through it is
-// byte-identical to the one those sinks would export.
-//
-// SpanAssembler is not itself safe for concurrent use; callers observing
-// from one goroutine and reading from another must synchronize (the obs hub
-// holds its own lock around both).
-type SpanAssembler struct {
-	a assembler
-}
-
-// NewSpanAssembler returns an assembler invoking done with every span the
-// moment it can no longer change (terminal and job-stamped).
-func NewSpanAssembler(done func(*Span)) *SpanAssembler {
-	sa := &SpanAssembler{a: newAssembler()}
-	sa.a.onDone = done
-	return sa
-}
-
-// Observe absorbs one lifecycle event; Sample events are ignored (they
-// carry no span information).
-func (sa *SpanAssembler) Observe(e Event) {
-	if e.Kind == Sample {
-		return
-	}
-	sa.a.observe(e)
-}
-
-// InFlight is the number of spans currently open — the assembler's memory
-// high-water contribution and the live "in flight requests" reading.
-func (sa *SpanAssembler) InFlight() int { return sa.a.inFlight() }
-
-// Unflushed returns every span still held (requests that never reached a
-// terminal state), in deterministic order, without mutating the assembler.
-func (sa *SpanAssembler) Unflushed() []*Span { return sa.a.unflushed() }
-
-// StreamWriter is the bounded-memory Sink: it assembles spans exactly like
-// the Recorder but writes each span to its JSONL writer the moment the span
-// can no longer change, instead of buffering the whole run. Memory is
-// O(in-flight requests), independent of trace length. Spans appear in the
-// output in completion order (the Recorder writes arrival order); the
-// per-span bytes are identical. The optional events writer receives the raw
-// event feed line by line, byte-identical to Recorder.WriteEventsJSONL.
-// Sample events still feed an in-memory SeriesSet, whose size is bounded by
-// run duration and sample cadence, not request count.
+// StreamWriter is the bounded-memory SpanSink: it writes each span to its
+// JSONL writer the moment the runtime hands it over, instead of buffering
+// the whole run like the Recorder. Memory is constant, independent of trace
+// length. Spans appear in the output in completion order, then the spans
+// still open when the run ended in (Arrived, Tenant, Req) order (the
+// Recorder writes arrival order); the per-span bytes are identical. The
+// optional events writer receives the raw event feed line by line,
+// byte-identical to Recorder.WriteEventsJSONL; without one the writer
+// declines lifecycle events. Sample events feed an in-memory SeriesSet,
+// whose size is bounded by run duration and sample cadence, not request
+// count.
 type StreamWriter struct {
-	asm    assembler
 	series *SeriesSet
 
 	spans  *bufio.Writer
 	events *bufio.Writer
 	buf    []byte // reused JSONL line buffer
 
-	written int
-	peak    int
-	err     error
+	inFlight int // requests arrived whose span has not been handed over
+	written  int
+	peak     int
+	err      error
 }
 
 // NewStreamWriter returns a StreamWriter flushing spans to spans and, when
-// events is non-nil, the raw event feed to events. Call Close to flush
-// still-open spans and the underlying buffers.
+// events is non-nil, the raw event feed to events. Call Close to flush the
+// underlying buffers.
 func NewStreamWriter(spans, events io.Writer) *StreamWriter {
-	w := &StreamWriter{asm: newAssembler(), series: NewSeriesSet()}
+	w := &StreamWriter{series: NewSeriesSet()}
 	w.spans = bufio.NewWriter(spans)
 	if events != nil {
 		w.events = bufio.NewWriter(events)
 	}
-	w.asm.onDone = w.flush
 	return w
 }
+
+// Lifecycle reports whether the writer consumes lifecycle events: only to
+// write the raw event feed.
+func (w *StreamWriter) Lifecycle() bool { return w.events != nil }
 
 // Event implements Sink. Write errors are sticky and reported by Close.
 func (w *StreamWriter) Event(e Event) {
@@ -264,18 +55,23 @@ func (w *StreamWriter) Event(e Event) {
 	}
 	if e.Kind == Sample {
 		w.series.Observe(e.Detail, e.At, e.Value)
-		return
-	}
-	w.asm.observe(e)
-	if n := w.asm.inFlight(); n > w.peak {
-		w.peak = n
 	}
 }
 
-// flush encodes one finished span and recycles it: the writer owns its spans
-// outright (nothing downstream retains them), so the whole assemble->encode
-// cycle reuses a bounded set of Span structs.
-func (w *StreamWriter) flush(s *Span) {
+// Arrive implements SpanSink: one more request is in flight.
+func (w *StreamWriter) Arrive() {
+	w.inFlight++
+	if w.inFlight > w.peak {
+		w.peak = w.inFlight
+	}
+}
+
+// Step implements SpanSink; the writer holds nothing a step changes.
+func (w *StreamWriter) Step() {}
+
+// Span implements SpanSink: it encodes the span and writes it at once.
+func (w *StreamWriter) Span(s *Span) {
+	w.inFlight--
 	if w.err != nil {
 		return
 	}
@@ -285,18 +81,10 @@ func (w *StreamWriter) flush(s *Span) {
 		return
 	}
 	w.written++
-	w.asm.recycle(s)
 }
 
-// Close writes any spans still held (requests that never completed, or
-// whose batch never stamped ExecEnd), flushes the buffers, and returns the
-// first error encountered.
+// Close flushes the buffers and returns the first error encountered.
 func (w *StreamWriter) Close() error {
-	for _, s := range w.asm.unflushed() {
-		w.flush(s)
-	}
-	w.asm = newAssembler()
-	w.asm.onDone = w.flush
 	if err := w.spans.Flush(); err != nil && w.err == nil {
 		w.err = err
 	}
@@ -318,9 +106,9 @@ func (w *StreamWriter) Err() error { return w.err }
 // Series returns the time series collected from Sample events.
 func (w *StreamWriter) Series() *SeriesSet { return w.series }
 
-// SpansWritten is the number of spans flushed so far.
+// SpansWritten is the number of spans written so far.
 func (w *StreamWriter) SpansWritten() int { return w.written }
 
-// PeakInFlight is the maximum number of spans held at once — the writer's
-// actual memory high-water mark in spans.
+// PeakInFlight is the maximum number of requests in flight at once: arrived,
+// with their span not yet handed over.
 func (w *StreamWriter) PeakInFlight() int { return w.peak }

@@ -8,45 +8,32 @@ import (
 	"testing"
 )
 
-// feedMany pushes n request lifecycles through the sink, with every k-th
-// request failed before dispatch and completions interleaved so several
-// spans are in flight at once.
-func feedMany(s Sink, n int) {
+// feedMany hands n requests to s the way the runtime does, with every k-th
+// request failed before dispatch, plus one request still open when the
+// "run" ends (handed over last) and a sample event for the series path.
+func feedMany(s SpanSink, n int) {
 	for i := 0; i < n; i++ {
-		req, job := int64(i+1), int64(i+1)
-		a := Ev(ms(i), Arrived)
-		a.Req = req
-		s.Event(a)
+		req := int64(i + 1)
 		if i%7 == 3 {
-			f := Ev(ms(i+100), Failed)
-			f.Req = req
-			s.Event(f)
+			sp := new(Span)
+			sp.Reset(req, 0)
+			sp.Arrived, sp.Batched = ms(i), ms(i)
+			sp.Completed, sp.Failed = ms(i+100), true
+			handOver(s, sp)
 			continue
 		}
-		d := Ev(ms(i+5), Dispatched)
-		d.Req, d.Job, d.Node, d.Spec, d.N, d.Detail = req, job, i%3, "g4dn.xlarge", 2, "queued"
-		s.Event(d)
-		q := Ev(ms(i+6), Queued)
-		q.Job = job
-		s.Event(q)
-		q.Kind = ExecStart
-		q.At = ms(i + 8)
-		s.Event(q)
-		q.Kind = ExecEnd
-		q.At = ms(i + 20)
-		s.Event(q)
-		c := Ev(ms(i+20), Completed)
-		c.Req, c.Job = req, job
-		s.Event(c)
+		sp, mid := served(req, 0, req, ms(i))
+		sp.Node = i % 3
+		handOver(s, sp, mid...)
 	}
-	// A request that never completes: must still appear at Close.
-	a := Ev(ms(n+1), Arrived)
-	a.Req = int64(n + 1)
-	s.Event(a)
-	// A sample event for the series path.
+	open := new(Span)
+	open.Reset(int64(n+1), 0)
+	open.Arrived, open.Batched = ms(n+1), ms(n+1)
+	arrive(s, open)
 	smp := Ev(ms(n+2), Sample)
 	smp.Detail, smp.Value = "pool/busy", 3
 	s.Event(smp)
+	finish(s, open)
 }
 
 func sortLines(b []byte) []string {
@@ -55,16 +42,15 @@ func sortLines(b []byte) []string {
 	return lines
 }
 
-// TestStreamWriterMatchesRecorder pins the tentpole's telemetry claim: the
-// streaming writer must emit the same span set as the buffering Recorder
-// (same bytes per span; ordering is completion order vs. arrival order) and
-// a byte-identical raw event feed.
+// TestStreamWriterMatchesRecorder: the streaming writer must emit the same
+// span set as the buffering Recorder (same bytes per span; ordering is
+// completion order vs. arrival order) and a byte-identical raw event feed.
 func TestStreamWriterMatchesRecorder(t *testing.T) {
 	rec := NewRecorder()
 	var spanBuf, eventBuf bytes.Buffer
 	sw := NewStreamWriter(&spanBuf, &eventBuf)
 
-	feedMany(Combine(rec, sw), 200)
+	feedMany(Combine(rec, sw).(SpanSink), 200)
 	if err := sw.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -94,8 +80,9 @@ func TestStreamWriterMatchesRecorder(t *testing.T) {
 	}
 }
 
-// TestStreamWriterBoundedMemory: the writer's span retention must track the
-// number of in-flight requests, not the total request count.
+// TestStreamWriterBoundedMemory: the writer holds no spans, and its
+// in-flight high-water mark tracks the requests in flight, not the total
+// request count.
 func TestStreamWriterBoundedMemory(t *testing.T) {
 	var spanBuf bytes.Buffer
 	sw := NewStreamWriter(&spanBuf, nil)
@@ -103,42 +90,13 @@ func TestStreamWriterBoundedMemory(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// feedMany keeps at most a handful of requests open at once (each
-	// lifecycle completes before the next begins, plus the final dangler).
-	if sw.PeakInFlight() > 4 {
-		t.Errorf("PeakInFlight = %d; want O(in-flight), not O(N)", sw.PeakInFlight())
+	// feedMany keeps one request in flight at a time (each completes
+	// before the next arrives).
+	if sw.PeakInFlight() != 1 {
+		t.Errorf("PeakInFlight = %d; want 1, the requests in flight", sw.PeakInFlight())
 	}
 	if sw.SpansWritten() != 5001 {
 		t.Errorf("SpansWritten = %d, want 5001 (incl. the never-completed span)", sw.SpansWritten())
-	}
-}
-
-// TestStreamWriterHoldsForExecEnd: a span whose Completed event arrives
-// before its job's ExecEnd must not be flushed with unset exec stamps.
-func TestStreamWriterHoldsForExecEnd(t *testing.T) {
-	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf, nil)
-
-	d := Ev(ms(1), Dispatched)
-	d.Req, d.Job = 1, 9
-	sw.Event(d)
-	c := Ev(ms(5), Completed)
-	c.Req, c.Job = 1, 9
-	sw.Event(c)
-	if sw.SpansWritten() != 0 {
-		t.Fatal("span flushed before its job's ExecEnd")
-	}
-	e := Ev(ms(4), ExecEnd)
-	e.Job = 9
-	sw.Event(e)
-	if sw.SpansWritten() != 1 {
-		t.Fatal("span not flushed once exec stamps landed")
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"exec_ns"`) {
-		t.Fatal("no exec field in flushed span")
 	}
 }
 

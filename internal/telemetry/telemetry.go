@@ -1,12 +1,14 @@
 // Package telemetry is the structured observability layer of the serving
-// runtime: a typed event bus (Sink), per-request spans assembled from
-// lifecycle events, virtual-time series sampled on a fixed cadence, and
-// exporters for JSONL, Chrome trace_event (chrome://tracing / Perfetto),
-// CSV and SVG timelines.
+// runtime: a typed event bus (Sink), per-request spans the runtime builds as
+// each request finishes (SpanSink), virtual-time series sampled on a fixed
+// cadence, and exporters for JSONL, Chrome trace_event (chrome://tracing /
+// Perfetto), CSV and SVG timelines.
 //
 // Everything is deterministic: the same seeded simulation produces
 // byte-identical exports, and a nil Sink disables the whole layer at the
-// cost of one branch per emission site. Reads used by the sampler are
+// cost of one branch per emission site. Per-request lifecycle events are
+// opt-in (see WantsLifecycle): a run whose sinks only take spans pays for
+// neither the events nor their assembly. Reads used by the sampler are
 // side-effect-free so an instrumented run takes the exact same trajectory
 // as an uninstrumented one.
 package telemetry
@@ -117,6 +119,14 @@ var kindNames = [...]string{
 	NodeRevoked:      "node-revoked",
 }
 
+// Lifecycle reports whether k is a per-request lifecycle kind: Arrived
+// through Failed, Cloned and CloneCancelled. The runtime emits these only
+// when an attached sink asks for them (WantsLifecycle); every other kind —
+// containers, nodes, hardware selection, samples — always flows.
+func (k Kind) Lifecycle() bool {
+	return k <= Failed || k == Cloned || k == CloneCancelled
+}
+
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
@@ -195,6 +205,42 @@ type Sink interface {
 	Event(Event)
 }
 
+// SpanSink is a Sink that also takes per-request spans straight from the
+// serving runtime, which fills each span in where it already holds the
+// timestamps — no event-to-span assembly. The runtime calls Arrive once per
+// request entering it, Span once per request as it completes or fails, and,
+// when the run ends, Span once more for every request still open (Done
+// false), in (Arrived, Tenant, Req) order. Step marks a lifecycle transition
+// that neither admits nor finishes a request (a dispatch, a device
+// submission, a redundant copy ending); writers that track a memory
+// high-water mark sample it there, exactly where the lifecycle event it
+// stands for would have been seen.
+//
+// Span must not retain s: the runtime reuses it. Sinks that keep spans copy
+// them.
+type SpanSink interface {
+	Sink
+	Arrive()
+	Step()
+	Span(s *Span)
+}
+
+// WantsLifecycle reports whether s consumes per-request lifecycle events
+// (see Kind.Lifecycle). A sink declines them by implementing
+// `Lifecycle() bool` and returning false — the span-only writers do, unless
+// they also write the raw event feed. Any other sink is assumed to want every
+// event, so a plain Sink (a counter, a test double, the invariant checker)
+// sees the same stream it always has.
+func WantsLifecycle(s Sink) bool {
+	if s == nil {
+		return false
+	}
+	if l, ok := s.(interface{ Lifecycle() bool }); ok {
+		return l.Lifecycle()
+	}
+	return true
+}
+
 type multiSink []Sink
 
 func (m multiSink) Event(e Event) {
@@ -203,21 +249,64 @@ func (m multiSink) Event(e Event) {
 	}
 }
 
-// Combine fans events out to every non-nil sink. It returns nil when none
-// remain, preserving the nil-sink fast path, and the sink itself when only
-// one remains.
-func Combine(sinks ...Sink) Sink {
-	var keep multiSink
-	for _, s := range sinks {
-		if s != nil {
-			keep = append(keep, s)
+// Lifecycle implements the WantsLifecycle opt-out: a fan-out wants lifecycle
+// events when any member does.
+func (m multiSink) Lifecycle() bool {
+	for _, s := range m {
+		if WantsLifecycle(s) {
+			return true
 		}
 	}
-	switch len(keep) {
-	case 0:
+	return false
+}
+
+// spanFan is a multiSink with at least one SpanSink member: events reach
+// every member, spans every SpanSink member.
+type spanFan struct {
+	multiSink
+	spans []SpanSink
+}
+
+func (f spanFan) Arrive() {
+	for _, s := range f.spans {
+		s.Arrive()
+	}
+}
+
+func (f spanFan) Step() {
+	for _, s := range f.spans {
+		s.Step()
+	}
+}
+
+func (f spanFan) Span(sp *Span) {
+	for _, s := range f.spans {
+		s.Span(sp)
+	}
+}
+
+// Combine fans events out to every non-nil sink, and spans to every one that
+// is a SpanSink. It returns nil when none remain, preserving the nil-sink
+// fast path, and the sink itself when only one remains.
+func Combine(sinks ...Sink) Sink {
+	var keep multiSink
+	var spans []SpanSink
+	for _, s := range sinks {
+		if s == nil {
+			continue
+		}
+		keep = append(keep, s)
+		if ss, ok := s.(SpanSink); ok {
+			spans = append(spans, ss)
+		}
+	}
+	switch {
+	case len(keep) == 0:
 		return nil
-	case 1:
+	case len(keep) == 1:
 		return keep[0]
+	case len(spans) > 0:
+		return spanFan{multiSink: keep, spans: spans}
 	}
 	return keep
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -12,32 +13,26 @@ import (
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
-// feedLifecycle pushes one request's full lifecycle into the sink.
-func feedLifecycle(s Sink) {
-	arr := Ev(ms(0), Arrived)
-	arr.Req = 7
-	s.Event(arr)
-	arr.Kind = Batched
-	s.Event(arr)
+// feedLifecycle hands one served request (req 7, job 3 on node 1) to s.
+func feedLifecycle(s SpanSink) {
+	sp := new(Span)
+	sp.Reset(7, 0)
+	sp.Arrived, sp.Batched, sp.Dispatched = ms(0), ms(0), ms(10)
+	sp.Queued, sp.ExecStart, sp.ExecEnd, sp.Completed = ms(12), ms(15), ms(40), ms(40)
+	sp.Job, sp.Node, sp.Spec, sp.BatchSize, sp.Mode = 3, 1, "p3.2xlarge", 4, "spatial"
 
 	d := Ev(ms(10), Dispatched)
 	d.Req, d.Job, d.Node, d.Spec, d.N, d.Detail = 7, 3, 1, "p3.2xlarge", 4, "spatial"
-	s.Event(d)
-
 	q := Ev(ms(12), Queued)
 	q.Job, q.Node = 3, 1
-	s.Event(q)
-	q.Kind, q.At = ExecStart, ms(15)
-	s.Event(q)
-	q.Kind, q.At = ExecEnd, ms(40)
-	s.Event(q)
-
-	c := Ev(ms(40), Completed)
-	c.Req, c.Job, c.Node = 7, 3, 1
-	s.Event(c)
+	xs, xe := q, q
+	xs.Kind, xs.At = ExecStart, ms(15)
+	xe.Kind, xe.At = ExecEnd, ms(40)
+	handOver(s, sp, d, q, xs, xe)
 }
 
-func TestRecorderAssemblesSpan(t *testing.T) {
+// The Recorder keeps its own copy of each span it is handed, whole.
+func TestRecorderKeepsSpan(t *testing.T) {
 	r := NewRecorder()
 	feedLifecycle(r)
 
@@ -62,16 +57,24 @@ func TestRecorderAssemblesSpan(t *testing.T) {
 	if s.BatchWait()+s.ColdStart()+s.QueueDelay()+s.Exec() != s.Latency() {
 		t.Fatal("components do not sum to latency")
 	}
+	// The runtime reuses the span it hands over; the kept copy must not move.
+	var reused Span
+	reused.Reset(8, 0)
+	reused.Arrived = ms(50)
+	r.Span(&reused)
+	reused.Req = 9
+	if r.Spans()[1].Req != 8 || s.Req != 7 {
+		t.Fatal("recorder kept a reference to a handed-over span")
+	}
 }
 
 func TestRecorderFailedFlushSpan(t *testing.T) {
 	r := NewRecorder()
-	a := Ev(ms(5), Arrived)
-	a.Req = 1
-	r.Event(a)
-	f := Ev(ms(500), Failed)
-	f.Req = 1
-	r.Event(f)
+	sp := new(Span)
+	sp.Reset(1, 0)
+	sp.Arrived, sp.Batched = ms(5), ms(5)
+	sp.Completed, sp.Failed = ms(500), true
+	handOver(r, sp)
 
 	s := r.Spans()[0]
 	if !s.Failed || !s.Done() {
@@ -86,15 +89,20 @@ func TestRecorderFailedFlushSpan(t *testing.T) {
 	}
 }
 
+// Spans come back in (Arrived, Tenant, Req) order whatever order they
+// finished in, and the same request ID in two tenants stays two spans.
 func TestRecorderTenantsKeepSeparateSpans(t *testing.T) {
 	r := NewRecorder()
-	for tenant := 0; tenant < 2; tenant++ {
-		a := Ev(ms(tenant), Arrived)
-		a.Req, a.Tenant = 0, tenant
-		r.Event(a)
+	late, _ := served(0, 1, 2, ms(1))
+	early, _ := served(0, 0, 1, ms(0))
+	handOver(r, late)
+	handOver(r, early)
+	spans := r.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("same req ID in two tenants collapsed: %d spans", len(spans))
 	}
-	if len(r.Spans()) != 2 {
-		t.Fatalf("same req ID in two tenants collapsed: %d spans", len(r.Spans()))
+	if spans[0].Tenant != 0 || spans[1].Tenant != 1 {
+		t.Fatalf("spans not in arrival order: tenants %d, %d", spans[0].Tenant, spans[1].Tenant)
 	}
 }
 
@@ -107,9 +115,12 @@ func TestCombine(t *testing.T) {
 		t.Fatal("Combine with one sink must return it unchanged")
 	}
 
-	// Two sinks each see every event, in order.
+	// Two sinks each see every event, in order, and every span.
 	other := NewRecorder()
-	fan := Combine(rec, nil, other)
+	fan, ok := Combine(rec, nil, other).(SpanSink)
+	if !ok {
+		t.Fatal("Combine of span sinks is not a SpanSink")
+	}
 	feedLifecycle(fan)
 	sw := Ev(ms(50), HWSwitch)
 	sw.Node, sw.Spec = 2, "p2.xlarge"
@@ -122,7 +133,29 @@ func TestCombine(t *testing.T) {
 			t.Fatalf("last event %+v, want the switch", last)
 		}
 	}
+
+	// Lifecycle events are wanted when any member wants them; a fan-out of
+	// span-only writers declines them, and one without span sinks takes no
+	// spans.
+	spanOnly := Combine(NewStreamWriter(io.Discard, nil), NewMergeWriter(io.Discard, nil, 1).Lane(0))
+	if WantsLifecycle(spanOnly) {
+		t.Error("span-only fan-out wants lifecycle events")
+	}
+	if !WantsLifecycle(Combine(spanOnly, NewRecorder())) {
+		t.Error("fan-out with a Recorder declines lifecycle events")
+	}
+	if _, ok := Combine(countSink{}, countSink{}).(SpanSink); ok {
+		t.Error("fan-out without span sinks takes spans")
+	}
+	if !WantsLifecycle(countSink{}) || WantsLifecycle(nil) {
+		t.Error("a plain sink must want every event, a nil one none")
+	}
 }
+
+// countSink is a plain Sink that declares nothing.
+type countSink struct{}
+
+func (countSink) Event(Event) {}
 
 func TestSamplerCadenceAndSeries(t *testing.T) {
 	eng := sim.NewEngine()
