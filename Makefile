@@ -34,11 +34,14 @@ test: vet
 
 # Each simulation is single-goroutine, but the experiment runner fans cells
 # out over a worker pool; -race plus the -cpu 1,4 equality run guard the
-# collection-by-index determinism contract.
+# collection-by-index determinism contract. The sharded executor drains the
+# merged telemetry while its workers step the next epoch; the -cpu 1,2,4 run
+# races that drain against the lane feeds.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,4 -run 'SerialParallel|SharedPool' ./internal/experiments/
 	$(GO) test -race -cpu 1,4 -run 'OnlineConcurrentSnapshot' ./internal/metrics/
+	$(GO) test -race -cpu 1,2,4 -run 'Merge|Sharded' ./internal/shard/ ./internal/telemetry/
 
 # Benchstat-comparable benchmark pass (3 counts): one benchmark per paper
 # figure/table plus the serial-vs-parallel grid pair. Compare runs with
@@ -55,7 +58,8 @@ bench:
 # 25% against the committed BENCH_sched.json (ratios are normalized by their
 # median first, so raw host-speed differences cancel). To re-baseline after an
 # intentional perf change, run `make bench` and commit the refreshed
-# BENCH_sched.json.
+# BENCH_sched.json; to re-baseline only the rows a change affects, run
+# `go run ./cmd/paldia-bench -run '<regexp>' -out BENCH_sched.json`.
 bench-smoke:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' .
 	$(GO) run ./cmd/paldia-bench -gate

@@ -15,7 +15,11 @@
 // one record to the history next to it (BENCH_sched.history.jsonl): the
 // commit, GOMAXPROCS and Go version, and the rows that changed — added or
 // re-measured, with their new values — and the names of rows that were
-// removed.
+// removed. With -run only the matching cases are measured, and a rewrite of
+// the baseline keeps the other rows as they were, so a change re-baselines
+// just the rows it affects. The fresh rows are scaled to the baseline's host
+// speed, measured on the re-run rows the baseline already has: include one
+// such row in -run when adding new ones.
 package main
 
 import (
@@ -23,10 +27,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -156,12 +162,19 @@ func schedState(rate float64) *core.State {
 
 // shardedGridCase measures the sharded executor's wall-clock scaling: the
 // same fixed 4-tenant grid at 1, 2 and 4 workers, so the ns/op curve across
-// the three cases is the speedup curve. Whole simulations run inside, so the
-// cases are exempt from the zero-alloc check but still ns/op-gated against
-// the baseline (normalized like every other gated benchmark).
-func shardedGridCase(workers int) benchCase {
+// the three cases is the speedup curve. With spans, every lane also feeds a
+// MergeWriter into io.Discard (ShardedSpans): the barrier cut, the k-way
+// merge and the span encoding ride along, drained behind the next epoch
+// from 2 workers up. Whole simulations run inside, so the cases are exempt
+// from the zero-alloc check but still ns/op-gated against the baseline
+// (normalized like every other gated benchmark).
+func shardedGridCase(workers int, spans bool) benchCase {
+	name := "shard/ShardedScale"
+	if spans {
+		name = "shard/ShardedSpans"
+	}
 	return benchCase{
-		name:        fmt.Sprintf("shard/ShardedScale/shards=%d", workers),
+		name:        fmt.Sprintf("%s/shards=%d", name, workers),
 		gated:       true,
 		allocExempt: true,
 		fn: func(b *testing.B) map[string]float64 {
@@ -169,6 +182,10 @@ func shardedGridCase(workers int) benchCase {
 			for i := 0; i < b.N; i++ {
 				curve := trace.PoissonCurve(sim.NewRNG(7), 240, time.Minute)
 				lanes := curve.Partition(4)
+				var mw *telemetry.MergeWriter
+				if spans {
+					mw = telemetry.NewMergeWriter(io.Discard, nil, len(lanes))
+				}
 				cfgs := make([]core.Config, len(lanes))
 				for j, lane := range lanes {
 					cfgs[j] = core.Config{
@@ -178,8 +195,16 @@ func shardedGridCase(workers int) benchCase {
 						Seed:    7,
 						Metrics: core.MetricsOnline,
 					}
+					if mw != nil {
+						cfgs[j].Telemetry = mw.Lane(j)
+					}
 				}
-				res := shard.Run(cfgs, shard.Options{Shards: workers})
+				res := shard.Run(cfgs, shard.Options{Shards: workers, Merge: mw})
+				if mw != nil {
+					if err := mw.Close(); err != nil {
+						b.Fatal(err)
+					}
+				}
 				requests = 0
 				for _, r := range res {
 					requests += r.Requests
@@ -292,7 +317,11 @@ func cases(includeE2E bool) []benchCase {
 	for _, name := range predict.Names() {
 		cs = append(cs, forecasterCase(name))
 	}
-	cs = append(cs, shardedGridCase(1), shardedGridCase(2), shardedGridCase(4))
+	for _, spans := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 4} {
+			cs = append(cs, shardedGridCase(workers, spans))
+		}
+	}
 	cs = append(cs, streamWriterCase(), curveStreamCase())
 	cs = append(cs, cloneDispatchCase(), ageTrackerCase(), poolChurnCase())
 	return cs
@@ -523,11 +552,20 @@ func run() int {
 		gate     = flag.Bool("gate", false, "run only allocation-gated benchmarks and fail if any allocates, slows, or grows bytes/op past -tolerance vs -baseline (skips the end-to-end pass; writes no file unless -out is set explicitly)")
 		baseline = flag.String("baseline", "BENCH_sched.json", "committed baseline for the -gate ns/op + bytes/op regression check ('' disables)")
 		tol      = flag.Float64("tolerance", 0.25, "allowed relative ns/op or bytes/op regression vs the baseline before -gate fails")
+		only     = flag.String("run", "", "measure only the cases whose name matches this regexp; rewriting the baseline keeps its other rows")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
+	var match *regexp.Regexp
+	if *only != "" {
+		var err error
+		if match, err = regexp.Compile(*only); err != nil {
+			fmt.Fprintf(os.Stderr, "-run: %v\n", err)
+			return 2
+		}
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -569,7 +607,7 @@ func run() int {
 	var results []benchResult
 	failed := false
 	for _, c := range cases(!*gate) {
-		if *gate && !c.gated {
+		if *gate && !c.gated || match != nil && !match.MatchString(c.name) {
 			continue
 		}
 		var metrics map[string]float64
@@ -598,23 +636,27 @@ func run() int {
 	}
 
 	if !*gate || outSet {
+		rebaseline := *baseline != "" && filepath.Clean(*out) == filepath.Clean(*baseline)
+		var prev []benchResult
+		rows := results
+		if rebaseline {
+			prev = readBaseline(*baseline)
+			if match != nil {
+				rows = keepUnmeasured(cases(true), prev, results)
+			}
+		}
 		doc := struct {
 			GeneratedBy string        `json:"generated_by"`
 			Go          string        `json:"go"`
 			GOMAXPROCS  int           `json:"gomaxprocs"`
 			Benchmarks  []benchResult `json:"benchmarks"`
-		}{"cmd/paldia-bench", runtime.Version(), runtime.GOMAXPROCS(0), results}
+		}{"cmd/paldia-bench", runtime.Version(), runtime.GOMAXPROCS(0), rows}
 		enc, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "marshal: %v\n", err)
 			return 1
 		}
 		enc = append(enc, '\n')
-		rebaseline := *baseline != "" && filepath.Clean(*out) == filepath.Clean(*baseline)
-		var prev []benchResult
-		if rebaseline {
-			prev = readBaseline(*baseline)
-		}
 		if *out == "-" {
 			os.Stdout.Write(enc)
 		} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
@@ -625,7 +667,7 @@ func run() int {
 		}
 		if rebaseline {
 			path := historyPath(*baseline)
-			if err := appendHistory(path, historyRecord(commit(), runtime.GOMAXPROCS(0), prev, results)); err != nil {
+			if err := appendHistory(path, historyRecord(commit(), runtime.GOMAXPROCS(0), prev, rows)); err != nil {
 				fmt.Fprintf(os.Stderr, "history %s: %v\n", path, err)
 				return 1
 			}
@@ -640,6 +682,56 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// keepUnmeasured returns the baseline rows for a partial run, in case order:
+// each case's fresh result when it ran, else its previous row. Rows of cases
+// that no longer exist are dropped. Fresh ns/op are scaled to the baseline's
+// host speed, the median fresh-to-baseline ratio over the fresh rows the
+// baseline already has (the factor -gate normalizes by; 1 when there are
+// none), so rows measured while a shared host runs faster or slower stay
+// comparable with the rows kept.
+func keepUnmeasured(cs []benchCase, prev, fresh []benchResult) []benchResult {
+	byName := make(map[string]benchResult, len(prev)+len(fresh))
+	for _, r := range prev {
+		byName[r.Name] = r
+	}
+	var ratios []float64
+	for _, r := range fresh {
+		if p, ok := byName[r.Name]; ok && p.NsPerOp > 0 {
+			ratios = append(ratios, r.NsPerOp/p.NsPerOp)
+		}
+	}
+	host := 1.0
+	if len(ratios) > 0 {
+		host = medianOf(ratios)
+	}
+	for _, r := range fresh {
+		r.NsPerOp /= host
+		if rps, ok := r.Metrics["requests_per_sec"]; ok {
+			m := maps.Clone(r.Metrics)
+			m["requests_per_sec"] = rps * host
+			r.Metrics = m
+		}
+		byName[r.Name] = r
+	}
+	var rows []benchResult
+	for _, c := range cs {
+		if r, ok := byName[c.name]; ok {
+			rows = append(rows, r)
+		}
+	}
+	return rows
+}
+
+// medianOf returns the median of xs, which it sorts; xs must not be empty.
+func medianOf(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 0 {
+		return (xs[n/2-1] + xs[n/2]) / 2
+	}
+	return xs[n/2]
 }
 
 // readBaseline returns the rows of the baseline file at path; none when it
@@ -783,11 +875,7 @@ func checkBaseline(path string, results []benchResult, tol float64) bool {
 	for i, c := range cmps {
 		ratios[i] = c.ratio
 	}
-	sort.Float64s(ratios)
-	median := ratios[len(ratios)/2]
-	if n := len(ratios); n%2 == 0 {
-		median = (ratios[n/2-1] + ratios[n/2]) / 2
-	}
+	median := medianOf(ratios)
 	fmt.Fprintf(os.Stderr, "host speed vs baseline machine: %.2fx (median ratio; per-benchmark checks are normalized by it)\n", median)
 	ok := true
 	for _, c := range cmps {

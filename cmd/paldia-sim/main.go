@@ -120,7 +120,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.list, "list", false, "list models and exit")
 	fs.BoolVar(&o.timeline, "timeline", false, "print per-30s violation counts")
 	fs.StringVar(&o.csv, "csv", "", "write per-request records to this CSV file (single-scheme runs)")
-	fs.IntVar(&o.jobs, "j", 1, "lanes (schemes or tenants) executed concurrently (0 = all cores); changes wall-clock only, never output")
+	fs.IntVar(&o.jobs, "j", 1, "lanes (schemes or tenants) executed concurrently (0 = GOMAXPROCS, the CPUs the process may use); changes wall-clock only, never output")
 
 	fs.BoolVar(&o.stream, "stream", false, "realize arrivals lazily from the rate curve with constant-memory metrics (no per-request records)")
 	fs.IntVar(&o.requests, "requests", 0, "size the trace so ~N requests arrive in expectation (overrides -duration)")
@@ -393,7 +393,7 @@ func (o *options) simulate(m model.Spec, schemes []core.Scheme, stdout, stderr i
 
 	workers := o.jobs
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, n)
 	if n > 1 {

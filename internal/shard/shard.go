@@ -12,6 +12,12 @@
 // flush incrementally (bounded memory) and live observers see a coherent
 // front. Workers only change wall-clock, which is what makes `-j N`
 // byte-identical to `-j 1` by construction rather than by luck.
+//
+// With one worker the merged telemetry is flushed through each barrier
+// before the next epoch starts. With two or more, the coordinator writes
+// epoch k's output while the workers step epoch k+1, so at OnBarrier(t) the
+// output is written through the previous barrier only; what is written, and
+// in which order, is the same.
 package shard
 
 import (
@@ -105,20 +111,25 @@ type Options struct {
 	// Lookahead is the barrier interval; zero means DefaultLookahead.
 	Lookahead time.Duration
 
-	// Merge, when set, is flushed through each barrier's virtual time after
-	// the lanes reach it, so spans stream out in merge order with bounded
-	// queues instead of accumulating until the end. The lane feeds must be
-	// Merge.Lane(i) sinks wired into the configs by the caller; Run does
-	// not Close the writer.
+	// Merge, when set, is written through each barrier's virtual time as
+	// the lanes pass it, so spans stream out in merge order with bounded
+	// queues instead of accumulating until the end. With one worker it is
+	// flushed at each barrier; with two or more it is cut at each barrier
+	// and drained while the lanes step the next epoch, so output lags one
+	// barrier behind. Either way everything is written when Run returns.
+	// The lane feeds must be Merge.Lane(i) sinks wired into the configs by
+	// the caller; Run does not Close the writer.
 	Merge *telemetry.MergeWriter
 
 	// Board, when set, receives each lane's virtual time at every barrier;
 	// pass the same board to the progress reporter for per-shard lag.
 	Board *VTBoard
 
-	// OnBarrier, when set, runs on the coordinator after every barrier —
-	// lanes quiesced at t, merge flushed. Used by tests to assert the
-	// barrier invariant and by callers for progress accounting.
+	// OnBarrier, when set, runs on the coordinator after every barrier,
+	// with the lanes quiesced at t. Merge output is written through t with
+	// one worker, and only through the previous barrier with two or more
+	// (the cut through t drains during the next epoch). Used by tests to
+	// assert the barrier invariant and by callers for progress accounting.
 	OnBarrier func(t time.Duration)
 }
 
@@ -186,11 +197,18 @@ func Run(cfgs []core.Config, opt Options) []core.Result {
 			}
 		}()
 	}
+	// The coordinator would idle while the gang steps, so it drains the
+	// previous barrier's cut then; one worker leaves nothing to overlap and
+	// flushes inline at the barrier.
+	overlap := opt.Merge != nil && workers > 1
 	dispatch := func(fn func(lane int)) {
 		step = fn
 		wg.Add(n)
 		for i := 0; i < n; i++ {
 			tasks <- i
+		}
+		if overlap {
+			opt.Merge.Drain()
 		}
 		wg.Wait()
 	}
@@ -204,7 +222,10 @@ func Run(cfgs []core.Config, opt Options) []core.Result {
 			lanes[i].StepTo(barrier)
 			board.Set(i, lanes[i].Now())
 		})
-		if opt.Merge != nil {
+		switch {
+		case overlap:
+			opt.Merge.Cut(barrier)
+		case opt.Merge != nil:
 			opt.Merge.FlushThrough(barrier)
 		}
 		if opt.OnBarrier != nil {
@@ -217,7 +238,8 @@ func Run(cfgs []core.Config, opt Options) []core.Result {
 
 	// Finish is per-lane bookkeeping (drain guard, failed-request flush,
 	// result assembly) and may emit trailing telemetry into the lane's own
-	// sink, so it parallelizes like an epoch.
+	// sink, so it parallelizes like an epoch, the last barrier's cut
+	// draining meanwhile.
 	dispatch(func(i int) {
 		results[i] = lanes[i].Finish()
 		board.Set(i, lanes[i].Now())

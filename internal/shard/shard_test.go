@@ -53,6 +53,8 @@ type gridSnapshot struct {
 	lanes    []core.Result
 	csv      bytes.Buffer
 	spans    bytes.Buffer
+	events   bytes.Buffer
+	series   bytes.Buffer
 	onlines  []metrics.Snapshot
 	aggOn    metrics.Snapshot
 	maxLag   time.Duration
@@ -60,11 +62,13 @@ type gridSnapshot struct {
 }
 
 // runGrid executes the grid at the given worker count and captures every
-// output that must be worker-count-independent.
+// output that must be worker-count-independent. The merge writer has an
+// events output, so event lines and samples, not just spans, are drained
+// while the lanes step when shards >= 2.
 func runGrid(t *testing.T, mode core.MetricsMode, shards int) *gridSnapshot {
 	t.Helper()
 	s := &gridSnapshot{}
-	mw := telemetry.NewMergeWriter(&s.spans, nil, testTenants)
+	mw := telemetry.NewMergeWriter(&s.spans, &s.events, testTenants)
 	cfgs, checks := laneConfigs(mode, mw)
 	board := NewVTBoard(testTenants)
 	la := DefaultLookahead()
@@ -81,6 +85,9 @@ func runGrid(t *testing.T, mode core.MetricsMode, shards int) *gridSnapshot {
 		},
 	})
 	if err := mw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mw.Series().WriteCSV(&s.series); err != nil {
 		t.Fatal(err)
 	}
 	for i, chk := range checks {
@@ -117,15 +124,17 @@ func scrub(rs []core.Result) []core.Result {
 
 // The tentpole invariant: a multi-tenant grid produces byte-identical output
 // at every worker count — same per-lane Results, same aggregate, same merged
-// per-request CSV, same merged spans JSONL — because workers only change
-// wall-clock scheduling, never what any lane computes or the merge order.
+// per-request CSV, spans JSONL, events JSONL and series CSV — because workers
+// only change wall-clock scheduling, never what any lane computes or the
+// merge order.
 func TestShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 	base := runGrid(t, core.MetricsExact, 1)
 	if base.agg.Requests == 0 {
 		t.Fatal("grid served no requests; test is vacuous")
 	}
-	if base.csv.Len() == 0 || base.spans.Len() == 0 {
-		t.Fatalf("empty exports: csv=%d spans=%d", base.csv.Len(), base.spans.Len())
+	if base.csv.Len() == 0 || base.spans.Len() == 0 || base.events.Len() == 0 || base.series.Len() == 0 {
+		t.Fatalf("empty exports: csv=%d spans=%d events=%d series=%d",
+			base.csv.Len(), base.spans.Len(), base.events.Len(), base.series.Len())
 	}
 	for _, shards := range []int{2, 4, 7} {
 		got := runGrid(t, core.MetricsExact, shards)
@@ -141,9 +150,7 @@ func TestShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 		if !bytes.Equal(got.csv.Bytes(), base.csv.Bytes()) {
 			t.Errorf("shards=%d: merged per-request CSV differs from shards=1", shards)
 		}
-		if !bytes.Equal(got.spans.Bytes(), base.spans.Bytes()) {
-			t.Errorf("shards=%d: merged spans JSONL differs from shards=1", shards)
-		}
+		sameTelemetry(t, shards, got, base)
 		if got.maxLag > DefaultLookahead() {
 			t.Errorf("shards=%d: barrier lag %v exceeds lookahead %v",
 				shards, got.maxLag, DefaultLookahead())
@@ -151,6 +158,24 @@ func TestShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 		if got.barriers != base.barriers {
 			t.Errorf("shards=%d: %d barriers vs %d at shards=1",
 				shards, got.barriers, base.barriers)
+		}
+	}
+}
+
+// sameTelemetry reports each merged telemetry export of got that differs
+// from base's.
+func sameTelemetry(t *testing.T, shards int, got, base *gridSnapshot) {
+	t.Helper()
+	for _, e := range []struct {
+		name      string
+		got, base *bytes.Buffer
+	}{
+		{"spans JSONL", &got.spans, &base.spans},
+		{"events JSONL", &got.events, &base.events},
+		{"series CSV", &got.series, &base.series},
+	} {
+		if !bytes.Equal(e.got.Bytes(), e.base.Bytes()) {
+			t.Errorf("shards=%d: merged %s differs from shards=1", shards, e.name)
 		}
 	}
 }
@@ -175,9 +200,7 @@ func TestShardedDeterministicOnlineAggregation(t *testing.T) {
 		if !reflect.DeepEqual(got.aggOn, base.aggOn) {
 			t.Errorf("shards=%d: merged Online snapshot differs from shards=1", shards)
 		}
-		if !bytes.Equal(got.spans.Bytes(), base.spans.Bytes()) {
-			t.Errorf("shards=%d: merged spans JSONL differs from shards=1", shards)
-		}
+		sameTelemetry(t, shards, got, base)
 	}
 }
 

@@ -12,9 +12,21 @@ import (
 // (and, optionally, the raw event feed) from several concurrent simulation
 // lanes into one output, in a deterministic virtual-time merge order. Each
 // lane gets its own SpanSink (Lane), safe to feed from that lane's
-// goroutine; the coordinator drains the queues at virtual-time barriers with
-// FlushThrough, which must never run concurrently with lane feeds (the
-// sharded executor flushes between epochs, after joining the lane workers).
+// goroutine.
+//
+// Output leaves each lane in two steps, so that encoding and writing can
+// overlap the lanes' next epoch:
+//   - Cut(t) moves every queued span, event line and sample with key <= t
+//     from each lane's live batch into its cut batch. Only the coordinator
+//     calls it, while no lane feeds and no Drain runs.
+//   - Drain merges, encodes and writes the cut batches. It never touches a
+//     live batch, so it may run on the coordinator while the lanes feed;
+//     one Drain at a time, never concurrently with Cut.
+//
+// FlushThrough(t) is Cut(t) and Drain back to back, and Close flushes
+// everything; call them, PeakQueued, Series, SpansWritten and Err as Cut is
+// called (the sharded executor calls them between epochs, after joining the
+// lane workers).
 //
 // Merge order is (key, lane, arrival-within-lane), where key is the lane's
 // running maximum of event and span-completion times — a deterministic
@@ -35,6 +47,12 @@ type MergeWriter struct {
 	events     *bufio.Writer
 	haveEvents bool
 	buf        []byte // reused JSONL line buffer
+	cursor     []int  // Drain's per-lane merge position, reused
+
+	// undrained is set by Cut and cleared by Drain: while it is set the cut
+	// batches still hold unwritten entries, so a further Cut appends to them
+	// instead of recycling them.
+	undrained bool
 
 	written int
 	err     error
@@ -52,26 +70,34 @@ type queuedEvent struct {
 	e   Event
 }
 
+func (q queuedSpan) at() time.Duration  { return q.key }
+func (q queuedEvent) at() time.Duration { return q.key }
+
+// batch is one side of a lane's double buffer. Each queue is in lane-FIFO
+// order, so its keys never decrease.
+type batch struct {
+	spans   []queuedSpan
+	events  []queuedEvent // event lines, when the writer has an events output
+	samples []queuedEvent // Sample events, observed into the series by Drain
+}
+
 // LaneSink is one lane's SpanSink into a MergeWriter. It is not safe for
 // concurrent use; each lane feeds its own. Distinct lanes may feed
-// concurrently: a lane sink touches only its own queues, never the shared
-// writer state (which only FlushThrough and Close touch, between feeds).
+// concurrently, and concurrently with Drain: a lane sink touches only its
+// own live batch and free list, never the shared writer state or its cut
+// batch, which only Cut, Drain and Close touch.
 type LaneSink struct {
 	w    *MergeWriter
 	lane int
 	key  time.Duration // running max of observed event and completion times
-	peak int           // lane-local queue high-water mark
+	peak int           // lane-local high-water mark of the live batch
 
 	inFlight int     // requests arrived whose span has not been handed over
 	open     []*Span // spans of requests still open when the run ended
-	free     []*Span // encoded spans, recycled by Span
+	free     []*Span // written spans, recycled by Span
 
-	spanQ  []queuedSpan
-	spanLo int // consumed prefix of spanQ
-	evQ    []queuedEvent
-	evLo   int
-	sampQ  []queuedEvent // Sample events awaiting barrier-time observation
-	sampLo int
+	live batch // fed by the lane
+	cut  batch // handed to Drain; its spans return to free at the next Cut
 
 	// detailIntern caches the lane's "t<lane>/<series>" sample names. The
 	// gauge-name set is tiny and fixed per run, so every Sample event after
@@ -81,12 +107,13 @@ type LaneSink struct {
 
 // NewMergeWriter returns a writer merging `lanes` lane feeds into the spans
 // writer and, when events is non-nil, the raw event feed. Call Lane(i) for
-// each lane's sink, FlushThrough at barriers, and Close at the end.
+// each lane's sink, FlushThrough (or Cut and Drain) at barriers, and Close
+// at the end.
 func NewMergeWriter(spans, events io.Writer, lanes int) *MergeWriter {
 	if lanes < 1 {
 		lanes = 1
 	}
-	w := &MergeWriter{series: NewSeriesSet()}
+	w := &MergeWriter{series: NewSeriesSet(), cursor: make([]int, lanes)}
 	w.spans = bufio.NewWriter(spans)
 	if events != nil {
 		w.events = bufio.NewWriter(events)
@@ -125,18 +152,18 @@ func (l *LaneSink) Event(e Event) {
 		}
 	}
 	if e.Kind == Sample {
-		// The shared SeriesSet is only touched at barriers (lanes feed
-		// concurrently); per-series observation order stays lane-FIFO — with
-		// per-lane series names, one lane owns each series — so the series
-		// contents are independent of flush cadence.
-		l.sampQ = append(l.sampQ, queuedEvent{key: l.key, e: e})
+		// The shared SeriesSet is only touched by Drain; per-series
+		// observation order stays lane-FIFO — with per-lane series names,
+		// one lane owns each series — so the series contents are
+		// independent of flush cadence.
+		l.live.samples = append(l.live.samples, queuedEvent{key: l.key, e: e})
 		if l.w.haveEvents {
-			l.evQ = append(l.evQ, queuedEvent{key: l.key, e: e})
+			l.live.events = append(l.live.events, queuedEvent{key: l.key, e: e})
 		}
 		return
 	}
 	if l.w.haveEvents {
-		l.evQ = append(l.evQ, queuedEvent{key: l.key, e: e})
+		l.live.events = append(l.live.events, queuedEvent{key: l.key, e: e})
 	}
 	l.sample()
 }
@@ -152,7 +179,7 @@ func (l *LaneSink) Arrive() {
 func (l *LaneSink) Step() { l.sample() }
 
 // Span implements SpanSink. The lane copies the span into one of its own
-// (recycled once encoded) and queues it under the completion time, or — for
+// (recycled once written) and queues it under the completion time, or — for
 // a request still open at the end of the run — holds it for Close.
 func (l *LaneSink) Span(s *Span) {
 	var c *Span
@@ -173,7 +200,7 @@ func (l *LaneSink) Span(s *Span) {
 		if c.Completed > l.key {
 			l.key = c.Completed
 		}
-		l.spanQ = append(l.spanQ, queuedSpan{key: l.key, s: c})
+		l.live.spans = append(l.live.spans, queuedSpan{key: l.key, s: c})
 	}
 	l.sample()
 }
@@ -200,105 +227,130 @@ func (l *LaneSink) prefixed(detail string) string {
 }
 
 // queued is the lane's current buffered load: requests in flight and open
-// spans, plus spans and event lines awaiting flush.
+// spans, plus the spans and event lines of its live batch. Cut batches do
+// not count: they are the writer's, no longer the lane's.
 func (l *LaneSink) queued() int {
-	return l.inFlight + len(l.open) + (len(l.spanQ) - l.spanLo) +
-		(len(l.evQ) - l.evLo) + (len(l.sampQ) - l.sampLo)
+	return l.inFlight + len(l.open) + len(l.live.spans) +
+		len(l.live.events) + len(l.live.samples)
 }
 
 // FlushThrough writes every queued span and event line with key <= t, merged
-// across lanes in (key, lane, lane-FIFO) order. The caller must ensure no
-// lane is concurrently feeding (barrier synchronization).
+// across lanes in (key, lane, lane-FIFO) order: Cut(t), then Drain, with the
+// written spans recycled at once. Call it as Cut is called.
 func (w *MergeWriter) FlushThrough(t time.Duration) {
+	w.Cut(t)
+	w.Drain()
+	for _, l := range w.lanes {
+		l.reclaim()
+	}
+}
+
+// Cut hands every queued span, event line and sample with key <= t to the
+// next Drain. At a barrier every queued key is <= t and the cut is a swap of
+// each lane's two batches; it copies only the entries it takes when some
+// key lies beyond t. Spans a previous Drain wrote return to their lane's
+// free list here. Only the coordinator calls Cut, while no lane feeds and
+// no Drain runs.
+func (w *MergeWriter) Cut(t time.Duration) {
+	for _, l := range w.lanes {
+		if !w.undrained {
+			l.reclaim()
+		}
+		cutThrough(&l.live.spans, &l.cut.spans, t)
+		cutThrough(&l.live.events, &l.cut.events, t)
+		cutThrough(&l.live.samples, &l.cut.samples, t)
+	}
+	w.undrained = true
+}
+
+// cutThrough moves the leading entries of *live with key <= t onto the end
+// of *cut. When *cut is empty and every entry qualifies, the slices swap.
+func cutThrough[T interface{ at() time.Duration }](live, cut *[]T, t time.Duration) {
+	q := *live
+	n := len(q)
+	for n > 0 && q[n-1].at() > t {
+		n--
+	}
+	switch {
+	case n == 0:
+	case n == len(q) && len(*cut) == 0:
+		*live, *cut = (*cut)[:0], q
+	default:
+		*cut = append(*cut, q[:n]...)
+		m := copy(q, q[n:])
+		clear(q[m:])
+		*live = q[:m]
+	}
+}
+
+// reclaim returns the cut batch's written spans to the lane's free list and
+// empties the batch for reuse as the next live batch.
+func (l *LaneSink) reclaim() {
+	for _, q := range l.cut.spans {
+		l.free = append(l.free, q.s)
+	}
+	clear(l.cut.spans)
+	clear(l.cut.events)
+	clear(l.cut.samples)
+	l.cut.spans, l.cut.events, l.cut.samples = l.cut.spans[:0], l.cut.events[:0], l.cut.samples[:0]
+}
+
+// Drain writes every cut span and event line, merged across lanes in (key,
+// lane, lane-FIFO) order, and observes the cut samples into the series. It
+// reads only cut batches, so lanes may feed their live batches meanwhile.
+func (w *MergeWriter) Drain() {
+	if !w.undrained {
+		return // the cut batches were written already
+	}
+	clear(w.cursor)
 	for {
 		best := -1
 		var bestKey time.Duration
 		for i, l := range w.lanes {
-			if l.spanLo >= len(l.spanQ) {
-				continue
-			}
-			if k := l.spanQ[l.spanLo].key; k <= t && (best < 0 || k < bestKey) {
-				best, bestKey = i, k
+			if q := l.cut.spans; w.cursor[i] < len(q) {
+				if k := q[w.cursor[i]].key; best < 0 || k < bestKey {
+					best, bestKey = i, k
+				}
 			}
 		}
 		if best < 0 {
 			break
 		}
-		l := w.lanes[best]
-		s := l.spanQ[l.spanLo].s
-		w.writeSpan(s)
-		l.free = append(l.free, s)
-		l.spanQ[l.spanLo].s = nil
-		l.spanLo++
-		l.compact()
+		w.writeSpan(w.lanes[best].cut.spans[w.cursor[best]].s)
+		w.cursor[best]++
 	}
 	// Samples: one lane owns each (prefixed) series, so a per-lane drain in
 	// lane order preserves every series' lane-FIFO contents.
 	for _, l := range w.lanes {
-		for l.sampLo < len(l.sampQ) && l.sampQ[l.sampLo].key <= t {
-			e := l.sampQ[l.sampLo].e
-			w.series.Observe(e.Detail, e.At, e.Value)
-			l.sampQ[l.sampLo] = queuedEvent{}
-			l.sampLo++
+		for _, q := range l.cut.samples {
+			w.series.Observe(q.e.Detail, q.e.At, q.e.Value)
 		}
-		l.compact()
 	}
-	if !w.haveEvents {
-		return
-	}
-	for {
-		best := -1
-		var bestKey time.Duration
-		for i, l := range w.lanes {
-			if l.evLo >= len(l.evQ) {
-				continue
+	if w.haveEvents {
+		clear(w.cursor)
+		for {
+			best := -1
+			var bestKey time.Duration
+			for i, l := range w.lanes {
+				if q := l.cut.events; w.cursor[i] < len(q) {
+					if k := q[w.cursor[i]].key; best < 0 || k < bestKey {
+						best, bestKey = i, k
+					}
+				}
 			}
-			if k := l.evQ[l.evLo].key; k <= t && (best < 0 || k < bestKey) {
-				best, bestKey = i, k
+			if best < 0 {
+				break
 			}
-		}
-		if best < 0 {
-			break
-		}
-		l := w.lanes[best]
-		if w.err == nil {
-			w.buf = appendEventLine(w.buf[:0], l.evQ[l.evLo].e)
-			if _, err := w.events.Write(w.buf); err != nil {
-				w.err = err
+			if w.err == nil {
+				w.buf = appendEventLine(w.buf[:0], w.lanes[best].cut.events[w.cursor[best]].e)
+				if _, err := w.events.Write(w.buf); err != nil {
+					w.err = err
+				}
 			}
+			w.cursor[best]++
 		}
-		l.evQ[l.evLo] = queuedEvent{}
-		l.evLo++
-		l.compact()
 	}
-}
-
-// compact reclaims the consumed queue prefixes once they dominate.
-func (l *LaneSink) compact() {
-	if l.spanLo > 64 && l.spanLo*2 > len(l.spanQ) {
-		n := copy(l.spanQ, l.spanQ[l.spanLo:])
-		for i := n; i < len(l.spanQ); i++ {
-			l.spanQ[i] = queuedSpan{}
-		}
-		l.spanQ = l.spanQ[:n]
-		l.spanLo = 0
-	}
-	if l.evLo > 64 && l.evLo*2 > len(l.evQ) {
-		n := copy(l.evQ, l.evQ[l.evLo:])
-		for i := n; i < len(l.evQ); i++ {
-			l.evQ[i] = queuedEvent{}
-		}
-		l.evQ = l.evQ[:n]
-		l.evLo = 0
-	}
-	if l.sampLo > 64 && l.sampLo*2 > len(l.sampQ) {
-		n := copy(l.sampQ, l.sampQ[l.sampLo:])
-		for i := n; i < len(l.sampQ); i++ {
-			l.sampQ[i] = queuedEvent{}
-		}
-		l.sampQ = l.sampQ[:n]
-		l.sampLo = 0
-	}
+	w.undrained = false
 }
 
 func (w *MergeWriter) writeSpan(s *Span) {
@@ -351,8 +403,9 @@ func (w *MergeWriter) Series() *SeriesSet { return w.series }
 func (w *MergeWriter) SpansWritten() int { return w.written }
 
 // PeakQueued is the maximum number of requests, spans and event lines any
-// single lane held at once (in flight plus barrier queues) — the writer's
-// memory high-water mark per lane. Call it only while no lane is feeding.
+// single lane held at once (in flight plus its live batch) — the writer's
+// memory high-water mark per lane; cut batches awaiting Drain are not
+// counted. Call it as Cut is called: while no lane feeds and no Drain runs.
 func (w *MergeWriter) PeakQueued() int {
 	peak := 0
 	for _, l := range w.lanes {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -73,39 +74,134 @@ func TestMergeWriterSingleLaneMatchesStreamWriter(t *testing.T) {
 }
 
 // The merged output is a pure function of the per-lane feeds: flushing at
-// different barrier cadences (or only at Close) yields identical bytes.
-// This is the property that makes `-j N` byte-identical for every N —
-// worker count only changes when flushes happen, never what they contain.
+// different barrier cadences (or only at Close), or cutting and draining in
+// separate steps with keys beyond the cut still queued, yields identical
+// bytes. This is the property that makes `-j N` byte-identical for every N —
+// worker count only changes when output is written, never what it contains.
 func TestMergeWriterFlushCadenceIndependent(t *testing.T) {
-	run := func(flushEvery time.Duration) (spans, events string) {
+	const (
+		atClose = iota // flush only at Close
+		flush          // FlushThrough at every other step
+		cut            // Cut (sometimes twice) then Drain mid-step
+	)
+	run := func(mode int) (spans, events, series string) {
 		var sb, eb bytes.Buffer
 		mw := NewMergeWriter(&sb, &eb, 3)
+		leftQueued := false
 		// Interleave lanes at different offsets so merge order is exercised.
 		for step := 0; step < 12; step++ {
 			for lane := 0; lane < 3; lane++ {
 				req := int64(step)
 				base := time.Duration(step*50+lane*7) * time.Millisecond
 				feedLaneLifecycle(mw.Lane(lane), req, req+1, base)
+				s := Ev(base, Sample)
+				s.Detail, s.Value = "pending_requests", float64(step)
+				mw.Lane(lane).Event(s)
 			}
-			if flushEvery > 0 && step%2 == 1 {
+			switch {
+			case mode == flush && step%2 == 1:
 				mw.FlushThrough(time.Duration(step*50) * time.Millisecond)
+			case mode == cut:
+				// Lanes 1 and 2 and every completion lie beyond the cut.
+				at := time.Duration(step*50+3) * time.Millisecond
+				if step%3 == 0 {
+					mw.Cut(at - 2*time.Millisecond) // a second Cut appends
+				}
+				mw.Cut(at)
+				for _, l := range mw.lanes {
+					leftQueued = leftQueued || len(l.live.spans) > 0 || len(l.live.events) > 0
+				}
+				mw.Drain()
+			}
+		}
+		if mode == cut && !leftQueued {
+			t.Fatal("no key lay beyond a cut; the partial cut is untested")
+		}
+		if err := mw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var cb bytes.Buffer
+		if err := mw.Series().WriteCSV(&cb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String(), eb.String(), cb.String()
+	}
+	s1, e1, c1 := run(atClose)
+	if s1 == "" || e1 == "" || c1 == "" {
+		t.Fatal("empty exports")
+	}
+	for _, mode := range []int{flush, cut} {
+		s, e, c := run(mode)
+		if s != s1 {
+			t.Errorf("mode %d: spans depend on flush cadence:\n%s\nvs\n%s", mode, s1, s)
+		}
+		if e != e1 {
+			t.Errorf("mode %d: events JSONL depends on flush cadence", mode)
+		}
+		if c != c1 {
+			t.Errorf("mode %d: series CSV depends on flush cadence", mode)
+		}
+	}
+}
+
+// Lanes feed their live batches while another goroutine drains the previous
+// cut, as the sharded executor runs them; the race detector checks that the
+// two never share memory, and the bytes must match a writer flushed only at
+// Close.
+func TestMergeWriterDrainWhileLanesFeed(t *testing.T) {
+	const lanes, epochs, perEpoch = 3, 20, 8
+	feed := func(l *LaneSink, lane, epoch int) {
+		for j := 0; j < perEpoch; j++ {
+			req := int64(epoch*perEpoch + j)
+			base := time.Duration(epoch*100+j*9+lane*4) * time.Millisecond
+			feedLaneLifecycle(l, req, req+1, base)
+			s := Ev(base, Sample)
+			s.Detail, s.Value = "active_jobs", float64(j)
+			l.Event(s)
+		}
+	}
+	run := func(overlap bool) (spans, events, series string) {
+		var sb, eb bytes.Buffer
+		mw := NewMergeWriter(&sb, &eb, lanes)
+		for epoch := 0; epoch < epochs; epoch++ {
+			var wg sync.WaitGroup
+			if overlap {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					mw.Drain()
+				}()
+			}
+			wg.Add(lanes)
+			for lane := 0; lane < lanes; lane++ {
+				go func() {
+					defer wg.Done()
+					feed(mw.Lane(lane), lane, epoch)
+				}()
+			}
+			wg.Wait()
+			if overlap {
+				// Every key of this epoch lies below the next epoch's.
+				mw.Cut(time.Duration(epoch*100+99) * time.Millisecond)
 			}
 		}
 		if err := mw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return sb.String(), eb.String()
+		var cb bytes.Buffer
+		if err := mw.Series().WriteCSV(&cb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String(), eb.String(), cb.String()
 	}
-	s1, e1 := run(0)                     // flush only at Close
-	s2, e2 := run(25 * time.Millisecond) // flush at barriers
-	if s1 != s2 {
-		t.Errorf("spans depend on flush cadence:\n%s\nvs\n%s", s1, s2)
-	}
-	if e1 != e2 {
-		t.Error("events JSONL depends on flush cadence")
-	}
-	if s1 == "" || e1 == "" {
+	s1, e1, c1 := run(false)
+	s2, e2, c2 := run(true)
+	if s1 == "" || e1 == "" || c1 == "" {
 		t.Fatal("empty exports")
+	}
+	if s1 != s2 || e1 != e2 || c1 != c2 {
+		t.Errorf("draining while lanes feed changed the output: spans %v, events %v, series %v",
+			s1 == s2, e1 == e2, c1 == c2)
 	}
 }
 
