@@ -58,8 +58,7 @@ bench:
 # 25% against the committed BENCH_sched.json (ratios are normalized by their
 # median first, so raw host-speed differences cancel). To re-baseline after an
 # intentional perf change, run `make bench` and commit the refreshed
-# BENCH_sched.json; to re-baseline only the rows a change affects, run
-# `go run ./cmd/paldia-bench -run '<regexp>' -out BENCH_sched.json`.
+# BENCH_sched.json.
 bench-smoke:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' .
 	$(GO) run ./cmd/paldia-bench -gate

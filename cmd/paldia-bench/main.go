@@ -15,11 +15,7 @@
 // one record to the history next to it (BENCH_sched.history.jsonl): the
 // commit, GOMAXPROCS and Go version, and the rows that changed — added or
 // re-measured, with their new values — and the names of rows that were
-// removed. With -run only the matching cases are measured, and a rewrite of
-// the baseline keeps the other rows as they were, so a change re-baselines
-// just the rows it affects. The fresh rows are scaled to the baseline's host
-// speed, measured on the re-run rows the baseline already has: include one
-// such row in -run when adding new ones.
+// removed.
 package main
 
 import (
@@ -27,12 +23,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
-	"regexp"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -552,20 +546,11 @@ func run() int {
 		gate     = flag.Bool("gate", false, "run only allocation-gated benchmarks and fail if any allocates, slows, or grows bytes/op past -tolerance vs -baseline (skips the end-to-end pass; writes no file unless -out is set explicitly)")
 		baseline = flag.String("baseline", "BENCH_sched.json", "committed baseline for the -gate ns/op + bytes/op regression check ('' disables)")
 		tol      = flag.Float64("tolerance", 0.25, "allowed relative ns/op or bytes/op regression vs the baseline before -gate fails")
-		only     = flag.String("run", "", "measure only the cases whose name matches this regexp; rewriting the baseline keeps its other rows")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
-	var match *regexp.Regexp
-	if *only != "" {
-		var err error
-		if match, err = regexp.Compile(*only); err != nil {
-			fmt.Fprintf(os.Stderr, "-run: %v\n", err)
-			return 2
-		}
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -607,7 +592,7 @@ func run() int {
 	var results []benchResult
 	failed := false
 	for _, c := range cases(!*gate) {
-		if *gate && !c.gated || match != nil && !match.MatchString(c.name) {
+		if *gate && !c.gated {
 			continue
 		}
 		var metrics map[string]float64
@@ -636,27 +621,23 @@ func run() int {
 	}
 
 	if !*gate || outSet {
-		rebaseline := *baseline != "" && filepath.Clean(*out) == filepath.Clean(*baseline)
-		var prev []benchResult
-		rows := results
-		if rebaseline {
-			prev = readBaseline(*baseline)
-			if match != nil {
-				rows = keepUnmeasured(cases(true), prev, results)
-			}
-		}
 		doc := struct {
 			GeneratedBy string        `json:"generated_by"`
 			Go          string        `json:"go"`
 			GOMAXPROCS  int           `json:"gomaxprocs"`
 			Benchmarks  []benchResult `json:"benchmarks"`
-		}{"cmd/paldia-bench", runtime.Version(), runtime.GOMAXPROCS(0), rows}
+		}{"cmd/paldia-bench", runtime.Version(), runtime.GOMAXPROCS(0), results}
 		enc, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "marshal: %v\n", err)
 			return 1
 		}
 		enc = append(enc, '\n')
+		rebaseline := *baseline != "" && filepath.Clean(*out) == filepath.Clean(*baseline)
+		var prev []benchResult
+		if rebaseline {
+			prev = readBaseline(*baseline)
+		}
 		if *out == "-" {
 			os.Stdout.Write(enc)
 		} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
@@ -667,7 +648,7 @@ func run() int {
 		}
 		if rebaseline {
 			path := historyPath(*baseline)
-			if err := appendHistory(path, historyRecord(commit(), runtime.GOMAXPROCS(0), prev, rows)); err != nil {
+			if err := appendHistory(path, historyRecord(commit(), runtime.GOMAXPROCS(0), prev, results)); err != nil {
 				fmt.Fprintf(os.Stderr, "history %s: %v\n", path, err)
 				return 1
 			}
@@ -682,56 +663,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// keepUnmeasured returns the baseline rows for a partial run, in case order:
-// each case's fresh result when it ran, else its previous row. Rows of cases
-// that no longer exist are dropped. Fresh ns/op are scaled to the baseline's
-// host speed, the median fresh-to-baseline ratio over the fresh rows the
-// baseline already has (the factor -gate normalizes by; 1 when there are
-// none), so rows measured while a shared host runs faster or slower stay
-// comparable with the rows kept.
-func keepUnmeasured(cs []benchCase, prev, fresh []benchResult) []benchResult {
-	byName := make(map[string]benchResult, len(prev)+len(fresh))
-	for _, r := range prev {
-		byName[r.Name] = r
-	}
-	var ratios []float64
-	for _, r := range fresh {
-		if p, ok := byName[r.Name]; ok && p.NsPerOp > 0 {
-			ratios = append(ratios, r.NsPerOp/p.NsPerOp)
-		}
-	}
-	host := 1.0
-	if len(ratios) > 0 {
-		host = medianOf(ratios)
-	}
-	for _, r := range fresh {
-		r.NsPerOp /= host
-		if rps, ok := r.Metrics["requests_per_sec"]; ok {
-			m := maps.Clone(r.Metrics)
-			m["requests_per_sec"] = rps * host
-			r.Metrics = m
-		}
-		byName[r.Name] = r
-	}
-	var rows []benchResult
-	for _, c := range cs {
-		if r, ok := byName[c.name]; ok {
-			rows = append(rows, r)
-		}
-	}
-	return rows
-}
-
-// medianOf returns the median of xs, which it sorts; xs must not be empty.
-func medianOf(xs []float64) float64 {
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 0 {
-		return (xs[n/2-1] + xs[n/2]) / 2
-	}
-	return xs[n/2]
 }
 
 // readBaseline returns the rows of the baseline file at path; none when it
@@ -875,7 +806,11 @@ func checkBaseline(path string, results []benchResult, tol float64) bool {
 	for i, c := range cmps {
 		ratios[i] = c.ratio
 	}
-	median := medianOf(ratios)
+	sort.Float64s(ratios)
+	median := ratios[len(ratios)/2]
+	if n := len(ratios); n%2 == 0 {
+		median = (ratios[n/2-1] + ratios[n/2]) / 2
+	}
 	fmt.Fprintf(os.Stderr, "host speed vs baseline machine: %.2fx (median ratio; per-benchmark checks are normalized by it)\n", median)
 	ok := true
 	for _, c := range cmps {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,32 +37,6 @@ func TestHistoryRecordListsChangedRows(t *testing.T) {
 	}
 	if h.Commit != "abc" || h.GOMAXPROCS != 2 || h.Go == "" {
 		t.Errorf("record header %+v", h)
-	}
-}
-
-// A partial (-run) re-baseline keeps the rows of cases it did not run, adds
-// the new ones in case order, and drops rows of cases that no longer exist.
-// Fresh rows are scaled to the baseline's host speed, measured on the fresh
-// rows the baseline has: here b ran at half its baseline ns/op.
-func TestKeepUnmeasuredMergesInCaseOrder(t *testing.T) {
-	cs := []benchCase{{name: "a"}, {name: "b"}, {name: "new"}, {name: "c"}}
-	prev := []benchResult{{Name: "a", NsPerOp: 1}, {Name: "b", NsPerOp: 8}, {Name: "c", NsPerOp: 3}, {Name: "gone", NsPerOp: 4}}
-	fresh := []benchResult{
-		{Name: "new", NsPerOp: 5, Metrics: map[string]float64{"requests_per_sec": 100}},
-		{Name: "b", NsPerOp: 4},
-	}
-	var got []string
-	for _, r := range keepUnmeasured(cs, prev, fresh) {
-		got = append(got, fmt.Sprintf("%s=%g", r.Name, r.NsPerOp))
-		if r.Name == "new" && r.Metrics["requests_per_sec"] != 50 {
-			t.Errorf("new row's requests_per_sec %g, want 50", r.Metrics["requests_per_sec"])
-		}
-	}
-	if s := strings.Join(got, ","); s != "a=1,b=8,new=10,c=3" {
-		t.Errorf("rows %s, want a=1,b=8,new=10,c=3", s)
-	}
-	if fresh[0].Metrics["requests_per_sec"] != 100 {
-		t.Error("keepUnmeasured modified the fresh results' metrics")
 	}
 }
 

