@@ -9,7 +9,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: build test vet lint race bench bench-smoke scale-smoke live-smoke \
 	experiments figures fuzz fuzz-smoke test-invariants test-determinism \
-	pgo profile clean
+	pgo profile loc clean
 
 # go build applies cmd/paldia-sim/default.pgo automatically (profile-guided
 # optimization); refresh it with `make pgo` after hot-path changes.
@@ -129,6 +129,15 @@ test-invariants:
 # and -j 4 — under the race detector at 1 and 4 procs.
 test-determinism:
 	$(GO) test -race -cpu 1,4 -run 'Deterministic' ./internal/core/ ./internal/shard/ ./internal/predict/ ./cmd/paldia-sim/ -count=1
+
+# Non-test Go lines per package directory of the root module and their
+# total, counted with wc -l (comments included), then the bench/ module on
+# its own line: the figure ROADMAP's design aim tracks.
+loc:
+	@find . -path ./bench -prune -o -path ./.git -prune -o -name '*.go' ! -name '*_test.go' -print | \
+		sort | xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total (root module)\n", t }'
+	@find bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | awk '{ printf "%7d  bench/ (own module)\n", $$1 }'
 
 clean:
 	rm -rf figures

@@ -38,6 +38,10 @@ func TestFlagConflicts(t *testing.T) {
 		{"telemetry with scheme all", []string{"-scheme", "all", "-spans-out", "@s.jsonl"}, 1, "require a single scheme"},
 		{"progress with scheme all", []string{"-scheme", "all", "-progress", "1s"}, 1, "attach to a single run"},
 		{"csv with scheme all", []string{"-scheme", "all", "-csv", "@run.csv"}, 1, "-csv writes one scheme's records"},
+		{"negative peak", []string{"-peak", "-5"}, 1, "rate -5 rps must be finite and non-negative"},
+		{"NaN peak", []string{"-peak", "NaN", "-stream"}, 1, "rate NaN rps"},
+		{"negative duration", []string{"-duration", "-30s"}, 1, "duration -30s must not be negative"},
+		{"negative duration wikipedia", []string{"-trace", "wikipedia", "-duration", "-30s", "-stream"}, 1, "duration -30s"},
 		{"flag parse error", []string{"-shards", "2"}, 2, "flag provided but not defined: -shards"},
 	}
 	for _, row := range rows {

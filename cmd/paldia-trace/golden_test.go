@@ -66,3 +66,35 @@ func TestTraceStdoutGoldens(t *testing.T) {
 		})
 	}
 }
+
+// TestTraceRejectsBadInput pins paldia-trace's error exits: an unknown
+// generator, a negative, NaN or infinite rate, or a negative duration exit 1
+// with the reason on stderr and nothing on stdout.
+func TestTraceRejectsBadInput(t *testing.T) {
+	rows := []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-trace", "reddit"}, "unknown trace"},
+		{[]string{"-peak", "-5"}, "rate -5 rps must be finite and non-negative"},
+		{[]string{"-trace", "poisson", "-peak", "Inf"}, "rate +Inf rps"},
+		{[]string{"-duration", "-1m"}, "duration -1m0s must not be negative"},
+		{[]string{"-trace", "stable", "-mean", "-3"}, "rate -3 rps"},
+	}
+	for _, row := range rows {
+		cmd := exec.Command(os.Args[0], row.args...)
+		cmd.Env = append(os.Environ(), cliEnv+"=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+			t.Errorf("paldia-trace %s: exit %d (%v), want 1", strings.Join(row.args, " "), code, err)
+		}
+		if !strings.Contains(stderr.String(), row.msg) {
+			t.Errorf("paldia-trace %s: stderr %q does not mention %q", strings.Join(row.args, " "), stderr.String(), row.msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("paldia-trace %s printed to stdout:\n%s", strings.Join(row.args, " "), stdout.String())
+		}
+	}
+}

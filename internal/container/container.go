@@ -108,9 +108,6 @@ func (p *Pool) counts() invariant.PoolCounts {
 	}
 }
 
-// ColdStartLatency returns the pool's configured cold-start latency.
-func (p *Pool) ColdStartLatency() time.Duration { return p.coldStart }
-
 // Idle returns the number of warm idle containers.
 func (p *Pool) Idle() int { p.reap(); return len(p.idle) }
 

@@ -765,7 +765,7 @@ func (r *runner) prewarmTarget(s *slot, t *tenant, ln *lane) int {
 func (r *runner) maxResident(spec hardware.Spec) int {
 	n := 0
 	for _, t := range r.tenants {
-		if c := profile.MaxResidentJobs(t.model, spec); n == 0 || c < n {
+		if c := t.rows.Entry(spec).MaxResidentJobs; n == 0 || c < n {
 			n = c
 		}
 	}

@@ -63,7 +63,7 @@ type Job struct {
 	// FBR is the job's fractional bandwidth requirement on this device.
 	FBR float64
 	// Compute is the fraction of the device's compute units the job
-	// occupies while executing (profile.ComputeFraction). Zero means
+	// occupies while executing (profile.Entry.ComputeAt). Zero means
 	// negligible — co-location then contends only for bandwidth.
 	Compute float64
 	// Mode selects spatial or time sharing.
@@ -170,7 +170,7 @@ type Device struct {
 }
 
 // New creates a device for the node type. For GPU nodes maxResident bounds
-// spatial co-location (pass profile.MaxResidentJobs or 0 for unlimited).
+// spatial co-location (pass profile.Entry.MaxResidentJobs or 0 for unlimited).
 func New(eng *sim.Engine, spec hardware.Spec, maxResident int) *Device {
 	return &Device{
 		eng:         eng,

@@ -53,7 +53,7 @@ func fig1RateScale() float64 {
 				b = 1
 			}
 			batchesPerSec := rate / b
-			u += rate*profile.SoloSample(m, m60).Seconds() +
+			u += rate*profile.Lookup(m, m60).SoloSample.Seconds() +
 				batchesPerSec*profile.GPULaunchOverhead.Seconds()
 		}
 		return u
@@ -103,11 +103,11 @@ func runFig1Scheme(seed uint64, hw hardware.Spec, queuedFrac float64,
 	rng := sim.NewRNG(seed)
 	loads := fig1Workloads()
 	// Device memory bounds co-location, as everywhere else.
-	maxRes := profile.MaxResidentJobs(loads[0].model, hw)
-	if r := profile.MaxResidentJobs(loads[1].model, hw); r < maxRes {
-		maxRes = r
+	entries := make([]*profile.Entry, len(loads))
+	for i, w := range loads {
+		entries[i] = profile.Lookup(w.model, hw)
 	}
-	dev := device.New(eng, hw, maxRes)
+	dev := device.New(eng, hw, min(entries[0].MaxResidentJobs, entries[1].MaxResidentJobs))
 
 	collectors := make([]*metrics.Collector, len(loads))
 	batchers := make([]*batch.Batcher, len(loads))
@@ -153,7 +153,7 @@ func runFig1Scheme(seed uint64, hw hardware.Spec, queuedFrac float64,
 	// fraction (error-diffusion accumulator per stream).
 	queuedAcc := make([]float64, len(loads))
 	submit := func(i int, b []batch.Request) {
-		w := loads[i]
+		e := entries[i]
 		mode := device.Spatial
 		queuedAcc[i] += queuedFrac
 		if queuedAcc[i] >= 1-1e-9 {
@@ -163,9 +163,9 @@ func runFig1Scheme(seed uint64, hw hardware.Spec, queuedFrac float64,
 		at := eng.Now()
 		job := &device.Job{
 			Batch:   len(b),
-			Solo:    profile.Solo(w.model, hw, len(b)),
-			FBR:     profile.FBR(w.model, hw),
-			Compute: profile.ComputeFraction(w.model, hw, len(b)),
+			Solo:    e.SoloAt(len(b)),
+			FBR:     e.FBR,
+			Compute: e.ComputeAt(len(b)),
 			Mode:    mode,
 		}
 		job.Done = func(j *device.Job) {

@@ -21,7 +21,8 @@ func ScaleOut(o Options) *Table {
 	o = o.normalize()
 	m := model.MustByName("GoogleNet")
 	v100 := hardware.MostPerformant(hardware.GPU)
-	rate := 1.8 * profile.ThroughputRPS(m, v100)
+	capacity := profile.Lookup(m, v100).ThroughputRPS
+	rate := 1.8 * capacity
 	gen := func(rng *sim.RNG) *trace.Trace {
 		return trace.Poisson(rng, rate, o.dur(10*time.Minute))
 	}
@@ -63,6 +64,6 @@ func ScaleOut(o Options) *Table {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"arrival %.0f rps vs a single V100's ~%.0f rps serial capacity; replicas are procured "+
 			"when the forecast exceeds one node's sustainable rate and retired with hysteresis",
-		rate, profile.ThroughputRPS(m, v100)))
+		rate, capacity))
 	return t
 }

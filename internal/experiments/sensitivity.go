@@ -154,7 +154,7 @@ func Fig12(o Options) *Table {
 // calibrated faster, so the rate scales with measured capacity.
 func ExhaustionRate(m model.Spec) float64 {
 	v100 := hardware.MostPerformant(hardware.GPU)
-	return 1.0 * profile.ThroughputRPS(m, v100)
+	return 1.0 * profile.Lookup(m, v100).ThroughputRPS
 }
 
 // Fig13 regenerates the two adverse scenarios: resource exhaustion
@@ -293,7 +293,7 @@ func CPUvsGPUCost() *Table {
 	m4, _ := hardware.ByName("m4.xlarge")
 	g3s, _ := hardware.ByName("g3s.xlarge")
 	target := 750.0
-	per := profile.ThroughputRPS(m, m4)
+	per := profile.Lookup(m, m4).ThroughputRPS
 	n := int(target/per) + 1
 	cpuCost := float64(n) * m4.CostPerHour
 	extra := (cpuCost - g3s.CostPerHour) / g3s.CostPerHour * 100
@@ -303,7 +303,7 @@ func CPUvsGPUCost() *Table {
 		Columns: []string{"option", "nodes", "throughput rps", "cost $/h"},
 		Rows: [][]string{
 			{"m4.xlarge fleet", fmt.Sprint(n), fmt.Sprintf("%.0f", float64(n)*per), fmt.Sprintf("$%.2f", cpuCost)},
-			{"g3s.xlarge (M60)", "1", fmt.Sprintf("%.0f", profile.ThroughputRPS(m, g3s)), fmt.Sprintf("$%.2f", g3s.CostPerHour)},
+			{"g3s.xlarge (M60)", "1", fmt.Sprintf("%.0f", profile.Lookup(m, g3s).ThroughputRPS), fmt.Sprintf("$%.2f", g3s.CostPerHour)},
 		},
 		Notes: []string{fmt.Sprintf("CPU fleet costs %.0f%% more (paper: 86%%)", extra)},
 	}

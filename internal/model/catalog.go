@@ -4,7 +4,7 @@ package model
 // (internal/hardware) and the profile derivations (internal/profile) so that:
 //
 //   - FBR on the M60 = TrafficGBPerSample * 18 / GFLOPsPerSample
-//     (see profile.FBR with the M60's 2880 effective GFLOP/s and 160 GB/s),
+//     (see profile.Entry.FBR with the M60's 2880 effective GFLOP/s and 160 GB/s),
 //   - solo batch latency at the preferred batch size stays in the paper's
 //     50–200 ms band on the GPUs,
 //   - the language models' FBRs are well above 1 even solo, forcing the

@@ -67,7 +67,7 @@ func (s Spec) String() string { return s.Name }
 // IsHighFBR classifies the workload the way the paper scales its traces:
 // vision models with high FBR (GoogleNet, DPN-92, ...) receive a 225 rps
 // peak, the rest 450 rps. The threshold is on the M60 — the cost-effective
-// GPU where bandwidth pressure matters; profile.FBR gives exact values, but
+// GPU where bandwidth pressure matters; profile.Entry.FBR gives exact values, but
 // the classification is a static property of the model so it lives here.
 func (s Spec) IsHighFBR() bool { return s.highFBR }
 

@@ -51,7 +51,7 @@ type Inputs struct {
 	// device; 0 when planning for an idle device.
 	ExistingDemand float64
 	// ComputeFrac is the compute occupancy of one full batch job
-	// (profile.ComputeFraction); 0 treats compute as uncontended.
+	// (profile.Entry.ComputeAt); 0 treats compute as uncontended.
 	ComputeFrac float64
 	// ExistingCompute is the aggregate compute occupancy already executing.
 	ExistingCompute float64
@@ -223,13 +223,6 @@ func ApproxCPUTMax(solo time.Duration, batchSize, n int, backlog time.Duration) 
 	}
 	batches := (n + batchSize - 1) / batchSize
 	return backlog + time.Duration(batches)*solo
-}
-
-// InterferenceInflation exposes the model's interference curve: the factor
-// by which co-location inflates the spatial portion at aggregate demand d
-// for a job with the given FBR. Used by reports and ablation benchmarks.
-func InterferenceInflation(d, fbr float64) float64 {
-	return profile.Slowdown(d, fbr)
 }
 
 // LinearTMax evaluates the paper's literal linear Eq. (1) (interference term

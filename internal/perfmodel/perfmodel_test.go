@@ -300,15 +300,6 @@ func TestBestYOverhead(t *testing.T) {
 	}
 }
 
-func TestInterferenceInflation(t *testing.T) {
-	if got := InterferenceInflation(0.8, 0.4); got != 1 {
-		t.Fatalf("inflation below saturation = %v, want 1", got)
-	}
-	if got := InterferenceInflation(2, 0.5); got <= 1 {
-		t.Fatalf("inflation above saturation = %v, want > 1", got)
-	}
-}
-
 func TestExistingLaneRaisesQueuedCost(t *testing.T) {
 	in := baseInputs()
 	withLane := in

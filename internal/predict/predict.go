@@ -31,14 +31,6 @@ type Forecaster interface {
 // hooks (core.Config.NewPredictor) keep compiling against it.
 type Predictor = Forecaster
 
-// QuantileForecaster is the optional extension percentile-style models
-// implement: Quantile estimates the rate that the observed load stays below
-// with probability p over [now, now+horizon].
-type QuantileForecaster interface {
-	Forecaster
-	Quantile(p float64, horizon time.Duration) float64
-}
-
 // ConfidenceReporter is the optional extension models implement to disclose
 // how much the forecast in use can be trusted, in [0, 1]. The hardware
 // procurement path only trusts a long-lead forecast from a forecaster

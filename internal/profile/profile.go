@@ -54,76 +54,6 @@ const (
 	TargetBatchLatency = 150 * time.Millisecond
 )
 
-// EffectiveGFLOPs returns the sustained GFLOP/s the node delivers for the
-// given workload (device peak x efficiency, x the model's CPU friendliness
-// on CPU nodes).
-func EffectiveGFLOPs(m model.Spec, hw hardware.Spec) float64 {
-	if hw.IsGPU() {
-		return hw.ComputeScore * 1000 * GPUEfficiency
-	}
-	return hw.ComputeScore * 1000 * CPUEfficiency * m.CPUFactor
-}
-
-// SoloSample returns the profiled per-sample execution time of the workload
-// on the node, in isolation (excluding the fixed per-batch overhead).
-func SoloSample(m model.Spec, hw hardware.Spec) time.Duration {
-	if e := tableEntry(m, hw); e != nil {
-		return e.SoloSample
-	}
-	return computeSoloSample(m, hw)
-}
-
-func computeSoloSample(m model.Spec, hw hardware.Spec) time.Duration {
-	sec := m.GFLOPsPerSample / EffectiveGFLOPs(m, hw)
-	return time.Duration(sec * float64(time.Second))
-}
-
-// Solo returns the profiled execution latency of one batch of the given size
-// run in isolation on the node — the paper's Solo_M. Hot paths price jobs
-// with Entry.SoloAt on a resolved row instead.
-func Solo(m model.Spec, hw hardware.Spec, batch int) time.Duration {
-	if e := tableEntry(m, hw); e != nil {
-		return e.SoloAt(batch)
-	}
-	return computeSolo(m, hw, batch)
-}
-
-func computeSolo(m model.Spec, hw hardware.Spec, batch int) time.Duration {
-	if batch < 1 {
-		batch = 1
-	}
-	return launchOverhead(hw) + time.Duration(batch)*computeSoloSample(m, hw)
-}
-
-// launchOverhead is the fixed per-batch cost on the node.
-func launchOverhead(hw hardware.Spec) time.Duration {
-	if hw.IsGPU() {
-		return GPULaunchOverhead
-	}
-	return CPULaunchOverhead
-}
-
-// FBR returns the workload's Fractional Bandwidth Requirement on the node:
-// the fraction of device global-memory bandwidth one batch job demands while
-// executing. An FBR of 0.2 means the job wants 20% of the bandwidth; values
-// above 1 mean a single job already saturates the device (the language
-// models on the cheaper GPUs). CPU nodes return 0 — the paper's interference
-// model only covers MPS co-location on GPUs.
-func FBR(m model.Spec, hw hardware.Spec) float64 {
-	if e := tableEntry(m, hw); e != nil {
-		return e.FBR
-	}
-	return computeFBR(m, hw)
-}
-
-func computeFBR(m model.Spec, hw hardware.Spec) float64 {
-	if !hw.IsGPU() {
-		return 0
-	}
-	demandGBps := m.TrafficGBPerSample * EffectiveGFLOPs(m, hw) / m.GFLOPsPerSample
-	return demandGBps / hw.MemBWGBps
-}
-
 // SaturationConst scales how many samples' kernels fill a device: a job
 // saturates the GPU's compute units once its batch reaches
 // SaturationConst * ComputeScore / GFLOPsPerSample samples. Below that, MPS
@@ -135,36 +65,6 @@ func computeFBR(m model.Spec, hw hardware.Spec) float64 {
 // experiment — reflecting the modest SM occupancy of PyTorch-v1-era
 // inference kernels.
 const SaturationConst = 56.0
-
-// SaturationBatch returns the batch size at which one job of the workload
-// saturates the device's compute units (at least 1).
-func SaturationBatch(m model.Spec, hw hardware.Spec) int {
-	b := int(SaturationConst * hw.ComputeScore / m.GFLOPsPerSample)
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
-// ComputeFraction returns the fraction of the device's compute units a batch
-// job occupies while executing, in (0, 1]. Hot paths use Entry.ComputeAt.
-func ComputeFraction(m model.Spec, hw hardware.Spec, batch int) float64 {
-	if e := tableEntry(m, hw); e != nil {
-		return e.ComputeAt(batch)
-	}
-	return computeComputeFraction(m, hw, batch)
-}
-
-func computeComputeFraction(m model.Spec, hw hardware.Spec, batch int) float64 {
-	if batch < 1 {
-		batch = 1
-	}
-	sat := SaturationBatch(m, hw)
-	if batch >= sat {
-		return 1
-	}
-	return float64(batch) / float64(sat)
-}
 
 // Penalty is the contention penalty P(D) for aggregate bandwidth demand D
 // (the sum of FBRs of co-located jobs): no penalty below saturation, then a
@@ -199,70 +99,9 @@ func ClientOverhead(k int) float64 {
 	return 1 + MPSClientOverhead*float64(k-1)
 }
 
-// PreferredBatch returns the batch size the provider would configure for the
-// workload on the node: the largest power of two not exceeding the model's
-// MaxBatch whose solo latency fits TargetBatchLatency. It is at least 1 even
-// if a single sample misses the target (the device is then simply a bad
-// candidate; hardware selection will notice via T_max).
-func PreferredBatch(m model.Spec, hw hardware.Spec) int {
-	if e := tableEntry(m, hw); e != nil {
-		return e.PreferredBatch
-	}
-	return computePreferredBatch(m, hw)
-}
-
-func computePreferredBatch(m model.Spec, hw hardware.Spec) int {
-	best := 1
-	for b := 1; b <= m.MaxBatch; b *= 2 {
-		if computeSolo(m, hw, b) <= TargetBatchLatency {
-			best = b
-		}
-	}
-	return best
-}
-
-// ThroughputRPS returns the sustained request throughput of the node for the
-// workload: back-to-back batches at the preferred size, in isolation.
-func ThroughputRPS(m model.Spec, hw hardware.Spec) float64 {
-	if e := tableEntry(m, hw); e != nil {
-		return e.ThroughputRPS
-	}
-	return computeThroughputRPS(m, hw)
-}
-
-func computeThroughputRPS(m model.Spec, hw hardware.Spec) float64 {
-	b := computePreferredBatch(m, hw)
-	solo := computeSolo(m, hw, b)
-	if solo <= 0 {
-		return 0
-	}
-	return float64(b) / solo.Seconds()
-}
-
 // MPSMaxClients is NVIDIA MPS's limit on concurrently connected client
 // processes (48 since Volta).
 const MPSMaxClients = 48
-
-// MaxResidentJobs returns how many serving containers of the workload fit on
-// the node at once — the hard cap on spatial co-location: device memory,
-// further clamped by the MPS client limit on GPUs.
-func MaxResidentJobs(m model.Spec, hw hardware.Spec) int {
-	if e := tableEntry(m, hw); e != nil {
-		return e.MaxResidentJobs
-	}
-	return computeMaxResidentJobs(m, hw)
-}
-
-func computeMaxResidentJobs(m model.Spec, hw hardware.Spec) int {
-	n := int(hw.MemGB / m.MemFootprintGB)
-	if n < 1 {
-		n = 1
-	}
-	if hw.IsGPU() && n > MPSMaxClients {
-		n = MPSMaxClients
-	}
-	return n
-}
 
 // Entry is one row of the profiling table for a (model, hardware) pair —
 // everything the scheduling policies consume. Catalog rows are shared and
@@ -270,19 +109,32 @@ func computeMaxResidentJobs(m model.Spec, hw hardware.Spec) int {
 type Entry struct {
 	Model    model.Spec
 	Hardware hardware.Spec
-	// SoloSample is the per-sample latency in isolation.
+	// SoloSample is the per-sample execution time in isolation, excluding
+	// the fixed per-batch launch overhead.
 	SoloSample time.Duration
-	// FBR is the fractional bandwidth requirement (0 on CPU nodes).
+	// FBR is the workload's Fractional Bandwidth Requirement on the node:
+	// the fraction of device global-memory bandwidth one batch job demands
+	// while executing. 0.2 means the job wants 20% of the bandwidth; values
+	// above 1 mean a single job already saturates the device (the language
+	// models on the cheaper GPUs). CPU nodes have 0 — the paper's
+	// interference model only covers MPS co-location on GPUs.
 	FBR float64
-	// PreferredBatch is the configured batch size.
+	// PreferredBatch is the batch size the provider configures: the largest
+	// power of two not exceeding the model's MaxBatch whose solo latency
+	// fits TargetBatchLatency, and at least 1 even if a single sample misses
+	// the target (the node is then simply a bad candidate; hardware
+	// selection notices via T_max).
 	PreferredBatch int
-	// SoloBatch is Solo at the preferred batch size.
+	// SoloBatch is SoloAt(PreferredBatch).
 	SoloBatch time.Duration
-	// ThroughputRPS is the sustained isolated throughput.
+	// ThroughputRPS is the sustained request throughput in isolation:
+	// back-to-back batches at the preferred size.
 	ThroughputRPS float64
-	// MaxResidentJobs caps spatial co-location by device memory.
+	// MaxResidentJobs is how many serving containers of the workload fit on
+	// the node at once — the hard cap on spatial co-location: device
+	// memory, further clamped by the MPS client limit on GPUs.
 	MaxResidentJobs int
-	// ComputeFrac is the compute occupancy of one preferred-size batch.
+	// ComputeFrac is ComputeAt(PreferredBatch).
 	ComputeFrac float64
 	// PenaltyByJobs memoizes Penalty(k*FBR) for k = 0..MPSMaxClients
 	// co-located batch jobs: the contention curve Eq. (1) evaluates when
@@ -290,15 +142,16 @@ type Entry struct {
 	// calls math.Pow.
 	PenaltyByJobs []float64
 
-	// launch (the per-batch overhead) and satBatch (SaturationBatch) are
-	// the pair's two constants besides SoloSample that Solo and
-	// ComputeFraction depend on, so SoloAt and ComputeAt evaluate the same
-	// formulas for any batch size with no lookup.
+	// launch (the per-batch overhead) and satBatch (the batch size at which
+	// one job saturates the device's compute units) are the pair's two
+	// constants besides SoloSample that SoloAt and ComputeAt depend on, so
+	// both evaluate for any batch size with no lookup.
 	launch   time.Duration
 	satBatch int
 }
 
-// SoloAt is Solo for the row's pair: the isolated latency of one batch.
+// SoloAt is the paper's Solo_M for the row's pair: the profiled execution
+// latency of one batch of the given size run in isolation.
 func (e *Entry) SoloAt(batch int) time.Duration {
 	if batch < 1 {
 		batch = 1
@@ -306,8 +159,8 @@ func (e *Entry) SoloAt(batch int) time.Duration {
 	return e.launch + time.Duration(batch)*e.SoloSample
 }
 
-// ComputeAt is ComputeFraction for the row's pair: the compute occupancy of
-// one batch.
+// ComputeAt is the fraction of the device's compute units one batch of the
+// given size occupies while executing, in (0, 1].
 func (e *Entry) ComputeAt(batch int) float64 {
 	if batch < 1 {
 		batch = 1
@@ -318,7 +171,10 @@ func (e *Entry) ComputeAt(batch int) float64 {
 	return float64(batch) / float64(e.satBatch)
 }
 
-// EffectiveBatchAt is EffectiveBatch for the row's pair.
+// EffectiveBatchAt returns the batch size actually reachable at the given
+// arrival rate when requests may only be held for maxWait before dispatch:
+// min(PreferredBatch, rate*maxWait), at least 1. Under low rates batches run
+// partially filled — the paper's flexible batch sizes.
 func (e *Entry) EffectiveBatchAt(rateRPS float64, maxWait time.Duration) int {
 	b := int(rateRPS * maxWait.Seconds())
 	if b > e.PreferredBatch {
@@ -330,7 +186,10 @@ func (e *Entry) EffectiveBatchAt(rateRPS float64, maxWait time.Duration) int {
 	return b
 }
 
-// CanSustain is the package-level CanSustain for the row's pair.
+// CanSustain reports whether the node keeps up with the arrival rate when
+// batches are dispatched at least every maxWait: the per-batch cost
+// (including launch overhead, which dominates for small batches) must fit in
+// the batch's arrival budget with headroom.
 func (e *Entry) CanSustain(rateRPS float64, maxWait time.Duration) bool {
 	if rateRPS <= 0 {
 		return true
@@ -340,42 +199,56 @@ func (e *Entry) CanSustain(rateRPS float64, maxWait time.Duration) bool {
 	return util <= Headroom
 }
 
-// Lookup returns the profiling entry for a pair. Catalog pairs resolve to
-// their shared precomputed row; unknown or doctored specs are profiled on
-// the fly.
+// Headroom is the fraction of a node's sustainable throughput the capacity
+// probes consider usable; running hotter leaves no slack for burst noise.
+const Headroom = 0.85
+
+// Lookup returns the profiling row for a pair: RowsFor(m).Entry(hw).
 func Lookup(m model.Spec, hw hardware.Spec) *Entry {
-	if e := tableEntry(m, hw); e != nil {
-		return e
-	}
-	return computeEntry(m, hw)
+	return RowsFor(m).Entry(hw)
 }
 
+// computeEntry profiles the pair. A node sustains its peak FLOP/s times an
+// efficiency (times the model's CPU friendliness on CPU nodes).
 func computeEntry(m model.Spec, hw hardware.Spec) *Entry {
-	b := computePreferredBatch(m, hw)
-	fbr := computeFBR(m, hw)
-	pen := make([]float64, MPSMaxClients+1)
-	for k := range pen {
-		pen[k] = Penalty(float64(k) * fbr)
+	gflops := hw.ComputeScore * 1000 * CPUEfficiency * m.CPUFactor
+	if hw.IsGPU() {
+		gflops = hw.ComputeScore * 1000 * GPUEfficiency
 	}
-	return &Entry{
+	e := &Entry{
 		Model:           m,
 		Hardware:        hw,
-		SoloSample:      computeSoloSample(m, hw),
-		FBR:             fbr,
-		PreferredBatch:  b,
-		SoloBatch:       computeSolo(m, hw, b),
-		ThroughputRPS:   computeThroughputRPS(m, hw),
-		MaxResidentJobs: computeMaxResidentJobs(m, hw),
-		ComputeFrac:     computeComputeFraction(m, hw, b),
-		PenaltyByJobs:   pen,
-		launch:          launchOverhead(hw),
-		satBatch:        SaturationBatch(m, hw),
+		SoloSample:      time.Duration(m.GFLOPsPerSample / gflops * float64(time.Second)),
+		MaxResidentJobs: max(1, int(hw.MemGB/m.MemFootprintGB)),
+		PenaltyByJobs:   make([]float64, MPSMaxClients+1),
+		launch:          CPULaunchOverhead,
+		satBatch:        max(1, int(SaturationConst*hw.ComputeScore/m.GFLOPsPerSample)),
 	}
+	if hw.IsGPU() {
+		demandGBps := m.TrafficGBPerSample * gflops / m.GFLOPsPerSample
+		e.FBR = demandGBps / hw.MemBWGBps
+		e.MaxResidentJobs = min(e.MaxResidentJobs, MPSMaxClients)
+		e.launch = GPULaunchOverhead
+	}
+	e.PreferredBatch = 1
+	for b := 1; b <= m.MaxBatch; b *= 2 {
+		if e.SoloAt(b) <= TargetBatchLatency {
+			e.PreferredBatch = b
+		}
+	}
+	e.SoloBatch = e.SoloAt(e.PreferredBatch)
+	e.ThroughputRPS = float64(e.PreferredBatch) / e.SoloBatch.Seconds()
+	e.ComputeFrac = e.ComputeAt(e.PreferredBatch)
+	for k := range e.PenaltyByJobs {
+		e.PenaltyByJobs[k] = Penalty(float64(k) * e.FBR)
+	}
+	return e
 }
 
 // Rows is one model's profiling rows, resolved once so per-tick selection
 // and per-job pricing do only indexed reads: every catalog node cheapest
-// first, plus the capable pool's fallback GPU. Rows are read-only.
+// first, plus the capable pool's fallback GPU. Rows are the only door into
+// the profiling table; they are read-only.
 type Rows struct {
 	Model model.Spec
 	// ByCost holds one row per catalog node in hardware.CostSorted order.
@@ -408,7 +281,8 @@ func computeRows(m model.Spec) *Rows {
 }
 
 // Entry returns the row for hw: the resolved one for a catalog node, or the
-// pair profiled on the fly for any other spec.
+// pair profiled on the fly for any other spec — a doctored node that keeps a
+// catalog name included, since rows match on the full spec.
 func (r *Rows) Entry(hw hardware.Spec) *Entry {
 	for _, e := range r.ByCost {
 		if e.Hardware == hw {
@@ -438,12 +312,10 @@ func (r *Rows) AppendCapable(dst []*Entry, rateRPS float64, slo time.Duration) [
 }
 
 // The profiling campaign, run once at init: every catalog model profiled on
-// every catalog node. tableEntry verifies specs against the snapshot by full
-// struct equality, so it can never serve a stale row for a modified Spec.
+// every catalog node.
 var (
 	catalogRows []*Rows        // by model.Catalog index
 	modelIndex  map[string]int // model name -> catalogRows index
-	hwIndex     map[string]int // node name -> Rows.ByCost index
 	fallbackGPU hardware.Spec
 )
 
@@ -455,29 +327,6 @@ func init() {
 		catalogRows = append(catalogRows, computeRows(m))
 		modelIndex[m.Name] = i
 	}
-	hwIndex = make(map[string]int)
-	for i, hw := range hardware.CostSorted() {
-		hwIndex[hw.Name] = i
-	}
-}
-
-// tableEntry resolves a pair to its precomputed row, or nil. Both specs must
-// equal their catalog snapshots exactly — name collisions with different
-// field values (tests doctor specs to probe behavior) fall through to the
-// compute path. Only the pair-keyed accessors use it; hot paths hold rows.
-func tableEntry(m model.Spec, hw hardware.Spec) *Entry {
-	mi, ok := modelIndex[m.Name]
-	if !ok || catalogRows[mi].Model != m {
-		return nil
-	}
-	hi, ok := hwIndex[hw.Name]
-	if !ok {
-		return nil
-	}
-	if e := catalogRows[mi].ByCost[hi]; e.Hardware == hw {
-		return e
-	}
-	return nil
 }
 
 // Table returns the full profiling campaign: every catalog model on every
@@ -492,38 +341,6 @@ func Table() []*Entry {
 	return out
 }
 
-// Headroom is the fraction of a node's sustainable throughput the capacity
-// probes consider usable; running hotter leaves no slack for burst noise.
-const Headroom = 0.85
-
-// EffectiveBatch returns the batch size actually reachable at the given
-// arrival rate when requests may only be held for maxWait before dispatch:
-// min(PreferredBatch, rate*maxWait), at least 1. Under low rates batches run
-// partially filled — the paper's flexible batch sizes.
-func EffectiveBatch(m model.Spec, hw hardware.Spec, rateRPS float64, maxWait time.Duration) int {
-	b := int(rateRPS * maxWait.Seconds())
-	if pref := PreferredBatch(m, hw); b > pref {
-		b = pref
-	}
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
-// CanSustain reports whether the node keeps up with the arrival rate when
-// batches are dispatched at least every maxWait: the per-batch cost
-// (including launch overhead, which dominates for small batches) must fit in
-// the batch's arrival budget with headroom.
-func CanSustain(m model.Spec, hw hardware.Spec, rateRPS float64, maxWait time.Duration) bool {
-	if rateRPS <= 0 {
-		return true
-	}
-	b := EffectiveBatch(m, hw, rateRPS, maxWait)
-	util := rateRPS * Solo(m, hw, b).Seconds() / float64(b)
-	return util <= Headroom
-}
-
 // capabilityMaxWait is the batching-delay budget used by the capability
 // probes: a quarter of the SLO, leaving the rest for execution.
 func capabilityMaxWait(slo time.Duration) time.Duration { return slo / 4 }
@@ -532,11 +349,11 @@ func capabilityMaxWait(slo time.Duration) time.Duration { return slo / 4 }
 // the given sustained request rate within the SLO — the pool the Hardware
 // Selection module explores (Algorithm 1's get_HW_pool). A node qualifies
 // when (i) one batch executes within the SLO in isolation, leaving room for
-// batching delay, and (ii) it sustains the rate (CanSustain) at the batch
-// sizes reachable within the SLO's batching budget. The returned pool is
-// sorted cheapest first; it is never empty — if nothing qualifies, the most
-// performant GPU is returned as the fallback of last resort (matching the
-// paper's escalation to the next more performant GPU when no feasible y
+// batching delay, and (ii) it sustains the rate (Entry.CanSustain) at the
+// batch sizes reachable within the SLO's batching budget. The returned pool
+// is sorted cheapest first; it is never empty — if nothing qualifies, the
+// most performant GPU is returned as the fallback of last resort (matching
+// the paper's escalation to the next more performant GPU when no feasible y
 // exists). It is a convenience over RowsFor(m).AppendCapable.
 func CapablePool(m model.Spec, rateRPS float64, slo time.Duration) []hardware.Spec {
 	var pool []hardware.Spec

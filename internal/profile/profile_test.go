@@ -48,7 +48,7 @@ func TestGPUOrderingPreserved(t *testing.T) {
 	// and K80 faster than M60.
 	v100, k80, m60 := mustHW(t, "V100"), mustHW(t, "K80"), mustHW(t, "M60")
 	for _, m := range model.Catalog() {
-		a, b, c := SoloSample(m, v100), SoloSample(m, k80), SoloSample(m, m60)
+		a, b, c := Lookup(m, v100).SoloSample, Lookup(m, k80).SoloSample, Lookup(m, m60).SoloSample
 		if !(a < b && b < c) {
 			t.Errorf("%s: per-sample latency V100=%v K80=%v M60=%v not ordered", m.Name, a, b, c)
 		}
@@ -63,11 +63,11 @@ func TestCPUSlowerThanGPU(t *testing.T) {
 	v100, m60, m4 := mustHW(t, "V100"), mustHW(t, "M60"), mustHW(t, "m4.xlarge")
 	for _, m := range model.Catalog() {
 		for _, cpu := range hardware.CPUs() {
-			if SoloSample(m, cpu) <= SoloSample(m, v100) {
+			if Lookup(m, cpu).SoloSample <= Lookup(m, v100).SoloSample {
 				t.Errorf("%s: CPU %s per-sample latency not above V100's", m.Name, cpu.Name)
 			}
 		}
-		if SoloSample(m, m4) <= SoloSample(m, m60) {
+		if Lookup(m, m4).SoloSample <= Lookup(m, m60).SoloSample {
 			t.Errorf("%s: m4.xlarge per-sample latency not above M60's", m.Name)
 		}
 	}
@@ -76,7 +76,7 @@ func TestCPUSlowerThanGPU(t *testing.T) {
 func TestFBRProperties(t *testing.T) {
 	m60, v100 := mustHW(t, "M60"), mustHW(t, "V100")
 	for _, m := range model.Catalog() {
-		fM60, fV100 := FBR(m, m60), FBR(m, v100)
+		fM60, fV100 := Lookup(m, m60).FBR, Lookup(m, v100).FBR
 		if fM60 <= fV100 {
 			t.Errorf("%s: FBR on M60 (%.2f) must exceed FBR on V100 (%.2f) — cheap GPUs saturate first",
 				m.Name, fM60, fV100)
@@ -86,7 +86,7 @@ func TestFBRProperties(t *testing.T) {
 		}
 	}
 	for _, cpu := range hardware.CPUs() {
-		if FBR(model.MustByName("ResNet 50"), cpu) != 0 {
+		if Lookup(model.MustByName("ResNet 50"), cpu).FBR != 0 {
 			t.Errorf("FBR on CPU node %s must be 0", cpu.Name)
 		}
 	}
@@ -97,13 +97,13 @@ func TestLanguageModelFBRsAboveOne(t *testing.T) {
 	// the cost-effective GPUs.
 	m60 := mustHW(t, "M60")
 	for _, m := range model.LanguageModels() {
-		if f := FBR(m, m60); f <= 1 {
+		if f := Lookup(m, m60).FBR; f <= 1 {
 			t.Errorf("%s FBR on M60 = %.2f, want > 1", m.Name, f)
 		}
 	}
 	// ...while vision models stay below 1 (co-location is possible).
 	for _, m := range model.VisionModels() {
-		if f := FBR(m, m60); f >= 1 {
+		if f := Lookup(m, m60).FBR; f >= 1 {
 			t.Errorf("%s FBR on M60 = %.2f, want < 1", m.Name, f)
 		}
 	}
@@ -115,7 +115,7 @@ func TestHighFBRClassification(t *testing.T) {
 	m60 := mustHW(t, "M60")
 	minHigh, maxLow := math.Inf(1), 0.0
 	for _, m := range model.VisionModels() {
-		f := FBR(m, m60)
+		f := Lookup(m, m60).FBR
 		if m.IsHighFBR() && f < minHigh {
 			minHigh = f
 		}
@@ -177,7 +177,7 @@ func TestSlowdownMonotoneProperty(t *testing.T) {
 func TestPreferredBatchBounds(t *testing.T) {
 	for _, m := range model.Catalog() {
 		for _, hw := range hardware.Catalog() {
-			b := PreferredBatch(m, hw)
+			b := Lookup(m, hw).PreferredBatch
 			if b < 1 || b > m.MaxBatch {
 				t.Errorf("%s on %s: batch %d outside [1,%d]", m.Name, hw.Name, b, m.MaxBatch)
 			}
@@ -191,8 +191,8 @@ func TestPreferredBatchBounds(t *testing.T) {
 
 func TestPreferredBatchGrowsWithHardware(t *testing.T) {
 	m := model.MustByName("VGG 19")
-	bM60 := PreferredBatch(m, mustHW(t, "M60"))
-	bV100 := PreferredBatch(m, mustHW(t, "V100"))
+	bM60 := Lookup(m, mustHW(t, "M60")).PreferredBatch
+	bV100 := Lookup(m, mustHW(t, "V100")).PreferredBatch
 	if bV100 < bM60 {
 		t.Fatalf("VGG 19 batch on V100 (%d) smaller than on M60 (%d)", bV100, bM60)
 	}
@@ -204,7 +204,7 @@ func TestCPUvsGPUCostClaim(t *testing.T) {
 	m := model.MustByName("ResNet 50")
 	m4 := mustHW(t, "m4.xlarge")
 	g3s := mustHW(t, "g3s.xlarge")
-	perNode := ThroughputRPS(m, m4)
+	perNode := Lookup(m, m4).ThroughputRPS
 	n := int(math.Ceil(750 / perNode))
 	if n < 6 || n > 8 {
 		t.Fatalf("need %d m4.xlarge for 750 rps (per-node %.0f rps), want ~7", n, perNode)
@@ -214,9 +214,9 @@ func TestCPUvsGPUCostClaim(t *testing.T) {
 	if extra < 0.5 || extra > 1.3 {
 		t.Fatalf("CPU fleet costs %.0f%% more than one GPU node, want ~86%%", extra*100)
 	}
-	if ThroughputRPS(m, g3s) < 200 {
+	if Lookup(m, g3s).ThroughputRPS < 200 {
 		t.Fatalf("g3s.xlarge ResNet 50 throughput %.0f rps too low to be the paper's GPU alternative",
-			ThroughputRPS(m, g3s))
+			Lookup(m, g3s).ThroughputRPS)
 	}
 }
 
@@ -227,7 +227,7 @@ func TestCPUServesLowRatesOnly(t *testing.T) {
 	for _, name := range []string{"DPN 92", "VGG 19"} {
 		m := model.MustByName(name)
 		m4 := mustHW(t, "m4.xlarge")
-		if tp := ThroughputRPS(m, m4); tp > 60 {
+		if tp := Lookup(m, m4).ThroughputRPS; tp > 60 {
 			t.Errorf("%s on m4.xlarge sustains %.0f rps; want modest (<60)", name, tp)
 		}
 	}
@@ -278,10 +278,10 @@ func TestVGG19NeedsV100AtPeak(t *testing.T) {
 	// The Fig. 4b story: VGG 19's 225 rps peak is beyond the M60 and K80;
 	// only the V100 sustains it.
 	m := model.MustByName("VGG 19")
-	if tp := ThroughputRPS(m, mustHW(t, "M60")); tp > 180 {
+	if tp := Lookup(m, mustHW(t, "M60")).ThroughputRPS; tp > 180 {
 		t.Errorf("M60 sustains %.0f rps of VGG 19; want < 180 so the peak overwhelms it", tp)
 	}
-	if tp := ThroughputRPS(m, mustHW(t, "V100")); tp < 225 {
+	if tp := Lookup(m, mustHW(t, "V100")).ThroughputRPS; tp < 225 {
 		t.Errorf("V100 sustains only %.0f rps of VGG 19; want >= 225", tp)
 	}
 }
@@ -301,50 +301,50 @@ func TestTableComplete(t *testing.T) {
 
 func TestMaxResidentJobs(t *testing.T) {
 	bert := model.MustByName("BERT")
-	m60 := mustHW(t, "M60")
-	v100 := mustHW(t, "V100")
-	if MaxResidentJobs(bert, m60) >= MaxResidentJobs(bert, v100) {
+	m60 := Lookup(bert, mustHW(t, "M60")).MaxResidentJobs
+	v100 := Lookup(bert, mustHW(t, "V100")).MaxResidentJobs
+	if m60 >= v100 {
 		t.Error("more BERT jobs should fit on the V100 (16GB) than the M60 (8GB)")
 	}
-	if MaxResidentJobs(bert, m60) < 1 {
+	if m60 < 1 {
 		t.Error("MaxResidentJobs must be at least 1")
 	}
 }
 
 func TestEffectiveBatch(t *testing.T) {
 	m := model.MustByName("ResNet 50")
-	m60 := mustHW(t, "M60")
+	e := Lookup(m, mustHW(t, "M60"))
 	// At 450 rps with a 50ms budget only ~22 requests accumulate.
-	if got := EffectiveBatch(m, m60, 450, 50*time.Millisecond); got != 22 {
-		t.Fatalf("EffectiveBatch(450rps, 50ms) = %d, want 22", got)
+	if got := e.EffectiveBatchAt(450, 50*time.Millisecond); got != 22 {
+		t.Fatalf("EffectiveBatchAt(450rps, 50ms) = %d, want 22", got)
 	}
 	// At very high rates the preferred batch caps it.
-	if got := EffectiveBatch(m, m60, 1e6, 50*time.Millisecond); got != PreferredBatch(m, m60) {
-		t.Fatalf("EffectiveBatch not capped at preferred: %d", got)
+	if got := e.EffectiveBatchAt(1e6, 50*time.Millisecond); got != e.PreferredBatch {
+		t.Fatalf("EffectiveBatchAt not capped at preferred: %d", got)
 	}
-	if got := EffectiveBatch(m, m60, 0.1, 50*time.Millisecond); got != 1 {
-		t.Fatalf("EffectiveBatch floor = %d, want 1", got)
+	if got := e.EffectiveBatchAt(0.1, 50*time.Millisecond); got != 1 {
+		t.Fatalf("EffectiveBatchAt floor = %d, want 1", got)
 	}
 }
 
 func TestCanSustainOrdering(t *testing.T) {
 	m := model.MustByName("ResNet 50")
-	m60, v100 := mustHW(t, "M60"), mustHW(t, "V100")
+	m60, v100 := Lookup(m, mustHW(t, "M60")), Lookup(m, mustHW(t, "V100"))
 	w := 50 * time.Millisecond
-	if !CanSustain(m, m60, 450, w) {
+	if !m60.CanSustain(450, w) {
 		t.Error("M60 should sustain ResNet 50 at its 450 rps class peak (the paper's " +
 			"cost-effective GPUs ride out surges)")
 	}
-	if CanSustain(m, m60, 900, w) {
+	if m60.CanSustain(900, w) {
 		t.Error("M60 should NOT sustain ResNet 50 at 900 rps")
 	}
-	if !CanSustain(m, v100, 900, w) {
+	if !v100.CanSustain(900, w) {
 		t.Error("V100 should sustain ResNet 50 at 900 rps")
 	}
-	if CanSustain(model.MustByName("VGG 19"), m60, 225, w) {
+	if Lookup(model.MustByName("VGG 19"), m60.Hardware).CanSustain(225, w) {
 		t.Error("M60 should NOT sustain VGG 19 at its 225 rps peak (Fig. 4b: only the V100 does)")
 	}
-	if !CanSustain(m, v100, 0, w) {
+	if !v100.CanSustain(0, w) {
 		t.Error("zero rate is always sustainable")
 	}
 }
@@ -379,12 +379,12 @@ func TestMPSClientCap(t *testing.T) {
 	// MPS client limit must clamp them.
 	shuffle := model.MustByName("ShuffleNet V2")
 	v100 := mustHW(t, "V100")
-	if got := MaxResidentJobs(shuffle, v100); got != MPSMaxClients {
+	if got := Lookup(shuffle, v100).MaxResidentJobs; got != MPSMaxClients {
 		t.Fatalf("MaxResidentJobs = %d, want MPS cap %d", got, MPSMaxClients)
 	}
 	// CPU nodes are not MPS-limited.
 	m4 := mustHW(t, "m4.xlarge")
-	if got := MaxResidentJobs(shuffle, m4); got <= MPSMaxClients {
+	if got := Lookup(shuffle, m4).MaxResidentJobs; got <= MPSMaxClients {
 		t.Fatalf("CPU node clamped to MPS limit: %d", got)
 	}
 }

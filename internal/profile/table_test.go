@@ -1,9 +1,9 @@
 package profile
 
-// The precomputed (model x hardware) tables must be invisible: every
-// table-backed accessor has to return exactly what the on-the-fly profiling
-// formulas return, for catalog pairs (table hit) and doctored specs (compute
-// fallback) alike.
+// The precomputed (model x hardware) tables must be invisible: every row —
+// a catalog model's shared one, or one profiled on the fly for a doctored
+// spec — has to equal an independent statement of the profiling formulas
+// (the reference below), field by field and at every batch size.
 
 import (
 	"reflect"
@@ -25,48 +25,149 @@ func skipIfRace(t *testing.T) {
 	}
 }
 
-// TestTableMatchesCompute sweeps every catalog pair, asserting each
-// table-backed accessor agrees exactly with the pure profiling formulas.
-func TestTableMatchesCompute(t *testing.T) {
-	for _, m := range model.Catalog() {
-		for _, hw := range hardware.Catalog() {
-			want := computeEntry(m, hw)
-			if got := Lookup(m, hw); !reflect.DeepEqual(got, want) {
-				t.Errorf("Lookup(%s, %s) = %+v, want computed %+v", m.Name, hw.Name, got, want)
-			}
-			if got := SoloSample(m, hw); got != want.SoloSample {
-				t.Errorf("SoloSample(%s, %s) = %v, want %v", m.Name, hw.Name, got, want.SoloSample)
-			}
-			if got := FBR(m, hw); got != want.FBR {
-				t.Errorf("FBR(%s, %s) = %v, want %v", m.Name, hw.Name, got, want.FBR)
-			}
-			if got := PreferredBatch(m, hw); got != want.PreferredBatch {
-				t.Errorf("PreferredBatch(%s, %s) = %d, want %d", m.Name, hw.Name, got, want.PreferredBatch)
-			}
-			if got := ThroughputRPS(m, hw); got != want.ThroughputRPS {
-				t.Errorf("ThroughputRPS(%s, %s) = %v, want %v", m.Name, hw.Name, got, want.ThroughputRPS)
-			}
-			if got := MaxResidentJobs(m, hw); got != want.MaxResidentJobs {
-				t.Errorf("MaxResidentJobs(%s, %s) = %d, want %d", m.Name, hw.Name, got, want.MaxResidentJobs)
-			}
-			if got := Lookup(m, hw).SoloAt(want.PreferredBatch); got != want.SoloBatch {
-				t.Errorf("Lookup(%s, %s).SoloAt(PreferredBatch) = %v, want %v", m.Name, hw.Name, got, want.SoloBatch)
-			}
-			// Solo and ComputeFraction: clamped, boundary, and
-			// beyond-MaxBatch batch sizes.
-			for _, b := range []int{0, 1, 2, 3, m.MaxBatch - 1, m.MaxBatch, m.MaxBatch + 1, 4 * m.MaxBatch} {
-				if got, want := Solo(m, hw, b), computeSolo(m, hw, b); got != want {
-					t.Errorf("Solo(%s, %s, %d) = %v, want %v", m.Name, hw.Name, b, got, want)
-				}
-				if got, want := ComputeFraction(m, hw, b), computeComputeFraction(m, hw, b); got != want {
-					t.Errorf("ComputeFraction(%s, %s, %d) = %v, want %v", m.Name, hw.Name, b, got, want)
-				}
-			}
+// The reference: the profiling formulas as pair-keyed closed forms. It
+// shares no code with computeEntry or the Entry methods, so a slip in either
+// shows up as a mismatch.
+
+func refGFLOPs(m model.Spec, hw hardware.Spec) float64 {
+	if hw.IsGPU() {
+		return hw.ComputeScore * 1000 * GPUEfficiency
+	}
+	return hw.ComputeScore * 1000 * CPUEfficiency * m.CPUFactor
+}
+
+func refSoloSample(m model.Spec, hw hardware.Spec) time.Duration {
+	sec := m.GFLOPsPerSample / refGFLOPs(m, hw)
+	return time.Duration(sec * float64(time.Second))
+}
+
+func refSolo(m model.Spec, hw hardware.Spec, batch int) time.Duration {
+	if batch < 1 {
+		batch = 1
+	}
+	launch := CPULaunchOverhead
+	if hw.IsGPU() {
+		launch = GPULaunchOverhead
+	}
+	return launch + time.Duration(batch)*refSoloSample(m, hw)
+}
+
+func refFBR(m model.Spec, hw hardware.Spec) float64 {
+	if !hw.IsGPU() {
+		return 0
+	}
+	demandGBps := m.TrafficGBPerSample * refGFLOPs(m, hw) / m.GFLOPsPerSample
+	return demandGBps / hw.MemBWGBps
+}
+
+func refComputeFraction(m model.Spec, hw hardware.Spec, batch int) float64 {
+	if batch < 1 {
+		batch = 1
+	}
+	sat := int(SaturationConst * hw.ComputeScore / m.GFLOPsPerSample)
+	if sat < 1 {
+		sat = 1
+	}
+	if batch >= sat {
+		return 1
+	}
+	return float64(batch) / float64(sat)
+}
+
+func refPreferredBatch(m model.Spec, hw hardware.Spec) int {
+	best := 1
+	for b := 1; b <= m.MaxBatch; b *= 2 {
+		if refSolo(m, hw, b) <= TargetBatchLatency {
+			best = b
+		}
+	}
+	return best
+}
+
+func refThroughputRPS(m model.Spec, hw hardware.Spec) float64 {
+	b := refPreferredBatch(m, hw)
+	return float64(b) / refSolo(m, hw, b).Seconds()
+}
+
+func refMaxResidentJobs(m model.Spec, hw hardware.Spec) int {
+	n := int(hw.MemGB / m.MemFootprintGB)
+	if n < 1 {
+		n = 1
+	}
+	if hw.IsGPU() && n > MPSMaxClients {
+		n = MPSMaxClients
+	}
+	return n
+}
+
+func refEffectiveBatch(m model.Spec, hw hardware.Spec, rateRPS float64, maxWait time.Duration) int {
+	b := int(rateRPS * maxWait.Seconds())
+	if pref := refPreferredBatch(m, hw); b > pref {
+		b = pref
+	}
+	if b < 1 {
+		b = 1
+	}
+	return b
+}
+
+func refCanSustain(m model.Spec, hw hardware.Spec, rateRPS float64, maxWait time.Duration) bool {
+	if rateRPS <= 0 {
+		return true
+	}
+	b := refEffectiveBatch(m, hw, rateRPS, maxWait)
+	return rateRPS*refSolo(m, hw, b).Seconds()/float64(b) <= Headroom
+}
+
+// checkRow asserts every field of e equals the reference for its pair, and
+// SoloAt and ComputeAt equal it at each of the given batch sizes.
+func checkRow(t *testing.T, e *Entry, batches []int) {
+	t.Helper()
+	m, hw := e.Model, e.Hardware
+	pref := refPreferredBatch(m, hw)
+	for _, c := range []struct {
+		field     string
+		got, want any
+	}{
+		{"SoloSample", e.SoloSample, refSoloSample(m, hw)},
+		{"FBR", e.FBR, refFBR(m, hw)},
+		{"PreferredBatch", e.PreferredBatch, pref},
+		{"SoloBatch", e.SoloBatch, refSolo(m, hw, pref)},
+		{"ThroughputRPS", e.ThroughputRPS, refThroughputRPS(m, hw)},
+		{"MaxResidentJobs", e.MaxResidentJobs, refMaxResidentJobs(m, hw)},
+		{"ComputeFrac", e.ComputeFrac, refComputeFraction(m, hw, pref)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s/%s %s = %v, want %v", m.Name, hw.Name, c.field, c.got, c.want)
+		}
+	}
+	for _, b := range batches {
+		if got, want := e.SoloAt(b), refSolo(m, hw, b); got != want {
+			t.Errorf("%s/%s SoloAt(%d) = %v, want %v", m.Name, hw.Name, b, got, want)
+		}
+		if got, want := e.ComputeAt(b), refComputeFraction(m, hw, b); got != want {
+			t.Errorf("%s/%s ComputeAt(%d) = %v, want %v", m.Name, hw.Name, b, got, want)
 		}
 	}
 }
 
-// TestDoctoredSpecBypassesTable pins the safety property of pairIndex: a spec
+// TestTableMatchesCompute sweeps every catalog pair: the shared table row
+// Lookup serves is exactly the row profiled on the fly, and both match the
+// reference, including clamped, boundary and beyond-MaxBatch batch sizes.
+func TestTableMatchesCompute(t *testing.T) {
+	for _, m := range model.Catalog() {
+		for _, hw := range hardware.Catalog() {
+			want := computeEntry(m, hw)
+			got := Lookup(m, hw)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Lookup(%s, %s) = %+v, want computed %+v", m.Name, hw.Name, got, want)
+			}
+			checkRow(t, got, []int{0, 1, 2, 3, m.MaxBatch - 1, m.MaxBatch, m.MaxBatch + 1, 4 * m.MaxBatch})
+		}
+	}
+}
+
+// TestDoctoredSpecBypassesTable pins the stale-row guard of Lookup: a spec
 // that shares a catalog name but differs in any field must be profiled on the
 // fly, never served a stale table row.
 func TestDoctoredSpecBypassesTable(t *testing.T) {
@@ -130,13 +231,13 @@ func specsOf(es []*Entry) []hardware.Spec {
 	return out
 }
 
-// capablePoolReference assembles the capable pool from the pair-keyed
-// formulas alone (Solo at the preferred batch, CanSustain): the reference
+// capablePoolReference assembles the capable pool from the reference alone
+// (solo latency at the preferred batch, sustainability): the pool
 // Rows.AppendCapable and CapablePool must match.
 func capablePoolReference(m model.Spec, rate float64, slo time.Duration) []hardware.Spec {
 	var pool []hardware.Spec
 	for _, hw := range hardware.CostSorted() {
-		if Solo(m, hw, PreferredBatch(m, hw)) > slo*3/4 || !CanSustain(m, hw, rate, capabilityMaxWait(slo)) {
+		if refSolo(m, hw, refPreferredBatch(m, hw)) > slo*3/4 || !refCanSustain(m, hw, rate, capabilityMaxWait(slo)) {
 			continue
 		}
 		pool = append(pool, hw)
@@ -156,12 +257,12 @@ func doctoredModel() model.Spec {
 	return m
 }
 
-// TestRowsMatchPairAccessors is the differential test for resolved rows:
-// for every catalog model and a doctored same-name model, at rates 0-2000
-// rps, AppendCapable yields exactly the pair-keyed capable pool in order,
-// and every row's SoloAt, ComputeAt, EffectiveBatchAt and CanSustain equal
-// the pair-keyed formulas at every batch size 0..MaxBatch+2.
-func TestRowsMatchPairAccessors(t *testing.T) {
+// TestRowsMatchReference is the differential test for resolved rows: for
+// every catalog model and a doctored same-name model, at rates 0-2000 rps,
+// AppendCapable yields exactly the reference capable pool in order, and
+// every row's fields, SoloAt and ComputeAt at every batch size
+// 0..MaxBatch+2, EffectiveBatchAt and CanSustain equal the reference.
+func TestRowsMatchReference(t *testing.T) {
 	models := append(model.Catalog(), doctoredModel())
 	for _, m := range models {
 		rows := RowsFor(m)
@@ -174,6 +275,10 @@ func TestRowsMatchPairAccessors(t *testing.T) {
 		if rows.Fallback.Hardware != hardware.MostPerformant(hardware.GPU) || rows.Fallback.Model != m {
 			t.Errorf("RowsFor(%s).Fallback = %s/%s, want the most performant GPU", m.Name, rows.Fallback.Model.Name, rows.Fallback.Hardware.Name)
 		}
+		batches := make([]int, m.MaxBatch+3)
+		for b := range batches {
+			batches[b] = b
+		}
 		for i, e := range rows.ByCost {
 			hw := hardware.CostSorted()[i]
 			if e.Hardware != hw || e.Model != m {
@@ -185,20 +290,13 @@ func TestRowsMatchPairAccessors(t *testing.T) {
 			if rows.Entry(hw) != e {
 				t.Errorf("RowsFor(%s).Entry(%s) is not the resolved row", m.Name, hw.Name)
 			}
-			for b := 0; b <= m.MaxBatch+2; b++ {
-				if got, want := e.SoloAt(b), Solo(m, hw, b); got != want {
-					t.Errorf("%s/%s SoloAt(%d) = %v, want Solo %v", m.Name, hw.Name, b, got, want)
-				}
-				if got, want := e.ComputeAt(b), ComputeFraction(m, hw, b); got != want {
-					t.Errorf("%s/%s ComputeAt(%d) = %v, want ComputeFraction %v", m.Name, hw.Name, b, got, want)
-				}
-			}
+			checkRow(t, e, batches)
 			for rate := 0.0; rate <= 2000; rate += 25 {
 				for _, wait := range []time.Duration{testSLO / 4, 150 * time.Millisecond / 4, time.Second / 4} {
-					if got, want := e.EffectiveBatchAt(rate, wait), EffectiveBatch(m, hw, rate, wait); got != want {
+					if got, want := e.EffectiveBatchAt(rate, wait), refEffectiveBatch(m, hw, rate, wait); got != want {
 						t.Errorf("%s/%s EffectiveBatchAt(%.0f, %v) = %d, want %d", m.Name, hw.Name, rate, wait, got, want)
 					}
-					if got, want := e.CanSustain(rate, wait), CanSustain(m, hw, rate, wait); got != want {
+					if got, want := e.CanSustain(rate, wait), refCanSustain(m, hw, rate, wait); got != want {
 						t.Errorf("%s/%s CanSustain(%.0f, %v) = %v, want %v", m.Name, hw.Name, rate, wait, got, want)
 					}
 				}
@@ -278,9 +376,6 @@ func TestTableReadsAllocFree(t *testing.T) {
 	var e *Entry
 	if allocs := testing.AllocsPerRun(100, func() { e = Lookup(m, hw) }); allocs != 0 {
 		t.Errorf("Lookup allocates %.1f objects/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { Solo(m, hw, 48) }); allocs != 0 {
-		t.Errorf("Solo allocates %.1f objects/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { e.SoloAt(48) }); allocs != 0 {
 		t.Errorf("SoloAt allocates %.1f objects/op, want 0", allocs)

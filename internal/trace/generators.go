@@ -232,8 +232,15 @@ func StableCurve(rng *sim.RNG, meanRPS float64, dur time.Duration) *Curve {
 // generator's own target: the peak for azure, wikipedia and poisson (whose
 // constant rate is its peak), the mean for twitter and stable. A zero dur
 // picks the generator's default length; wikipedia's length is fixed by its
-// five compressed days and ignores dur.
+// five compressed days and ignores dur. A negative, NaN or infinite rate and
+// a negative dur are errors; a zero rate yields an empty trace.
 func NamedCurve(rng *sim.RNG, name string, rate float64, dur time.Duration) (*Curve, error) {
+	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
+		return nil, fmt.Errorf("trace %s: rate %v rps must be finite and non-negative", name, rate)
+	}
+	if dur < 0 {
+		return nil, fmt.Errorf("trace %s: duration %v must not be negative", name, dur)
+	}
 	orDefault := func(d time.Duration) time.Duration {
 		if dur != 0 {
 			return dur

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,5 +177,39 @@ func TestNamedCurve(t *testing.T) {
 	}
 	if _, err := NamedCurve(rng, "file:x.txt", 60, 0); err == nil {
 		t.Error("NamedCurve accepted a file trace")
+	}
+}
+
+// TestNamedCurveRejectsBadRateAndDuration pins NamedCurve's input checks for
+// every generator: a negative, NaN or infinite rate and a negative duration
+// are errors (they used to panic while sizing the realized trace), while a
+// zero rate is legal and realizes to an empty trace.
+func TestNamedCurveRejectsBadRateAndDuration(t *testing.T) {
+	rows := []struct {
+		rate float64
+		dur  time.Duration
+		msg  string
+	}{
+		{-5, time.Minute, "rate -5 rps"},
+		{math.NaN(), time.Minute, "rate NaN rps"},
+		{math.Inf(1), time.Minute, "rate +Inf rps"},
+		{math.Inf(-1), time.Minute, "rate -Inf rps"},
+		{60, -30 * time.Second, "duration -30s"},
+		{60, -time.Nanosecond, "duration -1ns"},
+	}
+	for _, name := range []string{"azure", "wikipedia", "twitter", "poisson", "stable"} {
+		for _, r := range rows {
+			c, err := NamedCurve(sim.NewRNG(1), name, r.rate, r.dur)
+			if err == nil || !strings.Contains(err.Error(), r.msg) {
+				t.Errorf("NamedCurve(%s, %v, %v) = %v, %v; want an error mentioning %q", name, r.rate, r.dur, c, err, r.msg)
+			}
+		}
+		c, err := NamedCurve(sim.NewRNG(1), name, 0, time.Minute)
+		if err != nil {
+			t.Fatalf("NamedCurve(%s, rate 0): %v", name, err)
+		}
+		if n := c.Realize(sim.NewRNG(1)).Count(); n != 0 {
+			t.Errorf("NamedCurve(%s, rate 0) realized %d arrivals, want 0", name, n)
+		}
 	}
 }
