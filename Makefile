@@ -67,9 +67,13 @@ bench-smoke:
 # scale mode's constant-memory contract (lazy curve arrivals + online metrics
 # + shared partitioned rate curve). Observed peak is ~80 MiB, dominated by
 # the 91h rate curve; 192 MiB only trips if an O(requests) buffer or a
-# per-lane curve copy sneaks back into the streaming path.
+# per-lane curve copy sneaks back into the streaming path. The second run
+# attaches the invariant checker to every lane under the same ceiling: it
+# reads each request's span and keeps only the jobs in flight, so a
+# per-request ledger sneaking back into the checker trips it too.
 scale-smoke:
 	$(GO) run ./cmd/paldia-sim -stream -requests 10000000 -tenants 4 -j 4 -max-heap-mib 192
+	$(GO) run ./cmd/paldia-sim -stream -requests 10000000 -tenants 4 -j 4 -check -max-heap-mib 192
 
 # Refresh the committed PGO profile from the representative sharded
 # 10M-request streaming run (the same workload as scale-smoke). go build

@@ -145,7 +145,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	fs.StringVar(&o.serve, "serve", "", "serve the live observability plane on this address (e.g. :8080) while replaying; implies -stream")
 	fs.Float64Var(&o.speedup, "speedup", 0, "with -serve: virtual seconds replayed per wall second (0 = as fast as possible)")
-	fs.Float64Var(&o.objective, "objective", 0.99, "with -serve/-progress: SLO-compliance objective whose complement is the burn-rate error budget")
+	fs.Float64Var(&o.objective, "objective", 0.99, "with -serve/-progress: SLO-compliance objective, strictly between 0 and 1, whose complement is the burn-rate error budget")
 	fs.DurationVar(&o.linger, "linger", 0, "with -serve: keep serving this long after the replay finishes")
 	fs.DurationVar(&o.progressIv, "progress", 0, "print a one-line progress report on this wall-clock cadence; implies -stream")
 
@@ -205,6 +205,12 @@ func (o *options) resolve() (model.Spec, []core.Scheme, error) {
 	}
 	if o.tenants < 1 {
 		return m, nil, errors.New("-tenants must be at least 1")
+	}
+	if o.requests < 0 {
+		return m, nil, fmt.Errorf("-requests %d must not be negative", o.requests)
+	}
+	if !(o.objective > 0 && o.objective < 1) {
+		return m, nil, fmt.Errorf("-objective %v must lie strictly between 0 and 1", o.objective)
 	}
 	if o.live() || o.tenants > 1 {
 		o.stream = true
@@ -303,6 +309,11 @@ func (o *options) simulate(m model.Spec, schemes []core.Scheme, stdout, stderr i
 		} else {
 			cfg.Trace = tr
 		}
+		if o.telemetryOn() || o.live() {
+			// Every lane gets a sink below: the telemetry writers or the
+			// live plane.
+			cfg.SampleEvery = o.sample
+		}
 		if err := cfg.Validate(); err != nil {
 			return err
 		}
@@ -381,9 +392,6 @@ func (o *options) simulate(m model.Spec, schemes []core.Scheme, stdout, stderr i
 				metrics.NewOnline(o.slo, c.Duration(), metrics.DefaultGoodputWindow), plane.Online())
 			cfg.Telemetry = telemetry.Combine(cfg.Telemetry, telemetry.WithTenant(plane.Sink(), i))
 			cfg.Pacer = plane.Pacer()
-		}
-		if cfg.Telemetry != nil {
-			cfg.SampleEvery = o.sample
 		}
 		if o.check {
 			checks[i] = invariant.New()

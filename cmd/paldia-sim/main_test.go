@@ -42,6 +42,14 @@ func TestFlagConflicts(t *testing.T) {
 		{"NaN peak", []string{"-peak", "NaN", "-stream"}, 1, "rate NaN rps"},
 		{"negative duration", []string{"-duration", "-30s"}, 1, "duration -30s must not be negative"},
 		{"negative duration wikipedia", []string{"-trace", "wikipedia", "-duration", "-30s", "-stream"}, 1, "duration -30s"},
+		{"negative sample", []string{"-sample", "-1s", "-spans-out", "@s.jsonl"}, 1, "SampleEvery"},
+		{"negative sample live", []string{"-sample", "-1s", "-progress", "1s"}, 1, "SampleEvery"},
+		{"objective of 1", []string{"-objective", "1"}, 1, "-objective 1 must lie strictly between 0 and 1"},
+		{"objective of 0", []string{"-objective", "0", "-serve", ":0"}, 1, "-objective 0 must lie"},
+		{"negative objective", []string{"-objective", "-0.5"}, 1, "-objective -0.5"},
+		{"NaN objective", []string{"-objective", "NaN"}, 1, "-objective NaN"},
+		{"negative requests", []string{"-requests", "-5"}, 1, "-requests -5 must not be negative"},
+		{"negative requests stream", []string{"-requests", "-5", "-stream"}, 1, "-requests -5"},
 		{"flag parse error", []string{"-shards", "2"}, 2, "flag provided but not defined: -shards"},
 	}
 	for _, row := range rows {

@@ -80,27 +80,27 @@ func New(eng *sim.Engine) *Cluster {
 	return &Cluster{eng: eng}
 }
 
-// emit sends one node lifecycle event; call sites guard Sink != nil.
-func (c *Cluster) emit(kind telemetry.Kind, n *Node) {
-	e := telemetry.Ev(c.eng.Now(), kind)
-	e.Node = n.ID
-	e.Spec = n.Spec.Name
-	if n.discount > 0 {
-		// Spot nodes bill below the catalog rate; carry the effective rate so
-		// the invariant checker reconciles the ledger without a catalog
-		// lookup. On-demand nodes leave Value/Detail zero, keeping their
-		// event bytes identical to pre-spot output.
-		e.Value = n.Rate()
-		e.Detail = "spot"
+// transition records one node lifecycle transition: the event to the sink,
+// then the books to the invariant checker, whose node ledger the event has
+// just brought up to date.
+func (c *Cluster) transition(kind telemetry.Kind, n *Node) {
+	if c.Sink != nil {
+		e := telemetry.Ev(c.eng.Now(), kind)
+		e.Node = n.ID
+		e.Spec = n.Spec.Name
+		if n.discount > 0 {
+			// Spot nodes bill below the catalog rate; carry the effective
+			// rate so the invariant checker reconciles the ledger without a
+			// catalog lookup. On-demand nodes leave Value/Detail zero,
+			// keeping their event bytes identical to pre-spot output.
+			e.Value = n.Rate()
+			e.Detail = "spot"
+		}
+		c.Sink.Event(e)
 	}
-	c.Sink.Event(e)
-}
-
-// audit hands the books to the invariant checker; call sites guard
-// Check != nil and call it after the lifecycle event so the checker's node
-// ledger is current.
-func (c *Cluster) audit() {
-	c.Check.Billing(c.eng.Now(), c.TotalCost())
+	if c.Check != nil {
+		c.Check.Billing(c.eng.Now(), c.TotalCost())
+	}
 }
 
 // Acquire procures a node immediately (no VM launch delay) — for nodes held
@@ -123,14 +123,9 @@ func (c *Cluster) AcquireSpot(spec hardware.Spec, maxResident int, discount floa
 	}
 	c.nextID++
 	c.nodes = append(c.nodes, n)
-	if c.Sink != nil {
-		n.Device.SetTelemetry(c.Sink, n.ID)
-		c.emit(telemetry.NodeAcquired, n)
-	}
-	if c.Check != nil {
-		n.Device.SetCheck(c.Check, n.ID)
-		c.audit()
-	}
+	n.Device.SetTelemetry(c.Sink, n.ID)
+	n.Device.SetCheck(c.Check, n.ID)
+	c.transition(telemetry.NodeAcquired, n)
 	return n
 }
 
@@ -155,25 +150,15 @@ func (c *Cluster) AcquireAsyncSpot(spec hardware.Spec, maxResident int, discount
 	}
 	c.nextID++
 	c.nodes = append(c.nodes, n)
-	if c.Sink != nil {
-		c.emit(telemetry.NodeRequested, n)
-	}
-	if c.Check != nil {
-		c.audit()
-	}
+	c.transition(telemetry.NodeRequested, n)
 	c.eng.Schedule(spec.ProcureDelay, func() {
 		if n.released {
 			return
 		}
 		n.Device = device.New(c.eng, spec, maxResident)
-		if c.Sink != nil {
-			n.Device.SetTelemetry(c.Sink, n.ID)
-			c.emit(telemetry.NodeAcquired, n)
-		}
-		if c.Check != nil {
-			n.Device.SetCheck(c.Check, n.ID)
-			c.audit()
-		}
+		n.Device.SetTelemetry(c.Sink, n.ID)
+		n.Device.SetCheck(c.Check, n.ID)
+		c.transition(telemetry.NodeAcquired, n)
 		ready(n)
 	})
 }
@@ -186,12 +171,7 @@ func (c *Cluster) Release(n *Node) {
 	}
 	n.released = true
 	n.releasedAt = c.eng.Now()
-	if c.Sink != nil {
-		c.emit(telemetry.NodeReleased, n)
-	}
-	if c.Check != nil {
-		c.audit()
-	}
+	c.transition(telemetry.NodeReleased, n)
 }
 
 // Fail makes the node unavailable (failing all in-flight work) for the given
@@ -213,12 +193,7 @@ func (c *Cluster) Fail(n *Node, dur time.Duration) {
 	}
 	n.Device.Fail()
 	if !wasFailed {
-		if c.Sink != nil {
-			c.emit(telemetry.NodeFailed, n)
-		}
-		if c.Check != nil {
-			c.audit()
-		}
+		c.transition(telemetry.NodeFailed, n)
 	}
 	c.eng.Schedule(dur, func() {
 		// A later overlapping Fail moved the recovery time; let its own
@@ -231,12 +206,7 @@ func (c *Cluster) Fail(n *Node, dur time.Duration) {
 			return
 		}
 		n.Device.Recover()
-		if c.Sink != nil {
-			c.emit(telemetry.NodeRecovered, n)
-		}
-		if c.Check != nil {
-			c.audit()
-		}
+		c.transition(telemetry.NodeRecovered, n)
 	})
 }
 
@@ -264,12 +234,7 @@ func (c *Cluster) Revoke(n *Node, notice time.Duration) {
 		return
 	}
 	n.revoked = true
-	if c.Sink != nil {
-		c.emit(telemetry.NodeRevoked, n)
-	}
-	if c.Check != nil {
-		c.audit()
-	}
+	c.transition(telemetry.NodeRevoked, n)
 	c.eng.Schedule(notice, func() {
 		if n.released {
 			return

@@ -92,6 +92,36 @@ func TestRunCleanUnderInvariantsWithTelemetry(t *testing.T) {
 	}
 }
 
+// TestRunCleanUnderInvariantsWithoutLifecycle attaches the checker next to a
+// sink that declines lifecycle events: no lifecycle event is emitted at all,
+// the checker audits every request from its span, and the run is clean —
+// plain, cloned and hedged, under node failures and spot revocation.
+func TestRunCleanUnderInvariantsWithoutLifecycle(t *testing.T) {
+	for _, scheme := range []Scheme{NewPaldia(), NewPaldiaCloneK(2, false), NewPaldiaCloneK(3, true), NewPaldiaHedged(90)} {
+		chk := invariant.New()
+		sink := &spanOnlySink{}
+		res := Run(Config{
+			Model:        model.MustByName("ResNet 50"),
+			Trace:        shortAzure(6, 200, time.Minute),
+			Scheme:       scheme,
+			Telemetry:    sink,
+			FailureEvery: 20 * time.Second, FailureDuration: 5 * time.Second,
+			SpotDiscount: 0.65, SpotFraction: 0.5,
+			RevokeEvery: 25 * time.Second, RevokeNotice: time.Second,
+			Invariants: chk,
+		})
+		if err := chk.Err(); err != nil {
+			t.Errorf("%s: invariant violations without lifecycle events:\n%v", scheme.Name(), err)
+		}
+		if sink.lifecycle != 0 {
+			t.Errorf("%s: %d lifecycle events emitted with only span consumers attached", scheme.Name(), sink.lifecycle)
+		}
+		if sink.spans != res.Requests || res.Requests == 0 {
+			t.Errorf("%s: %d spans for %d requests", scheme.Name(), sink.spans, res.Requests)
+		}
+	}
+}
+
 // TestRunMultiCleanUnderInvariants attaches the checker to a multi-tenant
 // run.
 func TestRunMultiCleanUnderInvariants(t *testing.T) {

@@ -45,8 +45,9 @@ type MultiConfig struct {
 	// Event.Tenant. Nil disables the layer (one branch per emission site).
 	Telemetry telemetry.Sink
 
-	// Invariants, when set, audits the run as Config.Invariants does. A
-	// checker is single-run: pass a fresh one per RunMulti.
+	// Invariants, when set, audits the run as Config.Invariants does, on
+	// every tenant's spans and jobs. A checker is single-run: pass a fresh
+	// one per RunMulti.
 	Invariants *invariant.Checker
 }
 

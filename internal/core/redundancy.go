@@ -381,6 +381,9 @@ func (s *cloneSet) launch(idx int, sn *servingNode) {
 			r.spans.Step()
 		}
 	}
+	if inv := r.cfg.Invariants; inv != nil {
+		inv.CopyLaunched(r.eng.Now(), job.ID)
+	}
 	s.launched++
 	s.live++
 	// Reactive scale-up, one container per copy: Busy covers in-flight
@@ -511,7 +514,11 @@ func (s *cloneSet) resolveWin(c *cloneCopy) {
 			e.Job = o.job.ID
 			r.emitReqs(e, s.reqs)
 		}
+		if inv := r.cfg.Invariants; inv != nil {
+			inv.CopyCancelled(now, o.job.ID)
+		}
 	}
+	s.checkResolved(now, c.job.ID)
 	if r.tel != nil {
 		e := telemetry.Ev(now, telemetry.Completed)
 		e.Job, e.Node = c.job.ID, c.node.node.ID
@@ -541,6 +548,7 @@ func (s *cloneSet) resolveFailed(c *cloneCopy) {
 	r := s.red.r
 	s.resolved = true
 	s.hedgeTimer.Cancel()
+	s.checkResolved(r.eng.Now(), 0)
 	if r.tel != nil {
 		e := telemetry.Ev(r.eng.Now(), telemetry.Failed)
 		e.Job, e.Node = c.job.ID, c.node.node.ID
@@ -554,6 +562,20 @@ func (s *cloneSet) resolveFailed(c *cloneCopy) {
 	}
 	// A failed set's outcomes carry no queueing or interference components.
 	r.record(s.red.t, s.reqs, s.dispatched, metrics.Record{ColdStart: c.cold, MinExec: c.job.Solo, Failed: true})
+}
+
+// checkResolved reports the set's resolution on the scoring copy's job (0
+// when every copy failed) to the invariant checker, if one is attached.
+func (s *cloneSet) checkResolved(at time.Duration, scoring int64) {
+	inv := s.red.r.cfg.Invariants
+	if inv == nil {
+		return
+	}
+	var ids [maxCopies]int64
+	for i := range s.launched {
+		ids[i] = s.copies[i].job.ID
+	}
+	inv.CloneResolved(at, scoring, s.red.sync, ids[:s.launched])
 }
 
 // maybeRecycle returns the set to the free list once it has resolved and no

@@ -188,10 +188,13 @@ type Config struct {
 	SampleEvery time.Duration
 
 	// Invariants, when set, audits the whole simulation while it runs:
-	// request conservation, device capacity, container lifecycle algebra,
-	// node/billing monotonicity, and span telescoping (see package
-	// invariant). A checker is single-run: pass a fresh one per Run. Nil
-	// disables checking at the cost of one branch per hook site.
+	// request conservation and span telescoping on each request's span,
+	// device capacity and clone copies through per-job hooks, container
+	// lifecycle algebra, node/billing monotonicity (see package invariant).
+	// The checker is a telemetry.SpanSink that declines lifecycle events:
+	// attaching it makes the runtime build spans and number jobs, but emit
+	// no lifecycle event. A checker is single-run: pass a fresh one per Run.
+	// Nil disables checking at the cost of one branch per hook site.
 	Invariants *invariant.Checker
 }
 
@@ -790,13 +793,10 @@ func (r *runner) wireNode(node *cluster.Node) *servingNode {
 		ln.pool.Tenant = t.idx
 		ln.entry = t.rows.Entry(node.Spec)
 		if r.tel != nil {
-			ln.pool.Sink = r.tel
+			// r.tel includes the checker whenever one is attached.
+			ln.pool.Sink, ln.pool.Check = r.tel, r.cfg.Invariants
 			ln.pool.NodeID = node.ID
 			ln.pool.Spec = node.Spec.Name
-		}
-		if r.cfg.Invariants != nil {
-			ln.pool.NodeID = node.ID
-			ln.pool.Check = r.cfg.Invariants
 		}
 		// Containers are sized for the batches resident at once: a batch
 		// occupies its container for its (possibly inflated) execution time,

@@ -53,7 +53,8 @@ func (m Mode) String() string {
 // Job is one batch execution on a device.
 type Job struct {
 	// ID identifies the job in telemetry spans; 0 means untracked (job IDs
-	// are assigned from 1 by the dispatcher when telemetry is enabled).
+	// are assigned from 1 by the dispatcher when telemetry or an invariant
+	// checker is attached; a checker reports an untracked job as a breach).
 	ID int64
 	// Batch is the number of requests in the job.
 	Batch int
@@ -149,16 +150,15 @@ type Device struct {
 	// serverless workloads stealing host CPU (Table III).
 	hostFactor float64
 
-	// sink receives job lifecycle events; nodeID labels them. A nil sink —
-	// no sink attached, or none that wants lifecycle events — costs one
-	// branch per lifecycle transition.
+	// sink receives job lifecycle events (nil when no sink wants them);
+	// check audits every job transition and the device-capacity laws
+	// (resident bound, no progress while failed); nodeID labels both. watch
+	// is set when either is, so a device with neither costs one branch per
+	// job transition.
 	sink   telemetry.Sink
+	check  *invariant.Checker
+	watch  bool
 	nodeID int
-
-	// check, when set, asserts the device-capacity laws (resident bound,
-	// no progress while failed) on every start/advance/finish. A nil check
-	// costs one branch per site.
-	check *invariant.Checker
 
 	failed bool
 
@@ -194,6 +194,7 @@ func (d *Device) SetTelemetry(s telemetry.Sink, nodeID int) {
 		d.sink = s
 	}
 	d.nodeID = nodeID
+	d.watch = d.sink != nil || d.check != nil
 }
 
 // SetCheck wires the device to an invariant checker, labelled with the
@@ -201,10 +202,18 @@ func (d *Device) SetTelemetry(s telemetry.Sink, nodeID int) {
 func (d *Device) SetCheck(c *invariant.Checker, nodeID int) {
 	d.check = c
 	d.nodeID = nodeID
+	d.watch = d.sink != nil || d.check != nil
 }
 
-// jobEvent emits one job lifecycle event; call sites guard sink != nil.
-func (d *Device) jobEvent(kind telemetry.Kind, j *Job) {
+// report hands one job transition to the checker and emits it as a job
+// lifecycle event; call sites guard watch.
+func (d *Device) report(kind telemetry.Kind, j *Job) {
+	if d.check != nil {
+		d.check.DeviceJob(d.eng.Now(), kind, j.ID, d.nodeID, j.Admitted)
+	}
+	if d.sink == nil {
+		return
+	}
 	e := telemetry.Ev(d.eng.Now(), kind)
 	e.Job = j.ID
 	e.Node = d.nodeID
@@ -318,8 +327,8 @@ func (d *Device) Submit(j *Job) {
 	if !d.spec.IsGPU() {
 		j.Mode = Queued
 	}
-	if d.sink != nil {
-		d.jobEvent(telemetry.Queued, j)
+	if d.watch {
+		d.report(telemetry.Queued, j)
 	}
 	switch j.Mode {
 	case Spatial:
@@ -416,8 +425,8 @@ func (d *Device) failJob(j *Job) {
 	if j.Started == 0 && !j.running {
 		j.Started = d.eng.Now()
 	}
-	if d.sink != nil {
-		d.jobEvent(telemetry.ExecEnd, j)
+	if d.watch {
+		d.report(telemetry.ExecEnd, j)
 	}
 	if j.Done != nil {
 		j.Done(j)
@@ -460,8 +469,8 @@ func (d *Device) start(j *Job) {
 	if d.check != nil {
 		d.check.DeviceStart(d.eng.Now(), d.nodeID, len(d.active), d.maxResident, d.failed, j.FBR)
 	}
-	if d.sink != nil {
-		d.jobEvent(telemetry.ExecStart, j)
+	if d.watch {
+		d.report(telemetry.ExecStart, j)
 	}
 }
 
@@ -560,8 +569,8 @@ func (d *Device) finish(j *Job) {
 	d.admitLane()
 	d.reschedule()
 
-	if d.sink != nil {
-		d.jobEvent(telemetry.ExecEnd, j)
+	if d.watch {
+		d.report(telemetry.ExecEnd, j)
 	}
 	if j.Done != nil {
 		j.Done(j)

@@ -11,7 +11,7 @@ import (
 
 // White-box mutation tests for the invariant wiring: drive the real device
 // into states the hooks must flag, proving the checker is live inside the
-// layer — not just against scripted event sequences.
+// layer — not just against scripted hook calls.
 
 func checkedDevice(t *testing.T, maxResident int) (*sim.Engine, *Device, *invariant.Checker) {
 	t.Helper()
@@ -22,8 +22,13 @@ func checkedDevice(t *testing.T, maxResident int) (*sim.Engine, *Device, *invari
 	return eng, d, chk
 }
 
+// jobSeq numbers the test jobs: a checked device reports every transition
+// by job ID, and ID 0 means untracked.
+var jobSeq int64
+
 func noopJob(solo time.Duration) *Job {
-	return &Job{Batch: 1, Solo: solo, FBR: 0.2, Mode: Spatial, Done: func(*Job) {}}
+	jobSeq++
+	return &Job{ID: jobSeq, Batch: 1, Solo: solo, FBR: 0.2, Mode: Spatial, Done: func(*Job) {}}
 }
 
 // A normal submit/run/finish cycle through the wired device must be clean.
@@ -41,12 +46,17 @@ func TestDeviceCheckCleanCycle(t *testing.T) {
 	}
 }
 
-// Mutation: bypass Submit's failure guard and force a job into the active
-// set of a failed device. The DeviceStart hook must fire.
+// Mutation: fail the device without evacuating its jobs, then let the lane
+// admit its next job, as a failure path that skips Fail() would. The
+// DeviceStart hook must fire.
 func TestDeviceCheckDetectsStartWhileFailed(t *testing.T) {
 	_, d, chk := checkedDevice(t, 4)
-	d.Fail()
-	d.start(noopJob(50 * time.Millisecond)) // the guard skipped — the mutation
+	first, next := noopJob(time.Second), noopJob(time.Second)
+	first.Mode, next.Mode = Queued, Queued
+	d.Submit(first)
+	d.Submit(next)  // waits in the lane behind first
+	d.failed = true // the mutation: failure without evacuating jobs
+	d.Cancel(first) // frees the lane, which starts next on the failed device
 	if chk.Clean() {
 		t.Fatal("start on a failed device not detected")
 	}
@@ -56,18 +66,45 @@ func TestDeviceCheckDetectsStartWhileFailed(t *testing.T) {
 // Mutation: force one job past the resident bound. The capacity law fires.
 func TestDeviceCheckDetectsResidencyOverflow(t *testing.T) {
 	_, d, chk := checkedDevice(t, 2)
-	// Submit respects the bound; call start directly to overfill, as a buggy
-	// admission path would.
-	d.start(noopJob(time.Second))
-	d.start(noopJob(time.Second))
-	if !chk.Clean() {
-		t.Fatalf("bound-respecting starts must be clean: %v", chk.Err())
+	for range 3 {
+		d.Submit(noopJob(time.Second))
 	}
-	d.start(noopJob(time.Second))
+	if !chk.Clean() {
+		t.Fatalf("bound-respecting submits must be clean: %v", chk.Err())
+	}
+	// The third job waits for a memory slot; start it anyway, as a buggy
+	// admission path would.
+	d.start(d.pendingSpat[0])
 	if chk.Clean() {
 		t.Fatal("third resident job beyond maxResident=2 not detected")
 	}
 	assertOnlyLaw(t, chk, invariant.LawCapacity)
+}
+
+// Mutation: start a running job a second time. The job hook fires.
+func TestDeviceCheckDetectsDoubleStart(t *testing.T) {
+	_, d, chk := checkedDevice(t, 4)
+	j := noopJob(time.Second)
+	d.Submit(j)
+	d.start(j)
+	if chk.Clean() {
+		t.Fatal("a job started twice not detected")
+	}
+	assertOnlyLaw(t, chk, invariant.LawConservation)
+}
+
+// An untracked job (ID 0) on a checked device is a breach: the checker
+// cannot follow it.
+func TestDeviceCheckDetectsUntrackedJob(t *testing.T) {
+	eng, d, chk := checkedDevice(t, 4)
+	j := noopJob(time.Second)
+	j.ID = 0
+	d.Submit(j)
+	eng.RunAll()
+	assertOnlyLaw(t, chk, invariant.LawConservation)
+	if chk.Clean() {
+		t.Fatal("untracked job not detected")
+	}
 }
 
 // Mutation: make progress on a failed device by flipping the flag without

@@ -1,59 +1,69 @@
 // Package invariant is the simulation stack's runtime law checker: a
 // pluggable observer threaded through sim, core, device, container and
-// cluster that re-derives, from the event stream plus a few direct layer
-// hooks, the conservation laws a correct discrete-event serving simulator
-// must obey — and records every breach instead of silently producing a
-// plausible-looking Result.
+// cluster that audits, while the run happens, the conservation laws a
+// correct discrete-event serving simulator must obey — and records every
+// breach instead of silently producing a plausible-looking Result.
 //
-// The laws, by family:
+// The laws come from three sources: the span of each request, which the
+// runtime hands over as the request finishes (Arrive, Span — the Checker is
+// a telemetry.SpanSink); direct hooks inside a layer (Tick, DeviceStart,
+// DeviceAdvance, DeviceFinish, DeviceJob, CopyLaunched, CopyCancelled,
+// CloneResolved, Pool, Billing, CheckResult); and the control events on the
+// telemetry bus (container and node events). By family:
 //
-//   - request-conservation: every request walks the legal lifecycle
-//     (arrived → batched → dispatched → completed|failed, with failure legal
-//     from any stage), no request terminates twice or out of thin air, and
-//     at the end of a run arrived == completed + failed == Result.Requests
-//     with Result.FailedRequests equal to the failed-event count. Redundant
-//     copies (clone-to-k, hedged backups) extend the law: a copy is only
-//     cloned after the primary dispatch, each copy ends exactly once
-//     (cancellation counts as its end), and a terminating request leaves no
-//     copy unresolved — exactly one copy scores the completion.
-//   - device-capacity: resident jobs never exceed the device-memory pool
-//     bound (maxResident), jobs never start, progress or finish on a
-//     Failed() device, per-job FBRs are positive and finite, and a finishing
-//     job has no solo-equivalent work left.
-//   - container-lifecycle: pool counters obey cold-start → warm →
-//     keep-alive → evicted accounting — idle+busy+starting+booting ==
+//   - request-conservation. Spans: every arrival ends in exactly one span,
+//     so at the end of a run no span is still open, arrived == completed +
+//     failed == Result.Requests and Result.FailedRequests == failed spans; a
+//     span never cancels more copies than it cloned. Device job hook: a job
+//     is queued once, starts once and only after being queued, and ends
+//     once. Copy hooks: a cancel names a launched copy that has not ended,
+//     and a clone set resolves with no copy unresolved.
+//   - device-capacity. Device hooks: resident jobs never exceed the
+//     device-memory pool bound (maxResident), jobs never start, progress or
+//     finish on a Failed() device nor start on a node the bus reported
+//     failed, per-job FBRs are positive and finite, and a finishing job has
+//     no solo-equivalent work left.
+//   - container-lifecycle. Pool hook: pool counters obey cold-start → warm
+//     → keep-alive → evicted accounting — idle+busy+starting+booting ==
 //     boots + warmAdded − terminated, cumulative counters never decrease,
 //     request-blocking cold starts never exceed total boots, and waiting
-//     claims never exceed the containers that could absorb them.
-//   - node-lifecycle: nodes walk requested → acquired → (failed ↔
+//     claims never exceed the containers that could absorb them. Bus: every
+//     container event counts at least one container.
+//   - node-lifecycle. Bus: nodes walk requested → acquired → (failed ↔
 //     recovered)* → released; no duplicate failure, no recovery without a
 //     failure, no release without an acquisition. Spot revocation is
 //     terminal: a node is revoked at most once, never while released, and
-//     never fails or recovers afterwards.
-//   - billing: total cost is monotone in virtual time and always equals the
-//     sum over nodes of cost-rate × held-time re-derived from the node
-//     lifecycle events (double-billing and under-billing both trip it).
-//     Spot nodes carry their discounted rate on the lifecycle events, so
-//     the reconciliation stays exact below the catalog price.
-//   - time-monotonic: the engine's virtual clock and every event timestamp
-//     are non-decreasing.
-//   - span-telescope: at every Completed event, batch_wait + cold_start +
-//     queue_delay + exec == latency, re-derived from the raw event stamps
-//     of the scoring copy (the Completed event's job for cloned requests);
-//     synchronized clone sets may complete with non-negative slack after
-//     their scoring copy's exec end.
+//     never fails or recovers afterwards. CheckResult: no more failures
+//     than were injected.
+//   - billing. Billing hook against the bus: total cost is monotone in
+//     virtual time and always equals the sum over nodes of cost-rate ×
+//     held-time re-derived from the node events (double-billing and
+//     under-billing both trip it). Spot nodes carry their discounted rate
+//     on the events, so the reconciliation stays exact below the catalog
+//     price.
+//   - time-monotonic. Tick, bus and spans: the engine's virtual clock and
+//     every bus event's timestamp are non-decreasing, and no event or
+//     finished span is behind the engine clock.
+//   - span-telescope. Spans: the stamps a span sets never run backwards,
+//     and a completed span without clones has a full dispatch/queued/exec
+//     record ending at its completion, so batch_wait + cold_start +
+//     queue_delay + exec == latency. Copy hooks: a clone set's scoring copy
+//     has a full record ending at the resolution instant, or before it for
+//     a synchronized set (the gap is the synchronization stall).
 //
-// A Checker implements telemetry.Sink for the event-derived laws and
-// exposes direct hook methods (DeviceStart, Pool, Billing, Tick, ...) for
-// laws internal to a layer. Every emission site nil-checks its checker, so
-// a disabled checker costs one branch — the same zero-cost-when-disabled
-// contract as the telemetry layer. A Checker watches exactly one run and is
-// not safe for concurrent use; give each run its own.
+// The Checker declines per-request lifecycle events
+// (telemetry.WantsLifecycle) and ignores any that other sinks make flow, so
+// a run reaches the same verdict with or without them. Every hook site
+// nil-checks its checker, so a disabled checker costs one branch — the same
+// zero-cost-when-disabled contract as the telemetry layer. A Checker
+// watches exactly one run and is not safe for concurrent use; give each run
+// its own.
 package invariant
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -99,37 +109,15 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%v [%s] %s", v.At, v.Law, v.Detail)
 }
 
-type reqKey struct {
-	tenant int
-	req    int64
-}
-
-type reqState struct {
-	arrivedAt    time.Duration
-	dispatchedAt time.Duration
-	job          int64
-	batched      bool
-	dispatched   bool
-	// cloneJobs are the job IDs of redundant copies (clone-to-k or hedged
-	// backups) dispatched for this request beyond the primary. Every copy
-	// must be resolved — cancelled or ended — by the time the request
-	// terminates, and exactly one copy scores the completion.
-	cloneJobs []int64
-	// cancelledJobs are the copies this request has already cancelled: a
-	// copy is shared by every request of its batch, so each sibling emits
-	// its own CloneCancelled for the same job, but one request cancelling
-	// the same copy twice is a conjured double-release.
-	cancelledJobs []int64
-}
-
+// jobState is what the checker knows of one device job: in flight on a
+// device, or a clone copy until its set resolves.
 type jobState struct {
-	queuedAt time.Duration
-	startAt  time.Duration
-	endAt    time.Duration
-	queued   bool
-	started  bool
-	ended    bool
-	members  int // dispatched requests not yet terminal
+	endAt     time.Duration
+	copy      bool // launched by a clone set; kept until the set resolves
+	queued    bool
+	started   bool
+	ended     bool // finished, failed or (copies) cancelled
+	cancelled bool
 }
 
 type nodeState struct {
@@ -170,13 +158,12 @@ type Checker struct {
 	lastTickAt  time.Duration
 	lastEventAt time.Duration
 
-	// request lifecycle; terminal requests leave the map but stay counted.
-	reqs      map[reqKey]*reqState
-	jobs      map[int64]*jobState
-	open      int
-	arrived   int
-	completed int
-	failed    int
+	// request conservation: arrivals, and the spans handed over by outcome.
+	arrived, completed, failed, open int
+
+	// jobs holds the device jobs in flight and the clone copies of
+	// unresolved sets, by job ID.
+	jobs map[int64]jobState
 
 	// node lifecycle, indexed by node ID (acquisition order).
 	nodes        []*nodeState
@@ -186,20 +173,17 @@ type Checker struct {
 	lastBillAt  time.Duration
 	billUnknown bool // a node's spec was not in the catalog; skip reconciliation
 
-	pools map[poolKey]*PoolCounts
+	pools map[poolKey]PoolCounts
 }
 
 // New returns an empty checker ready to observe one run.
 func New() *Checker {
-	return &Checker{
-		reqs:  make(map[reqKey]*reqState),
-		jobs:  make(map[int64]*jobState),
-		pools: make(map[poolKey]*PoolCounts),
-	}
+	return &Checker{jobs: make(map[int64]jobState), pools: make(map[poolKey]PoolCounts)}
 }
 
-// AsSink returns the checker as a telemetry.Sink, or a nil interface for a
-// nil checker — safe to pass straight to telemetry.Combine.
+// AsSink returns the checker as a telemetry.Sink (a SpanSink that declines
+// lifecycle events), or a nil interface for a nil checker — safe to pass
+// straight to telemetry.Combine.
 func (c *Checker) AsSink() telemetry.Sink {
 	if c == nil {
 		return nil
@@ -232,10 +216,7 @@ func (c *Checker) Err() error {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "invariant: %d violation(s)", c.total)
-	show := len(c.recorded)
-	if show > 5 {
-		show = 5
-	}
+	show := min(len(c.recorded), 5)
 	for _, v := range c.recorded[:show] {
 		fmt.Fprintf(&b, "\n  %s", v)
 	}
@@ -256,10 +237,71 @@ func (c *Checker) Tick(at time.Duration) {
 	c.lastTickAt = at
 }
 
-// --- event-derived laws --------------------------------------------------------
+// --- span-derived laws ---------------------------------------------------------
+
+// Lifecycle declines per-request lifecycle events (telemetry.WantsLifecycle):
+// the checker reads each request's span instead.
+func (c *Checker) Lifecycle() bool { return false }
+
+// Arrive implements telemetry.SpanSink: one more request entered the run.
+func (c *Checker) Arrive() { c.arrived++ }
+
+// Step implements telemetry.SpanSink; no law needs it.
+func (c *Checker) Step() {}
+
+// spanStages names a span's stamps in lifecycle order.
+var spanStages = [...]string{"arrived", "batched", "dispatched", "queued", "exec_start", "exec_end", "completed"}
+
+// Span implements telemetry.SpanSink: it counts the request by outcome and
+// checks its stamps.
+func (c *Checker) Span(s *telemetry.Span) {
+	stamps := [...]time.Duration{s.Arrived, s.Batched, s.Dispatched, s.Queued, s.ExecStart, s.ExecEnd, s.Completed}
+	last := -1
+	for i, at := range stamps {
+		if at == telemetry.Unset {
+			continue
+		}
+		if last >= 0 && at < stamps[last] {
+			c.violate(at, LawTelescope, "request %d span runs backwards: %s %v before %s %v",
+				s.Req, spanStages[i], at, spanStages[last], stamps[last])
+			break
+		}
+		last = i
+	}
+	if s.Cancelled < 0 || s.Cancelled > s.Clones || (s.Clones > 0 && s.Dispatched < 0) {
+		c.violate(c.lastTickAt, LawConservation, "request %d counts %d clones and %d cancels, dispatched at %v",
+			s.Req, s.Clones, s.Cancelled, s.Dispatched)
+	}
+	switch {
+	case !s.Done():
+		c.open++
+		return
+	case s.Failed:
+		c.failed++
+	default:
+		c.completed++
+		// With clones the span carries copy 0's stamps; CloneResolved checks
+		// the scoring copy.
+		if s.Clones == 0 && (s.Dispatched < 0 || s.Queued < 0 || s.ExecStart < 0 || s.ExecEnd != s.Completed) {
+			c.violate(s.Completed, LawTelescope,
+				"request %d completed at %v without a full record ending there: dispatched %v queued %v exec %v..%v",
+				s.Req, s.Completed, s.Dispatched, s.Queued, s.ExecStart, s.ExecEnd)
+		}
+	}
+	if s.Completed < c.lastTickAt {
+		c.violate(s.Completed, LawTime, "request %d finished at %v behind the engine clock %v", s.Req, s.Completed, c.lastTickAt)
+	}
+}
+
+// --- bus-derived laws -----------------------------------------------------------
 
 // Event consumes one telemetry event (Checker implements telemetry.Sink).
+// Lifecycle events are ignored: spans and the job and copy hooks carry
+// those laws whether or not another sink makes the events flow.
 func (c *Checker) Event(e telemetry.Event) {
+	if e.Kind.Lifecycle() {
+		return
+	}
 	if e.At < c.lastEventAt {
 		c.violate(e.At, LawTime, "%s event at %v after an event at %v", e.Kind, e.At, c.lastEventAt)
 	} else {
@@ -270,12 +312,6 @@ func (c *Checker) Event(e telemetry.Event) {
 	}
 
 	switch e.Kind {
-	case telemetry.Arrived, telemetry.Batched, telemetry.Dispatched,
-		telemetry.Completed, telemetry.Failed,
-		telemetry.Cloned, telemetry.CloneCancelled:
-		c.requestEvent(e)
-	case telemetry.Queued, telemetry.ExecStart, telemetry.ExecEnd:
-		c.jobEvent(e)
 	case telemetry.ContainerWait, telemetry.ContainerBoot,
 		telemetry.ContainerPrewarm, telemetry.ContainerReaped:
 		if e.N < 1 {
@@ -284,288 +320,6 @@ func (c *Checker) Event(e telemetry.Event) {
 	case telemetry.NodeRequested, telemetry.NodeAcquired, telemetry.NodeReleased,
 		telemetry.NodeFailed, telemetry.NodeRecovered, telemetry.NodeRevoked:
 		c.nodeEvent(e)
-	}
-}
-
-func (c *Checker) requestEvent(e telemetry.Event) {
-	if e.Req < 0 {
-		c.violate(e.At, LawConservation, "%s event without a request ID", e.Kind)
-		return
-	}
-	k := reqKey{tenant: e.Tenant, req: e.Req}
-	st := c.reqs[k]
-
-	switch e.Kind {
-	case telemetry.Arrived:
-		if st != nil {
-			c.violate(e.At, LawConservation, "request %d arrived twice", e.Req)
-			return
-		}
-		c.reqs[k] = &reqState{arrivedAt: e.At}
-		c.arrived++
-		c.open++
-
-	case telemetry.Batched:
-		if st == nil {
-			c.violate(e.At, LawConservation, "request %d batched before arriving", e.Req)
-			return
-		}
-		st.batched = true
-
-	case telemetry.Dispatched:
-		if st == nil {
-			c.violate(e.At, LawConservation, "request %d dispatched before arriving", e.Req)
-			return
-		}
-		if !st.batched {
-			c.violate(e.At, LawConservation, "request %d dispatched before batching", e.Req)
-		}
-		if st.dispatched {
-			c.violate(e.At, LawConservation, "request %d dispatched twice", e.Req)
-			return
-		}
-		if e.At < st.arrivedAt {
-			c.violate(e.At, LawTime, "request %d dispatched at %v before its arrival %v", e.Req, e.At, st.arrivedAt)
-		}
-		st.dispatched = true
-		st.dispatchedAt = e.At
-		st.job = e.Job
-		if e.Job > 0 {
-			j := c.jobs[e.Job]
-			if j == nil {
-				j = &jobState{}
-				c.jobs[e.Job] = j
-			}
-			j.members++
-		}
-
-	case telemetry.Cloned:
-		if st == nil {
-			c.violate(e.At, LawConservation, "request %d cloned before arriving", e.Req)
-			return
-		}
-		if !st.dispatched {
-			c.violate(e.At, LawConservation, "request %d cloned before its primary dispatch", e.Req)
-		}
-		if e.Job <= 0 {
-			c.violate(e.At, LawConservation, "request %d cloned without a copy job ID", e.Req)
-			return
-		}
-		st.cloneJobs = append(st.cloneJobs, e.Job)
-		j := c.jobs[e.Job]
-		if j == nil {
-			j = &jobState{}
-			c.jobs[e.Job] = j
-		}
-		// The copy's job entry lives until the request terminates, like the
-		// primary's, so terminal() can verify every copy was resolved.
-		j.members++
-
-	case telemetry.CloneCancelled:
-		if st == nil {
-			c.violate(e.At, LawConservation, "request %d cancelled a copy without an open request", e.Req)
-			return
-		}
-		if e.Job <= 0 {
-			c.violate(e.At, LawConservation, "request %d cancelled a copy without a job ID", e.Req)
-			return
-		}
-		if !c.isCopyJob(st, e.Job) {
-			c.violate(e.At, LawConservation,
-				"request %d cancelled copy job %d it never dispatched", e.Req, e.Job)
-			return
-		}
-		for _, id := range st.cancelledJobs {
-			if id == e.Job {
-				c.violate(e.At, LawConservation,
-					"request %d cancelled copy job %d twice", e.Req, e.Job)
-				return
-			}
-		}
-		st.cancelledJobs = append(st.cancelledJobs, e.Job)
-		j := c.jobs[e.Job]
-		if j == nil {
-			j = &jobState{}
-			c.jobs[e.Job] = j
-		}
-		// A copy is shared across its batch: each sibling request cancels it
-		// at the same instant, and only the first marks the end. A cancel at
-		// a *later* instant than the copy's recorded end is a real breach —
-		// the copy's capacity was released twice.
-		if j.ended {
-			if j.endAt != e.At {
-				c.violate(e.At, LawConservation,
-					"request %d cancelled copy job %d after it already ended", e.Req, e.Job)
-			}
-			return
-		}
-		// The cancel is the copy's end: its capacity is released and no
-		// device ExecEnd will follow.
-		j.ended = true
-		j.endAt = e.At
-
-	case telemetry.Completed:
-		if st == nil {
-			c.violate(e.At, LawConservation, "request %d completed without arriving (or completed twice)", e.Req)
-			return
-		}
-		if !st.dispatched {
-			c.violate(e.At, LawConservation, "request %d completed without being dispatched", e.Req)
-		} else {
-			c.telescope(e, st)
-		}
-		c.completed++
-		c.terminal(k, st)
-
-	case telemetry.Failed:
-		if st == nil {
-			c.violate(e.At, LawConservation, "request %d failed without arriving (or terminated twice)", e.Req)
-			return
-		}
-		if e.At < st.arrivedAt {
-			c.violate(e.At, LawTime, "request %d failed at %v before its arrival %v", e.Req, e.At, st.arrivedAt)
-		}
-		c.failed++
-		c.terminal(k, st)
-	}
-}
-
-// isCopyJob reports whether jid is one of the request's dispatched copies:
-// the primary's job or any clone job.
-func (c *Checker) isCopyJob(st *reqState, jid int64) bool {
-	if jid == st.job && jid > 0 {
-		return true
-	}
-	for _, id := range st.cloneJobs {
-		if id == jid {
-			return true
-		}
-	}
-	return false
-}
-
-// terminal retires a request's tracking state; the counters keep the totals.
-func (c *Checker) terminal(k reqKey, st *reqState) {
-	c.open--
-	delete(c.reqs, k)
-	if st.job > 0 {
-		if j := c.jobs[st.job]; j != nil {
-			j.members--
-			if j.members <= 0 && j.ended {
-				delete(c.jobs, st.job)
-			}
-		}
-	}
-	// Clone-aware conservation: a terminating request must leave no copy in
-	// flight — every redundant copy either ended on its device (sync variant,
-	// failed copies) or was cancelled (which marks it ended). An unresolved
-	// copy means cancel-on-first-complete leaked capacity.
-	for _, id := range st.cloneJobs {
-		j := c.jobs[id]
-		if j == nil || !j.ended {
-			c.violate(c.lastEventAt, LawConservation,
-				"request %d terminated with clone copy job %d unresolved", k.req, id)
-		}
-		if j != nil {
-			j.members--
-			if j.members <= 0 && j.ended {
-				delete(c.jobs, id)
-			}
-		}
-	}
-}
-
-// telescope asserts batch_wait + cold_start + queue_delay + exec == latency
-// for a completing request, from the raw event stamps. For cloned requests
-// the Completed event names the scoring copy's job; the law telescopes
-// against that copy, exactly when the completion coincides with the copy's
-// exec end and with non-negative slack otherwise (a synchronized set whose
-// last copy failed completes after its last successful copy finished — the
-// gap is the synchronization stall, never negative).
-func (c *Checker) telescope(e telemetry.Event, st *reqState) {
-	jid := st.job
-	cloned := len(st.cloneJobs) > 0
-	if cloned && e.Job > 0 {
-		jid = e.Job
-		if !c.isCopyJob(st, jid) {
-			c.violate(e.At, LawTelescope,
-				"request %d completed on copy job %d it never dispatched", e.Req, jid)
-			return
-		}
-	}
-	j := c.jobs[jid]
-	if j == nil || !j.queued || !j.started || !j.ended {
-		c.violate(e.At, LawTelescope,
-			"request %d completed but job %d has no full queued/exec record", e.Req, jid)
-		return
-	}
-	batchWait := st.dispatchedAt - st.arrivedAt
-	cold := j.queuedAt - st.dispatchedAt
-	queue := j.startAt - j.queuedAt
-	exec := j.endAt - j.startAt
-	latency := e.At - st.arrivedAt
-	if batchWait < 0 || cold < 0 || queue < 0 || exec < 0 {
-		c.violate(e.At, LawTelescope,
-			"request %d has a negative span component: batch_wait=%v cold=%v queue=%v exec=%v",
-			e.Req, batchWait, cold, queue, exec)
-		return
-	}
-	sum := batchWait + cold + queue + exec
-	if cloned {
-		if sum > latency || (j.endAt == e.At && sum != latency) {
-			c.violate(e.At, LawTelescope,
-				"request %d clone spans do not telescope: %v+%v+%v+%v = %v, latency %v (copy job %d)",
-				e.Req, batchWait, cold, queue, exec, sum, latency, jid)
-		}
-		return
-	}
-	if sum != latency {
-		c.violate(e.At, LawTelescope,
-			"request %d spans do not telescope: %v+%v+%v+%v = %v, latency %v",
-			e.Req, batchWait, cold, queue, exec, sum, latency)
-	}
-}
-
-func (c *Checker) jobEvent(e telemetry.Event) {
-	if e.Job <= 0 {
-		c.violate(e.At, LawConservation, "%s event without a job ID", e.Kind)
-		return
-	}
-	j := c.jobs[e.Job]
-	if j == nil {
-		j = &jobState{}
-		c.jobs[e.Job] = j
-	}
-	switch e.Kind {
-	case telemetry.Queued:
-		if j.queued {
-			c.violate(e.At, LawConservation, "job %d queued twice", e.Job)
-		}
-		j.queued = true
-		j.queuedAt = e.At
-	case telemetry.ExecStart:
-		if !j.queued {
-			c.violate(e.At, LawConservation, "job %d started executing without being queued", e.Job)
-		}
-		if j.started {
-			c.violate(e.At, LawConservation, "job %d started executing twice", e.Job)
-		}
-		if n := c.node(e.Node); n != nil && n.failed {
-			c.violate(e.At, LawCapacity, "job %d started executing on failed node %d", e.Job, e.Node)
-		}
-		j.started = true
-		j.startAt = e.At
-	case telemetry.ExecEnd:
-		// A job failed before reaching the device legally ends with no
-		// queued/start stamps; a *second* end is never legal.
-		if j.ended {
-			c.violate(e.At, LawConservation, "job %d ended twice", e.Job)
-		}
-		j.ended = true
-		j.endAt = e.At
-		if j.members <= 0 {
-			delete(c.jobs, e.Job)
-		}
 	}
 }
 
@@ -744,6 +498,101 @@ func (c *Checker) DeviceFinish(at time.Duration, node int, remainingSec float64,
 	}
 }
 
+// DeviceJob observes device job job reaching a stage on node: telemetry.Queued
+// when a healthy device admits it, ExecStart, and ExecEnd when it finishes
+// or fails. admitted reports whether the device admitted the job; one
+// failed on submission ends without ever being queued.
+func (c *Checker) DeviceJob(at time.Duration, kind telemetry.Kind, job int64, node int, admitted bool) {
+	if job <= 0 {
+		c.violate(at, LawConservation, "%s of a job without an ID", kind)
+		return
+	}
+	j, known := c.jobs[job]
+	switch kind {
+	case telemetry.Queued:
+		if j.queued {
+			c.violate(at, LawConservation, "job %d queued twice", job)
+		}
+		j.queued = true
+	case telemetry.ExecStart:
+		if !j.queued {
+			c.violate(at, LawConservation, "job %d started executing without being queued", job)
+		}
+		if j.started {
+			c.violate(at, LawConservation, "job %d started executing twice", job)
+		}
+		if n := c.node(node); n != nil && n.failed {
+			c.violate(at, LawCapacity, "job %d started executing on failed node %d", job, node)
+		}
+		j.started = true
+	case telemetry.ExecEnd:
+		if j.ended || (!known && admitted) {
+			// A plain job leaves the table at its end, so a second end
+			// finds no record of the job the device admitted.
+			c.violate(at, LawConservation, "job %d ended twice (or was never queued)", job)
+		}
+		if !j.copy {
+			delete(c.jobs, job)
+			return
+		}
+		j.ended, j.endAt = true, at
+	}
+	c.jobs[job] = j
+}
+
+// CopyLaunched observes a clone set launching one of its copies as device
+// job job.
+func (c *Checker) CopyLaunched(at time.Duration, job int64) {
+	if _, ok := c.jobs[job]; ok || job <= 0 {
+		c.violate(at, LawConservation, "copy launched as job %d: no ID, or one already in use", job)
+		return
+	}
+	c.jobs[job] = jobState{copy: true}
+}
+
+// CopyCancelled observes a clone set withdrawing copy job after a sibling
+// won the race: the cancel is the copy's end.
+func (c *Checker) CopyCancelled(at time.Duration, job int64) {
+	j, ok := c.jobs[job]
+	switch {
+	case !ok || !j.copy:
+		c.violate(at, LawConservation, "cancel names job %d, not a launched copy", job)
+		return
+	case j.ended:
+		c.violate(at, LawConservation, "copy job %d cancelled after it ended", job)
+		return
+	}
+	j.ended, j.cancelled, j.endAt = true, true, at
+	c.jobs[job] = j
+}
+
+// CloneResolved observes a clone set resolving at at, on the scoring copy
+// or, when scoring is 0, failed because every copy died. copies lists the
+// set's launched copies; a synchronized set may complete after its scoring
+// copy ended. The copies leave the table.
+func (c *Checker) CloneResolved(at time.Duration, scoring int64, synchronized bool, copies []int64) {
+	if scoring != 0 {
+		j, ok := c.jobs[scoring]
+		switch {
+		case !ok || !j.copy || !slices.Contains(copies, scoring):
+			c.violate(at, LawTelescope, "set resolved on job %d, not one of its copies", scoring)
+		case !j.queued || !j.started || !j.ended || j.cancelled:
+			c.violate(at, LawTelescope, "scoring copy job %d has no full queued/exec record", scoring)
+		case j.endAt > at || (j.endAt != at && !synchronized):
+			c.violate(at, LawTelescope, "scoring copy job %d ended at %v, its set resolved at %v", scoring, j.endAt, at)
+		}
+	}
+	for _, id := range copies {
+		j, ok := c.jobs[id]
+		if !ok || !j.copy {
+			c.violate(at, LawConservation, "set resolved with job %d, never launched as a copy", id)
+		} else if !j.ended {
+			c.violate(at, LawConservation, "set resolved with copy job %d unresolved", id)
+		}
+		delete(c.jobs, id)
+	}
+}
+
 // Pool observes a container pool's counters after a mutation, checking the
 // lifecycle algebra: live containers == boots + warmAdded − terminated,
 // cumulative counters monotone, blocking cold starts within total boots, and
@@ -756,7 +605,7 @@ func (c *Checker) Pool(at time.Duration, node, tenant int, pc PoolCounts) {
 		return
 	}
 	k := poolKey{node: node, tenant: tenant}
-	if prev := c.pools[k]; prev != nil {
+	if prev, ok := c.pools[k]; ok {
 		if pc.Boots < prev.Boots || pc.SyncColds < prev.SyncColds ||
 			pc.WarmAdded < prev.WarmAdded || pc.Terminated < prev.Terminated {
 			c.violate(at, LawLifecycle,
@@ -781,8 +630,7 @@ func (c *Checker) Pool(at time.Duration, node, tenant int, pc PoolCounts) {
 			"node %d pool has %d waiting claims but only %d containers to absorb them",
 			node, pc.Waiting, pc.Starting+pc.Busy)
 	}
-	snap := pc
-	c.pools[k] = &snap
+	c.pools[k] = pc
 }
 
 // Billing observes the cluster's books after any acquire/release/failure
@@ -821,14 +669,14 @@ func (c *Checker) Billing(at time.Duration, totalCost float64) {
 
 // --- end-of-run reconciliation -------------------------------------------------
 
-// CheckResult reconciles the run's Result counters against the observed
-// event stream: call it once, after the run, with Result.Requests,
+// CheckResult reconciles the run's Result counters against the spans and
+// bus events observed: call it once, after the run, with Result.Requests,
 // Result.FailedRequests and Result.FailuresInjected (use the summed
 // per-workload counts for multi-tenant runs).
 func (c *Checker) CheckResult(at time.Duration, requests, failedRequests, failuresInjected int) {
 	if c.open != 0 {
 		c.violate(at, LawConservation,
-			"%d request(s) never reached a terminal event", c.open)
+			"%d request(s) still open at the end of the run", c.open)
 	}
 	if c.arrived != c.completed+c.failed {
 		c.violate(at, LawConservation,
@@ -840,7 +688,7 @@ func (c *Checker) CheckResult(at time.Duration, requests, failedRequests, failur
 	}
 	if c.failed != failedRequests {
 		c.violate(at, LawConservation,
-			"Result.FailedRequests = %d but %d failed events observed", failedRequests, c.failed)
+			"Result.FailedRequests = %d but %d failed spans observed", failedRequests, c.failed)
 	}
 	if c.nodeFailures > failuresInjected {
 		c.violate(at, LawNode,

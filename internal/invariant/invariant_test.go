@@ -10,25 +10,11 @@ import (
 )
 
 // The tests in this file are mutation tests for the checker itself: each law
-// family gets (a) a legal scripted sequence that must pass clean and (b) a
-// deliberately broken variant that must trip exactly that law. A checker
-// that never fires proves nothing.
+// family gets (a) a legal scripted sequence of spans, hook calls and bus
+// events that must pass clean and (b) a deliberately broken variant that
+// must trip exactly that law. A checker that never fires proves nothing.
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-
-// ev builds a request-lifecycle event.
-func ev(at time.Duration, kind telemetry.Kind, req int64) telemetry.Event {
-	e := telemetry.Ev(at, kind)
-	e.Req = req
-	return e
-}
-
-// jev builds a device job event.
-func jev(at time.Duration, kind telemetry.Kind, job int64) telemetry.Event {
-	e := telemetry.Ev(at, kind)
-	e.Job = job
-	return e
-}
 
 // nev builds a node lifecycle event.
 func nev(at time.Duration, kind telemetry.Kind, node int, spec string) telemetry.Event {
@@ -36,6 +22,11 @@ func nev(at time.Duration, kind telemetry.Kind, node int, spec string) telemetry
 	e.Node = node
 	e.Spec = spec
 	return e
+}
+
+// job reports a device job transition on node 0, as an admitting device does.
+func job(c *Checker, at time.Duration, kind telemetry.Kind, id int64) {
+	c.DeviceJob(at, kind, id, 0, true)
 }
 
 // assertClean fails unless no law fired.
@@ -60,19 +51,34 @@ func assertLaw(t *testing.T, c *Checker, law string) {
 	}
 }
 
-// playRequest walks one request through the full legal lifecycle on job 1.
+// span returns the span of request req served on job 1 without clones:
+// arrived and batched at 0, dispatched at 10ms, queued at 12ms, executing
+// 15–40ms, completed at 40ms.
+func span(req int64) *telemetry.Span {
+	var s telemetry.Span
+	s.Reset(req, 0)
+	s.Arrived, s.Batched, s.Dispatched, s.Queued = 0, 0, ms(10), ms(12)
+	s.ExecStart, s.ExecEnd, s.Completed = ms(15), ms(40), ms(40)
+	s.Job, s.Node = 1, 0
+	return &s
+}
+
+// failedSpan returns the span of request req lost at 20ms before dispatch.
+func failedSpan(req int64) *telemetry.Span {
+	var s telemetry.Span
+	s.Reset(req, 0)
+	s.Arrived, s.Batched, s.Completed, s.Failed = 0, 0, ms(20), true
+	return &s
+}
+
+// playRequest walks one request through the full legal lifecycle on job 1:
+// its arrival, the device's job transitions and its span.
 func playRequest(c *Checker) {
-	c.Event(ev(ms(0), telemetry.Arrived, 1))
-	c.Event(ev(ms(0), telemetry.Batched, 1))
-	d := ev(ms(10), telemetry.Dispatched, 1)
-	d.Job = 1
-	c.Event(d)
-	c.Event(jev(ms(12), telemetry.Queued, 1))
-	c.Event(jev(ms(15), telemetry.ExecStart, 1))
-	c.Event(jev(ms(40), telemetry.ExecEnd, 1))
-	done := ev(ms(40), telemetry.Completed, 1)
-	done.Job = 1
-	c.Event(done)
+	c.Arrive()
+	job(c, ms(12), telemetry.Queued, 1)
+	job(c, ms(15), telemetry.ExecStart, 1)
+	job(c, ms(40), telemetry.ExecEnd, 1)
+	c.Span(span(1))
 }
 
 // --- request-conservation -------------------------------------------------------
@@ -80,61 +86,139 @@ func playRequest(c *Checker) {
 func TestConservationCleanLifecycle(t *testing.T) {
 	c := New()
 	playRequest(c)
-	c.CheckResult(ms(50), 1, 0, 0)
+	c.Arrive()
+	c.Span(failedSpan(2))
+	c.CheckResult(ms(50), 2, 1, 0)
 	assertClean(t, c)
 }
 
 func TestConservationDetectsDoubleArrival(t *testing.T) {
+	// Two arrivals counted for the one request the run handed over.
 	c := New()
-	c.Event(ev(ms(0), telemetry.Arrived, 7))
-	c.Event(ev(ms(1), telemetry.Arrived, 7))
+	c.Arrive()
+	playRequest(c)
+	c.CheckResult(ms(50), 1, 0, 0)
 	assertLaw(t, c, LawConservation)
 }
 
 func TestConservationDetectsDoubleTermination(t *testing.T) {
 	c := New()
 	playRequest(c)
-	// The request is already terminal; a second Failed is a conjured loss.
-	c.Event(ev(ms(45), telemetry.Failed, 1))
+	// The request already completed; a second span (here a failure) is a
+	// conjured outcome.
+	c.Span(failedSpan(1))
+	c.CheckResult(ms(50), 1, 1, 0)
 	assertLaw(t, c, LawConservation)
 }
 
-func TestConservationDetectsDispatchBeforeArrival(t *testing.T) {
+func TestConservationDetectsCancelBeyondClones(t *testing.T) {
 	c := New()
-	c.Event(ev(ms(5), telemetry.Dispatched, 3))
+	s := span(1)
+	s.Clones, s.Cancelled = 1, 2
+	c.Span(s)
 	assertLaw(t, c, LawConservation)
 }
 
 func TestConservationDistinguishesTenants(t *testing.T) {
 	// The same request ID under two tenants is two requests, not a double
-	// arrival: per-tenant ID spaces are independent.
+	// termination: per-tenant ID spaces are independent.
 	c := New()
-	a := ev(ms(0), telemetry.Arrived, 1)
-	a.Tenant = 0
-	c.Event(a)
-	b := ev(ms(1), telemetry.Arrived, 1)
-	b.Tenant = 1
-	c.Event(b)
+	for tenant := range 2 {
+		c.Arrive()
+		s := span(1)
+		s.Tenant = tenant
+		c.Span(s)
+	}
+	c.CheckResult(ms(50), 2, 0, 0)
 	assertClean(t, c)
 }
 
 func TestCheckResultDetectsLostRequest(t *testing.T) {
 	// A request that arrives but never terminates — the skipped-bookkeeping
-	// mutation (e.g. a dropped failedRq++) the checker exists to catch.
-	c := New()
-	c.Event(ev(ms(0), telemetry.Arrived, 1))
-	c.Event(ev(ms(0), telemetry.Batched, 1))
-	c.CheckResult(ms(50), 1, 0, 0)
-	assertLaw(t, c, LawConservation)
+	// mutation (e.g. a dropped failedRq++) the checker exists to catch —
+	// whether its span is handed over open or never at all.
+	for _, handOver := range []bool{false, true} {
+		c := New()
+		c.Arrive()
+		if handOver {
+			var s telemetry.Span
+			s.Reset(1, 0)
+			s.Arrived, s.Batched = 0, 0
+			c.Span(&s)
+		}
+		c.CheckResult(ms(50), 1, 0, 0)
+		assertLaw(t, c, LawConservation)
+	}
 }
 
 func TestCheckResultDetectsMiscountedFailures(t *testing.T) {
 	c := New()
-	c.Event(ev(ms(0), telemetry.Arrived, 1))
-	c.Event(ev(ms(20), telemetry.Failed, 1))
-	// Result claims zero failed requests; the stream says one.
+	c.Arrive()
+	c.Span(failedSpan(1))
+	// Result claims zero failed requests; the spans say one.
 	c.CheckResult(ms(50), 1, 0, 0)
 	assertLaw(t, c, LawConservation)
+}
+
+// --- device jobs ----------------------------------------------------------------
+
+func TestJobCleanLifecycle(t *testing.T) {
+	c := New()
+	job(c, ms(1), telemetry.Queued, 1)
+	job(c, ms(2), telemetry.ExecStart, 1)
+	job(c, ms(3), telemetry.ExecEnd, 1)
+	// A job submitted to a failed device ends without being admitted.
+	c.DeviceJob(ms(4), telemetry.ExecEnd, 2, 0, false)
+	// A job failed while waiting ends without starting.
+	job(c, ms(5), telemetry.Queued, 3)
+	job(c, ms(6), telemetry.ExecEnd, 3)
+	assertClean(t, c)
+	if len(c.jobs) != 0 {
+		t.Fatalf("ended jobs still tracked: %v", c.jobs)
+	}
+}
+
+func TestJobDetectsBrokenTransitions(t *testing.T) {
+	cases := map[string]func(c *Checker){
+		"queued twice": func(c *Checker) {
+			job(c, ms(1), telemetry.Queued, 1)
+			job(c, ms(2), telemetry.Queued, 1)
+		},
+		"started before queued": func(c *Checker) {
+			job(c, ms(1), telemetry.ExecStart, 1)
+		},
+		"started twice": func(c *Checker) {
+			job(c, ms(1), telemetry.Queued, 1)
+			job(c, ms(2), telemetry.ExecStart, 1)
+			job(c, ms(3), telemetry.ExecStart, 1)
+		},
+		"ended twice": func(c *Checker) {
+			job(c, ms(1), telemetry.Queued, 1)
+			job(c, ms(2), telemetry.ExecStart, 1)
+			job(c, ms(3), telemetry.ExecEnd, 1)
+			job(c, ms(4), telemetry.ExecEnd, 1)
+		},
+		"no job ID": func(c *Checker) {
+			job(c, ms(1), telemetry.Queued, 0)
+		},
+	}
+	for name, play := range cases {
+		t.Run(name, func(t *testing.T) {
+			c := New()
+			play(c)
+			assertLaw(t, c, LawConservation)
+		})
+	}
+}
+
+func TestJobDetectsStartOnFailedNode(t *testing.T) {
+	spec := hardware.MostPerformant(hardware.GPU).Name
+	c := New()
+	c.Event(nev(0, telemetry.NodeAcquired, 0, spec))
+	c.Event(nev(ms(1), telemetry.NodeFailed, 0, spec))
+	job(c, ms(1), telemetry.Queued, 1)
+	job(c, ms(2), telemetry.ExecStart, 1)
+	assertLaw(t, c, LawCapacity)
 }
 
 // --- time-monotonic -------------------------------------------------------------
@@ -157,8 +241,33 @@ func TestTimeDetectsClockReversal(t *testing.T) {
 func TestTimeDetectsEventBehindClock(t *testing.T) {
 	c := New()
 	c.Tick(ms(100))
-	c.Event(ev(ms(50), telemetry.Arrived, 1))
+	e := telemetry.Ev(ms(50), telemetry.ContainerBoot)
+	e.N = 1
+	c.Event(e)
 	assertLaw(t, c, LawTime)
+}
+
+func TestTimeDetectsSpanBehindClock(t *testing.T) {
+	c := New()
+	c.Tick(ms(100))
+	c.Span(span(1)) // completed at 40ms
+	assertLaw(t, c, LawTime)
+}
+
+func TestEventIgnoresLifecycleKinds(t *testing.T) {
+	// Lifecycle events reach the checker only when another sink wants them;
+	// spans and the job hooks carry those laws, so the events count nothing
+	// — not even a request completing twice, or one behind the clock.
+	c := New()
+	c.Tick(ms(100))
+	for _, k := range []telemetry.Kind{telemetry.Arrived, telemetry.Dispatched,
+		telemetry.ExecEnd, telemetry.Completed, telemetry.Completed, telemetry.CloneCancelled} {
+		e := telemetry.Ev(ms(50), k)
+		e.Req, e.Job = 1, 1
+		c.Event(e)
+	}
+	c.CheckResult(ms(100), 0, 0, 0)
+	assertClean(t, c)
 }
 
 // --- device-capacity ------------------------------------------------------------
@@ -358,37 +467,38 @@ func TestBillingSkipsUnknownSpecs(t *testing.T) {
 func TestTelescopeCleanSpans(t *testing.T) {
 	c := New()
 	playRequest(c)
+	// A failed job's span: queued, never started, ended at the failure.
+	s := span(2)
+	s.ExecStart, s.ExecEnd, s.Completed, s.Failed = telemetry.Unset, ms(30), ms(30), true
+	c.Span(s)
 	assertClean(t, c)
 }
 
 func TestTelescopeDetectsBrokenSum(t *testing.T) {
+	// Completion stamped after the job ended: latency exceeds the
+	// components.
 	c := New()
-	c.Event(ev(ms(0), telemetry.Arrived, 1))
-	c.Event(ev(ms(0), telemetry.Batched, 1))
-	d := ev(ms(10), telemetry.Dispatched, 1)
-	d.Job = 1
-	c.Event(d)
-	c.Event(jev(ms(12), telemetry.Queued, 1))
-	c.Event(jev(ms(15), telemetry.ExecStart, 1))
-	c.Event(jev(ms(40), telemetry.ExecEnd, 1))
-	// Completion stamped after the job ended: latency exceeds the components.
-	done := ev(ms(45), telemetry.Completed, 1)
-	done.Job = 1
-	c.Event(done)
+	s := span(1)
+	s.Completed = ms(45)
+	c.Span(s)
 	assertLaw(t, c, LawTelescope)
 }
 
 func TestTelescopeDetectsMissingJobRecord(t *testing.T) {
+	// The job never executed, yet the request completes.
 	c := New()
-	c.Event(ev(ms(0), telemetry.Arrived, 1))
-	c.Event(ev(ms(0), telemetry.Batched, 1))
-	d := ev(ms(10), telemetry.Dispatched, 1)
-	d.Job = 1
-	c.Event(d)
-	// Job 1 never queued/executed, yet the request completes.
-	done := ev(ms(20), telemetry.Completed, 1)
-	done.Job = 1
-	c.Event(done)
+	s := span(1)
+	s.ExecStart, s.ExecEnd, s.Completed = telemetry.Unset, telemetry.Unset, ms(20)
+	c.Span(s)
+	assertLaw(t, c, LawTelescope)
+}
+
+func TestConservationDetectsDispatchBeforeArrival(t *testing.T) {
+	// A stamp running backwards makes a span component negative.
+	c := New()
+	s := span(1)
+	s.Arrived, s.Batched = ms(11), ms(11)
+	c.Span(s)
 	assertLaw(t, c, LawTelescope)
 }
 
@@ -416,8 +526,15 @@ func TestNilCheckerAsSink(t *testing.T) {
 	if c.AsSink() != nil {
 		t.Fatal("nil checker must convert to a nil Sink interface")
 	}
-	if New().AsSink() == nil {
+	sink := New().AsSink()
+	if sink == nil {
 		t.Fatal("live checker must convert to a non-nil Sink")
+	}
+	if _, ok := sink.(telemetry.SpanSink); !ok {
+		t.Fatal("checker must take spans")
+	}
+	if telemetry.WantsLifecycle(sink) {
+		t.Fatal("checker must decline lifecycle events")
 	}
 }
 

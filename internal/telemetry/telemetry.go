@@ -228,9 +228,10 @@ type SpanSink interface {
 // WantsLifecycle reports whether s consumes per-request lifecycle events
 // (see Kind.Lifecycle). A sink declines them by implementing
 // `Lifecycle() bool` and returning false — the span-only writers do, unless
-// they also write the raw event feed. Any other sink is assumed to want every
-// event, so a plain Sink (a counter, a test double, the invariant checker)
-// sees the same stream it always has.
+// they also write the raw event feed, and so does the invariant checker,
+// which reads spans. Any other sink is assumed to want every event, so a
+// plain Sink (a counter, a test double, the Recorder, the obs hub) sees the
+// same stream it always has.
 func WantsLifecycle(s Sink) bool {
 	if s == nil {
 		return false
