@@ -317,7 +317,7 @@ func cases(includeE2E bool) []benchCase {
 		}
 	}
 	cs = append(cs, streamWriterCase(), curveStreamCase())
-	cs = append(cs, cloneDispatchCase(), ageTrackerCase(), poolChurnCase())
+	cs = append(cs, cloneDispatchCase(), ageTrackerCase(), collectorResetCase(), poolChurnCase())
 	return cs
 }
 
@@ -477,6 +477,44 @@ func ageTrackerCase() benchCase {
 				_ = tr.Threshold()
 			}
 			return nil
+		},
+	}
+}
+
+// collectorResetCase measures one grid run's record storage as runCells
+// drives it: Reset a Collector that held a run, refill it with a run's
+// records (past several chunk boundaries) and read the P99 that every Result
+// reports. The chunks and the sort buffer are reused, so the case is fully
+// gated — zero allocations.
+func collectorResetCase() benchCase {
+	return benchCase{
+		name:  "metrics/Collector-reset+refill",
+		gated: true,
+		fn: func(b *testing.B) map[string]float64 {
+			const n = 16384
+			recs := make([]metrics.Record, n)
+			rng := sim.NewRNG(7).Stream("latency")
+			for i := range recs {
+				recs[i] = metrics.Record{
+					Arrival: time.Duration(i) * 2 * time.Millisecond,
+					Latency: time.Duration(rng.ExpFloat64() * float64(80*time.Millisecond)),
+				}
+			}
+			col := metrics.NewCollector(core.DefaultSLO)
+			fill := func() {
+				col.Reset(core.DefaultSLO)
+				for _, r := range recs {
+					col.Add(r)
+				}
+				_ = col.Percentile(99)
+			}
+			fill()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fill()
+			}
+			return map[string]float64{"records_per_op": n}
 		},
 	}
 }

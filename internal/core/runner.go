@@ -97,7 +97,7 @@ type Config struct {
 	// instead of constructing its own. The live observability plane passes
 	// the metrics.Online it also serves mid-run snapshots from, so /metrics
 	// reads the very sketch the simulation is filling. The aggregator must
-	// be fresh (single-run) and judge against the same SLO as the config.
+	// be empty (new or Reset) and judge against the same SLO as the config.
 	Aggregator metrics.Aggregator
 
 	// Pacer, when set, observes every advance of the virtual clock — once

@@ -55,6 +55,9 @@ type Options struct {
 	// simulation an experiment executes. Tests use them to instrument whole
 	// experiment grids (e.g. attach a fresh invariant.Checker per run); they
 	// must behave like the functions they replace. Nil uses the real runners.
+	// A grid lends each run its Collector (through Config.Aggregator) and
+	// reuses it once Run returns, so a hook must not keep the Result's
+	// Collector or read it later.
 	Run      func(core.Config) core.Result
 	RunMulti func(core.MultiConfig) core.MultiResult
 }
@@ -246,7 +249,7 @@ type aggregate struct {
 	Power      float64
 	UtilCPU    float64
 	UtilGPU    float64
-	Results    []core.Result // every repetition, for detail extraction
+	Results    []core.Result // every repetition's scalars; Collector is nil (see cell.reduce)
 }
 
 // traceGen builds a trace for one repetition.

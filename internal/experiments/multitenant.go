@@ -34,22 +34,33 @@ func MultiTenant(o Options) *Table {
 			"MobileNet", "cost"},
 	}
 	schemes := standardSchemes()
-	results := make([]core.MultiResult, len(schemes)*o.Reps)
+	// Each run is reduced on its worker to the numbers the table shows, so
+	// no tenant's Collector outlives its run.
+	type reduced struct {
+		combined, cost float64
+		per            []float64
+	}
+	results := make([]reduced, len(schemes)*o.Reps)
 	o.parRange(len(results), func(i int) {
 		s := schemes[i/o.Reps]
 		rep := i % o.Reps
 		rng := sim.NewRNG(o.Seed).Child(fmt.Sprintf("mt-rep-%d", rep))
-		results[i] = o.runMulti(core.MultiConfig{Workloads: mkWorkloads(rng), Scheme: s})
+		res := o.runMulti(core.MultiConfig{Workloads: mkWorkloads(rng), Scheme: s})
+		r := reduced{combined: res.SLOCompliance, cost: res.Cost}
+		for _, c := range res.PerWorkload {
+			r.per = append(r.per, c.SLOCompliance())
+		}
+		results[i] = r
 	})
 	for si, s := range schemes {
 		var combined, cost []float64
 		per := make([][]float64, 3)
 		for rep := 0; rep < o.Reps; rep++ {
 			res := results[si*o.Reps+rep]
-			combined = append(combined, res.SLOCompliance)
-			cost = append(cost, res.Cost)
-			for i, c := range res.PerWorkload {
-				per[i] = append(per[i], c.SLOCompliance())
+			combined = append(combined, res.combined)
+			cost = append(cost, res.cost)
+			for i, c := range res.per {
+				per[i] = append(per[i], c)
 			}
 		}
 		row := []string{s.Name(), pct(metrics.MeanDropOutliers(combined, 2.5))}

@@ -5,8 +5,10 @@ package experiments
 // The paper's evaluation is embarrassingly parallel: every (model, trace,
 // scheme, repetition) cell is an independent core.Run whose randomness
 // derives from Seed.Child("rep-N") and whose simulation state (engine,
-// cluster, collector) is created inside the run. Nothing is shared between
-// cells, so cells can execute on any number of workers in any order — as
+// cluster) is created inside the run. The only thing cells share is record
+// storage: runCells lends each run an emptied Collector from a free list and
+// takes it back once the run's own reduction has read it, never while a run
+// holds it. So cells can execute on any number of workers in any order — as
 // long as results are collected *indexed by cell*, every aggregate, table,
 // terminal plot and SVG is byte-identical to a serial run.
 //
@@ -125,6 +127,11 @@ type cell struct {
 	gen    traceGen
 	scheme core.Scheme
 	mut    mutator
+	// reduce, when set, reads one repetition's per-request records: rep,
+	// the config it ran (after mut) and the Collector it filled. It runs on
+	// the worker right after the run, before the Collector is reused, and
+	// must write only a slot indexed by cell and rep.
+	reduce func(rep int, cfg core.Config, col *metrics.Collector)
 }
 
 // runCells executes every (cell, repetition) pair — each an independent
@@ -132,9 +139,15 @@ type cell struct {
 // paper's outlier rule. Results are indexed by (cell, rep), never by
 // completion order: aggregates come back in cell order with repetitions in
 // rep order, exactly as a serial nested loop would produce them.
+//
+// Each run fills a Collector taken from a free list of at most one per
+// worker, so a grid allocates record storage once per worker, not once per
+// run. A cell's reduce reads the records; afterwards the Collector goes
+// back to the list and the Result keeps none (Results[i].Collector is nil).
 func runCells(o Options, cells []cell) []aggregate {
 	reps := o.Reps
 	results := make([]core.Result, len(cells)*reps)
+	free := make(chan *metrics.Collector, o.workers())
 	o.parRange(len(results), func(i int) {
 		c := cells[i/reps]
 		rep := i % reps
@@ -148,7 +161,28 @@ func runCells(o Options, cells []cell) []aggregate {
 		if c.mut != nil {
 			c.mut(&cfg)
 		}
-		results[i] = o.run(cfg)
+		var col *metrics.Collector
+		select {
+		case col = <-free:
+		default:
+			col = new(metrics.Collector)
+		}
+		slo := cfg.SLO
+		if slo == 0 {
+			slo = core.DefaultSLO
+		}
+		col.Reset(slo)
+		cfg.Aggregator = col
+		res := o.run(cfg)
+		if c.reduce != nil {
+			c.reduce(rep, cfg, col)
+		}
+		res.Collector = nil
+		results[i] = res
+		select {
+		case free <- col:
+		default:
+		}
 	})
 	out := make([]aggregate, len(cells))
 	for ci := range cells {

@@ -5,6 +5,13 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/model"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // equalityOptions is a reduced-scale configuration that still exercises
@@ -58,19 +65,85 @@ func assertTablesIdentical(t *testing.T, serial, parallel *Table) {
 	}
 }
 
-// TestSerialParallelEquality is the determinism guarantee: a representative
-// grid experiment (reduced-scale Fig3: 12 models x 5 schemes x 2 reps) must
-// render byte-identically whether cells run serially or fanned out over 4
-// workers. Run under -race with -cpu 1,4 in CI.
+// TestSerialParallelEquality is the determinism guarantee: grid experiments
+// (reduced-scale Fig3: 12 models x 5 schemes x 2 reps, plus the experiments
+// that reduce per-request records on the worker — Fig4, Fig6, Fig7 and
+// MultiTenant) must render byte-identically whether cells run serially or
+// fanned out over 4 workers. Run under -race with -cpu 1,4 in CI, where a
+// Collector lent to two runs at once would trip the race detector.
 func TestSerialParallelEquality(t *testing.T) {
-	serialOpts := equalityOptions()
-	serialOpts.Parallelism = 1
-	parOpts := equalityOptions()
-	parOpts.Parallelism = 4
+	for _, tc := range []struct {
+		name string
+		run  func(Options) *Table
+	}{
+		{"fig3", Fig3}, {"fig4", Fig4}, {"fig6", Fig6}, {"fig7", Fig7},
+		{"multitenant", MultiTenant},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serialOpts := equalityOptions()
+			serialOpts.Parallelism = 1
+			parOpts := equalityOptions()
+			parOpts.Parallelism = 4
+			assertTablesIdentical(t, tc.run(serialOpts), tc.run(parOpts))
+		})
+	}
+}
 
-	serial := Fig3(serialOpts)
-	parallel := Fig3(parOpts)
-	assertTablesIdentical(t, serial, parallel)
+// TestRunCellsLendsCollectors pins the grid's record storage: every run
+// fills a Collector lent through Config.Aggregator, a cell's reduce sees the
+// very Collector the run filled, the grid holds at most one per worker, and
+// no aggregate keeps one.
+func TestRunCellsLendsCollectors(t *testing.T) {
+	m := model.MustByName("ResNet 50")
+	gen := func(rng *sim.RNG) *trace.Trace { return trace.Stable(rng, 40, 30*time.Second) }
+	for _, par := range []int{1, 3} {
+		var mu sync.Mutex
+		lent := map[*metrics.Collector]bool{}
+		o := Options{Seed: 3, Reps: 2, Scale: 0.02, Parallelism: par}
+		o.Run = func(cfg core.Config) core.Result {
+			res := core.Run(cfg)
+			if res.Collector == nil || res.Collector != cfg.Aggregator {
+				t.Errorf("run filled %v, not the lent Collector %v", res.Collector, cfg.Aggregator)
+			}
+			mu.Lock()
+			lent[res.Collector] = true
+			mu.Unlock()
+			return res
+		}
+		var cells []cell
+		counts := make([]int, 4*o.Reps)
+		for ci, slo := range []time.Duration{0, 0, 150 * time.Millisecond, 0} {
+			cells = append(cells, cell{m: m, gen: gen, scheme: core.NewPaldia(),
+				mut: func(cfg *core.Config) { cfg.SLO = slo },
+				reduce: func(rep int, cfg core.Config, col *metrics.Collector) {
+					want := slo
+					if want == 0 {
+						want = core.DefaultSLO
+					}
+					if col.SLO != want {
+						t.Errorf("cell %d: Collector judges against %v, want %v", ci, col.SLO, want)
+					}
+					if cfg.Aggregator != col {
+						t.Errorf("cell %d: reduce got a Collector the run did not fill", ci)
+					}
+					counts[ci*o.Reps+rep] = col.Count()
+				}})
+		}
+		for ci, a := range runCells(o, cells) {
+			for rep, res := range a.Results {
+				if res.Collector != nil {
+					t.Errorf("parallelism %d: cell %d rep %d keeps its Collector", par, ci, rep)
+				}
+				if res.Requests != counts[ci*o.Reps+rep] {
+					t.Errorf("parallelism %d: cell %d rep %d: reduce saw %d records, run served %d",
+						par, ci, rep, counts[ci*o.Reps+rep], res.Requests)
+				}
+			}
+		}
+		if len(lent) > par {
+			t.Errorf("parallelism %d: %d Collectors lent, want at most one per worker", par, len(lent))
+		}
+	}
 }
 
 // TestForecastFrontierSerialParallelEquality extends the determinism

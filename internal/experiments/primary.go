@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/plot"
-	"repro/internal/sim"
 	"repro/internal/svgplot"
 	"repro/internal/trace"
 )
@@ -81,11 +80,19 @@ func Fig4(o Options) *Table {
 			cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s})
 		}
 	}
-	for _, a := range runCells(o, cells) {
-		// Breakdown from the first repetition's collector (the paper
-		// plots one representative run's P99 decomposition).
+	// Breakdown from the first repetition's records (the paper plots one
+	// representative run's P99 decomposition).
+	bds := make([]metrics.Breakdown, len(cells))
+	for ci := range cells {
+		cells[ci].reduce = func(rep int, _ core.Config, col *metrics.Collector) {
+			if rep == 0 {
+				bds[ci] = col.TailBreakdown(99, 99.9)
+			}
+		}
+	}
+	for ci, a := range runCells(o, cells) {
 		res := a.Results[0]
-		b := res.Collector.TailBreakdown(99, 99.9)
+		b := bds[ci]
 		t.Rows = append(t.Rows, []string{
 			res.Model, res.Scheme,
 			msec(b.Total), msec(b.MinExec),
@@ -148,22 +155,37 @@ func Fig6(o Options) *Table {
 	var names []string
 	var curves [][]float64
 	schemes := standardSchemes()
+	// Percentiles and the CDF from the first repetition's records.
+	type firstRep struct {
+		pcts [5]time.Duration
+		cdf  []metrics.CDFPoint
+	}
+	firsts := make([]firstRep, len(schemes))
 	var cells []cell
-	for _, s := range schemes {
-		cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s})
+	for si, s := range schemes {
+		cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s,
+			reduce: func(rep int, _ core.Config, col *metrics.Collector) {
+				if rep != 0 {
+					return
+				}
+				for i, p := range []float64{50, 80, 90, 95, 99} {
+					firsts[si].pcts[i] = col.Percentile(p)
+				}
+				firsts[si].cdf = col.CDF(60)
+			}})
 	}
 	aggs := runCells(o, cells)
 	for si, s := range schemes {
 		a := aggs[si]
-		c := a.Results[0].Collector
+		c := firsts[si]
 		t.Rows = append(t.Rows, []string{
 			s.Name(),
-			msec(c.Percentile(50)), msec(c.Percentile(80)), msec(c.Percentile(90)),
-			msec(c.Percentile(95)), msec(c.Percentile(99)),
+			msec(c.pcts[0]), msec(c.pcts[1]), msec(c.pcts[2]),
+			msec(c.pcts[3]), msec(c.pcts[4]),
 			pct(a.Compliance),
 		})
 		var vals []float64
-		for _, p := range c.CDF(60) {
+		for _, p := range c.cdf {
 			v := p.Latency.Seconds() * 1000
 			if v > 400 {
 				v = 400 // clip the axis at 2x SLO, like the paper's plot
@@ -208,9 +230,16 @@ func Fig7(o Options) *Table {
 	dla := model.MustByName("Simplified DLA")
 
 	schemes := standardSchemes()
+	// Goodput over the peak-traffic windows (the union of 1s windows whose
+	// arrival rate exceeds half the trace peak), per DenseNet repetition.
+	goodput := make([][2]float64, len(schemes)*o.Reps)
 	var cells []cell
-	for _, s := range schemes {
-		cells = append(cells, cell{m: dense, gen: azureGen(o, dense), scheme: s})
+	for si, s := range schemes {
+		cells = append(cells, cell{m: dense, gen: azureGen(o, dense), scheme: s,
+			reduce: func(rep int, cfg core.Config, col *metrics.Collector) {
+				g, a := peakGoodput(col, cfg.Trace)
+				goodput[si*o.Reps+rep] = [2]float64{g, a}
+			}})
 	}
 	for _, s := range schemes {
 		cells = append(cells, cell{m: dla, gen: azureGen(o, dla), scheme: s})
@@ -222,19 +251,13 @@ func Fig7(o Options) *Table {
 	}
 	rows := make([]row, len(schemes))
 	for i := range schemes {
-		// Goodput over the peak-traffic windows (the union of 1s windows
-		// whose arrival rate exceeds half the trace peak).
-		a := aggs[i]
 		var g, arr float64
-		for rep, res := range a.Results {
-			rng := sim.NewRNG(o.Seed).Child(fmt.Sprintf("rep-%d", rep))
-			tr := azureGen(o, dense)(rng)
-			gw, aw := peakGoodput(res.Collector, tr)
-			g += gw
-			arr += aw
+		for _, ga := range goodput[i*o.Reps : (i+1)*o.Reps] {
+			g += ga[0]
+			arr += ga[1]
 		}
-		g /= float64(len(a.Results))
-		arr /= float64(len(a.Results))
+		g /= float64(o.Reps)
+		arr /= float64(o.Reps)
 
 		p := aggs[len(schemes)+i]
 		rows[i] = row{goodput: g, arrival: arr, power: p.Power}

@@ -74,15 +74,20 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 // ReadCSV parses records previously written with WriteCSV into a collector
 // with the given SLO (the slo_ok column is recomputed, not trusted). A
 // malformed cell is an error naming the offending row and column, never a
-// silently coerced zero.
+// silently coerced zero. Rows are parsed as they are read, one reused row
+// at a time, so the first error in file order is the one reported.
 func ReadCSV(r io.Reader, slo time.Duration) (*Collector, error) {
 	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
+	cr.ReuseRecord = true
 	c := NewCollector(slo)
-	for i, row := range rows {
+	for i := 0; ; i++ {
+		row, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
 		line := i + 1
 		if i == 0 && len(row) > 0 && row[0] == csvHeader[0] {
 			continue // header

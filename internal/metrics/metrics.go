@@ -47,7 +47,9 @@ const (
 )
 
 // Collector accumulates request records for one experiment run. Storage is a
-// list of fixed-capacity chunks: records are never moved once written.
+// list of fixed-capacity chunks: records are never moved once written. Reset
+// empties it for the next run but keeps the chunks, so a grid that reuses one
+// Collector per worker allocates its record storage once.
 type Collector struct {
 	SLO time.Duration
 
@@ -63,17 +65,34 @@ func NewCollector(slo time.Duration) *Collector {
 	return &Collector{SLO: slo}
 }
 
+// Reset empties the collector and makes it judge against slo. It keeps the
+// record chunks and the sorted-latency buffer, which the next run's Adds and
+// Percentile calls refill before allocating; every reader then answers as a
+// new Collector fed the same records would.
+func (c *Collector) Reset(slo time.Duration) {
+	c.SLO = slo
+	c.chunks = c.chunks[:0]
+	c.count = 0
+	c.sortedOK = false
+}
+
 // Add appends one request outcome.
 func (c *Collector) Add(r Record) {
 	n := len(c.chunks)
 	if n == 0 || len(c.chunks[n-1]) == cap(c.chunks[n-1]) {
-		size := chunkMin
-		if n > 0 {
-			if size = 2 * cap(c.chunks[n-1]); size > chunkMax {
-				size = chunkMax
+		if n < cap(c.chunks) && cap(c.chunks[:n+1][n]) > 0 {
+			// A chunk kept by Reset: the same size this index would get.
+			c.chunks = c.chunks[:n+1]
+			c.chunks[n] = c.chunks[n][:0]
+		} else {
+			size := chunkMin
+			if n > 0 {
+				if size = 2 * cap(c.chunks[n-1]); size > chunkMax {
+					size = chunkMax
+				}
 			}
+			c.chunks = append(c.chunks, make([]Record, 0, size))
 		}
-		c.chunks = append(c.chunks, make([]Record, 0, size))
 		n++
 	}
 	c.chunks[n-1] = append(c.chunks[n-1], r)

@@ -323,3 +323,14 @@ func TestReadCSVMalformedRows(t *testing.T) {
 		t.Fatalf("error %v does not name row 3 column queue_delay_ms", err)
 	}
 }
+
+// ReadCSV parses rows as it reads them, so a malformed number is reported
+// even when a CSV syntax error follows it later in the file.
+func TestReadCSVReportsFirstErrorInFileOrder(t *testing.T) {
+	header := "arrival_s,latency_ms,batch_wait_ms,queue_delay_ms,interference_ms,cold_start_ms,min_exec_ms,failed,slo_ok\n"
+	in := header + "1.0,oops,0,0,0,0,40,false,true\n" + "2.0,50,0,0,0,0,40,false,\"true\n"
+	_, err := ReadCSV(strings.NewReader(in), msec(200))
+	if err == nil || !strings.Contains(err.Error(), "row 2 column latency_ms") {
+		t.Fatalf("error %v does not name row 2 column latency_ms", err)
+	}
+}

@@ -1,0 +1,150 @@
+package metrics
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+)
+
+// randomRecords returns n deterministic records with spread-out latencies,
+// some failures and arrivals over about a minute.
+func randomRecords(seed int64, n int) []Record {
+	r := rand.New(rand.NewSource(seed))
+	out := make([]Record, n)
+	for i := range out {
+		out[i] = Record{
+			Arrival:      time.Duration(r.Int63n(int64(60 * time.Second))),
+			Latency:      time.Duration(r.Int63n(int64(400 * time.Millisecond))),
+			BatchWait:    time.Duration(r.Int63n(int64(20 * time.Millisecond))),
+			QueueDelay:   time.Duration(r.Int63n(int64(50 * time.Millisecond))),
+			Interference: time.Duration(r.Int63n(int64(30 * time.Millisecond))),
+			ColdStart:    time.Duration(r.Int63n(int64(5 * time.Millisecond))),
+			MinExec:      time.Duration(r.Int63n(int64(80 * time.Millisecond))),
+			Failed:       r.Intn(50) == 0,
+		}
+	}
+	return out
+}
+
+// assertSameReaders requires got to answer every reader exactly as want.
+func assertSameReaders(t *testing.T, got, want *Collector) {
+	t.Helper()
+	var ge, we []Record
+	got.Each(func(r Record) { ge = append(ge, r) })
+	want.Each(func(r Record) { we = append(we, r) })
+	if !reflect.DeepEqual(ge, we) {
+		t.Fatalf("Each: %d records differ from a new collector's %d", len(ge), len(we))
+	}
+	if !reflect.DeepEqual(got.Records(), want.Records()) {
+		t.Fatal("Records differ")
+	}
+	if got.Count() != want.Count() {
+		t.Fatalf("Count %d, want %d", got.Count(), want.Count())
+	}
+	if got.SLOCompliance() != want.SLOCompliance() {
+		t.Fatalf("SLOCompliance %v, want %v", got.SLOCompliance(), want.SLOCompliance())
+	}
+	if got.Violations() != want.Violations() {
+		t.Fatalf("Violations %d, want %d", got.Violations(), want.Violations())
+	}
+	for _, p := range []float64{0.1, 1, 50, 90, 99, 99.9, 100} {
+		if got.Percentile(p) != want.Percentile(p) {
+			t.Fatalf("P%v %v, want %v", p, got.Percentile(p), want.Percentile(p))
+		}
+	}
+	if got.Mean() != want.Mean() {
+		t.Fatalf("Mean %v, want %v", got.Mean(), want.Mean())
+	}
+	if !reflect.DeepEqual(got.CDF(60), want.CDF(60)) {
+		t.Fatal("CDF differs")
+	}
+	if got.TailBreakdown(99, 99.9) != want.TailBreakdown(99, 99.9) {
+		t.Fatalf("TailBreakdown %+v, want %+v", got.TailBreakdown(99, 99.9), want.TailBreakdown(99, 99.9))
+	}
+	from, to := 10*time.Second, 40*time.Second
+	if got.GoodputRPS(from, to) != want.GoodputRPS(from, to) {
+		t.Fatalf("GoodputRPS %v, want %v", got.GoodputRPS(from, to), want.GoodputRPS(from, to))
+	}
+	if got.ArrivalRPS(from, to) != want.ArrivalRPS(from, to) {
+		t.Fatalf("ArrivalRPS %v, want %v", got.ArrivalRPS(from, to), want.ArrivalRPS(from, to))
+	}
+	var gb, wb bytes.Buffer
+	if err := got.WriteCSV(&gb); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WriteCSV(&wb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+		t.Fatal("WriteCSV bytes differ")
+	}
+}
+
+// A Reset collector refilled with fewer records, then with more (past the
+// chunks it kept), answers every reader as a new collector fed the same
+// records. The sizes straddle each chunk boundary up to chunkMax and beyond.
+func TestCollectorResetMatchesNew(t *testing.T) {
+	c := NewCollector(msec(200))
+	sizes := []struct {
+		n   int
+		slo time.Duration
+	}{
+		{20000, msec(200)}, // past 256, 512, ... 8192 and two chunkMax chunks
+		{300, msec(150)},   // fewer: one kept chunk and a bit of the next
+		{0, msec(250)},     // empty
+		{511, msec(100)},
+		{30000, msec(180)}, // more than the first fill: kept chunks, then new ones
+		{8192 + 256, msec(220)},
+	}
+	for i, sz := range sizes {
+		recs := randomRecords(int64(i+1), sz.n)
+		if i > 0 {
+			c.Reset(sz.slo)
+		} else {
+			c.SLO = sz.slo
+		}
+		want := NewCollector(sz.slo)
+		for _, r := range recs {
+			c.Add(r)
+			want.Add(r)
+		}
+		assertSameReaders(t, c, want)
+	}
+}
+
+// A Reset between a Percentile call and the refill must not serve the
+// previous run's sorted latencies.
+func TestCollectorResetInvalidatesSort(t *testing.T) {
+	c := NewCollector(msec(200))
+	c.Add(Record{Latency: msec(500)})
+	_ = c.Percentile(99)
+	c.Reset(msec(200))
+	c.Add(Record{Latency: msec(10)})
+	if got := c.Percentile(100); got != msec(10) {
+		t.Fatalf("stale sort after Reset: P100 = %v, want 10ms", got)
+	}
+}
+
+// Once a collector has held a run, Reset plus a refill of the same size plus
+// a Percentile read allocates nothing: the chunks and the sort buffer are
+// reused.
+func TestCollectorResetAllocFree(t *testing.T) {
+	recs := randomRecords(1, 20000)
+	c := NewCollector(msec(200))
+	for _, r := range recs {
+		c.Add(r)
+	}
+	_ = c.Percentile(99)
+	allocs := testing.AllocsPerRun(5, func() {
+		c.Reset(msec(200))
+		for _, r := range recs {
+			c.Add(r)
+		}
+		_ = c.Percentile(99)
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset+refill+Percentile allocates %v times per run, want 0", allocs)
+	}
+}
