@@ -118,6 +118,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace/ -fuzz '^FuzzLoad$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -fuzz '^FuzzWindowCounts$$' -fuzztime 10s
 	$(GO) test ./internal/metrics/ -fuzz '^FuzzReadCSV$$' -fuzztime 10s
+	$(GO) test ./internal/metrics/ -fuzz '^FuzzCollectorPercentile$$' -fuzztime 10s
 	$(GO) test ./internal/core/ -fuzz '^FuzzConfigValidate$$' -fuzztime 10s
 	$(GO) test ./internal/core/ -fuzz '^FuzzRun$$' -fuzztime 10s
 

@@ -317,7 +317,7 @@ func cases(includeE2E bool) []benchCase {
 		}
 	}
 	cs = append(cs, streamWriterCase(), curveStreamCase())
-	cs = append(cs, cloneDispatchCase(), ageTrackerCase(), collectorResetCase(), poolChurnCase())
+	cs = append(cs, cloneDispatchCase(), ageTrackerCase(), collectorResetCase(), collectorPercentileCase(), poolChurnCase())
 	return cs
 }
 
@@ -484,7 +484,7 @@ func ageTrackerCase() benchCase {
 // collectorResetCase measures one grid run's record storage as runCells
 // drives it: Reset a Collector that held a run, refill it with a run's
 // records (past several chunk boundaries) and read the P99 that every Result
-// reports. The chunks and the sort buffer are reused, so the case is fully
+// reports. The chunks and the latency buffer are reused, so the case is fully
 // gated — zero allocations.
 func collectorResetCase() benchCase {
 	return benchCase{
@@ -513,6 +513,44 @@ func collectorResetCase() benchCase {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fill()
+			}
+			return map[string]float64{"records_per_op": n}
+		},
+	}
+}
+
+// collectorPercentileCase measures the order statistics runner.results
+// reads at the end of every run: P50, then P99, from a collector freshly
+// filled with 100 000 shuffled records. The fill runs off the timer; the
+// timed reads copy the latencies into the reused buffer and select both
+// ranks, so the case is fully gated — zero allocations.
+func collectorPercentileCase() benchCase {
+	return benchCase{
+		name:  "metrics/Collector-P50+P99",
+		gated: true,
+		fn: func(b *testing.B) map[string]float64 {
+			const n = 100000
+			recs := make([]metrics.Record, n)
+			for i := range recs {
+				recs[i] = metrics.Record{Latency: time.Duration(i) * 10 * time.Microsecond}
+			}
+			sim.NewRNG(11).Stream("latency").Shuffle(n, func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+			col := metrics.NewCollector(core.DefaultSLO)
+			fill := func() {
+				col.Reset(core.DefaultSLO)
+				for _, r := range recs {
+					col.Add(r)
+				}
+			}
+			fill()
+			_, _ = col.Percentile(50), col.Percentile(99)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fill()
+				b.StartTimer()
+				_, _ = col.Percentile(50), col.Percentile(99)
 			}
 			return map[string]float64{"records_per_op": n}
 		},

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -43,6 +45,50 @@ func FuzzReadCSV(f *testing.F) {
 		if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
 			t.Fatalf("serialization not stable after one normalization pass:\n-- first --\n%s\n-- second --\n%s",
 				w1.String(), w2.String())
+		}
+	})
+}
+
+// FuzzCollectorPercentile decodes arbitrary bytes into a list of percentile
+// reads and a run of latencies, then checks every Percentile answer, in
+// the order given, against the nearest rank of a sorted copy.
+func FuzzCollectorPercentile(f *testing.F) {
+	f.Add([]byte{2, 0x80, 0x00, 0xfd, 0x00, 5, 3, 3, 9, 1, 0, 7})
+	f.Add([]byte{6, 0xff, 0xff, 0x00, 0x00, 0x01, 0x00, 0x02, 0x00, 0x03, 0x00, 0x80, 0x00, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2})
+	f.Add(append([]byte{3, 0x7f, 0x00, 0xfe, 0x00, 0x00, 0x01}, bytes.Repeat([]byte{9, 200, 17, 4}, 8)...))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		np := int(in[0]%8) + 1
+		in = in[1:]
+		var ps []float64
+		for len(ps) < np && len(in) >= 2 {
+			code := uint16(in[0])<<8 | uint16(in[1])
+			in = in[2:]
+			switch code {
+			case 0xffff:
+				ps = append(ps, math.NaN())
+			case 0xfffe:
+				ps = append(ps, math.Inf(1))
+			case 0xfffd:
+				ps = append(ps, math.Inf(-1))
+			default:
+				// -5 .. ~105: both clamped ends and everything between.
+				ps = append(ps, float64(code)/0xfff0*110-5)
+			}
+		}
+		c := NewCollector(time.Second)
+		lats := make([]time.Duration, len(in))
+		for i, b := range in {
+			lats[i] = time.Duration(b)
+			c.Add(Record{Latency: lats[i]})
+		}
+		slices.Sort(lats)
+		for _, p := range ps {
+			if got, want := c.Percentile(p), refPercentile(lats, p); got != want {
+				t.Fatalf("P%v of %d latencies = %v, want %v", p, len(lats), got, want)
+			}
 		}
 	})
 }

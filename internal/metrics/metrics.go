@@ -56,8 +56,16 @@ type Collector struct {
 	chunks [][]Record
 	count  int
 
-	sorted   []time.Duration // latencies sorted; valid when sortedOK
-	sortedOK bool
+	// lat is the latency buffer the order statistics read. The first
+	// Percentile or CDF after an Add or Reset fills it from the records;
+	// Reset keeps its capacity. Each index in placed (ascending) holds its
+	// sorted-order value, with no larger latency before it and no smaller
+	// one after it, so a later Percentile partitions only the span between
+	// its neighbouring placed indices. latSorted marks lat fully sorted.
+	lat       []time.Duration
+	latOK     bool
+	latSorted bool
+	placed    []int
 }
 
 // NewCollector returns a collector judging requests against the given SLO.
@@ -66,14 +74,14 @@ func NewCollector(slo time.Duration) *Collector {
 }
 
 // Reset empties the collector and makes it judge against slo. It keeps the
-// record chunks and the sorted-latency buffer, which the next run's Adds and
+// record chunks and the latency buffer, which the next run's Adds and
 // Percentile calls refill before allocating; every reader then answers as a
 // new Collector fed the same records would.
 func (c *Collector) Reset(slo time.Duration) {
 	c.SLO = slo
 	c.chunks = c.chunks[:0]
 	c.count = 0
-	c.sortedOK = false
+	c.latOK = false
 }
 
 // Add appends one request outcome.
@@ -97,7 +105,7 @@ func (c *Collector) Add(r Record) {
 	}
 	c.chunks[n-1] = append(c.chunks[n-1], r)
 	c.count++
-	c.sortedOK = false
+	c.latOK = false
 }
 
 // Count returns the number of recorded requests.
@@ -154,38 +162,56 @@ func (c *Collector) Violations() int {
 	return v
 }
 
-func (c *Collector) ensureSorted() {
-	if c.sortedOK {
-		return
+// latencies returns the latency buffer, refilled from the records in
+// insertion order if an Add or Reset came after the last fill.
+func (c *Collector) latencies() []time.Duration {
+	if c.latOK {
+		return c.lat
 	}
-	c.sorted = c.sorted[:0]
-	if cap(c.sorted) < c.count {
-		c.sorted = make([]time.Duration, 0, c.count)
+	c.lat = c.lat[:0]
+	if cap(c.lat) < c.count {
+		c.lat = make([]time.Duration, 0, c.count)
 	}
 	for _, ch := range c.chunks {
 		for i := range ch {
-			c.sorted = append(c.sorted, ch[i].Latency)
+			c.lat = append(c.lat, ch[i].Latency)
 		}
 	}
-	slices.Sort(c.sorted)
-	c.sortedOK = true
+	c.placed = c.placed[:0]
+	c.latOK, c.latSorted = true, false
+	return c.lat
 }
 
-// Percentile returns the p-th latency percentile (p in (0,100]), using the
-// nearest-rank method. It returns 0 for an empty collector.
+// Percentile returns the p-th latency percentile by the nearest-rank method:
+// the ceil(p/100·n)-th smallest of the n latencies, exactly. p ≤ 0 or NaN
+// reads the minimum and p ≥ 100 the maximum; an empty collector reports 0.
+// It selects rather than sorts — O(n) expected for the first read after an
+// Add or Reset, and a later read partitions only between the ranks earlier
+// reads placed — so the answer never depends on the order of the calls.
+// After a CDF, which still sorts fully, it reads the sorted buffer directly.
 func (c *Collector) Percentile(p float64) time.Duration {
 	if c.count == 0 {
 		return 0
 	}
-	c.ensureSorted()
-	rank := int(math.Ceil(p / 100 * float64(len(c.sorted))))
-	if rank < 1 {
-		rank = 1
+	lat := c.latencies()
+	k := nearestRank(p/100, len(lat)) - 1
+	if c.latSorted {
+		return lat[k]
 	}
-	if rank > len(c.sorted) {
-		rank = len(c.sorted)
+	i, placed := slices.BinarySearch(c.placed, k)
+	if placed {
+		return lat[k]
 	}
-	return c.sorted[rank-1]
+	lo, hi := 0, len(lat)
+	if i > 0 {
+		lo = c.placed[i-1] + 1
+	}
+	if i < len(c.placed) {
+		hi = c.placed[i]
+	}
+	selectRank(lat[lo:hi], k-lo)
+	c.placed = slices.Insert(c.placed, i, k)
+	return lat[k]
 }
 
 // Mean returns the mean end-to-end latency.
@@ -214,15 +240,19 @@ func (c *Collector) CDF(n int) []CDFPoint {
 	if c.count == 0 || n <= 0 {
 		return nil
 	}
-	c.ensureSorted()
+	lat := c.latencies()
+	if !c.latSorted {
+		slices.Sort(lat)
+		c.latSorted = true
+	}
 	out := make([]CDFPoint, n)
 	for i := 0; i < n; i++ {
 		f := float64(i+1) / float64(n)
-		idx := int(f*float64(len(c.sorted))) - 1
+		idx := int(f*float64(len(lat))) - 1
 		if idx < 0 {
 			idx = 0
 		}
-		out[i] = CDFPoint{Latency: c.sorted[idx], Fraction: f}
+		out[i] = CDFPoint{Latency: lat[idx], Fraction: f}
 	}
 	return out
 }

@@ -176,9 +176,10 @@ func (o *Online) Max() time.Duration {
 }
 
 // Percentile returns the sketch estimate of the p-th latency percentile
-// (p in (0,100]), within SketchAlpha relative error of the Collector's
-// exact nearest-rank value. Small runs (up to the sketch's exact-prefix
-// size) report exact percentiles.
+// (p ≤ 0 or NaN reads the minimum, p ≥ 100 the maximum), within
+// SketchAlpha relative error of the Collector's exact nearest-rank value.
+// Small runs (up to the sketch's exact-prefix size) report exact
+// percentiles.
 func (o *Online) Percentile(p float64) time.Duration {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -354,20 +355,14 @@ func (s *latencySketch) bucket(v time.Duration) int {
 	return int(math.Ceil(math.Log(float64(v)) / s.lnGamma))
 }
 
-// quantile returns the q-th quantile (q in (0,1]) using the Collector's
-// nearest-rank convention. At or under the exact prefix it is exact; above
-// it, within α relative error.
+// quantile returns the q-th quantile using the Collector's nearest-rank
+// convention: q ≤ 0 or NaN reads the minimum and q ≥ 1 the maximum. At or
+// under the exact prefix it is exact; above it, within α relative error.
 func (s *latencySketch) quantile(q float64) time.Duration {
 	if s.n == 0 {
 		return 0
 	}
-	rank := uint64(math.Ceil(q * float64(s.n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > s.n {
-		rank = s.n
-	}
+	rank := uint64(nearestRank(q, int(s.n)))
 	if s.n <= uint64(len(s.exact)) {
 		sorted := make([]time.Duration, s.n)
 		copy(sorted, s.exact[:s.n])

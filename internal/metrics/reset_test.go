@@ -115,7 +115,7 @@ func TestCollectorResetMatchesNew(t *testing.T) {
 }
 
 // A Reset between a Percentile call and the refill must not serve the
-// previous run's sorted latencies.
+// previous run's latencies.
 func TestCollectorResetInvalidatesSort(t *testing.T) {
 	c := NewCollector(msec(200))
 	c.Add(Record{Latency: msec(500)})
@@ -128,7 +128,7 @@ func TestCollectorResetInvalidatesSort(t *testing.T) {
 }
 
 // Once a collector has held a run, Reset plus a refill of the same size plus
-// a Percentile read allocates nothing: the chunks and the sort buffer are
+// a Percentile read allocates nothing: the chunks and the latency buffer are
 // reused.
 func TestCollectorResetAllocFree(t *testing.T) {
 	recs := randomRecords(1, 20000)
