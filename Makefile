@@ -34,12 +34,13 @@ test: vet
 
 # Each simulation is single-goroutine, but the experiment runner fans cells
 # out over a worker pool; -race plus the -cpu 1,4 equality run guard the
-# collection-by-index determinism contract. The sharded executor drains the
+# collection-by-index determinism contract and the traces sibling cells
+# share. The sharded executor drains the
 # merged telemetry while its workers step the next epoch; the -cpu 1,2,4 run
 # races that drain against the lane feeds.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,4 -run 'SerialParallel|SharedPool' ./internal/experiments/
+	$(GO) test -race -cpu 1,4 -run 'SerialParallel|SharedPool|RealizesEachSource' ./internal/experiments/
 	$(GO) test -race -cpu 1,4 -run 'OnlineConcurrentSnapshot' ./internal/metrics/
 	$(GO) test -race -cpu 1,2,4 -run 'Merge|Sharded' ./internal/shard/ ./internal/telemetry/
 

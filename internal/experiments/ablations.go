@@ -47,17 +47,17 @@ func AblationPrediction(o Options) *Table {
 	cases := []struct {
 		label string
 		m     model.Spec
-		gen   traceGen
+		src   *source
 	}{
 		{"Azure (gentle ramps)", resnet, azureGen(o, resnet)},
-		{"Twitter (erratic)", dpn, func(rng *sim.RNG) *trace.Trace {
+		{"Twitter (erratic)", dpn, &source{realize: func(rng *sim.RNG) *trace.Trace {
 			return trace.Twitter(rng, 5*azureMean, o.dur(trace.TwitterDuration))
-		}},
+		}}},
 	}
 	var cells []cell
 	for _, c := range cases {
 		for _, v := range variants {
-			cells = append(cells, cell{m: c.m, gen: c.gen, scheme: v.s})
+			cells = append(cells, cell{m: c.m, src: c.src, scheme: v.s})
 		}
 	}
 	aggs := runCells(o, cells)
@@ -88,9 +88,9 @@ func AblationHybrid(o Options) *Table {
 	m := model.MustByName("GoogleNet")
 	v100 := hardware.MostPerformant(hardware.GPU)
 	rate := ExhaustionRate(m)
-	gen := func(rng *sim.RNG) *trace.Trace {
+	src := &source{realize: func(rng *sim.RNG) *trace.Trace {
 		return trace.Poisson(rng, rate, o.dur(10*time.Minute))
-	}
+	}}
 	pin := func(cfg *core.Config) { cfg.InitialHardware = &v100 }
 	t := &Table{
 		ID:      "ablation-hybrid",
@@ -107,7 +107,7 @@ func AblationHybrid(o Options) *Table {
 	}
 	var cells []cell
 	for _, v := range variants {
-		cells = append(cells, cell{m: m, gen: gen, scheme: v.s, mut: pin})
+		cells = append(cells, cell{m: m, src: src, scheme: v.s, mut: pin})
 	}
 	for i, a := range runCells(o, cells) {
 		t.Rows = append(t.Rows, []string{variants[i].name, pct(a.Compliance), msec(a.P99)})
@@ -126,9 +126,10 @@ func AblationWaitLimit(o Options) *Table {
 		Columns: []string{"wait_limit", "SLO compliance", "cost", "hw switches"},
 	}
 	limits := []int{1, 3, 6, 12}
+	src := azureGen(o, m)
 	var cells []cell
 	for _, wl := range limits {
-		cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: core.NewPaldiaWithWaitLimit(wl)})
+		cells = append(cells, cell{m: m, src: src, scheme: core.NewPaldiaWithWaitLimit(wl)})
 	}
 	for i, a := range runCells(o, cells) {
 		switches := 0
@@ -154,11 +155,12 @@ func AblationKeepAlive(o Options) *Table {
 		Columns: []string{"keep-alive", "container boots", "blocking cold starts", "SLO compliance"},
 	}
 	kas := []time.Duration{time.Nanosecond, time.Minute, 10 * time.Minute, time.Hour}
+	src := azureGen(o, m)
 	var cells []cell
 	for _, ka := range kas {
 		ka := ka
 		mut := func(cfg *core.Config) { cfg.KeepAlive = ka }
-		cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: core.NewPaldia(), mut: mut})
+		cells = append(cells, cell{m: m, src: src, scheme: core.NewPaldia(), mut: mut})
 	}
 	for i, a := range runCells(o, cells) {
 		var boots, colds uint64
@@ -189,11 +191,12 @@ func AblationDispatchWindow(o Options) *Table {
 	}
 	windows := []time.Duration{10 * time.Millisecond, 25 * time.Millisecond,
 		50 * time.Millisecond, 100 * time.Millisecond}
+	src := azureGen(o, m)
 	var cells []cell
 	for _, w := range windows {
 		w := w
 		mut := func(cfg *core.Config) { cfg.DispatchWindow = w }
-		cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: core.NewPaldia(), mut: mut})
+		cells = append(cells, cell{m: m, src: src, scheme: core.NewPaldia(), mut: mut})
 	}
 	for i, a := range runCells(o, cells) {
 		t.Rows = append(t.Rows, []string{

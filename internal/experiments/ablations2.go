@@ -29,6 +29,7 @@ func AblationBatching(o Options) *Table {
 	var variants []variant
 	for _, name := range []string{"ResNet 50", "VGG 19"} {
 		m := model.MustByName(name)
+		src := azureGen(o, m)
 		for _, slo := range []time.Duration{200 * time.Millisecond, 120 * time.Millisecond} {
 			for _, c := range []struct {
 				label   string
@@ -42,7 +43,7 @@ func AblationBatching(o Options) *Table {
 					cfg.UniformBatching = uniform
 					cfg.SLO = slo
 				}
-				cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: core.NewPaldia(), mut: mut})
+				cells = append(cells, cell{m: m, src: src, scheme: core.NewPaldia(), mut: mut})
 				variants = append(variants, variant{m: m, slo: slo, label: c.label})
 			}
 		}
@@ -79,12 +80,13 @@ func AblationSLO(o Options) *Table {
 	}
 	slos := []time.Duration{100 * time.Millisecond, 150 * time.Millisecond,
 		200 * time.Millisecond, 300 * time.Millisecond}
+	src := azureGen(o, m)
 	var cells []cell
 	for _, slo := range slos {
 		slo := slo
 		mut := func(cfg *core.Config) { cfg.SLO = slo }
 		for _, s := range schemes {
-			cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s, mut: mut})
+			cells = append(cells, cell{m: m, src: src, scheme: s, mut: mut})
 		}
 	}
 	aggs := runCells(o, cells)

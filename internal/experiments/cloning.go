@@ -57,22 +57,22 @@ func CloningFrontier(o Options) *Table {
 	if wikiDays < 1 {
 		wikiDays = 1
 	}
-	wikiGen := func(rng *sim.RNG) *trace.Trace {
+	wiki := &source{realize: func(rng *sim.RNG) *trace.Trace {
 		return trace.Wikipedia(rng, forecastWikiPeakRPS, wikiDays, forecastWikiCompression)
-	}
+	}}
 	dpn := model.MustByName("DPN 92")
 	azureMean := dpn.DefaultPeakRPS() * 55 / 673
-	twitterGen := func(rng *sim.RNG) *trace.Trace {
+	twitter := &source{realize: func(rng *sim.RNG) *trace.Trace {
 		return trace.Twitter(rng, 5*azureMean, o.dur(trace.TwitterDuration))
-	}
+	}}
 
 	studies := []struct {
 		label string
 		m     model.Spec
-		gen   traceGen
+		src   *source
 	}{
-		{"Wikipedia", resnet, wikiGen},
-		{"Twitter", dpn, twitterGen},
+		{"Wikipedia", resnet, wiki},
+		{"Twitter", dpn, twitter},
 	}
 	schemes := cloningSchemes()
 	spot := func(cfg *core.Config) {
@@ -85,7 +85,7 @@ func CloningFrontier(o Options) *Table {
 	var cells []cell
 	for _, s := range studies {
 		for _, sch := range schemes {
-			cells = append(cells, cell{m: s.m, gen: s.gen, scheme: sch, mut: spot})
+			cells = append(cells, cell{m: s.m, src: s.src, scheme: sch, mut: spot})
 		}
 	}
 	aggs := runCells(o, cells)

@@ -57,7 +57,9 @@ type Options struct {
 	// must behave like the functions they replace. Nil uses the real runners.
 	// A grid lends each run its Collector (through Config.Aggregator) and
 	// reuses it once Run returns, so a hook must not keep the Result's
-	// Collector or read it later.
+	// Collector or read it later. Sibling cells share one realized trace per
+	// repetition (and the multi-tenant table one set of tenant traces), so a
+	// hook must not modify cfg.Trace or a workload's Trace.
 	Run      func(core.Config) core.Result
 	RunMulti func(core.MultiConfig) core.MultiResult
 }
@@ -252,25 +254,16 @@ type aggregate struct {
 	Results    []core.Result // every repetition's scalars; Collector is nil (see cell.reduce)
 }
 
-// traceGen builds a trace for one repetition.
-type traceGen func(rng *sim.RNG) *trace.Trace
-
 // mutator tweaks the run config (failures, host factors, pins).
 type mutator func(cfg *core.Config)
 
-// runRepeated executes Reps repetitions of (model, trace, scheme) and
-// aggregates with the paper's outlier rule. Repetitions fan out over the
-// worker pool; grid experiments batch whole (model, scheme) grids through
-// runCells instead so every cell parallelizes.
-func runRepeated(o Options, m model.Spec, gen traceGen, scheme core.Scheme, mut mutator) aggregate {
-	return runCells(o, []cell{{m: m, gen: gen, scheme: scheme, mut: mut}})[0]
-}
-
-// azureGen returns the standard Azure trace generator for a model.
-func azureGen(o Options, m model.Spec) traceGen {
-	return func(rng *sim.RNG) *trace.Trace {
+// azureGen returns the standard Azure trace source for a model. Each call
+// makes a new source: call it once per model and share the result between
+// that model's cells.
+func azureGen(o Options, m model.Spec) *source {
+	return &source{realize: func(rng *sim.RNG) *trace.Trace {
 		return trace.Azure(rng, m.DefaultPeakRPS(), o.dur(trace.AzureDuration))
-	}
+	}}
 }
 
 // standardSchemes are the five evaluated schemes in plotting order.

@@ -51,15 +51,15 @@ func ForecastFrontier(o Options) *Table {
 	if wikiDays < 1 {
 		wikiDays = 1
 	}
-	wikiGen := func(rng *sim.RNG) *trace.Trace {
+	wiki := &source{realize: func(rng *sim.RNG) *trace.Trace {
 		return trace.Wikipedia(rng, forecastWikiPeakRPS, wikiDays, forecastWikiCompression)
-	}
+	}}
 	dpn := model.MustByName("DPN 92")
 	// The paper's Twitter sample has 5x the Azure trace's mean rate.
 	azureMean := dpn.DefaultPeakRPS() * 55 / 673
-	twitterGen := func(rng *sim.RNG) *trace.Trace {
+	twitter := &source{realize: func(rng *sim.RNG) *trace.Trace {
 		return trace.Twitter(rng, 5*azureMean, o.dur(trace.TwitterDuration))
-	}
+	}}
 
 	// Offline quality is scored on the design curves (no Poisson draw), with
 	// a fixed named RNG stream so the numbers are byte-identical across runs
@@ -73,11 +73,11 @@ func ForecastFrontier(o Options) *Table {
 	studies := []struct {
 		label string
 		m     model.Spec
-		gen   traceGen
+		src   *source
 		curve *trace.Curve
 	}{
-		{"Wikipedia", resnet, wikiGen, curves[0]},
-		{"Twitter", dpn, twitterGen, curves[1]},
+		{"Wikipedia", resnet, wiki, curves[0]},
+		{"Twitter", dpn, twitter, curves[1]},
 	}
 	names := forecastFrontierNames()
 
@@ -85,7 +85,7 @@ func ForecastFrontier(o Options) *Table {
 	for _, s := range studies {
 		for _, name := range names {
 			fc := name // capture per iteration
-			cells = append(cells, cell{m: s.m, gen: s.gen, scheme: core.NewPaldia(),
+			cells = append(cells, cell{m: s.m, src: s.src, scheme: core.NewPaldia(),
 				mut: func(cfg *core.Config) { cfg.Forecaster = fc }})
 		}
 	}

@@ -41,16 +41,25 @@ func MultiTenant(o Options) *Table {
 		per            []float64
 	}
 	results := make([]reduced, len(schemes)*o.Reps)
+	// Runs start in (rep, scheme) order: a repetition's tenant traces are
+	// realized once, shared by the five schemes and dropped after the last.
+	inputs := make([]shared[[]core.Workload], o.Reps)
+	for rep := range inputs {
+		inputs[rep].left.Store(int32(len(schemes)))
+	}
 	o.parRange(len(results), func(i int) {
-		s := schemes[i/o.Reps]
-		rep := i % o.Reps
-		rng := sim.NewRNG(o.Seed).Child(fmt.Sprintf("mt-rep-%d", rep))
-		res := o.runMulti(core.MultiConfig{Workloads: mkWorkloads(rng), Scheme: s})
+		rep, si := i/len(schemes), i%len(schemes)
+		in := &inputs[rep]
+		ws := in.get(func() []core.Workload {
+			return mkWorkloads(sim.NewRNG(o.Seed).Child(fmt.Sprintf("mt-rep-%d", rep)))
+		})
+		res := o.runMulti(core.MultiConfig{Workloads: ws, Scheme: schemes[si]})
+		in.done()
 		r := reduced{combined: res.SLOCompliance, cost: res.Cost}
 		for _, c := range res.PerWorkload {
 			r.per = append(r.per, c.SLOCompliance())
 		}
-		results[i] = r
+		results[si*o.Reps+rep] = r
 	})
 	for si, s := range schemes {
 		var combined, cost []float64

@@ -5,12 +5,19 @@ package experiments
 // The paper's evaluation is embarrassingly parallel: every (model, trace,
 // scheme, repetition) cell is an independent core.Run whose randomness
 // derives from Seed.Child("rep-N") and whose simulation state (engine,
-// cluster) is created inside the run. The only thing cells share is record
-// storage: runCells lends each run an emptied Collector from a free list and
-// takes it back once the run's own reduction has read it, never while a run
-// holds it. So cells can execute on any number of workers in any order — as
-// long as results are collected *indexed by cell*, every aggregate, table,
-// terminal plot and SVG is byte-identical to a serial run.
+// cluster) is created inside the run. Cells share two things, both
+// read-only while a run holds them:
+//
+//   - Realized traces. Cells that name the same source run on one trace per
+//     repetition, realized by the first of them to start and dropped after
+//     the last finishes; no run writes to its Trace.
+//   - Record storage. runCells lends each run an emptied Collector from a
+//     free list and takes it back once the run's own reduction has read it,
+//     never while a run holds it.
+//
+// So cells can execute on any number of workers in any order — as long as
+// results are collected *indexed by cell*, every aggregate, table, terminal
+// plot and SVG is byte-identical to a serial run.
 //
 // Three layers cooperate:
 //
@@ -27,12 +34,14 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Pool bounds the number of simulations executing at once. A single Pool may
@@ -121,10 +130,43 @@ func (o Options) parRange(n int, fn func(i int)) {
 	pool.Map(n, fn)
 }
 
-// cell is one (model, trace, scheme, mutator) grid point of an experiment.
+// source is one arrival-trace recipe of a grid, named by pointer: every cell
+// holding the same *source runs on the same realized trace in a repetition.
+// Build one per distinct trace, outside the scheme loop; two sources are
+// realized apart even when their recipes agree.
+type source struct {
+	realize func(rng *sim.RNG) *trace.Trace
+}
+
+// shared is one input realized for a group of runs: built by the first
+// member that asks for it, read by every member, and dropped when the last
+// member is done, so a serial grid holds one group's input at a time. Set
+// left to the member count before the group starts.
+type shared[T any] struct {
+	once sync.Once
+	v    T
+	left atomic.Int32
+}
+
+// get returns the input, building it on first use.
+func (s *shared[T]) get(build func() T) T {
+	s.once.Do(func() { s.v = build() })
+	return s.v
+}
+
+// done releases one member's hold; the last release drops the input.
+func (s *shared[T]) done() {
+	if s.left.Add(-1) == 0 {
+		var zero T
+		s.v = zero
+	}
+}
+
+// cell is one (model, trace source, scheme, mutator) grid point of an
+// experiment.
 type cell struct {
 	m      model.Spec
-	gen    traceGen
+	src    *source
 	scheme core.Scheme
 	mut    mutator
 	// reduce, when set, reads one repetition's per-request records: rep,
@@ -140,21 +182,50 @@ type cell struct {
 // completion order: aggregates come back in cell order with repetitions in
 // rep order, exactly as a serial nested loop would produce them.
 //
+// Runs start in (source, rep, member) order. A source's trace for one
+// repetition is realized once, lent read-only to every cell naming that
+// source, and dropped after the last of them, so a serial grid holds one
+// realized trace at a time and compares its schemes on identical arrivals.
+//
 // Each run fills a Collector taken from a free list of at most one per
 // worker, so a grid allocates record storage once per worker, not once per
 // run. A cell's reduce reads the records; afterwards the Collector goes
 // back to the list and the Result keeps none (Results[i].Collector is nil).
 func runCells(o Options, cells []cell) []aggregate {
 	reps := o.Reps
+	var groups [][]int // cell indices per source, in order of first use
+	group := map[*source]int{}
+	for ci, c := range cells {
+		g, ok := group[c.src]
+		if !ok {
+			g = len(groups)
+			group[c.src] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], ci)
+	}
+	type run struct{ cell, rep, slot int }
+	order := make([]run, 0, len(cells)*reps)
+	traces := make([]shared[*trace.Trace], len(groups)*reps)
+	for g, members := range groups {
+		for rep := 0; rep < reps; rep++ {
+			slot := g*reps + rep
+			traces[slot].left.Store(int32(len(members)))
+			for _, ci := range members {
+				order = append(order, run{ci, rep, slot})
+			}
+		}
+	}
 	results := make([]core.Result, len(cells)*reps)
 	free := make(chan *metrics.Collector, o.workers())
-	o.parRange(len(results), func(i int) {
-		c := cells[i/reps]
-		rep := i % reps
-		rng := sim.NewRNG(o.Seed).Child(fmt.Sprintf("rep-%d", rep))
+	o.parRange(len(order), func(i int) {
+		r := order[i]
+		c := cells[r.cell]
+		rng := sim.NewRNG(o.Seed).Child(fmt.Sprintf("rep-%d", r.rep))
+		tr := &traces[r.slot]
 		cfg := core.Config{
 			Model:  c.m,
-			Trace:  c.gen(rng),
+			Trace:  tr.get(func() *trace.Trace { return c.src.realize(rng) }),
 			Scheme: c.scheme,
 			Seed:   rng.Seed(),
 		}
@@ -175,10 +246,11 @@ func runCells(o Options, cells []cell) []aggregate {
 		cfg.Aggregator = col
 		res := o.run(cfg)
 		if c.reduce != nil {
-			c.reduce(rep, cfg, col)
+			c.reduce(r.rep, cfg, col)
 		}
+		tr.done()
 		res.Collector = nil
-		results[i] = res
+		results[r.cell*reps+r.rep] = res
 		select {
 		case free <- col:
 		default:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,7 +96,7 @@ func TestSerialParallelEquality(t *testing.T) {
 // no aggregate keeps one.
 func TestRunCellsLendsCollectors(t *testing.T) {
 	m := model.MustByName("ResNet 50")
-	gen := func(rng *sim.RNG) *trace.Trace { return trace.Stable(rng, 40, 30*time.Second) }
+	src := &source{realize: func(rng *sim.RNG) *trace.Trace { return trace.Stable(rng, 40, 30*time.Second) }}
 	for _, par := range []int{1, 3} {
 		var mu sync.Mutex
 		lent := map[*metrics.Collector]bool{}
@@ -113,7 +114,7 @@ func TestRunCellsLendsCollectors(t *testing.T) {
 		var cells []cell
 		counts := make([]int, 4*o.Reps)
 		for ci, slo := range []time.Duration{0, 0, 150 * time.Millisecond, 0} {
-			cells = append(cells, cell{m: m, gen: gen, scheme: core.NewPaldia(),
+			cells = append(cells, cell{m: m, src: src, scheme: core.NewPaldia(),
 				mut: func(cfg *core.Config) { cfg.SLO = slo },
 				reduce: func(rep int, cfg core.Config, col *metrics.Collector) {
 					want := slo
@@ -143,6 +144,99 @@ func TestRunCellsLendsCollectors(t *testing.T) {
 		if len(lent) > par {
 			t.Errorf("parallelism %d: %d Collectors lent, want at most one per worker", par, len(lent))
 		}
+	}
+}
+
+// TestRunCellsRealizesEachSourceOncePerRep pins trace sharing: a grid
+// realizes each source once per repetition — serially, over four workers
+// and over a shared pool — and aggregates exactly as a grid in which every
+// cell owns its source. The cells interleave two sources, so sharing
+// follows source identity, not cell adjacency; the Oracle cells read the
+// shared trace ahead of time.
+func TestRunCellsRealizesEachSourceOncePerRep(t *testing.T) {
+	m := model.MustByName("ResNet 50")
+	var realized atomic.Int64
+	recipe := func(rate float64) func(*sim.RNG) *trace.Trace {
+		return func(rng *sim.RNG) *trace.Trace {
+			realized.Add(1)
+			return trace.Stable(rng, rate, 30*time.Second)
+		}
+	}
+	rates := []float64{40, 90}
+	grid := func(own bool) []cell {
+		srcs := make([]*source, len(rates))
+		for i, rate := range rates {
+			srcs[i] = &source{realize: recipe(rate)}
+		}
+		var cells []cell
+		for _, s := range []core.Scheme{core.NewPaldia(), core.NewOracle(), core.NewINFlessLlamaCost()} {
+			for i, src := range srcs {
+				if own {
+					src = &source{realize: recipe(rates[i])}
+				}
+				cells = append(cells, cell{m: m, src: src, scheme: s})
+			}
+		}
+		return cells
+	}
+	const reps = 3
+	ref := runCells(Options{Seed: 5, Reps: reps, Parallelism: 1}, grid(true))
+	if n := realized.Swap(0); n != int64(len(ref)*reps) {
+		t.Fatalf("reference grid realized %d traces, want one per run (%d)", n, len(ref)*reps)
+	}
+	for _, o := range []Options{
+		{Seed: 5, Reps: reps, Parallelism: 1},
+		{Seed: 5, Reps: reps, Parallelism: 4},
+		{Seed: 5, Reps: reps, Parallelism: 2, Pool: NewPool(2)},
+	} {
+		got := runCells(o, grid(false))
+		if n := realized.Swap(0); n != int64(len(rates)*reps) {
+			t.Errorf("parallelism %d (pool %v): %d traces realized, want %d sources x %d reps",
+				o.Parallelism, o.Pool != nil, n, len(rates), reps)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("parallelism %d (pool %v): aggregates differ from the grid of owned sources",
+				o.Parallelism, o.Pool != nil)
+		}
+	}
+
+	// Fig. 3 realizes one trace per (model, rep), not one per run: its 12
+	// models x 5 reps give 60 traces over 300 runs. The hook keeps every
+	// trace it sees, so no address is reused by a later trace.
+	var mu sync.Mutex
+	runs, traces := 0, map[*trace.Trace]bool{}
+	o := Options{Seed: 1, Reps: 5, Scale: 0.02, Parallelism: 1}
+	o.Run = func(cfg core.Config) core.Result {
+		mu.Lock()
+		runs++
+		traces[cfg.Trace] = true
+		mu.Unlock()
+		return core.Result{Model: cfg.Model.Name, Scheme: cfg.Scheme.Name()}
+	}
+	Fig3(o)
+	if runs != 300 || len(traces) != 60 {
+		t.Errorf("Fig. 3 at 5 reps ran %d simulations on %d traces, want 300 on 60", runs, len(traces))
+	}
+}
+
+// TestSharedDropsAfterLastMember checks a shared input is built once and
+// released only when its last member is done.
+func TestSharedDropsAfterLastMember(t *testing.T) {
+	var s shared[*trace.Trace]
+	s.left.Store(2)
+	builds := 0
+	build := func() *trace.Trace { builds++; return &trace.Trace{Name: "x"} }
+	a, b := s.get(build), s.get(build)
+	if builds != 1 || a != b {
+		t.Fatalf("built %d times, members got %p and %p; want one shared build", builds, a, b)
+	}
+	s.done()
+	if s.v == nil {
+		t.Fatal("input dropped while a member still holds it")
+	}
+	s.done()
+	if s.v != nil {
+		t.Fatal("input kept after the last member was done")
 	}
 }
 

@@ -29,8 +29,9 @@ func Fig3(o Options) *Table {
 	models := model.VisionModels()
 	var cells []cell
 	for _, m := range models {
+		src := azureGen(o, m)
 		for _, s := range schemes {
-			cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s})
+			cells = append(cells, cell{m: m, src: src, scheme: s})
 		}
 	}
 	aggs := runCells(o, cells)
@@ -76,8 +77,9 @@ func Fig4(o Options) *Table {
 	var cells []cell
 	for _, name := range []string{"ResNet 50", "VGG 19"} {
 		m := model.MustByName(name)
+		src := azureGen(o, m)
 		for _, s := range standardSchemes() {
-			cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s})
+			cells = append(cells, cell{m: m, src: src, scheme: s})
 		}
 	}
 	// Breakdown from the first repetition's records (the paper plots one
@@ -119,8 +121,9 @@ func Fig5(o Options) *Table {
 	models := []model.Spec{model.MustByName("DPN 92"), model.MustByName("EfficientNet B0")}
 	var cells []cell
 	for _, m := range models {
+		src := azureGen(o, m)
 		for _, s := range schemes {
-			cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s})
+			cells = append(cells, cell{m: m, src: src, scheme: s})
 		}
 	}
 	all := runCells(o, cells)
@@ -161,9 +164,10 @@ func Fig6(o Options) *Table {
 		cdf  []metrics.CDFPoint
 	}
 	firsts := make([]firstRep, len(schemes))
+	src := azureGen(o, m)
 	var cells []cell
 	for si, s := range schemes {
-		cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s,
+		cells = append(cells, cell{m: m, src: src, scheme: s,
 			reduce: func(rep int, _ core.Config, col *metrics.Collector) {
 				if rep != 0 {
 					return
@@ -233,16 +237,17 @@ func Fig7(o Options) *Table {
 	// Goodput over the peak-traffic windows (the union of 1s windows whose
 	// arrival rate exceeds half the trace peak), per DenseNet repetition.
 	goodput := make([][2]float64, len(schemes)*o.Reps)
+	denseSrc, dlaSrc := azureGen(o, dense), azureGen(o, dla)
 	var cells []cell
 	for si, s := range schemes {
-		cells = append(cells, cell{m: dense, gen: azureGen(o, dense), scheme: s,
+		cells = append(cells, cell{m: dense, src: denseSrc, scheme: s,
 			reduce: func(rep int, cfg core.Config, col *metrics.Collector) {
 				g, a := peakGoodput(col, cfg.Trace)
 				goodput[si*o.Reps+rep] = [2]float64{g, a}
 			}})
 	}
 	for _, s := range schemes {
-		cells = append(cells, cell{m: dla, gen: azureGen(o, dla), scheme: s})
+		cells = append(cells, cell{m: dla, src: dlaSrc, scheme: s})
 	}
 	aggs := runCells(o, cells)
 
@@ -328,9 +333,10 @@ func Fig8(o Options) *Table {
 		Columns: []string{"scheme", "CPU node util", "GPU node util"},
 	}
 	schemes := standardSchemes()
+	src := azureGen(o, m)
 	var cells []cell
 	for _, s := range schemes {
-		cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s})
+		cells = append(cells, cell{m: m, src: src, scheme: s})
 	}
 	for i, a := range runCells(o, cells) {
 		cpu := "n/a"
@@ -356,8 +362,9 @@ func Fig11(o Options) *Table {
 	var cells []cell
 	for _, name := range []string{"ResNet 50", "DenseNet 121", "SENet 18", "EfficientNet B0"} {
 		m := model.MustByName(name)
+		src := azureGen(o, m)
 		for _, s := range []core.Scheme{core.NewPaldia(), core.NewOracle()} {
-			cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s})
+			cells = append(cells, cell{m: m, src: src, scheme: s})
 		}
 	}
 	for i, a := range runCells(o, cells) {

@@ -23,9 +23,9 @@ func ScaleOut(o Options) *Table {
 	v100 := hardware.MostPerformant(hardware.GPU)
 	capacity := profile.Lookup(m, v100).ThroughputRPS
 	rate := 1.8 * capacity
-	gen := func(rng *sim.RNG) *trace.Trace {
+	src := &source{realize: func(rng *sim.RNG) *trace.Trace {
 		return trace.Poisson(rng, rate, o.dur(10*time.Minute))
-	}
+	}}
 
 	t := &Table{
 		ID:    "scaleout",
@@ -47,7 +47,7 @@ func ScaleOut(o Options) *Table {
 			cfg.MaxNodes = maxNodes
 			cfg.InitialHardware = &v100
 		}
-		cells = append(cells, cell{m: m, gen: gen, scheme: core.NewPaldiaPinned(v100), mut: mut})
+		cells = append(cells, cell{m: m, src: src, scheme: core.NewPaldiaPinned(v100), mut: mut})
 	}
 	for i, a := range runCells(o, cells) {
 		c := configs[i]

@@ -32,8 +32,9 @@ func Fig9(o Options) *Table {
 	models := model.LanguageModels()
 	var cells []cell
 	for _, m := range models {
+		src := azureGen(o, m)
 		for _, s := range schemes {
-			cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s})
+			cells = append(cells, cell{m: m, src: src, scheme: s})
 		}
 	}
 	aggs := runCells(o, cells)
@@ -80,8 +81,9 @@ func Fig10(o Options) *Table {
 	models := model.LanguageModels()
 	var cells []cell
 	for _, m := range models {
+		src := azureGen(o, m)
 		for _, s := range schemes {
-			cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s})
+			cells = append(cells, cell{m: m, src: src, scheme: s})
 		}
 	}
 	aggs := runCells(o, cells)
@@ -114,22 +116,22 @@ func Fig12(o Options) *Table {
 	}
 
 	resnet := model.MustByName("ResNet 50")
-	wiki := func(rng *sim.RNG) *trace.Trace {
+	wiki := &source{realize: func(rng *sim.RNG) *trace.Trace {
 		return trace.Wikipedia(rng, 170, 5, trace.WikipediaCompression)
-	}
+	}}
 	dpn := model.MustByName("DPN 92")
 	// The paper's Twitter sample has 5x the Azure trace's mean rate.
 	azureMean := dpn.DefaultPeakRPS() * 55 / 673
-	twitter := func(rng *sim.RNG) *trace.Trace {
+	twitter := &source{realize: func(rng *sim.RNG) *trace.Trace {
 		return trace.Twitter(rng, 5*azureMean, o.dur(trace.TwitterDuration))
-	}
+	}}
 	schemes := standardSchemes()
 	var cells []cell
 	for _, s := range schemes {
-		cells = append(cells, cell{m: resnet, gen: wiki, scheme: s})
+		cells = append(cells, cell{m: resnet, src: wiki, scheme: s})
 	}
 	for _, s := range schemes {
-		cells = append(cells, cell{m: dpn, gen: twitter, scheme: s})
+		cells = append(cells, cell{m: dpn, src: twitter, scheme: s})
 	}
 	aggs := runCells(o, cells)
 	for i, s := range schemes {
@@ -174,9 +176,9 @@ func Fig13(o Options) *Table {
 	google := model.MustByName("GoogleNet")
 	v100 := hardware.MostPerformant(hardware.GPU)
 	rate := ExhaustionRate(google)
-	poisson := func(rng *sim.RNG) *trace.Trace {
+	poisson := &source{realize: func(rng *sim.RNG) *trace.Trace {
 		return trace.Poisson(rng, rate, o.dur(10*time.Minute))
-	}
+	}}
 	pin := func(cfg *core.Config) { cfg.InitialHardware = &v100 }
 	exhaustionSchemes := []core.Scheme{
 		core.NewMoleculePerf(),
@@ -193,11 +195,12 @@ func Fig13(o Options) *Table {
 
 	var cells []cell
 	for _, s := range exhaustionSchemes {
-		cells = append(cells, cell{m: google, gen: poisson, scheme: s, mut: pin})
+		cells = append(cells, cell{m: google, src: poisson, scheme: s, mut: pin})
 	}
 	failureSchemes := standardSchemes()
+	denseSrc := azureGen(o, dense)
 	for _, s := range failureSchemes {
-		cells = append(cells, cell{m: dense, gen: azureGen(o, dense), scheme: s, mut: failures})
+		cells = append(cells, cell{m: dense, src: denseSrc, scheme: s, mut: failures})
 	}
 	aggs := runCells(o, cells)
 	for i, s := range exhaustionSchemes {
@@ -233,10 +236,11 @@ func Table3(o Options) *Table {
 		Columns: []string{"scheme", "SLO compliance (mixed)", "SLO compliance (clean)"},
 	}
 	schemes := standardSchemes()
+	src := azureGen(o, m)
 	var cells []cell
 	for _, s := range schemes {
-		cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s, mut: mut})
-		cells = append(cells, cell{m: m, gen: azureGen(o, m), scheme: s})
+		cells = append(cells, cell{m: m, src: src, scheme: s, mut: mut})
+		cells = append(cells, cell{m: m, src: src, scheme: s})
 	}
 	aggs := runCells(o, cells)
 	for i, s := range schemes {
@@ -254,11 +258,12 @@ func Table3(o Options) *Table {
 func ColdStarts(o Options) *Table {
 	o = o.normalize()
 	m := model.MustByName("ResNet 50")
+	// Both policies run on one realized trace.
+	tr := azureGen(o, m).realize(sim.NewRNG(o.Seed).Child("coldstarts"))
 	run := func(keepAlive time.Duration) core.Result {
-		rng := sim.NewRNG(o.Seed).Child("coldstarts")
 		return o.run(core.Config{
 			Model:     m,
-			Trace:     azureGen(o, m)(rng),
+			Trace:     tr,
 			Scheme:    core.NewPaldia(),
 			KeepAlive: keepAlive,
 		})
