@@ -34,7 +34,9 @@
 // Telemetry (single-scheme runs): -trace-out writes a Chrome trace_event
 // timeline (chrome://tracing, Perfetto) plus a derived series CSV;
 // -spans-out / -events-out / -series-out / -timeline-svg export the other
-// views; -sample sets the gauge sampling cadence.
+// views; -sample sets the gauge sampling cadence of the outputs that read
+// gauges (-series-out, -timeline-svg, -trace-out, -events-out, -serve and
+// -progress). A spans-only run samples nothing.
 package main
 
 import (
@@ -154,7 +156,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.eventsOut, "events-out", "", "write every telemetry event as JSONL")
 	fs.StringVar(&o.seriesOut, "series-out", "", "write sampled time series as CSV")
 	fs.StringVar(&o.svgOut, "timeline-svg", "", "render the sampled series as an SVG chart")
-	fs.DurationVar(&o.sample, "sample", time.Second, "telemetry gauge sampling cadence (virtual time)")
+	fs.DurationVar(&o.sample, "sample", time.Second, "gauge sampling cadence (virtual time) for -series-out, -timeline-svg, -trace-out, -events-out, -serve and -progress")
 
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -190,6 +192,13 @@ func (o *options) telemetryOn() bool {
 	return o.traceOut != "" || o.spansOut != "" || o.eventsOut != "" || o.seriesOut != "" || o.svgOut != ""
 }
 
+// samplesRead reports whether any output reads the sampled gauges: the
+// series CSV, the timeline SVG, the Chrome trace, the events feed or the live
+// plane. Sampling only reads state, so skipping it changes no span.
+func (o *options) samplesRead() bool {
+	return o.seriesOut != "" || o.svgOut != "" || o.traceOut != "" || o.eventsOut != "" || o.live()
+}
+
 // resolve turns the flag combination into the model and scheme list,
 // rejecting every combination the single execution path cannot honour.
 func (o *options) resolve() (model.Spec, []core.Scheme, error) {
@@ -208,6 +217,9 @@ func (o *options) resolve() (model.Spec, []core.Scheme, error) {
 	}
 	if o.requests < 0 {
 		return m, nil, fmt.Errorf("-requests %d must not be negative", o.requests)
+	}
+	if o.sample < 0 {
+		return m, nil, fmt.Errorf("-sample %v must not be negative (it sets SampleEvery)", o.sample)
 	}
 	if !(o.objective > 0 && o.objective < 1) {
 		return m, nil, fmt.Errorf("-objective %v must lie strictly between 0 and 1", o.objective)
@@ -309,7 +321,7 @@ func (o *options) simulate(m model.Spec, schemes []core.Scheme, stdout, stderr i
 		} else {
 			cfg.Trace = tr
 		}
-		if o.telemetryOn() || o.live() {
+		if o.samplesRead() {
 			// Every lane gets a sink below: the telemetry writers or the
 			// live plane.
 			cfg.SampleEvery = o.sample

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // ageMinSamples is how many completed-request latencies the tracker wants
 // before its percentile estimate is trustworthy; below it Ready() is false
@@ -16,28 +13,18 @@ const ageMinSamples = 32
 // observations, keeping Add amortized O(1) and Threshold exactly O(1).
 const ageRecomputeEvery = 64
 
-// ageBuckets sizes the fixed bucket array: ceil(ln(1000s in ns)/ln γ) at
-// α = SketchAlpha is ~1382, so 1536 covers 1 ns through beyond 1000 s with
-// headroom; indices are clamped, so out-of-range latencies saturate into
-// the edge buckets instead of growing memory.
-const ageBuckets = 1536
-
 // AgeTracker is the hedge policy's online latency-percentile estimator: it
 // ingests every completed request's latency and answers "how old must a
 // request be before it is slower than p% of its peers?" — the age at which
-// a backup copy is launched. Same log-bucketed DDSketch math as
-// latencySketch (γ = (1+α)/(1-α), value v in bucket ceil(log_γ v), bucket
-// midpoint within α of every member) but on a fixed array with a cached
-// answer, so both Add and Threshold are allocation-free on the dispatch
-// hot path. Deterministic: same observations, same thresholds.
+// a backup copy is launched. It counts in the same log-bucket store as the
+// Online sketch (bucket midpoint within SketchAlpha of every member) and
+// caches its answer, so Add and Threshold are allocation-free on the
+// dispatch hot path once the latency range is covered. Deterministic: same
+// observations, same thresholds.
 type AgeTracker struct {
+	logBuckets
 	pct     float64 // target percentile, in (0, 100]
-	lnGamma float64
-	gamma   float64
-	counts  [ageBuckets]uint32
-	n       uint64
-	zeros   uint64 // non-positive observations
-	pending int    // adds since the cached threshold was derived
+	pending int     // adds since the cached threshold was derived
 	cached  time.Duration
 }
 
@@ -48,25 +35,13 @@ func NewAgeTracker(pct float64) *AgeTracker {
 	if !(pct > 0 && pct <= 100) {
 		pct = 100
 	}
-	gamma := (1 + SketchAlpha) / (1 - SketchAlpha)
-	return &AgeTracker{pct: pct, gamma: gamma, lnGamma: math.Log(gamma)}
+	return &AgeTracker{logBuckets: newLogBuckets(SketchAlpha), pct: pct}
 }
 
-// Add records one completed request's latency. Allocation-free; amortized
-// O(1) (a bucket walk every ageRecomputeEvery observations).
+// Add records one completed request's latency. Amortized O(1) (a bucket
+// walk every ageRecomputeEvery observations).
 func (t *AgeTracker) Add(v time.Duration) {
-	t.n++
-	if v <= 0 {
-		t.zeros++
-	} else {
-		k := int(math.Ceil(math.Log(float64(v)) / t.lnGamma))
-		if k < 0 {
-			k = 0
-		} else if k >= ageBuckets {
-			k = ageBuckets - 1
-		}
-		t.counts[k]++
-	}
+	t.add(v)
 	t.pending++
 	if t.pending >= ageRecomputeEvery || t.n == ageMinSamples {
 		t.recompute()
@@ -90,34 +65,8 @@ func (t *AgeTracker) Threshold() time.Duration {
 	return t.cached
 }
 
-// recompute re-derives the cached percentile by a nearest-rank walk over
-// the occupied buckets, answering with the bucket midpoint (within α of
-// the true value, like latencySketch above the exact prefix).
+// recompute re-derives the cached nearest-rank percentile from the buckets.
 func (t *AgeTracker) recompute() {
 	t.pending = 0
-	if t.n == 0 {
-		t.cached = 0
-		return
-	}
-	rank := uint64(math.Ceil(t.pct / 100 * float64(t.n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > t.n {
-		rank = t.n
-	}
-	if rank <= t.zeros {
-		t.cached = 0
-		return
-	}
-	rank -= t.zeros
-	var cum uint64
-	for k := 0; k < ageBuckets; k++ {
-		cum += uint64(t.counts[k])
-		if cum >= rank {
-			t.cached = time.Duration(2 * math.Pow(t.gamma, float64(k)) / (t.gamma + 1))
-			return
-		}
-	}
-	t.cached = 0
+	t.cached = t.value(uint64(nearestRank(t.pct/100, int(t.n))))
 }

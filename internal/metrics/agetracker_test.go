@@ -15,6 +15,8 @@ func TestAgeTrackerMatchesSketchQuantile(t *testing.T) {
 		"heavytail": func(i int) time.Duration {
 			return time.Duration(float64(time.Millisecond) * math.Pow(1.01, float64(i%1200)))
 		},
+		// Past ~6 h, beyond any fixed 1 ns..1000 s bucket range.
+		"hours": func(i int) time.Duration { return time.Duration(7+i%5) * time.Hour },
 	}
 	for name, gen := range dists {
 		for _, pct := range []float64{50, 90, 95, 99} {
@@ -66,21 +68,24 @@ func TestAgeTrackerStalenessBounded(t *testing.T) {
 	}
 }
 
-// Saturation: latencies beyond the bucket range clamp into the edge
-// buckets instead of indexing out of bounds.
+// Extremes: the largest Duration and non-positive latencies neither index
+// out of bounds nor read back as a negative threshold, even where the top
+// bucket's midpoint lies past the largest Duration (p99 here).
 func TestAgeTrackerClampsExtremes(t *testing.T) {
-	tr := NewAgeTracker(50)
-	for i := 0; i < ageMinSamples*2; i++ {
-		tr.Add(time.Duration(math.MaxInt64))
-		tr.Add(-time.Second)
-		tr.Add(0)
-		tr.Add(time.Nanosecond)
-	}
-	if !tr.Ready() {
-		t.Fatal("tracker not ready")
-	}
-	if got := tr.Threshold(); got < 0 {
-		t.Fatalf("negative threshold %v", got)
+	for _, pct := range []float64{50, 99} {
+		tr := NewAgeTracker(pct)
+		for i := 0; i < ageMinSamples*2; i++ {
+			tr.Add(time.Duration(math.MaxInt64))
+			tr.Add(-time.Second)
+			tr.Add(0)
+			tr.Add(time.Nanosecond)
+		}
+		if !tr.Ready() {
+			t.Fatal("tracker not ready")
+		}
+		if got := tr.Threshold(); got < 0 {
+			t.Fatalf("p%v: negative threshold %v", pct, got)
+		}
 	}
 }
 

@@ -60,20 +60,27 @@ func (o *Online) MergeFrom(src *Online) {
 	}
 }
 
-// mergeFrom adds src's bucket counts (and exact prefix, while room remains)
-// into s. Both sketches share the package α, hence the same bucket geometry.
+// mergeFrom adds src's counts into b, widening b's dense range to cover
+// src's. Both stores share the package α, hence the same bucket geometry.
+func (b *logBuckets) mergeFrom(src *logBuckets) {
+	b.n += src.n
+	b.zeros += src.zeros
+	if len(src.counts) == 0 {
+		return
+	}
+	b.cover(src.lo, src.lo+len(src.counts))
+	dst := b.counts[src.lo-b.lo:]
+	for i, c := range src.counts {
+		dst[i] += c
+	}
+}
+
+// mergeFrom merges src's buckets and, while room remains, its exact prefix
+// into s.
 func (s *latencySketch) mergeFrom(src *latencySketch) {
-	s.n += src.n
-	s.zeros += src.zeros
-	for k, c := range src.counts {
-		s.counts[k] += c
-	}
-	for _, v := range src.exact {
-		if len(s.exact) >= sketchExactPrefix {
-			break
-		}
-		s.exact = append(s.exact, v)
-	}
+	s.logBuckets.mergeFrom(&src.logBuckets)
+	room := sketchExactPrefix - len(s.exact)
+	s.exact = append(s.exact, src.exact[:min(room, len(src.exact))]...)
 }
 
 // MergeOnline folds the given aggregators, in order, into one fresh Online

@@ -11,12 +11,29 @@ import (
 // Merging shard aggregators must answer exactly what one aggregator fed the
 // union stream would, for everything the sharded Result reports: counts,
 // compliance, mean, max, breakdown and goodput windows are exact; percentiles
-// agree within the sketch's structural α bound.
+// agree within the sketch's structural α bound. The "disjoint" input gives
+// the four lanes latency ranges that do not overlap — seconds, then
+// microseconds, then tens of seconds, then single microseconds — so each
+// merge widens the dense bucket range down or up.
 func TestMergeOnlineMatchesUnionStream(t *testing.T) {
+	lanes := []time.Duration{time.Second, 10 * time.Microsecond, 30 * time.Second, time.Microsecond}
+	for name, latency := range map[string]func(rng *rand.Rand, i int) time.Duration{
+		"exponential": func(rng *rand.Rand, _ int) time.Duration {
+			return time.Duration(rng.ExpFloat64() * float64(150*time.Millisecond))
+		},
+		"disjoint": func(rng *rand.Rand, i int) time.Duration {
+			return time.Duration((1 + rng.Float64()) * float64(lanes[i%len(lanes)]))
+		},
+	} {
+		t.Run(name, func(t *testing.T) { checkMergeMatchesUnion(t, latency) })
+	}
+}
+
+func checkMergeMatchesUnion(t *testing.T, latency func(rng *rand.Rand, i int) time.Duration) {
 	const slo = 200 * time.Millisecond
 	rng := rand.New(rand.NewSource(7))
 	mkRecord := func(i int) Record {
-		lat := time.Duration(rng.ExpFloat64() * float64(150*time.Millisecond))
+		lat := latency(rng, i)
 		return Record{
 			Arrival:      time.Duration(i) * 37 * time.Millisecond,
 			Latency:      lat,

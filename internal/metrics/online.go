@@ -306,53 +306,102 @@ func maxDur(a, b time.Duration) time.Duration {
 
 // --- quantile sketch ---------------------------------------------------------
 
+// logBuckets is the DDSketch-style log-bucket store behind both online
+// latency estimators, the Online sketch and the hedge policy's AgeTracker:
+// value v lands in bucket ceil(log_γ(v)) with γ = (1+α)/(1-α), so one bucket
+// spans at most 2α/(1-α) relative width and the bucket midpoint is within α
+// of every value in it — a structural guarantee that holds for any
+// distribution, unlike moment- or marker-based sketches (P², notably, can be
+// badly wrong on the bimodal fast-path/surge latency mix this simulator
+// produces). The counts are dense over the occupied bucket range
+// [lo, lo+len(counts)), widened down or up when a value lands outside it, so
+// memory is O(log(max/min)/α) — ~920 buckets at α=1% for 1 µs..100 s —
+// independent of request count, and a rank is one ascending walk.
+// Deterministic: same inputs, same answers.
+type logBuckets struct {
+	gamma   float64
+	lnGamma float64
+	lo      int      // bucket index of counts[0]
+	counts  []uint64 // positive observations per bucket
+	n       uint64
+	zeros   uint64 // non-positive observations (latency 0)
+}
+
+func newLogBuckets(alpha float64) logBuckets {
+	gamma := (1 + alpha) / (1 - alpha)
+	return logBuckets{gamma: gamma, lnGamma: math.Log(gamma)}
+}
+
+func (b *logBuckets) add(v time.Duration) {
+	b.n++
+	if v <= 0 {
+		b.zeros++
+		return
+	}
+	k := int(math.Ceil(math.Log(float64(v)) / b.lnGamma))
+	if k < b.lo || k >= b.lo+len(b.counts) {
+		b.cover(k, k+1)
+	}
+	b.counts[k-b.lo]++
+}
+
+// cover widens the dense range to include buckets [from, to).
+func (b *logBuckets) cover(from, to int) {
+	if len(b.counts) == 0 {
+		b.lo = from
+	}
+	if from < b.lo {
+		grown := make([]uint64, b.lo-from+len(b.counts))
+		copy(grown[b.lo-from:], b.counts)
+		b.lo, b.counts = from, grown
+	}
+	if n := to - b.lo; n > len(b.counts) {
+		b.counts = append(b.counts, make([]uint64, n-len(b.counts))...)
+	}
+}
+
+// value returns the rank-th smallest observation (1-based) within α: zero
+// for the non-positive ones, else the midpoint 2γ^k/(γ+1) of the bucket k
+// where the ascending cumulative count reaches the rank.
+func (b *logBuckets) value(rank uint64) time.Duration {
+	if rank <= b.zeros {
+		return 0
+	}
+	rank -= b.zeros
+	var cum uint64
+	for i, c := range b.counts {
+		if cum += c; cum >= rank {
+			mid := 2 * math.Pow(b.gamma, float64(b.lo+i)) / (b.gamma + 1)
+			if mid >= math.MaxInt64 { // a top bucket's midpoint may pass the largest Duration
+				return math.MaxInt64
+			}
+			return time.Duration(mid)
+		}
+	}
+	return 0
+}
+
 // sketchExactPrefix is how many observations the sketch keeps exactly
 // before answering from buckets; runs at or under it report exact
 // nearest-rank percentiles (matching the Collector bit-for-bit).
 const sketchExactPrefix = 64
 
-// latencySketch is a DDSketch-style log-bucketed quantile estimator: value v
-// lands in bucket ceil(log_γ(v)) with γ = (1+α)/(1-α), so one bucket spans
-// at most 2α/(1-α) relative width and the bucket midpoint is within α of
-// every value in it — a structural guarantee that holds for any
-// distribution, unlike moment- or marker-based sketches (P², notably, can
-// be badly wrong on the bimodal fast-path/surge latency mix this simulator
-// produces). Memory is one counter per occupied bucket: O(log(max/min)/α),
-// ~1400 buckets at α=1% for the full 1 ns..1000 s latency range,
-// independent of request count. Deterministic: same inputs, same answers.
+// latencySketch is the Online aggregator's quantile estimator: the
+// log-bucket store plus the first sketchExactPrefix observations verbatim.
 type latencySketch struct {
-	gamma   float64
-	lnGamma float64
-	counts  map[int]uint64
-	n       uint64
-	zeros   uint64 // non-positive observations (latency 0)
-
-	exact []time.Duration // first sketchExactPrefix observations, verbatim
+	logBuckets
+	exact []time.Duration
 }
 
 func newLatencySketch(alpha float64) latencySketch {
-	gamma := (1 + alpha) / (1 - alpha)
-	return latencySketch{
-		gamma:   gamma,
-		lnGamma: math.Log(gamma),
-		counts:  make(map[int]uint64),
-	}
+	return latencySketch{logBuckets: newLogBuckets(alpha)}
 }
 
 func (s *latencySketch) add(v time.Duration) {
-	s.n++
 	if len(s.exact) < sketchExactPrefix {
 		s.exact = append(s.exact, v)
 	}
-	if v <= 0 {
-		s.zeros++
-		return
-	}
-	s.counts[s.bucket(v)]++
-}
-
-func (s *latencySketch) bucket(v time.Duration) int {
-	return int(math.Ceil(math.Log(float64(v)) / s.lnGamma))
+	s.logBuckets.add(v)
 }
 
 // quantile returns the q-th quantile using the Collector's nearest-rank
@@ -362,47 +411,12 @@ func (s *latencySketch) quantile(q float64) time.Duration {
 	if s.n == 0 {
 		return 0
 	}
-	rank := uint64(nearestRank(q, int(s.n)))
+	rank := nearestRank(q, int(s.n))
 	if s.n <= uint64(len(s.exact)) {
-		sorted := make([]time.Duration, s.n)
-		copy(sorted, s.exact[:s.n])
+		var buf [sketchExactPrefix]time.Duration
+		sorted := buf[:copy(buf[:], s.exact)]
 		slices.Sort(sorted)
 		return sorted[rank-1]
 	}
-	if rank <= s.zeros {
-		return 0
-	}
-	rank -= s.zeros
-	// Walk the occupied buckets in ascending order until the cumulative
-	// count reaches the rank; the bucket midpoint is within α of the true
-	// value. Queries are rare (end of run), so sorting keys here is cheap.
-	keys := make([]int, 0, len(s.counts))
-	for k := range s.counts {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	var cum uint64
-	for _, k := range keys {
-		cum += s.counts[k]
-		if cum >= rank {
-			// Bucket k spans (γ^(k-1), γ^k]; 2γ^k/(γ+1) is its midpoint in
-			// relative terms.
-			return time.Duration(2 * math.Pow(s.gamma, float64(k)) / (s.gamma + 1))
-		}
-	}
-	return s.maxSeen()
-}
-
-func (s *latencySketch) maxSeen() time.Duration {
-	maxK := 0
-	found := false
-	for k := range s.counts {
-		if !found || k > maxK {
-			maxK, found = k, true
-		}
-	}
-	if !found {
-		return 0
-	}
-	return time.Duration(2 * math.Pow(s.gamma, float64(maxK)) / (s.gamma + 1))
+	return s.value(uint64(rank))
 }

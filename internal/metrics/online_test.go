@@ -171,6 +171,25 @@ func TestOnlineMeanBreakdown(t *testing.T) {
 	}
 }
 
+// TestOnlineSnapshotAllocFree: once the sketch's bucket range covers the
+// latencies, Add and Snapshot allocate nothing — Snapshot runs under the
+// aggregator's lock on every live-plane scrape and progress line.
+func TestOnlineSnapshotAllocFree(t *testing.T) {
+	on := NewOnline(100*time.Millisecond, time.Minute, DefaultGoodputWindow)
+	lat := func(i int) time.Duration { return time.Duration(1+i%400) * time.Millisecond / 2 }
+	for i := 0; i < 1000; i++ {
+		on.Add(Record{Arrival: time.Duration(i) * time.Millisecond, Latency: lat(i)})
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		on.Add(Record{Arrival: time.Duration(i) * time.Millisecond, Latency: lat(i)})
+		_ = on.Snapshot()
+		i++
+	}); allocs != 0 {
+		t.Fatalf("Add+Snapshot allocated %.1f times per op", allocs)
+	}
+}
+
 // TestLatencySketchBoundedBuckets: the sketch's bucket count must be bounded
 // by the latency range and α, not the observation count.
 func TestLatencySketchBoundedBuckets(t *testing.T) {
