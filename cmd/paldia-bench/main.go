@@ -319,7 +319,7 @@ func cases(includeE2E bool) []benchCase {
 		}
 	}
 	cs = append(cs, streamWriterCase(), curveStreamCase())
-	cs = append(cs, cloneDispatchCase(), ageTrackerCase(), collectorResetCase(), collectorPercentileCase(), poolChurnCase())
+	cs = append(cs, cloneDispatchCase(), ageTrackerCase(), collectorResetCase(), collectorPercentileCase(), poolChurnCase(), engineTicksCase())
 	return cs
 }
 
@@ -612,6 +612,47 @@ func poolChurnCase() benchCase {
 				cycle()
 			}
 			return map[string]float64{"pending_events": float64(pending)}
+		},
+	}
+}
+
+// engineTicksCase measures the event engine under the mix one serving lane
+// feeds it: a 25 ms dispatch ticker and a 250 ms monitor ticker (Every), and
+// a one-shot arrival stream with a mean gap of 25 ms, as on the benchmark's
+// azure-stream input, where every other arrival also schedules a batch
+// finish 10–30 ms later. One op is one fired event; tick_share is the
+// fraction of fires that are ticks (0.45 on azure-stream). Closures are
+// bound once, so the loop must not allocate.
+func engineTicksCase() benchCase {
+	return benchCase{
+		name: "sim/Engine-ticks+oneshots",
+		fn: func(b *testing.B) map[string]float64 {
+			eng := sim.NewEngine()
+			rng := sim.NewRNG(1).Stream("arrivals")
+			ticks := 0
+			always := func() bool { return true }
+			tick := func() { ticks++ }
+			eng.Every(core.DefaultDispatchWindow, always, tick)
+			eng.Every(core.DefaultMonitorInterval, always, tick)
+			finish := func() {}
+			var arrive func()
+			arrive = func() {
+				if rng.Intn(2) == 0 {
+					eng.Schedule(10*time.Millisecond+time.Duration(rng.Int63n(int64(20*time.Millisecond))), finish)
+				}
+				eng.Schedule(time.Duration(rng.Int63n(int64(50*time.Millisecond))), arrive)
+			}
+			eng.Schedule(0, arrive)
+			for i := 0; i < 100000; i++ {
+				eng.Step()
+			}
+			ticks = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Step()
+			}
+			return map[string]float64{"tick_share": float64(ticks) / float64(b.N)}
 		},
 	}
 }

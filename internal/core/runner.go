@@ -503,18 +503,14 @@ func start(cfg Config, ws []Workload) *Running {
 	return &Running{r: r}
 }
 
-// every runs tick each interval, rescheduling it first: until the trace
-// ends, or with drain until the batchers' backlog has drained as well. The
-// rescheduling closure is bound once, so a tick allocates nothing.
+// every runs tick each interval as an engine ticker: until the trace ends,
+// or with drain until the batchers' backlog has drained as well. The ticker
+// lives beside the event heap and re-arms before tick runs, in the order a
+// self-rescheduling event would, so a tick neither allocates nor pushes.
 func (r *runner) every(interval time.Duration, drain bool, tick func()) {
-	var fn func()
-	fn = func() {
-		if r.eng.Now() < r.end || drain && r.pending() > 0 {
-			r.eng.Schedule(interval, fn)
-		}
-		tick()
-	}
-	r.eng.Schedule(interval, fn)
+	r.eng.Every(interval, func() bool {
+		return r.eng.Now() < r.end || drain && r.pending() > 0
+	}, tick)
 }
 
 // Now returns the simulation's current virtual time.

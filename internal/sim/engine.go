@@ -7,38 +7,70 @@
 // repository bit-for-bit reproducible.
 //
 // Event storage is an index-addressed arena: the queue is a 4-ary min-heap of
-// arena indexes, and fired or cancelled slots return to an index free list.
-// Model code that schedules and cancels millions of events (the device layer
+// (at, seq, arena index) entries, keys inline so a sift never reads the
+// arena, and fired or cancelled slots return to an index free list. Model
+// code that schedules and cancels millions of events (the device layer
 // re-arms a finish event on every pool membership change) therefore performs
 // no per-event allocation at all in steady state — the only allocations are
 // the amortized growth of the arena and heap backing arrays. Cancellation is
 // handled through generation-checked Timer handles, so a stale handle held
 // across slot recycling can never cancel an unrelated event.
 //
+// Periodic work (Every) never enters the heap: a ticker sits in a short slice
+// beside it and takes a fresh seq each time it re-arms, exactly as an event
+// that reschedules itself first thing in its callback would. Each step fires
+// whichever of the heap top and the tickers is earliest by (at, seq).
+//
 // Because (at, seq) is a strict total order on events — seq is unique — any
 // correct priority queue pops events in exactly one order. The heap's shape
-// (4-ary here, binary before) is therefore unobservable: fire order, and with
-// it every simulation output, is identical for any conforming implementation.
-// sim's tests assert this against the previous pointer-based binary heap,
+// (4-ary here, binary before) and where a ticker is stored are therefore
+// unobservable: fire order, and with it every simulation output, is identical
+// for any conforming implementation. sim's tests assert this against the
+// previous pointer-based binary heap, with ticks as self-rescheduling events,
 // kept as a reference implementation in heap_reference_test.go.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
 // event is one arena slot: a callback bound to a point in virtual time.
 // Slots are addressed by index and recycled through the engine's free list;
-// model code only ever holds Timer handles.
+// model code only ever holds Timer handles. A slot is queued exactly while
+// its generation matches the one it was scheduled under: it is recycled
+// (and its generation bumped) the moment it leaves the heap.
 type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
+	at time.Duration
+	fn func()
 
 	gen       uint64 // bumped on every recycle; Timer handles check it
-	pos       int32  // heap position; -1 when not queued
 	cancelled bool
+}
+
+// entry is one heap element: the (at, seq) key kept inline beside the arena
+// index, so sifts compare and move entries without touching the arena.
+type entry struct {
+	at  time.Duration
+	seq uint64
+	id  int32
+}
+
+// before reports whether entry a fires strictly before entry b: the (at, seq)
+// total order every conforming priority queue must respect.
+func (a entry) before(b entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// ticker is a periodic event kept beside the heap (see Engine.Every). Its
+// key (id unused) orders it against queued events exactly as the
+// self-rescheduling event it replaces would be ordered.
+type ticker struct {
+	key      entry
+	interval time.Duration
+	again    func() bool
+	fn       func()
 }
 
 // Timer is a cancellable handle to a scheduled event. The zero Timer is
@@ -58,7 +90,7 @@ func (t Timer) ev() *event {
 		return nil
 	}
 	ev := &t.eng.arena[t.idx]
-	if ev.gen != t.gen || ev.pos < 0 || ev.cancelled {
+	if ev.gen != t.gen || ev.cancelled {
 		return nil
 	}
 	return ev
@@ -97,11 +129,13 @@ func (t Timer) Cancel() {
 const compactMin = 32
 
 // heapArity is the fan-out of the event queue's d-ary heap. Four keeps the
-// tree half as deep as a binary heap (fewer cache-missing levels per sift)
-// while the per-level 4-way minimum scan stays within one cache line of
-// indexes; (at, seq) total ordering makes the pop order — and therefore
-// every simulation output — identical to the binary heap's.
+// tree half as deep as a binary heap (fewer cache-missing levels per sift);
+// (at, seq) total ordering makes the pop order — and therefore every
+// simulation output — identical to the binary heap's.
 const heapArity = 4
+
+// never is a Run bound no event can pass: Step fires whatever is next.
+const never = time.Duration(math.MaxInt64)
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all model code runs inside event callbacks on one
@@ -114,13 +148,18 @@ type Engine struct {
 	fired uint64
 
 	// arena is the index-addressed event storage; heap orders the queued
-	// slots by (at, seq); free recycles fired/cancelled slots. cancelledN
-	// counts the cancelled events still occupying the queue, triggering
-	// compaction once they outnumber the live ones.
+	// slots by their inline (at, seq) keys; free recycles fired/cancelled
+	// slots. cancelledN counts the cancelled events still occupying the
+	// queue, triggering compaction once they outnumber the live ones.
 	arena      []event
-	heap       []int32
+	heap       []entry
 	free       []int32
 	cancelledN int
+
+	// tickers are the periodic events (Every), in no particular order;
+	// first indexes the earliest of them by key, -1 when there are none.
+	tickers []ticker
+	first   int
 
 	// onFire, when set, observes the virtual time of every fired event
 	// (invariant checking); nil costs one branch per event.
@@ -137,7 +176,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{first: -1}
 }
 
 // Now returns the current virtual time.
@@ -155,13 +194,14 @@ func (e *Engine) SetOnFire(fn func(at time.Duration)) { e.onFire = fn }
 // to disable (the default).
 func (e *Engine) SetOnAdvance(fn func(at time.Duration)) { e.onAdvance = fn }
 
-// Fired returns the number of events executed so far.
+// Fired returns the number of events executed so far, ticks included.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events currently occupying the queue.
-// Cancelled events count until they are reclaimed — at their fire time, or
-// earlier by the lazy compaction sweep once they outnumber live events.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the number of events currently occupying the queue: the
+// heap's entries plus the live tickers. Cancelled events count until they
+// are reclaimed — at their fire time, or earlier by the lazy compaction
+// sweep once they outnumber live events.
+func (e *Engine) Pending() int { return len(e.heap) + len(e.tickers) }
 
 // Schedule queues fn to run after delay. A negative delay panics: model code
 // must never schedule into the past.
@@ -180,11 +220,36 @@ func (e *Engine) ScheduleAt(t time.Duration, fn func()) Timer {
 	id := e.alloc()
 	ev := &e.arena[id]
 	ev.at = t
-	ev.seq = e.seq
 	ev.fn = fn
+	e.push(entry{at: t, seq: e.seq, id: id})
 	e.seq++
-	e.push(id)
 	return Timer{eng: e, idx: id, gen: ev.gen}
+}
+
+// Every runs fn once per interval, first at Now+interval, for as long as
+// again holds. It orders exactly like an event that, each time it fires,
+// reschedules itself interval later when again() is true and then calls fn:
+// again is asked after the clock reaches the tick and before fn runs, and
+// the next tick takes the engine's next seq at that moment. again is a
+// predicate: it must not schedule. A non-positive interval panics. A ticker
+// cannot be cancelled; it stops when again reports false.
+func (e *Engine) Every(interval time.Duration, again func() bool, fn func()) {
+	if interval <= 0 {
+		panic(fmt.Sprintf("sim: Every with non-positive interval %v at t=%v", interval, e.now))
+	}
+	e.tickers = append(e.tickers, ticker{key: entry{at: e.now + interval, seq: e.seq}, interval: interval, again: again, fn: fn})
+	e.seq++
+	e.findFirst()
+}
+
+// findFirst points first at the earliest ticker, or -1 when none is left.
+func (e *Engine) findFirst() {
+	e.first = -1
+	for i := range e.tickers {
+		if e.first < 0 || e.tickers[i].key.before(e.tickers[e.first].key) {
+			e.first = i
+		}
+	}
 }
 
 // alloc returns a recycled arena slot's index or extends the arena.
@@ -195,7 +260,7 @@ func (e *Engine) alloc() int32 {
 		e.arena[id].cancelled = false
 		return id
 	}
-	e.arena = append(e.arena, event{pos: -1})
+	e.arena = append(e.arena, event{})
 	return int32(len(e.arena) - 1)
 }
 
@@ -208,87 +273,60 @@ func (e *Engine) recycle(id int32) {
 	e.free = append(e.free, id)
 }
 
-// --- 4-ary index heap --------------------------------------------------------
+// --- 4-ary heap of inline keys -----------------------------------------------
 
-// before reports whether slot a fires strictly before slot b: the (at, seq)
-// total order every conforming priority queue must respect.
-func (e *Engine) before(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// push adds arena slot id to the heap (sift-up with a moving hole: one write
-// per level instead of a three-write swap).
-func (e *Engine) push(id int32) {
+// push adds x to the heap (sift-up with a moving hole: one write per level
+// instead of a three-write swap).
+func (e *Engine) push(x entry) {
 	j := len(e.heap)
-	e.heap = append(e.heap, id)
-	ev := &e.arena[id]
+	e.heap = append(e.heap, x)
+	h := e.heap
 	for j > 0 {
 		p := (j - 1) / heapArity
-		pid := e.heap[p]
-		pe := &e.arena[pid]
-		if !e.before(ev, pe) {
+		if !x.before(h[p]) {
 			break
 		}
-		e.heap[j] = pid
-		pe.pos = int32(j)
+		h[j] = h[p]
 		j = p
 	}
-	e.heap[j] = id
-	ev.pos = int32(j)
+	h[j] = x
 }
 
-// popMin removes and returns the minimum (root) slot's index.
-func (e *Engine) popMin() int32 {
-	id := e.heap[0]
+// popMin removes the minimum (root) entry.
+func (e *Engine) popMin() {
 	n := len(e.heap) - 1
 	last := e.heap[n]
 	e.heap = e.heap[:n]
 	if n > 0 {
-		e.heap[0] = last
-		e.arena[last].pos = 0
-		e.down(0)
+		e.down(0, last)
 	}
-	e.arena[id].pos = -1
-	return id
 }
 
-// down restores the heap property below position i (sift-down with a moving
-// hole, scanning up to heapArity children per level for the minimum).
-func (e *Engine) down(i int) {
-	n := len(e.heap)
-	id := e.heap[i]
-	ev := &e.arena[id]
+// down places x at position i and restores the heap property below it
+// (sift-down with a moving hole, scanning up to heapArity children per level
+// for the minimum).
+func (e *Engine) down(i int, x entry) {
+	h := e.heap
+	n := len(h)
 	for {
 		c := heapArity*i + 1
 		if c >= n {
 			break
 		}
 		best := c
-		bid := e.heap[c]
-		be := &e.arena[bid]
-		end := c + heapArity
-		if end > n {
-			end = n
-		}
+		end := min(c+heapArity, n)
 		for c++; c < end; c++ {
-			cid := e.heap[c]
-			ce := &e.arena[cid]
-			if e.before(ce, be) {
-				best, bid, be = c, cid, ce
+			if h[c].before(h[best]) {
+				best = c
 			}
 		}
-		if !e.before(be, ev) {
+		if !h[best].before(x) {
 			break
 		}
-		e.heap[i] = bid
-		be.pos = int32(i)
+		h[i] = h[best]
 		i = best
 	}
-	e.heap[i] = id
-	ev.pos = int32(i)
+	h[i] = x
 }
 
 // reinit restores the heap invariant over arbitrary contents (compaction).
@@ -298,7 +336,7 @@ func (e *Engine) reinit() {
 		return
 	}
 	for i := (n - 2) / heapArity; i >= 0; i-- {
-		e.down(i)
+		e.down(i, e.heap[i])
 	}
 }
 
@@ -311,63 +349,88 @@ func (e *Engine) maybeCompact() {
 		return
 	}
 	kept := e.heap[:0]
-	for _, id := range e.heap {
-		if e.arena[id].cancelled {
-			e.arena[id].pos = -1
-			e.recycle(id)
+	for _, x := range e.heap {
+		if e.arena[x.id].cancelled {
+			e.recycle(x.id)
 			continue
 		}
-		kept = append(kept, id)
+		kept = append(kept, x)
 	}
 	e.heap = kept
 	e.cancelledN = 0
 	e.reinit()
 }
 
-// Step fires the next pending event, advancing the clock to it. It returns
-// false when no events remain.
-func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		id := e.popMin()
-		ev := &e.arena[id]
-		if ev.cancelled {
-			e.cancelledN--
-			e.recycle(id)
-			continue
+// advance moves the clock to at for one firing and counts it.
+func (e *Engine) advance(at time.Duration) {
+	if at > e.now && e.onAdvance != nil {
+		e.onAdvance(at)
+	}
+	e.now = at
+	e.fired++
+	if e.onFire != nil {
+		e.onFire(at)
+	}
+}
+
+// next fires the earliest of the heap top and the tickers by (at, seq),
+// provided it is due at or before until, and reports whether it fired one.
+// Cancelled events reaching the heap top are reclaimed on the way, even past
+// until, so what a bounded Run leaves queued starts with a live event.
+func (e *Engine) next(until time.Duration) bool {
+	for {
+		k := e.first
+		if len(e.heap) > 0 && (k < 0 || e.heap[0].before(e.tickers[k].key)) {
+			top := e.heap[0]
+			ev := &e.arena[top.id]
+			if ev.cancelled {
+				e.popMin()
+				e.cancelledN--
+				e.recycle(top.id)
+				continue
+			}
+			if top.at > until {
+				return false
+			}
+			e.popMin()
+			e.advance(top.at)
+			fn := ev.fn
+			e.recycle(top.id)
+			fn()
+			return true
 		}
-		if ev.at > e.now && e.onAdvance != nil {
-			e.onAdvance(ev.at)
+		if k < 0 || e.tickers[k].key.at > until {
+			return false
 		}
-		e.now = ev.at
-		e.fired++
-		if e.onFire != nil {
-			e.onFire(e.now)
+		t := &e.tickers[k]
+		e.advance(t.key.at)
+		fn := t.fn
+		if t.again() {
+			t.key.at += t.interval
+			t.key.seq = e.seq
+			e.seq++
+		} else {
+			last := len(e.tickers) - 1
+			e.tickers[k] = e.tickers[last]
+			e.tickers[last] = ticker{}
+			e.tickers = e.tickers[:last]
 		}
-		fn := ev.fn
-		e.recycle(id)
+		e.findFirst()
 		fn()
 		return true
 	}
-	return false
 }
+
+// Step fires the next pending event, advancing the clock to it. It returns
+// false when no events remain.
+func (e *Engine) Step() bool { return e.next(never) }
 
 // Run fires events until the queue drains or the clock would pass until.
 // Events scheduled exactly at until still fire. The clock ends at
 // min(until, time of last event fired) unless an event at until fired, in
 // which case it ends at until.
 func (e *Engine) Run(until time.Duration) {
-	for len(e.heap) > 0 {
-		next := &e.arena[e.heap[0]]
-		if next.cancelled {
-			id := e.popMin()
-			e.cancelledN--
-			e.recycle(id)
-			continue
-		}
-		if next.at > until {
-			break
-		}
-		e.Step()
+	for e.next(until) {
 	}
 	if e.now < until {
 		if e.onAdvance != nil {

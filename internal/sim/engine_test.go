@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -161,12 +162,75 @@ func TestRunUntilDoesNotFireLater(t *testing.T) {
 	e := NewEngine()
 	fired := false
 	e.Schedule(2*time.Second, func() { fired = true })
+	e.Every(3*time.Second, func() bool { return true }, func() { fired = true })
 	e.Run(time.Second)
 	if fired {
 		t.Fatal("event after 'until' fired")
 	}
+	if e.Pending() != 2 {
+		t.Fatalf("Pending() = %d, want 2 (one event, one ticker)", e.Pending())
+	}
+}
+
+// A ticker occupies the queue while it keeps re-arming and leaves it when
+// again reports false; every tick counts in Fired, the last one included.
+func TestEveryPendingAndFired(t *testing.T) {
+	e := NewEngine()
+	var at []time.Duration
+	n := 0
+	e.Every(10*time.Millisecond, func() bool { n++; return n < 3 }, func() { at = append(at, e.Now()) })
 	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
+		t.Fatalf("Pending() = %d with one ticker armed, want 1", e.Pending())
+	}
+	e.Run(25 * time.Millisecond)
+	if e.Pending() != 1 || e.Fired() != 2 {
+		t.Fatalf("after two ticks: Pending() = %d, Fired() = %d, want 1 and 2", e.Pending(), e.Fired())
+	}
+	e.RunAll()
+	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
+	if fmt.Sprint(at) != fmt.Sprint(want) {
+		t.Fatalf("ticks at %v, want %v", at, want)
+	}
+	if e.Pending() != 0 || e.Fired() != 3 {
+		t.Fatalf("after the last tick: Pending() = %d, Fired() = %d, want 0 and 3", e.Pending(), e.Fired())
+	}
+}
+
+func TestEveryNonPositiveIntervalPanics(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Millisecond} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "interval "+d.String()) {
+					t.Fatalf("Every(%v) panicked with %q, want a message naming the interval", d, msg)
+				}
+			}()
+			NewEngine().Every(d, func() bool { return true }, func() {})
+		}()
+	}
+}
+
+// A firing ticker — its again check and re-arm included — allocates
+// nothing, alone and interleaved with one-shot events.
+func TestEveryAllocFree(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	again := func() bool { return true }
+	e.Every(time.Millisecond, again, fn)
+	e.Every(3*time.Millisecond, again, fn)
+	for i := 0; i < 128; i++ {
+		e.Schedule(time.Duration(i)*time.Microsecond, fn)
+	}
+	e.Run(time.Second)
+	if allocs := testing.AllocsPerRun(1000, func() { e.Step() }); allocs > 0 {
+		t.Fatalf("a tick allocates %.2f objects/op, want 0", allocs)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.Schedule(500*time.Microsecond, fn)
+		e.Run(e.Now() + time.Millisecond)
+	})
+	if allocs > 0 {
+		t.Fatalf("ticks mixed with one-shots allocate %.2f objects/op, want 0", allocs)
 	}
 }
 

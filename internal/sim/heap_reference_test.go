@@ -254,3 +254,208 @@ func TestArenaHeapMatchesReferenceAbsoluteTimes(t *testing.T) {
 		}
 	}
 }
+
+// tickWorld is one side of the ticker reference test: the engine, with
+// periodic ticks through Every, or the reference heap, with the same ticks
+// as events that reschedule themselves first thing in their callback (how
+// periodic work was written before Every existed).
+type tickWorld interface {
+	now() time.Duration
+	schedule(delay time.Duration, fn func()) (cancel func())
+	every(interval time.Duration, again func() bool, fn func())
+	step() bool
+	run(until time.Duration)
+}
+
+type engineWorld struct {
+	eng         *Engine
+	compactions int // cancels that shrank the heap: lazy compaction ran
+}
+
+func (w *engineWorld) now() time.Duration { return w.eng.Now() }
+
+func (w *engineWorld) schedule(delay time.Duration, fn func()) func() {
+	tm := w.eng.Schedule(delay, fn)
+	return func() {
+		n := len(w.eng.heap)
+		tm.Cancel()
+		if len(w.eng.heap) < n {
+			w.compactions++
+		}
+	}
+}
+
+func (w *engineWorld) every(interval time.Duration, again func() bool, fn func()) {
+	w.eng.Every(interval, again, fn)
+}
+
+func (w *engineWorld) step() bool              { return w.eng.Step() }
+func (w *engineWorld) run(until time.Duration) { w.eng.Run(until) }
+
+// refWorld runs callbacks over refEngine; refEvent carries no callback, so
+// they are kept beside it.
+type refWorld struct {
+	ref refEngine
+	fns map[*refEvent]func()
+}
+
+func (w *refWorld) now() time.Duration { return w.ref.now }
+
+func (w *refWorld) schedule(delay time.Duration, fn func()) func() {
+	ev := w.ref.schedule(delay)
+	w.fns[ev] = fn
+	return func() { ev.cancelled = true }
+}
+
+func (w *refWorld) every(interval time.Duration, again func() bool, fn func()) {
+	var tick func()
+	tick = func() {
+		if again() {
+			w.schedule(interval, tick)
+		}
+		fn()
+	}
+	w.schedule(interval, tick)
+}
+
+func (w *refWorld) step() bool {
+	ev, ok := w.ref.step()
+	if ok {
+		fn := w.fns[ev]
+		delete(w.fns, ev)
+		fn()
+	}
+	return ok
+}
+
+func (w *refWorld) run(until time.Duration) {
+	for len(w.ref.heap) > 0 {
+		if top := w.ref.heap[0]; top.cancelled {
+			w.ref.heap.pop()
+			continue
+		} else if top.at > until {
+			break
+		}
+		w.step()
+	}
+	w.ref.now = max(w.ref.now, until)
+}
+
+// runMarker labels the clock reading recorded after each bounded run.
+const runMarker = -1000
+
+// tickScript drives one randomized script against w and returns what fired.
+// Both worlds get an identically seeded rng, and callbacks draw from it, so
+// the scripts stay identical exactly as long as the fire orders do.
+func tickScript(w tickWorld, rng *rand.Rand) []fireRecord {
+	var fired []fireRecord
+	var cancels []func()
+	label := 0
+	oneShot := func(delay time.Duration) {
+		l := label
+		label++
+		cancels = append(cancels, w.schedule(delay, func() {
+			fired = append(fired, fireRecord{l, w.now()})
+		}))
+	}
+
+	// Tickers at coarse intervals, so their instants collide with each
+	// other and with one-shots. Each stops (again turns false) after its
+	// budget of fires, mid-run; its bodies schedule zero-delay and short
+	// one-shots from inside the tick.
+	type cadence struct{ start, interval time.Duration }
+	var ticks []cadence
+	for i := range 1 + rng.Intn(3) {
+		l := -1 - i
+		interval := time.Duration(1+rng.Intn(4)) * time.Millisecond
+		budget, n := 5+rng.Intn(60), 0
+		ticks = append(ticks, cadence{w.now(), interval})
+		w.every(interval, func() bool { n++; return n < budget }, func() {
+			fired = append(fired, fireRecord{l, w.now()})
+			if rng.Float64() < 0.5 {
+				oneShot(0)
+			}
+			if rng.Float64() < 0.3 {
+				oneShot(time.Duration(rng.Intn(4)) * time.Millisecond)
+			}
+		})
+	}
+	for range 40 + rng.Intn(120) {
+		oneShot(time.Duration(rng.Intn(8)) * time.Millisecond)
+	}
+	// Enough cancels to trip the engine's lazy compaction.
+	frac := 0.3 + 0.4*rng.Float64()
+	for _, c := range cancels {
+		if rng.Float64() < frac {
+			c()
+		}
+	}
+
+	for steps := 0; steps < 100000; steps++ {
+		if rng.Float64() < 0.2 {
+			// A bounded run whose bound lands exactly on one of the ticks.
+			c := ticks[rng.Intn(len(ticks))]
+			k := (w.now()-c.start)/c.interval + 1 + time.Duration(rng.Intn(3))
+			w.run(c.start + k*c.interval)
+			fired = append(fired, fireRecord{runMarker, w.now()})
+		} else if !w.step() {
+			break
+		}
+		if rng.Float64() < 0.2 {
+			oneShot(time.Duration(rng.Intn(5)) * time.Millisecond)
+		}
+		if rng.Float64() < 0.1 {
+			cancels[rng.Intn(len(cancels))]()
+		}
+	}
+	return fired
+}
+
+// TestTickersMatchSelfReschedulingReference drives identical randomized
+// scripts through Every tickers and through the binary reference heap with
+// the same ticks as self-rescheduling events, and asserts identical fire
+// sequences: same labels, same order, same clock values, same clock after
+// every bounded Run. Scripts mix one-shots colliding with ticks at the same
+// instant, zero-delay events scheduled from inside a tick, enough cancels to
+// trip compaction, Run bounds landing exactly on a tick, and tickers whose
+// again turns false mid-run.
+func TestTickersMatchSelfReschedulingReference(t *testing.T) {
+	compacted := 0
+	for trial := 0; trial < 60; trial++ {
+		seed := int64(5000 + trial)
+		ew := &engineWorld{eng: NewEngine()}
+		rw := &refWorld{fns: map[*refEvent]func(){}}
+		got := tickScript(ew, rand.New(rand.NewSource(seed)))
+		want := tickScript(rw, rand.New(rand.NewSource(seed)))
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: engine recorded %d fires, reference %d", trial, len(got), len(want))
+		}
+		ticks, runs := 0, 0
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: fire %d differs: engine %+v reference %+v", trial, i, got[i], want[i])
+			}
+			switch l := got[i].label; {
+			case l == runMarker:
+				runs++
+			case l < 0:
+				ticks++
+			}
+		}
+		if fires := uint64(len(got) - runs); ew.eng.Fired() != fires {
+			t.Fatalf("trial %d: Fired() = %d, want %d", trial, ew.eng.Fired(), fires)
+		}
+		if ticks == 0 || runs == 0 {
+			t.Fatalf("trial %d: %d ticks and %d bounded runs; the script lost coverage", trial, ticks, runs)
+		}
+		if len(ew.eng.tickers) != 0 {
+			t.Fatalf("trial %d: %d tickers still live after the queue drained", trial, len(ew.eng.tickers))
+		}
+		if ew.compactions > 0 {
+			compacted++
+		}
+	}
+	if compacted < 10 {
+		t.Fatalf("only %d of 60 trials compacted; the scripts no longer cover compaction", compacted)
+	}
+}
