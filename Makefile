@@ -73,12 +73,16 @@ bench-smoke:
 # reads each request's span and keeps only the jobs in flight, so a
 # per-request ledger sneaking back into the checker trips it too. The third
 # writes every span through the merge writer under the same ceiling (~75 MiB
-# peak): a spans-only run samples no gauges, so per-lane series kept whole
-# for the run, or spans queued past their barrier, trip it.
+# peak): a spans-only run samples no gauges, so spans queued past their
+# barrier trip it. The fourth writes the whole event feed, sampled gauges
+# included, under the same ceiling (~76 MiB peak): no series is kept when
+# only the events output reads the samples, so series kept whole for the run,
+# or event lines queued past their barrier, trip it.
 scale-smoke:
 	$(GO) run ./cmd/paldia-sim -stream -requests 10000000 -tenants 4 -j 4 -max-heap-mib 192
 	$(GO) run ./cmd/paldia-sim -stream -requests 10000000 -tenants 4 -j 4 -check -max-heap-mib 192
 	$(GO) run ./cmd/paldia-sim -stream -requests 10000000 -tenants 4 -j 4 -spans-out /dev/null -max-heap-mib 192
+	$(GO) run ./cmd/paldia-sim -stream -requests 10000000 -tenants 4 -j 4 -events-out /dev/null -max-heap-mib 192
 
 # Refresh the committed PGO profile from the representative sharded
 # 10M-request streaming run (the same workload as scale-smoke). go build

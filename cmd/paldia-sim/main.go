@@ -192,11 +192,17 @@ func (o *options) telemetryOn() bool {
 	return o.traceOut != "" || o.spansOut != "" || o.eventsOut != "" || o.seriesOut != "" || o.svgOut != ""
 }
 
+// seriesRead reports whether an output reads the sampled series: the series
+// CSV, the timeline SVG, or the Chrome trace, which derives a series CSV.
+func (o *options) seriesRead() bool {
+	return o.seriesOut != "" || o.svgOut != "" || o.traceOut != ""
+}
+
 // samplesRead reports whether any output reads the sampled gauges: the
-// series CSV, the timeline SVG, the Chrome trace, the events feed or the live
-// plane. Sampling only reads state, so skipping it changes no span.
+// series, the events feed or the live plane. Sampling only reads state, so
+// skipping it changes no span.
 func (o *options) samplesRead() bool {
-	return o.seriesOut != "" || o.svgOut != "" || o.traceOut != "" || o.eventsOut != "" || o.live()
+	return o.seriesRead() || o.eventsOut != "" || o.live()
 }
 
 // resolve turns the flag combination into the model and scheme list,
@@ -322,8 +328,8 @@ func (o *options) simulate(m model.Spec, schemes []core.Scheme, stdout, stderr i
 			cfg.Trace = tr
 		}
 		if o.samplesRead() {
-			// Every lane gets a sink below: the telemetry writers or the
-			// live plane.
+			// Every lane gets a sink below: the series sets, the telemetry
+			// writers or the live plane.
 			cfg.SampleEvery = o.sample
 		}
 		if err := cfg.Validate(); err != nil {
@@ -347,17 +353,20 @@ func (o *options) simulate(m model.Spec, schemes []core.Scheme, stdout, stderr i
 			tr.Name, tr.Count(), tr.MeanRPS(), tr.PeakRPS(time.Second))
 	}
 
-	// Materialized runs buffer telemetry in a Recorder (-trace-out needs
-	// every span, and the Recorder's arrival-ordered span export is the
-	// historical format); streamed runs flush through a MergeWriter as the
-	// barrier advances.
+	// Materialized runs buffer spans and events in a Recorder (-trace-out
+	// needs every span, and the Recorder's arrival-ordered span export is the
+	// historical format); streamed runs flush them through a MergeWriter as
+	// the barrier advances. Sampled series are a sink of their own, one per
+	// lane, attached only when an output reads them.
 	var (
 		rec        *telemetry.Recorder
 		mw         *telemetry.MergeWriter
+		series     []*telemetry.SeriesSet
 		closeFiles func() error
 	)
 	switch {
-	case o.telemetryOn() && o.stream:
+	case o.traceOut == "" && o.spansOut == "" && o.eventsOut == "":
+	case o.stream:
 		ws, closeAll, err := createAll(o.spansOut, o.eventsOut)
 		if err != nil {
 			return fmt.Errorf("telemetry: %w", err)
@@ -367,8 +376,11 @@ func (o *options) simulate(m model.Spec, schemes []core.Scheme, stdout, stderr i
 			ws[0] = io.Discard
 		}
 		mw, closeFiles = telemetry.NewMergeWriter(ws[0], ws[1], n), closeAll
-	case o.telemetryOn():
+	default:
 		rec = telemetry.NewRecorder()
+	}
+	if o.seriesRead() {
+		series = make([]*telemetry.SeriesSet, n)
 	}
 
 	// The live plane attaches through read-only seams — sink, pacer and a
@@ -394,6 +406,10 @@ func (o *options) simulate(m model.Spec, schemes []core.Scheme, stdout, stderr i
 			cfg.Telemetry = rec
 		case mw != nil:
 			cfg.Telemetry = mw.Lane(i)
+		}
+		if series != nil {
+			series[i] = telemetry.NewSeriesSet()
+			cfg.Telemetry = telemetry.Combine(cfg.Telemetry, series[i])
 		}
 		if plane != nil {
 			// Each lane keeps its own Online (the Result's primary) and
@@ -464,6 +480,9 @@ func (o *options) simulate(m model.Spec, schemes []core.Scheme, stdout, stderr i
 		err = writeRecorded(stderr, rec, o)
 	case mw != nil:
 		err = finishMerge(stderr, mw, closeFiles, o)
+	}
+	if err == nil && series != nil {
+		err = writeSeries(stderr, telemetry.MergeLanes(series), o)
 	}
 	if err != nil {
 		return fmt.Errorf("telemetry: %w", err)
@@ -749,14 +768,8 @@ func writeFile(stderr io.Writer, path, what string, fn func(w io.Writer) error) 
 }
 
 // writeRecorded exports a materialized run's recorder to every requested
-// path. A -trace-out without -series-out also writes the sampled series next
-// to the trace (<name>_series.csv), so one flag yields both timeline
-// artifacts.
+// path.
 func writeRecorded(stderr io.Writer, rec *telemetry.Recorder, o *options) error {
-	seriesOut := o.seriesOut
-	if seriesOut == "" && o.traceOut != "" && rec.Series().Len() > 0 {
-		seriesOut = strings.TrimSuffix(o.traceOut, filepath.Ext(o.traceOut)) + "_series.csv"
-	}
 	for _, x := range []struct {
 		path, what string
 		fn         func(io.Writer) error
@@ -764,18 +777,27 @@ func writeRecorded(stderr io.Writer, rec *telemetry.Recorder, o *options) error 
 		{o.traceOut, "Chrome trace", rec.WriteChromeTrace},
 		{o.spansOut, fmt.Sprintf("%d spans", len(rec.Spans())), rec.WriteSpansJSONL},
 		{o.eventsOut, fmt.Sprintf("%d events", len(rec.Events())), rec.WriteEventsJSONL},
-		{seriesOut, fmt.Sprintf("%d series", rec.Series().Len()), rec.Series().WriteCSV},
 	} {
 		if err := writeFile(stderr, x.path, x.what, x.fn); err != nil {
 			return err
 		}
 	}
-	return writeSVG(stderr, o.svgOut, rec.Series())
+	return nil
 }
 
-func writeSVG(stderr io.Writer, path string, s *telemetry.SeriesSet) error {
-	return writeFile(stderr, path, "series timeline SVG", func(w io.Writer) error {
-		return s.TimelineSVG(w, "sampled runtime series")
+// writeSeries writes a run's sampled series as the CSV and the SVG chart. A
+// -trace-out without -series-out also writes the CSV next to the trace
+// (<name>_series.csv), so one flag yields both timeline artifacts.
+func writeSeries(stderr io.Writer, ss *telemetry.SeriesSet, o *options) error {
+	path := o.seriesOut
+	if path == "" && o.traceOut != "" && ss.Len() > 0 {
+		path = strings.TrimSuffix(o.traceOut, filepath.Ext(o.traceOut)) + "_series.csv"
+	}
+	if err := writeFile(stderr, path, fmt.Sprintf("%d series", ss.Len()), ss.WriteCSV); err != nil {
+		return err
+	}
+	return writeFile(stderr, o.svgOut, "series timeline SVG", func(w io.Writer) error {
+		return ss.TimelineSVG(w, "sampled runtime series")
 	})
 }
 
@@ -811,7 +833,7 @@ func createAll(paths ...string) (ws []io.Writer, closeAll func() error, err erro
 }
 
 // finishMerge closes a streamed run's MergeWriter and the files it flushed
-// into, then writes the series views it collected.
+// into.
 func finishMerge(stderr io.Writer, mw *telemetry.MergeWriter, closeFiles func() error, o *options) error {
 	if err := mw.Close(); err != nil {
 		return err
@@ -826,10 +848,7 @@ func finishMerge(stderr io.Writer, mw *telemetry.MergeWriter, closeFiles func() 
 	if o.eventsOut != "" {
 		fmt.Fprintf(stderr, "wrote events to %s\n", o.eventsOut)
 	}
-	if err := writeFile(stderr, o.seriesOut, "series", mw.Series().WriteCSV); err != nil {
-		return err
-	}
-	return writeSVG(stderr, o.svgOut, mw.Series())
+	return nil
 }
 
 func printTimeline(w io.Writer, r core.Result, dur time.Duration) {

@@ -29,12 +29,12 @@ func TestSampleCadenceDigestsPinned(t *testing.T) {
 	for _, every := range []time.Duration{10 * time.Millisecond, 25 * time.Millisecond} {
 		t.Run(every.String(), func(t *testing.T) {
 			rng := sim.NewRNG(17)
-			rec := telemetry.NewRecorder()
+			rec, ss := telemetry.NewRecorder(), telemetry.NewSeriesSet()
 			res := Run(Config{
 				Model:       model.MustByName("ResNet 50"),
 				Scheme:      NewPaldia(),
 				Stream:      trace.AzureCurve(rng, 250, time.Minute).Stream(rng),
-				Telemetry:   rec,
+				Telemetry:   telemetry.Combine(rec, ss),
 				SampleEvery: every,
 			})
 			var spans, events, series bytes.Buffer
@@ -44,7 +44,7 @@ func TestSampleCadenceDigestsPinned(t *testing.T) {
 			if err := rec.WriteEventsJSONL(&events); err != nil {
 				t.Fatal(err)
 			}
-			if err := rec.Series().WriteCSV(&series); err != nil {
+			if err := ss.WriteCSV(&series); err != nil {
 				t.Fatal(err)
 			}
 			res.Collector = nil

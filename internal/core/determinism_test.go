@@ -28,7 +28,7 @@ func TestRunIsSeedDeterministic(t *testing.T) {
 		series bytes.Buffer
 	}
 	run := func() *snapshot {
-		rec := telemetry.NewRecorder()
+		rec, ss := telemetry.NewRecorder(), telemetry.NewSeriesSet()
 		chk := invariant.New()
 		var s snapshot
 		s.res = Run(Config{
@@ -36,7 +36,7 @@ func TestRunIsSeedDeterministic(t *testing.T) {
 			Trace:           trace.Azure(sim.NewRNG(42), 250, 2*time.Minute),
 			Scheme:          NewPaldia(),
 			Seed:            42,
-			Telemetry:       rec,
+			Telemetry:       telemetry.Combine(rec, ss),
 			SampleEvery:     time.Second,
 			FailureEvery:    40 * time.Second,
 			FailureDuration: 10 * time.Second,
@@ -51,7 +51,7 @@ func TestRunIsSeedDeterministic(t *testing.T) {
 		if err := rec.WriteSpansJSONL(&s.spans); err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.Series().WriteCSV(&s.series); err != nil {
+		if err := ss.WriteCSV(&s.series); err != nil {
 			t.Fatal(err)
 		}
 		return &s

@@ -12,21 +12,21 @@ import (
 	"repro/internal/trace"
 )
 
-// telemetryRun executes one seeded run with a fresh recorder attached. The
-// trace is realized from the seed inside, so two calls are fully
-// independent end to end.
-func telemetryRun(t *testing.T, seed uint64) (*telemetry.Recorder, Result) {
+// telemetryRun executes one seeded run with a fresh recorder and series set
+// attached. The trace is realized from the seed inside, so two calls are
+// fully independent end to end.
+func telemetryRun(t *testing.T, seed uint64) (*telemetry.Recorder, *telemetry.SeriesSet, Result) {
 	t.Helper()
-	rec := telemetry.NewRecorder()
+	rec, ss := telemetry.NewRecorder(), telemetry.NewSeriesSet()
 	res := Run(Config{
 		Model:       model.MustByName("ResNet 50"),
 		Trace:       trace.Azure(sim.NewRNG(seed), 300, 90*time.Second),
 		Scheme:      NewPaldia(),
 		Seed:        seed,
-		Telemetry:   rec,
+		Telemetry:   telemetry.Combine(rec, ss),
 		SampleEvery: time.Second,
 	})
-	return rec, res
+	return rec, ss, res
 }
 
 // Two identically seeded runs must produce byte-identical exports — the
@@ -36,7 +36,7 @@ func TestTelemetryExportsAreDeterministic(t *testing.T) {
 		spans, events, series, chrome bytes.Buffer
 	}
 	dump := func() *export {
-		rec, _ := telemetryRun(t, 42)
+		rec, ss, _ := telemetryRun(t, 42)
 		var e export
 		if err := rec.WriteSpansJSONL(&e.spans); err != nil {
 			t.Fatal(err)
@@ -44,7 +44,7 @@ func TestTelemetryExportsAreDeterministic(t *testing.T) {
 		if err := rec.WriteEventsJSONL(&e.events); err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.Series().WriteCSV(&e.series); err != nil {
+		if err := ss.WriteCSV(&e.series); err != nil {
 			t.Fatal(err)
 		}
 		if err := rec.WriteChromeTrace(&e.chrome); err != nil {
@@ -74,7 +74,7 @@ func TestTelemetryExportsAreDeterministic(t *testing.T) {
 // request: same population, same latency decomposition, components
 // telescoping exactly to the end-to-end latency.
 func TestTelemetrySpansMatchCollector(t *testing.T) {
-	rec, res := telemetryRun(t, 7)
+	rec, _, res := telemetryRun(t, 7)
 	spans := rec.Spans()
 	if len(spans) != res.Requests {
 		t.Fatalf("%d spans vs %d collector records", len(spans), res.Requests)

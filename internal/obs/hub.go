@@ -92,7 +92,9 @@ func (h *Hub) Event(e telemetry.Event) {
 	case telemetry.Sample:
 		h.gauges[e.Detail] = e.Value
 		h.gaugeAt[e.Detail] = e.At
-		h.broadcast("gauge", gaugeJSON{AtNs: int64(e.At), Name: e.Detail, Value: e.Value})
+		if len(h.subs) > 0 {
+			h.broadcast("gauge", gaugeJSON{AtNs: int64(e.At), Name: e.Detail, Value: e.Value})
+		}
 		return
 	case telemetry.Arrived:
 		h.tenant(e.Tenant).Arrived++
@@ -119,7 +121,7 @@ func (h *Hub) Event(e telemetry.Event) {
 	// Control-plane events (no request scope) are interesting enough to
 	// stream individually; per-request lifecycle events would flood the feed
 	// and are represented by their span instead.
-	if e.Req < 0 {
+	if e.Req < 0 && len(h.subs) > 0 {
 		h.broadcast("ctrl", ctrlJSON{
 			AtNs: int64(e.At), Kind: e.Kind.String(), Node: e.Node,
 			Spec: e.Spec, N: e.N, Detail: e.Detail,
@@ -160,7 +162,9 @@ func (h *Hub) Span(s *telemetry.Span) {
 	if h.burn != nil {
 		h.burn.Observe(s.Completed, bad)
 	}
-	h.broadcast("span", telemetry.SpanJSON(s))
+	if len(h.subs) > 0 {
+		h.broadcast("span", telemetry.SpanJSON(s))
+	}
 }
 
 func (h *Hub) tenant(i int) *tenantCounters {
@@ -255,7 +259,9 @@ func (h *Hub) Subscribers() int {
 	return len(h.subs)
 }
 
-// broadcast renders once and fans out non-blocking; callers hold h.mu.
+// broadcast renders once and fans out non-blocking; callers hold h.mu. Hot
+// callers check for subscribers first, so that no payload is built (and
+// boxed) for nobody.
 func (h *Hub) broadcast(name string, payload any) {
 	if len(h.subs) == 0 {
 		return

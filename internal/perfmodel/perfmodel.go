@@ -203,14 +203,6 @@ func BestY(in Inputs) (y int, tmax time.Duration, ok bool) {
 	return bestY, best, best <= in.SLO
 }
 
-// SpatialSaturated reports the paper's constraint (ii): whether running
-// n spatial requests (in k batch jobs) would saturate the device, i.e.
-// whether the interference term of Eq. (1) is in its validity region.
-func SpatialSaturated(in Inputs, spatialReqs int) bool {
-	k := in.Batches(spatialReqs)
-	return in.ExistingDemand+float64(k)*in.FBR > 1
-}
-
 // ApproxCPUTMax approximates the worst-case latency of serving n requests on
 // a CPU node (Algorithm 1's approx_T_max for HW.type == CPU): the node's
 // existing backlog plus the serial execution of the new batches.
@@ -223,25 +215,4 @@ func ApproxCPUTMax(solo time.Duration, batchSize, n int, backlog time.Duration) 
 	}
 	batches := (n + batchSize - 1) / batchSize
 	return backlog + time.Duration(batches)*solo
-}
-
-// LinearTMax evaluates the paper's literal linear Eq. (1) (interference term
-// Solo * (k*FBR), valid only above saturation). It is retained for the
-// model-fidelity ablation: comparing the linear form against the profiled
-// contention curve used everywhere else.
-func LinearTMax(in Inputs, y int) time.Duration {
-	if y < 0 {
-		y = 0
-	}
-	if y > in.N {
-		y = in.N
-	}
-	spatialReqs := in.N - y
-	var spatial float64
-	if spatialReqs > 0 {
-		factor := in.ExistingDemand + float64(spatialReqs)/float64(in.BatchSize)*in.FBR
-		spatial = float64(in.Solo) * math.Max(1, factor)
-	}
-	queued := float64(in.Solo) * float64(y) / float64(in.BatchSize)
-	return time.Duration(queued + spatial)
 }

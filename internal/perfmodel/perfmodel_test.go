@@ -172,20 +172,6 @@ func TestCandidatesEmpty(t *testing.T) {
 	}
 }
 
-func TestSpatialSaturated(t *testing.T) {
-	in := Inputs{BatchSize: 64, FBR: 0.4}
-	if SpatialSaturated(in, 64) {
-		t.Fatal("one 0.4-FBR batch reported saturated")
-	}
-	if !SpatialSaturated(in, 64*3) {
-		t.Fatal("three 0.4-FBR batches (D=1.2) reported unsaturated")
-	}
-	in.ExistingDemand = 0.9
-	if !SpatialSaturated(in, 64) {
-		t.Fatal("existing demand ignored")
-	}
-}
-
 func TestApproxCPUTMax(t *testing.T) {
 	got := ApproxCPUTMax(100*time.Millisecond, 16, 40, 30*time.Millisecond)
 	want := 30*time.Millisecond + 3*100*time.Millisecond // 3 batches
@@ -194,16 +180,6 @@ func TestApproxCPUTMax(t *testing.T) {
 	}
 	if ApproxCPUTMax(time.Second, 16, 0, 7*time.Millisecond) != 7*time.Millisecond {
 		t.Fatal("n=0 should return backlog")
-	}
-}
-
-func TestLinearTMaxMatchesPaperForm(t *testing.T) {
-	in := Inputs{Solo: 100 * time.Millisecond, BatchSize: 64, FBR: 0.5, N: 256, SLO: time.Second}
-	// y=128: queued 128/64*100 = 200ms; spatial (128/64)*0.5 = 1.0 -> 100ms.
-	got := LinearTMax(in, 128)
-	want := 300 * time.Millisecond
-	if d := got - want; d > time.Microsecond || d < -time.Microsecond {
-		t.Fatalf("LinearTMax = %v, want %v", got, want)
 	}
 }
 

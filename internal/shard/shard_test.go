@@ -24,28 +24,31 @@ const (
 
 // laneConfigs builds the multi-tenant grid under test: one lane per tenant,
 // each streaming its share of a partitioned Azure curve, with telemetry into
-// the MergeWriter's lane sinks and a fresh invariant checker per lane.
+// the MergeWriter's lane sinks and a fresh series set and invariant checker
+// per lane.
 // Everything is derived from the seed alone, so two calls produce identical
 // simulations.
-func laneConfigs(mode core.MetricsMode, mw *telemetry.MergeWriter) ([]core.Config, []*invariant.Checker) {
+func laneConfigs(mode core.MetricsMode, mw *telemetry.MergeWriter) ([]core.Config, []*invariant.Checker, []*telemetry.SeriesSet) {
 	curve := trace.AzureCurve(sim.NewRNG(testSeed), testRPS, testDur)
 	parts := curve.Partition(testTenants)
 	cfgs := make([]core.Config, testTenants)
 	checks := make([]*invariant.Checker, testTenants)
+	series := make([]*telemetry.SeriesSet, testTenants)
 	for i, lane := range parts {
 		checks[i] = invariant.New()
+		series[i] = telemetry.NewSeriesSet()
 		cfgs[i] = core.Config{
 			Model:       model.MustByName("ResNet 50"),
 			Stream:      lane.Stream(sim.NewRNG(testSeed)),
 			Scheme:      core.NewPaldia(),
 			Seed:        testSeed,
 			Metrics:     mode,
-			Telemetry:   mw.Lane(i),
+			Telemetry:   telemetry.Combine(mw.Lane(i), series[i]),
 			SampleEvery: time.Second,
 			Invariants:  checks[i],
 		}
 	}
-	return cfgs, checks
+	return cfgs, checks, series
 }
 
 type gridSnapshot struct {
@@ -63,13 +66,13 @@ type gridSnapshot struct {
 
 // runGrid executes the grid at the given worker count and captures every
 // output that must be worker-count-independent. The merge writer has an
-// events output, so event lines and samples, not just spans, are drained
-// while the lanes step when shards >= 2.
+// events output, so event lines, not just spans, are drained while the lanes
+// step when shards >= 2.
 func runGrid(t *testing.T, mode core.MetricsMode, shards int) *gridSnapshot {
 	t.Helper()
 	s := &gridSnapshot{}
 	mw := telemetry.NewMergeWriter(&s.spans, &s.events, testTenants)
-	cfgs, checks := laneConfigs(mode, mw)
+	cfgs, checks, series := laneConfigs(mode, mw)
 	board := NewVTBoard(testTenants)
 	la := DefaultLookahead()
 	s.lanes = Run(cfgs, Options{
@@ -87,7 +90,7 @@ func runGrid(t *testing.T, mode core.MetricsMode, shards int) *gridSnapshot {
 	if err := mw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := mw.Series().WriteCSV(&s.series); err != nil {
+	if err := telemetry.MergeLanes(series).WriteCSV(&s.series); err != nil {
 		t.Fatal(err)
 	}
 	for i, chk := range checks {
@@ -273,7 +276,7 @@ func TestAggregateDeterministicLaneOrder(t *testing.T) {
 		t.Errorf("empty aggregate: %+v", got)
 	}
 	mw := telemetry.NewMergeWriter(&bytes.Buffer{}, nil, testTenants)
-	cfgs, _ := laneConfigs(core.MetricsExact, mw)
+	cfgs, _, _ := laneConfigs(core.MetricsExact, mw)
 	res := Run(cfgs, Options{Shards: 2, Merge: mw})
 	a := Aggregate(res, core.DefaultSLO)
 	b := Aggregate(res, core.DefaultSLO)
@@ -316,11 +319,11 @@ func TestRunMoreWorkersThanLanes(t *testing.T) {
 
 // The merge writer's per-lane high-water mark — paldia-sim's `peak K queued
 // per lane` — is sampled where the lifecycle events it stands in for were
-// seen, so it reads what it read when the writer assembled spans from those
-// events. The pinned values were recorded that way, on the sharded grid with
-// sampled gauges (whose queued samples only count once a later event of the
-// lane samples the mark), with and without an events output, for split and
-// clone dispatch.
+// seen, and at every event line the lane queues. The pinned values were
+// recorded on the sharded grid with sampled gauges, with and without an
+// events output, for split and clone dispatch. Samples queue only as event
+// lines: the lanes keep no series (a SeriesSet beside the lane sink does),
+// so without an events output a sample queues nothing.
 func TestMergePeakQueuedPinned(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -328,10 +331,10 @@ func TestMergePeakQueuedPinned(t *testing.T) {
 		events bool
 		want   int
 	}{
-		{"paldia", core.NewPaldia(), false, 184},
-		{"paldia-events", core.NewPaldia(), true, 942},
-		{"clone-2", core.NewPaldiaCloneK(2, false), false, 184},
-		{"clone-2-events", core.NewPaldiaCloneK(2, false), true, 1338},
+		{"paldia", core.NewPaldia(), false, 130},
+		{"paldia-events", core.NewPaldia(), true, 912},
+		{"clone-2", core.NewPaldiaCloneK(2, false), false, 130},
+		{"clone-2-events", core.NewPaldiaCloneK(2, false), true, 1308},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var events bytes.Buffer

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"slices"
 	"time"
@@ -16,7 +15,7 @@ import (
 //
 // Output leaves each lane in two steps, so that encoding and writing can
 // overlap the lanes' next epoch:
-//   - Cut(t) moves every queued span, event line and sample with key <= t
+//   - Cut(t) moves every queued span and event line with key <= t
 //     from each lane's live batch into its cut batch. Only the coordinator
 //     calls it, while no lane feeds and no Drain runs.
 //   - Drain merges, encodes and writes the cut batches. It never touches a
@@ -24,7 +23,7 @@ import (
 //     one Drain at a time, never concurrently with Cut.
 //
 // FlushThrough(t) is Cut(t) and Drain back to back, and Close flushes
-// everything; call them, PeakQueued, Series, SpansWritten and Err as Cut is
+// everything; call them, PeakQueued, SpansWritten and Err as Cut is
 // called (the sharded executor calls them between epochs, after joining the
 // lane workers).
 //
@@ -37,11 +36,12 @@ import (
 //
 // Multi-lane writers stamp the lane index into every event's and span's Tenant
 // (lanes are single-tenant simulations), so spans and event lines identify
-// their lane and sample series names gain a "t<lane>/" prefix. A one-lane
-// writer stamps nothing.
+// their lane, and a Sample line's series name becomes LaneSeriesName's
+// "t<lane>/<name>", the name MergeLanes gives that lane's series. A one-lane
+// writer stamps nothing. The writer keeps no series: attach a series set per
+// lane beside it when an output reads them.
 type MergeWriter struct {
-	lanes  []*LaneSink
-	series *SeriesSet
+	lanes []*LaneSink
 
 	spans      *bufio.Writer
 	events     *bufio.Writer
@@ -76,9 +76,8 @@ func (q queuedEvent) at() time.Duration { return q.key }
 // batch is one side of a lane's double buffer. Each queue is in lane-FIFO
 // order, so its keys never decrease.
 type batch struct {
-	spans   []queuedSpan
-	events  []queuedEvent // event lines, when the writer has an events output
-	samples []queuedEvent // Sample events, observed into the series by Drain
+	spans  []queuedSpan
+	events []queuedEvent // event lines, when the writer has an events output
 }
 
 // LaneSink is one lane's SpanSink into a MergeWriter. It is not safe for
@@ -113,7 +112,7 @@ func NewMergeWriter(spans, events io.Writer, lanes int) *MergeWriter {
 	if lanes < 1 {
 		lanes = 1
 	}
-	w := &MergeWriter{series: NewSeriesSet(), cursor: make([]int, lanes)}
+	w := &MergeWriter{cursor: make([]int, lanes)}
 	w.spans = bufio.NewWriter(spans)
 	if events != nil {
 		w.events = bufio.NewWriter(events)
@@ -145,26 +144,16 @@ func (l *LaneSink) Event(e Event) {
 		// already-flushed barrier).
 		l.key = e.At
 	}
+	if !l.w.haveEvents {
+		return
+	}
 	if len(l.w.lanes) > 1 {
 		e.Tenant = l.lane
 		if e.Kind == Sample {
 			e.Detail = l.prefixed(e.Detail)
 		}
 	}
-	if e.Kind == Sample {
-		// The shared SeriesSet is only touched by Drain; per-series
-		// observation order stays lane-FIFO — with per-lane series names,
-		// one lane owns each series — so the series contents are
-		// independent of flush cadence.
-		l.live.samples = append(l.live.samples, queuedEvent{key: l.key, e: e})
-		if l.w.haveEvents {
-			l.live.events = append(l.live.events, queuedEvent{key: l.key, e: e})
-		}
-		return
-	}
-	if l.w.haveEvents {
-		l.live.events = append(l.live.events, queuedEvent{key: l.key, e: e})
-	}
+	l.live.events = append(l.live.events, queuedEvent{key: l.key, e: e})
 	l.sample()
 }
 
@@ -221,7 +210,7 @@ func (l *LaneSink) prefixed(detail string) string {
 	if l.detailIntern == nil {
 		l.detailIntern = make(map[string]string)
 	}
-	p := fmt.Sprintf("t%d/%s", l.lane, detail)
+	p := LaneSeriesName(l.lane, detail)
 	l.detailIntern[detail] = p
 	return p
 }
@@ -230,8 +219,7 @@ func (l *LaneSink) prefixed(detail string) string {
 // spans, plus the spans and event lines of its live batch. Cut batches do
 // not count: they are the writer's, no longer the lane's.
 func (l *LaneSink) queued() int {
-	return l.inFlight + len(l.open) + len(l.live.spans) +
-		len(l.live.events) + len(l.live.samples)
+	return l.inFlight + len(l.open) + len(l.live.spans) + len(l.live.events)
 }
 
 // FlushThrough writes every queued span and event line with key <= t, merged
@@ -245,7 +233,7 @@ func (w *MergeWriter) FlushThrough(t time.Duration) {
 	}
 }
 
-// Cut hands every queued span, event line and sample with key <= t to the
+// Cut hands every queued span and event line with key <= t to the
 // next Drain. At a barrier every queued key is <= t and the cut is a swap of
 // each lane's two batches; it copies only the entries it takes when some
 // key lies beyond t. Spans a previous Drain wrote return to their lane's
@@ -258,7 +246,6 @@ func (w *MergeWriter) Cut(t time.Duration) {
 		}
 		cutThrough(&l.live.spans, &l.cut.spans, t)
 		cutThrough(&l.live.events, &l.cut.events, t)
-		cutThrough(&l.live.samples, &l.cut.samples, t)
 	}
 	w.undrained = true
 }
@@ -291,13 +278,12 @@ func (l *LaneSink) reclaim() {
 	}
 	clear(l.cut.spans)
 	clear(l.cut.events)
-	clear(l.cut.samples)
-	l.cut.spans, l.cut.events, l.cut.samples = l.cut.spans[:0], l.cut.events[:0], l.cut.samples[:0]
+	l.cut.spans, l.cut.events = l.cut.spans[:0], l.cut.events[:0]
 }
 
 // Drain writes every cut span and event line, merged across lanes in (key,
-// lane, lane-FIFO) order, and observes the cut samples into the series. It
-// reads only cut batches, so lanes may feed their live batches meanwhile.
+// lane, lane-FIFO) order. It reads only cut batches, so lanes may feed their
+// live batches meanwhile.
 func (w *MergeWriter) Drain() {
 	if !w.undrained {
 		return // the cut batches were written already
@@ -318,13 +304,6 @@ func (w *MergeWriter) Drain() {
 		}
 		w.writeSpan(w.lanes[best].cut.spans[w.cursor[best]].s)
 		w.cursor[best]++
-	}
-	// Samples: one lane owns each (prefixed) series, so a per-lane drain in
-	// lane order preserves every series' lane-FIFO contents.
-	for _, l := range w.lanes {
-		for _, q := range l.cut.samples {
-			w.series.Observe(q.e.Detail, q.e.At, q.e.Value)
-		}
 	}
 	if w.haveEvents {
 		clear(w.cursor)
@@ -394,10 +373,6 @@ func (w *MergeWriter) Close() error {
 // Err returns the first write error encountered so far; errors are sticky,
 // like StreamWriter's.
 func (w *MergeWriter) Err() error { return w.err }
-
-// Series returns the time series collected from Sample events (series names
-// carry a "t<lane>/" prefix when the writer has more than one lane).
-func (w *MergeWriter) Series() *SeriesSet { return w.series }
 
 // SpansWritten is the number of spans flushed so far.
 func (w *MergeWriter) SpansWritten() int { return w.written }

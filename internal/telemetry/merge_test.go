@@ -16,7 +16,7 @@ func feedLaneLifecycle(sink SpanSink, req, job int64, base time.Duration) {
 }
 
 // A single-lane MergeWriter is byte-identical to StreamWriter: same spans
-// JSONL, same events JSONL, same series CSV — the merge reduces to the
+// JSONL, same events JSONL, sample lines included — the merge reduces to the
 // lane's FIFO, which is StreamWriter's completion order.
 func TestMergeWriterSingleLaneMatchesStreamWriter(t *testing.T) {
 	var swSpans, swEvents, mwSpans, mwEvents bytes.Buffer
@@ -54,19 +54,9 @@ func TestMergeWriterSingleLaneMatchesStreamWriter(t *testing.T) {
 	if !bytes.Equal(swEvents.Bytes(), mwEvents.Bytes()) {
 		t.Error("single-lane events JSONL differs from StreamWriter")
 	}
-	var swSeries, mwSeries bytes.Buffer
-	if err := sw.Series().WriteCSV(&swSeries); err != nil {
-		t.Fatal(err)
-	}
-	if err := mw.Series().WriteCSV(&mwSeries); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(swSeries.Bytes(), mwSeries.Bytes()) {
-		t.Error("single-lane series CSV differs from StreamWriter")
-	}
-	if swSpans.Len() == 0 || swEvents.Len() == 0 || swSeries.Len() == 0 {
-		t.Fatalf("exports empty: spans=%d events=%d series=%d",
-			swSpans.Len(), swEvents.Len(), swSeries.Len())
+	if swSpans.Len() == 0 || !strings.Contains(swEvents.String(), `"kind":"sample"`) {
+		t.Fatalf("exports empty: spans=%d bytes, events without sample lines:\n%s",
+			swSpans.Len(), swEvents.String())
 	}
 	if mw.SpansWritten() != sw.SpansWritten() {
 		t.Errorf("spans written: merge %d vs stream %d", mw.SpansWritten(), sw.SpansWritten())
@@ -84,7 +74,7 @@ func TestMergeWriterFlushCadenceIndependent(t *testing.T) {
 		flush          // FlushThrough at every other step
 		cut            // Cut (sometimes twice) then Drain mid-step
 	)
-	run := func(mode int) (spans, events, series string) {
+	run := func(mode int) (spans, events string) {
 		var sb, eb bytes.Buffer
 		mw := NewMergeWriter(&sb, &eb, 3)
 		leftQueued := false
@@ -120,26 +110,19 @@ func TestMergeWriterFlushCadenceIndependent(t *testing.T) {
 		if err := mw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var cb bytes.Buffer
-		if err := mw.Series().WriteCSV(&cb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String(), eb.String(), cb.String()
+		return sb.String(), eb.String()
 	}
-	s1, e1, c1 := run(atClose)
-	if s1 == "" || e1 == "" || c1 == "" {
+	s1, e1 := run(atClose)
+	if s1 == "" || e1 == "" {
 		t.Fatal("empty exports")
 	}
 	for _, mode := range []int{flush, cut} {
-		s, e, c := run(mode)
+		s, e := run(mode)
 		if s != s1 {
 			t.Errorf("mode %d: spans depend on flush cadence:\n%s\nvs\n%s", mode, s1, s)
 		}
 		if e != e1 {
 			t.Errorf("mode %d: events JSONL depends on flush cadence", mode)
-		}
-		if c != c1 {
-			t.Errorf("mode %d: series CSV depends on flush cadence", mode)
 		}
 	}
 }
@@ -160,7 +143,7 @@ func TestMergeWriterDrainWhileLanesFeed(t *testing.T) {
 			l.Event(s)
 		}
 	}
-	run := func(overlap bool) (spans, events, series string) {
+	run := func(overlap bool) (spans, events string) {
 		var sb, eb bytes.Buffer
 		mw := NewMergeWriter(&sb, &eb, lanes)
 		for epoch := 0; epoch < epochs; epoch++ {
@@ -188,28 +171,23 @@ func TestMergeWriterDrainWhileLanesFeed(t *testing.T) {
 		if err := mw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var cb bytes.Buffer
-		if err := mw.Series().WriteCSV(&cb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String(), eb.String(), cb.String()
+		return sb.String(), eb.String()
 	}
-	s1, e1, c1 := run(false)
-	s2, e2, c2 := run(true)
-	if s1 == "" || e1 == "" || c1 == "" {
+	s1, e1 := run(false)
+	s2, e2 := run(true)
+	if s1 == "" || e1 == "" {
 		t.Fatal("empty exports")
 	}
-	if s1 != s2 || e1 != e2 || c1 != c2 {
-		t.Errorf("draining while lanes feed changed the output: spans %v, events %v, series %v",
-			s1 == s2, e1 == e2, c1 == c2)
+	if s1 != s2 || e1 != e2 {
+		t.Errorf("draining while lanes feed changed the output: spans %v, events %v", s1 == s2, e1 == e2)
 	}
 }
 
-// Multi-lane writers stamp the lane index into Tenant and prefix series
-// names, so lanes are distinguishable in every export.
+// Multi-lane writers stamp the lane index into Tenant and prefix the series
+// names of sample lines, so lanes are distinguishable in every export.
 func TestMergeWriterStampsLanes(t *testing.T) {
-	var sb bytes.Buffer
-	mw := NewMergeWriter(&sb, nil, 2)
+	var sb, eb bytes.Buffer
+	mw := NewMergeWriter(&sb, &eb, 2)
 	feedLaneLifecycle(mw.Lane(0), 1, 1, 0)
 	feedLaneLifecycle(mw.Lane(1), 1, 1, 0) // same req ID; must not collide
 	s := Ev(0, Sample)
@@ -232,15 +210,8 @@ func TestMergeWriterStampsLanes(t *testing.T) {
 	if !tenants[0] || !tenants[1] {
 		t.Errorf("lane stamping missing: tenants seen %v", tenants)
 	}
-	names := mw.Series().Names()
-	found := false
-	for _, n := range names {
-		if strings.HasPrefix(n, "t1/") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("multi-lane series not prefixed: %v", names)
+	if want := `"tenant":1,"value":1.5,"detail":"t1/cost_usd"}`; !strings.Contains(eb.String(), want) {
+		t.Errorf("multi-lane sample line not stamped (want %s):\n%s", want, eb.String())
 	}
 }
 

@@ -3,15 +3,15 @@ package telemetry
 import "slices"
 
 // Recorder is the in-memory SpanSink: it retains every event in emission
-// order, every span the runtime hands over, and the Sample events as time
-// series. Spans are exported in request-arrival order — (Arrived, Tenant,
-// Req) — and events in emission order, so a deterministic simulation yields
-// byte-identical exports.
+// order and every span the runtime hands over. Spans are exported in
+// request-arrival order — (Arrived, Tenant, Req) — and events in emission
+// order, so a deterministic simulation yields byte-identical exports. The
+// recorder keeps no sampled series: a series set is a sink of its own,
+// attached beside the recorder through Combine when an output reads it.
 type Recorder struct {
 	events []Event
 	spans  []*Span
 	sorted bool // spans is in arrival order
-	series *SeriesSet
 
 	nodes     []nodeInfo // node ID -> spec, in first-seen order
 	nodeIndex map[int]int
@@ -25,7 +25,6 @@ type nodeInfo struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{
-		series:    NewSeriesSet(),
 		nodeIndex: make(map[int]int),
 		sorted:    true,
 	}
@@ -39,9 +38,6 @@ func (r *Recorder) Event(e Event) {
 			r.nodeIndex[e.Node] = len(r.nodes)
 			r.nodes = append(r.nodes, nodeInfo{id: e.Node, spec: e.Spec})
 		}
-	}
-	if e.Kind == Sample {
-		r.series.Observe(e.Detail, e.At, e.Value)
 	}
 }
 
@@ -72,6 +68,3 @@ func (r *Recorder) Spans() []*Span {
 	}
 	return r.spans
 }
-
-// Series returns the time series collected from Sample events.
-func (r *Recorder) Series() *SeriesSet { return r.series }

@@ -33,7 +33,9 @@ func (s *Series) Last() Point {
 }
 
 // SeriesSet holds the series of one run, preserving first-observation
-// order so exports are deterministic.
+// order so exports are deterministic. It is the sink of the sampled view:
+// attached beside the other sinks (Combine), it observes Sample events and
+// ignores every other kind.
 type SeriesSet struct {
 	order  []string
 	byName map[string]*Series
@@ -42,6 +44,43 @@ type SeriesSet struct {
 // NewSeriesSet returns an empty set.
 func NewSeriesSet() *SeriesSet {
 	return &SeriesSet{byName: make(map[string]*Series)}
+}
+
+// Event implements Sink: a Sample event becomes one observation of the
+// series its Detail names.
+func (ss *SeriesSet) Event(e Event) {
+	if e.Kind == Sample {
+		ss.Observe(e.Detail, e.At, e.Value)
+	}
+}
+
+// Lifecycle declines per-request lifecycle events, so a run whose only
+// reader is a series set never has them built.
+func (ss *SeriesSet) Lifecycle() bool { return false }
+
+// LaneSeriesName is the name lane's series carries in a multi-lane run:
+// "t<lane>/<name>". The merged series and the lanes' Sample event lines use
+// it alike.
+func LaneSeriesName(lane int, name string) string {
+	return "t" + strconv.Itoa(lane) + "/" + name
+}
+
+// MergeLanes combines one series set per lane into the run's set. One lane
+// is returned as is; several are laid out in lane order, each lane's series
+// in its own first-observation order and renamed by LaneSeriesName.
+func MergeLanes(lanes []*SeriesSet) *SeriesSet {
+	if len(lanes) == 1 {
+		return lanes[0]
+	}
+	out := NewSeriesSet()
+	for lane, ss := range lanes {
+		for _, name := range ss.order {
+			s := &Series{Name: LaneSeriesName(lane, name), Points: ss.byName[name].Points}
+			out.byName[s.Name] = s
+			out.order = append(out.order, s.Name)
+		}
+	}
+	return out
 }
 
 // Observe appends one observation, creating the series on first use.

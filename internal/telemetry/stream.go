@@ -13,12 +13,8 @@ import (
 // Recorder writes arrival order); the per-span bytes are identical. The
 // optional events writer receives the raw event feed line by line,
 // byte-identical to Recorder.WriteEventsJSONL; without one the writer
-// declines lifecycle events. Sample events feed an in-memory SeriesSet,
-// whose size is bounded by run duration and sample cadence, not request
-// count.
+// declines lifecycle events.
 type StreamWriter struct {
-	series *SeriesSet
-
 	spans  *bufio.Writer
 	events *bufio.Writer
 	buf    []byte // reused JSONL line buffer
@@ -33,8 +29,7 @@ type StreamWriter struct {
 // events is non-nil, the raw event feed to events. Call Close to flush the
 // underlying buffers.
 func NewStreamWriter(spans, events io.Writer) *StreamWriter {
-	w := &StreamWriter{series: NewSeriesSet()}
-	w.spans = bufio.NewWriter(spans)
+	w := &StreamWriter{spans: bufio.NewWriter(spans)}
 	if events != nil {
 		w.events = bufio.NewWriter(events)
 	}
@@ -52,9 +47,6 @@ func (w *StreamWriter) Event(e Event) {
 		if _, err := w.events.Write(w.buf); err != nil {
 			w.err = err
 		}
-	}
-	if e.Kind == Sample {
-		w.series.Observe(e.Detail, e.At, e.Value)
 	}
 }
 
@@ -102,9 +94,6 @@ func (w *StreamWriter) Close() error {
 // streaming CLI) can poll Err mid-run instead of discovering a dead sink
 // only at Close.
 func (w *StreamWriter) Err() error { return w.err }
-
-// Series returns the time series collected from Sample events.
-func (w *StreamWriter) Series() *SeriesSet { return w.series }
 
 // SpansWritten is the number of spans written so far.
 func (w *StreamWriter) SpansWritten() int { return w.written }

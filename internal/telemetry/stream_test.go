@@ -100,24 +100,6 @@ func TestStreamWriterBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestStreamWriterSeries: Sample events must still feed the series set.
-func TestStreamWriterSeries(t *testing.T) {
-	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf, nil)
-	for i := 0; i < 3; i++ {
-		e := Ev(ms(i), Sample)
-		e.Detail, e.Value = "x", float64(i)
-		sw.Event(e)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ss := sw.Series().Get("x")
-	if ss == nil || len(ss.Points) != 3 {
-		t.Fatalf("series not collected: %+v", ss)
-	}
-}
-
 // TestStreamWriterWriteError: write failures surface from Close.
 func TestStreamWriterWriteError(t *testing.T) {
 	sw := NewStreamWriter(failWriter{}, nil)

@@ -1,7 +1,7 @@
 // Package telemetry is the structured observability layer of the serving
 // runtime: a typed event bus (Sink), per-request spans the runtime builds as
 // each request finishes (SpanSink), virtual-time series sampled on a fixed
-// cadence, and exporters for JSONL, Chrome trace_event (chrome://tracing /
+// cadence (SeriesSet, a sink of Sample events), and exporters for JSONL, Chrome trace_event (chrome://tracing /
 // Perfetto), CSV and SVG timelines.
 //
 // Everything is deterministic: the same seeded simulation produces
@@ -228,8 +228,8 @@ type SpanSink interface {
 // WantsLifecycle reports whether s consumes per-request lifecycle events
 // (see Kind.Lifecycle). A sink declines them by implementing
 // `Lifecycle() bool` and returning false — the span-only writers do, unless
-// they also write the raw event feed, and so does the invariant checker,
-// which reads spans. Any other sink is assumed to want every event, so a
+// they also write the raw event feed, and so do the invariant checker,
+// which reads spans, and a SeriesSet, which reads samples. Any other sink is assumed to want every event, so a
 // plain Sink (a counter, a test double, the Recorder, the obs hub) sees the
 // same stream it always has.
 func WantsLifecycle(s Sink) bool {

@@ -159,15 +159,15 @@ func (countSink) Event(Event) {}
 
 func TestSamplerCadenceAndSeries(t *testing.T) {
 	eng := sim.NewEngine()
-	rec := NewRecorder()
+	ss := NewSeriesSet()
 	v := 0.0
-	s := NewSampler(eng, rec, time.Second, []Gauge{
+	s := NewSampler(eng, ss, time.Second, []Gauge{
 		{Name: "x", Read: func() float64 { v++; return v }},
 	})
 	s.Start()
 	eng.Run(3500 * time.Millisecond)
 
-	series := rec.Series().Get("x")
+	series := ss.Get("x")
 	if series == nil {
 		t.Fatal("series x missing")
 	}
@@ -182,13 +182,13 @@ func TestSamplerCadenceAndSeries(t *testing.T) {
 	}
 	s.Stop()
 	eng.Run(10 * time.Second)
-	if len(rec.Series().Get("x").Points) != 4 {
+	if len(ss.Get("x").Points) != 4 {
 		t.Fatal("sampler kept ticking after Stop")
 	}
 
 	// Nil sink and zero cadence are inert.
 	NewSampler(eng, nil, time.Second, nil).Start()
-	NewSampler(eng, rec, 0, nil).Start()
+	NewSampler(eng, ss, 0, nil).Start()
 	if eng.Pending() != 0 {
 		t.Fatalf("inert samplers queued events: %d", eng.Pending())
 	}
