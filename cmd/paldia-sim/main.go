@@ -36,7 +36,8 @@
 // -spans-out / -events-out / -series-out / -timeline-svg export the other
 // views; -sample sets the gauge sampling cadence of the outputs that read
 // gauges (-series-out, -timeline-svg, -trace-out, -events-out, -serve and
-// -progress). A spans-only run samples nothing.
+// -progress). A spans-only run samples nothing. -sample 0 turns sampling
+// off, which -series-out and -timeline-svg reject.
 package main
 
 import (
@@ -226,6 +227,9 @@ func (o *options) resolve() (model.Spec, []core.Scheme, error) {
 	}
 	if o.sample < 0 {
 		return m, nil, fmt.Errorf("-sample %v must not be negative (it sets SampleEvery)", o.sample)
+	}
+	if o.sample == 0 && (o.seriesOut != "" || o.svgOut != "") {
+		return m, nil, errors.New("-sample 0 turns sampling off; -series-out and -timeline-svg need a positive -sample")
 	}
 	if !(o.objective > 0 && o.objective < 1) {
 		return m, nil, fmt.Errorf("-objective %v must lie strictly between 0 and 1", o.objective)

@@ -44,6 +44,8 @@ func TestFlagConflicts(t *testing.T) {
 		{"negative duration wikipedia", []string{"-trace", "wikipedia", "-duration", "-30s", "-stream"}, 1, "duration -30s"},
 		{"negative sample", []string{"-sample", "-1s", "-spans-out", "@s.jsonl"}, 1, "SampleEvery"},
 		{"negative sample live", []string{"-sample", "-1s", "-progress", "1s"}, 1, "SampleEvery"},
+		{"zero sample with series", []string{"-sample", "0", "-series-out", "@s.csv"}, 1, "-sample"},
+		{"zero sample with svg", []string{"-sample", "0", "-timeline-svg", "@t.svg"}, 1, "-sample"},
 		{"objective of 1", []string{"-objective", "1"}, 1, "-objective 1 must lie strictly between 0 and 1"},
 		{"objective of 0", []string{"-objective", "0", "-serve", ":0"}, 1, "-objective 0 must lie"},
 		{"negative objective", []string{"-objective", "-0.5"}, 1, "-objective -0.5"},

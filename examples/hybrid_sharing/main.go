@@ -20,21 +20,19 @@ func main() {
 	// queueing at near-capacity load is expensive everywhere.
 	m := paldia.MustModel("ResNet 50")
 	m60, _ := paldia.HardwareByName("M60")
-	v100 := m60
 
 	// A Poisson flood at roughly the M60's serial capacity for ResNet 50.
 	const rate = 650
 	tr := paldia.PoissonTrace(7, rate, 5*time.Minute)
 
-	fmt.Printf("ResNet 50 on %s at %d rps (serial capacity regime)\n\n", v100.Accel, int(rate))
+	fmt.Printf("ResNet 50 on %s at %d rps (serial capacity regime)\n\n", m60.Accel, int(rate))
 	fmt.Printf("%-16s %14s %12s\n", "queued fraction", "SLO compliance", "P99")
 	best, bestCompl := 0.0, -1.0
 	for f := 0.0; f <= 1.001; f += 0.25 {
 		res := paldia.Run(paldia.Config{
-			Model:           m,
-			Trace:           tr,
-			Scheme:          paldia.NewOfflineHybrid(v100, f),
-			InitialHardware: &v100,
+			Model:  m,
+			Trace:  tr,
+			Scheme: paldia.NewOfflineHybrid(m60, f),
 		})
 		bar := strings.Repeat("#", int(res.SLOCompliance*30))
 		fmt.Printf("%-16.2f %13.2f%% %12v %s\n",
@@ -45,10 +43,9 @@ func main() {
 	}
 
 	res := paldia.Run(paldia.Config{
-		Model:           m,
-		Trace:           tr,
-		Scheme:          paldia.NewPaldiaPinned(v100),
-		InitialHardware: &v100,
+		Model:  m,
+		Trace:  tr,
+		Scheme: paldia.NewPaldiaPinned(m60),
 	})
 	fmt.Printf("\nbest fixed fraction: %.2f (%.2f%%)\n", best, bestCompl*100)
 	fmt.Printf("Paldia's online Eq.(1) split: %.2f%% — no offline sweep needed.\n",

@@ -87,7 +87,7 @@ func digestCases() []digestCase {
 			singleRun(failures(adaptive))},
 		{"pinned-v100-scaleout", []telemetry.Kind{telemetry.ScaleOut}, singleRun(Config{
 			Model: bert, Trace: trace.Poisson(sim.NewRNG(8), 130, 2*time.Minute),
-			Scheme: NewPaldiaPinned(v100), InitialHardware: &v100, MaxNodes: 3,
+			Scheme: NewPaldiaPinned(v100), MaxNodes: 3,
 		})},
 		{"clone-2", []telemetry.Kind{telemetry.Cloned, telemetry.CloneCancelled},
 			singleRun(clone(NewPaldiaCloneK(2, false), 1))},

@@ -51,9 +51,6 @@ func (r *runner) newJobState() *jobState {
 	js.submitFn = func() {
 		js.cold = js.r.eng.Now() - js.dispatched
 		js.node.node.Device.Submit(&js.job)
-		if js.r.spans != nil {
-			js.r.spans.Step()
-		}
 	}
 	r.jobStates = append(r.jobStates, js)
 	return js
@@ -229,9 +226,6 @@ func (r *runner) dispatchJob(t *tenant, node *servingNode, n int, mode device.Mo
 			e.Tenant, e.Job, e.Node, e.Spec = t.idx, job.ID, node.node.ID, node.node.Spec.Name
 			e.N, e.Detail = len(reqs), mode.String()
 			r.emitReqs(e, reqs)
-		}
-		if r.spans != nil {
-			r.spans.Step()
 		}
 	}
 

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/hardware"
 	"repro/internal/invariant"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -36,9 +35,6 @@ type MultiConfig struct {
 	// Config.Forecaster does (empty means "ewma"); ignored for clairvoyant
 	// schemes.
 	Forecaster string
-
-	// InitialHardware overrides the warm-start node choice.
-	InitialHardware *hardware.Spec
 
 	// Telemetry, when set, receives every typed runtime event; request,
 	// container-pool and autoscaler events carry the workload index in
@@ -95,10 +91,9 @@ func RunMulti(cfg MultiConfig) MultiResult {
 // config is the Config of cfg's shared fields, without a workload.
 func (cfg MultiConfig) config() Config {
 	return Config{
-		Scheme:          cfg.Scheme,
-		Forecaster:      cfg.Forecaster,
-		InitialHardware: cfg.InitialHardware,
-		Telemetry:       cfg.Telemetry,
-		Invariants:      cfg.Invariants,
+		Scheme:     cfg.Scheme,
+		Forecaster: cfg.Forecaster,
+		Telemetry:  cfg.Telemetry,
+		Invariants: cfg.Invariants,
 	}
 }

@@ -84,9 +84,8 @@ func TestRunMultiAggregateHardwareCoversAllTenants(t *testing.T) {
 func TestRunMultiPinnedNode(t *testing.T) {
 	m60, _ := hardware.ByName("M60")
 	res := RunMulti(MultiConfig{
-		Workloads:       multiWorkloads(4, time.Minute),
-		Scheme:          NewOfflineHybrid(m60, 0.3),
-		InitialHardware: &m60,
+		Workloads: multiWorkloads(4, time.Minute),
+		Scheme:    NewOfflineHybrid(m60, 0.3),
 	})
 	if len(res.HeldBySpec) != 1 {
 		t.Fatalf("pinned multi-run held %v", res.HeldBySpec)
@@ -102,14 +101,12 @@ func TestRunMultiInterferenceAcrossTenants(t *testing.T) {
 	mk := func(seed uint64) []Workload { return multiWorkloads(seed, dur) }
 
 	alone := RunMulti(MultiConfig{
-		Workloads:       mk(5)[:1],
-		Scheme:          NewMPSOnly(m60, "(M60)"),
-		InitialHardware: &m60,
+		Workloads: mk(5)[:1],
+		Scheme:    NewMPSOnly(m60, "(M60)"),
 	})
 	both := RunMulti(MultiConfig{
-		Workloads:       mk(5),
-		Scheme:          NewMPSOnly(m60, "(M60)"),
-		InitialHardware: &m60,
+		Workloads: mk(5),
+		Scheme:    NewMPSOnly(m60, "(M60)"),
 	})
 	p99Alone := alone.PerWorkload[0].Percentile(99)
 	p99Both := both.PerWorkload[0].Percentile(99)
@@ -127,13 +124,12 @@ func TestRunMultiInterferenceAcrossTenants(t *testing.T) {
 func TestRunMultiOneWorkloadEqualsRun(t *testing.T) {
 	m60, _ := hardware.ByName("M60")
 	for _, tc := range []struct {
-		name    string
-		scheme  func() Scheme
-		initial *hardware.Spec
+		name   string
+		scheme func() Scheme
 	}{
-		{"paldia", NewPaldia, nil},
-		{"oracle", NewOracle, nil},
-		{"pinned-m60", func() Scheme { return NewOfflineHybrid(m60, 0.3) }, &m60},
+		{"paldia", NewPaldia},
+		{"oracle", NewOracle},
+		{"pinned-m60", func() Scheme { return NewOfflineHybrid(m60, 0.3) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := model.MustByName("ResNet 50")
@@ -157,7 +153,7 @@ func TestRunMultiOneWorkloadEqualsRun(t *testing.T) {
 			var single out
 			rec := telemetry.NewRecorder()
 			res := Run(Config{Model: m, Trace: tr, Scheme: tc.scheme(),
-				InitialHardware: tc.initial, Telemetry: rec, Invariants: invariant.New()})
+				Telemetry: rec, Invariants: invariant.New()})
 			single.records = res.Collector.Records()
 			single.cost, single.switches, single.held = res.Cost, res.Switches, res.HeldBySpec
 			export(&single, rec)
@@ -165,8 +161,7 @@ func TestRunMultiOneWorkloadEqualsRun(t *testing.T) {
 			var multi out
 			rec = telemetry.NewRecorder()
 			mres := RunMulti(MultiConfig{Workloads: []Workload{{Model: m, Trace: tr}},
-				Scheme: tc.scheme(), InitialHardware: tc.initial, Telemetry: rec,
-				Invariants: invariant.New()})
+				Scheme: tc.scheme(), Telemetry: rec, Invariants: invariant.New()})
 			multi.records = mres.PerWorkload[0].Records()
 			multi.cost, multi.switches, multi.held = mres.Cost, mres.Switches, mres.HeldBySpec
 			export(&multi, rec)

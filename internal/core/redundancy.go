@@ -377,9 +377,6 @@ func (s *cloneSet) launch(idx int, sn *servingNode) {
 			e.Job, e.Node, e.Spec, e.N = job.ID, sn.node.ID, sn.node.Spec.Name, len(s.reqs)
 			r.emitReqs(e, s.reqs)
 		}
-		if r.spans != nil {
-			r.spans.Step()
-		}
 	}
 	if inv := r.cfg.Invariants; inv != nil {
 		inv.CopyLaunched(r.eng.Now(), job.ID)
@@ -407,9 +404,6 @@ func (c *cloneCopy) submit() {
 	c.cold = r.eng.Now() - c.set.dispatched
 	c.submitted = true
 	c.node.node.Device.Submit(&c.job)
-	if r.spans != nil {
-		r.spans.Step()
-	}
 }
 
 // complete is the copy's device Done: first success wins the race (clone
@@ -417,9 +411,6 @@ func (c *cloneCopy) submit() {
 // copy failed fails its requests.
 func (c *cloneCopy) complete(j *device.Job) {
 	s := c.set
-	if r := s.red.r; r.spans != nil {
-		r.spans.Step()
-	}
 	c.finished = true
 	s.done++
 	s.live--

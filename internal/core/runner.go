@@ -168,9 +168,6 @@ type Config struct {
 	// Zero or one keeps the paper's single-serving-node behaviour.
 	MaxNodes int
 
-	// InitialHardware overrides the warm-start node choice.
-	InitialHardware *hardware.Spec
-
 	// Telemetry, when set, receives typed runtime events: container and
 	// node activity, hardware selection, Sample observations when
 	// SampleEvery is set, and — when a sink wants them
@@ -516,15 +513,9 @@ func (r *runner) every(interval time.Duration, drain bool, tick func()) {
 // Now returns the simulation's current virtual time.
 func (ru *Running) Now() time.Duration { return ru.r.eng.Now() }
 
-// End returns the arrival stream's duration (the trace end).
-func (ru *Running) End() time.Duration { return ru.r.end }
-
 // Horizon is the virtual time Finish drives the run to before settling:
 // trace end plus the drain window. StepTo clamps to it.
 func (ru *Running) Horizon() time.Duration { return ru.r.end + DefaultDrain }
-
-// Count returns the number of request outcomes recorded so far.
-func (ru *Running) Count() int { return ru.r.count() }
 
 // StepTo fires every event up to and including virtual time t (clamped to
 // Horizon), leaving the clock at min(t, Horizon). Calls with t <= Now are
@@ -653,12 +644,9 @@ func newForecaster(cfg Config) predict.Forecaster {
 	return f
 }
 
-// initialHardware is the primary's warm-start node type: the configured
-// override, else the scheme's choice for the traces' opening rates.
+// initialHardware is the primary's warm-start node type: the scheme's
+// choice for the traces' opening rates (a pinned scheme's pin).
 func (r *runner) initialHardware() hardware.Spec {
-	if r.cfg.InitialHardware != nil {
-		return *r.cfg.InitialHardware
-	}
 	init := r.predScratch[:0]
 	for _, t := range r.tenants {
 		init = append(init, t.arr.InitRPS(2*time.Second))

@@ -157,20 +157,31 @@ func TestMixedLoadDegradesCostSchemesMore(t *testing.T) {
 	}
 }
 
-func TestInitialHardwareOverride(t *testing.T) {
+// TestPinnedSchemesWarmStartOnPin pins that a pinned scheme's hardware rule
+// also picks the warm-start node: the run opens on the pin and never holds
+// anything else.
+func TestPinnedSchemesWarmStartOnPin(t *testing.T) {
 	m60, _ := hardware.ByName("M60")
+	top := hardware.MostPerformant(hardware.GPU)
 	tr := shortAzure(4, 100, time.Minute)
-	res := Run(Config{
-		Model:           model.MustByName("SENet 18"),
-		Trace:           tr,
-		Scheme:          NewOfflineHybrid(m60, 0.3),
-		InitialHardware: &m60,
-	})
-	if len(res.HeldBySpec) != 1 {
-		t.Fatalf("offline hybrid on pinned M60 held %v", res.HeldBySpec)
-	}
-	if _, ok := res.HeldBySpec["g3s.xlarge"]; !ok {
-		t.Fatalf("pinned node missing from residency: %v", res.HeldBySpec)
+	for _, tc := range []struct {
+		scheme Scheme
+		pin    hardware.Spec
+	}{
+		{NewPaldiaPinned(m60), m60},
+		{NewOfflineHybrid(m60, 0.3), m60},
+		{NewMPSOnly(m60, "(M60)"), m60},
+		{NewTimeSharedOnly(m60, "(M60)"), m60},
+		{NewMoleculePerf(), top},
+		{NewINFlessLlamaPerf(), top},
+	} {
+		res := Run(Config{Model: model.MustByName("SENet 18"), Trace: tr, Scheme: tc.scheme})
+		if len(res.SwitchHistory) == 0 || res.SwitchHistory[0].Spec != tc.pin.Name {
+			t.Errorf("%s: warm start %v, want %s", tc.scheme.Name(), res.SwitchHistory, tc.pin.Name)
+		}
+		if _, ok := res.HeldBySpec[tc.pin.Name]; !ok || len(res.HeldBySpec) != 1 {
+			t.Errorf("%s: held %v, want only %s", tc.scheme.Name(), res.HeldBySpec, tc.pin.Name)
+		}
 	}
 }
 
@@ -183,7 +194,7 @@ func TestHybridBeatsPureSharingUnderExhaustion(t *testing.T) {
 	rate := 4760.0
 	tr := trace.Poisson(sim.NewRNG(11), rate, 2*time.Minute)
 	run := func(s Scheme) Result {
-		return Run(Config{Model: m, Trace: tr, Scheme: s, InitialHardware: &v100})
+		return Run(Config{Model: m, Trace: tr, Scheme: s})
 	}
 	molecule := run(NewMoleculePerf())
 	paldia := run(NewPaldiaPinned(v100))
@@ -199,8 +210,7 @@ func TestScaleOutServesBeyondSingleNode(t *testing.T) {
 	tr := trace.Poisson(sim.NewRNG(8), 8500, 2*time.Minute) // ~1.8x one V100
 	run := func(maxNodes int) Result {
 		return Run(Config{
-			Model: m, Trace: tr, Scheme: NewPaldiaPinned(v100),
-			InitialHardware: &v100, MaxNodes: maxNodes,
+			Model: m, Trace: tr, Scheme: NewPaldiaPinned(v100), MaxNodes: maxNodes,
 		})
 	}
 	single := run(1)
@@ -330,7 +340,6 @@ func TestLastCapableNodeFailureFailsOver(t *testing.T) {
 		Model:           model.MustByName("DenseNet 121"),
 		Trace:           tr,
 		Scheme:          NewMoleculePerf(), // pinned to the top GPU: the failed node IS the last capable one
-		InitialHardware: &top,
 		FailureEvery:    time.Minute,
 		FailureDuration: 30 * time.Second,
 	})

@@ -198,7 +198,6 @@ type endCounter struct{ lost, flushed, open int }
 func (*endCounter) Event(telemetry.Event) {}
 func (*endCounter) Lifecycle() bool       { return false }
 func (*endCounter) Arrive()               {}
-func (*endCounter) Step()                 {}
 func (c *endCounter) Span(s *telemetry.Span) {
 	switch {
 	case !s.Done():

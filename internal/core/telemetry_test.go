@@ -259,7 +259,6 @@ func (s *spanOnlySink) Event(e telemetry.Event) {
 }
 func (s *spanOnlySink) Lifecycle() bool      { return false }
 func (s *spanOnlySink) Arrive()              { s.arrivals++ }
-func (s *spanOnlySink) Step()                {}
 func (s *spanOnlySink) Span(*telemetry.Span) { s.spans++ }
 
 // Lifecycle events are opt-in: a run whose only sink takes spans sees no

@@ -91,7 +91,6 @@ func AblationHybrid(o Options) *Table {
 	src := &source{realize: func(rng *sim.RNG) *trace.Trace {
 		return trace.Poisson(rng, rate, o.dur(10*time.Minute))
 	}}
-	pin := func(cfg *core.Config) { cfg.InitialHardware = &v100 }
 	t := &Table{
 		ID:      "ablation-hybrid",
 		Title:   "Ablation: hybrid vs pure sharing at the V100's capacity (GoogleNet, Poisson)",
@@ -107,7 +106,7 @@ func AblationHybrid(o Options) *Table {
 	}
 	var cells []cell
 	for _, v := range variants {
-		cells = append(cells, cell{m: m, src: src, scheme: v.s, mut: pin})
+		cells = append(cells, cell{m: m, src: src, scheme: v.s})
 	}
 	for i, a := range runCells(o, cells) {
 		t.Rows = append(t.Rows, []string{variants[i].name, pct(a.Compliance), msec(a.P99)})

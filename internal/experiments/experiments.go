@@ -87,9 +87,6 @@ func (o Options) runMulti(cfg core.MultiConfig) core.MultiResult {
 	return core.RunMulti(cfg)
 }
 
-// Default returns paper-like options at a tractable repetition count.
-func Default() Options { return Options{Seed: 42, Reps: 3, Scale: 1} }
-
 func (o Options) normalize() Options {
 	if o.Reps < 1 {
 		o.Reps = 1
@@ -254,7 +251,7 @@ type aggregate struct {
 	Results    []core.Result // every repetition's scalars; Collector is nil (see cell.reduce)
 }
 
-// mutator tweaks the run config (failures, host factors, pins).
+// mutator tweaks the run config (failures, host factors, knobs).
 type mutator func(cfg *core.Config)
 
 // azureGen returns the standard Azure trace source for a model. Each call

@@ -43,10 +43,7 @@ func ScaleOut(o Options) *Table {
 	var cells []cell
 	for _, c := range configs {
 		maxNodes := c.maxNodes
-		mut := func(cfg *core.Config) {
-			cfg.MaxNodes = maxNodes
-			cfg.InitialHardware = &v100
-		}
+		mut := func(cfg *core.Config) { cfg.MaxNodes = maxNodes }
 		cells = append(cells, cell{m: m, src: src, scheme: core.NewPaldiaPinned(v100), mut: mut})
 	}
 	for i, a := range runCells(o, cells) {

@@ -179,7 +179,6 @@ func Fig13(o Options) *Table {
 	poisson := &source{realize: func(rng *sim.RNG) *trace.Trace {
 		return trace.Poisson(rng, rate, o.dur(10*time.Minute))
 	}}
-	pin := func(cfg *core.Config) { cfg.InitialHardware = &v100 }
 	exhaustionSchemes := []core.Scheme{
 		core.NewMoleculePerf(),
 		core.NewINFlessLlamaPerf(),
@@ -195,7 +194,7 @@ func Fig13(o Options) *Table {
 
 	var cells []cell
 	for _, s := range exhaustionSchemes {
-		cells = append(cells, cell{m: google, src: poisson, scheme: s, mut: pin})
+		cells = append(cells, cell{m: google, src: poisson, scheme: s})
 	}
 	failureSchemes := standardSchemes()
 	denseSrc := azureGen(o, dense)

@@ -246,9 +246,6 @@ func (c *Checker) Lifecycle() bool { return false }
 // Arrive implements telemetry.SpanSink: one more request entered the run.
 func (c *Checker) Arrive() { c.arrived++ }
 
-// Step implements telemetry.SpanSink; no law needs it.
-func (c *Checker) Step() {}
-
 // spanStages names a span's stamps in lifecycle order.
 var spanStages = [...]string{"arrived", "batched", "dispatched", "queued", "exec_start", "exec_end", "completed"}
 

@@ -21,8 +21,7 @@ func TestBurnAlertFiresUnderInjectedNodeFailures(t *testing.T) {
 			{Name: "30s", Length: 30 * time.Second, Threshold: 14.4},
 			{Name: "2m", Length: 2 * time.Minute, Threshold: 14.4},
 		},
-		Resolution: time.Second,
-		Clock:      NewFakeClock(),
+		Clock: NewFakeClock(),
 	})
 	// Subscribe with a buffer big enough for the whole replay's feed, so
 	// every event — including the final done — is captured losslessly.

@@ -52,19 +52,18 @@ func (a Alert) String() string {
 // request outcomes in virtual time. Burn rate over a window is the
 // window's bad-request fraction divided by the error budget (1-objective):
 // burn 1 spends the budget exactly at the objective's pace, burn N spends
-// it N times too fast. The tracker buckets outcomes at a fixed resolution
-// and keeps per-window running sums, so an observation costs O(1) amortized
-// and memory is O(longest window / resolution), independent of request
+// it N times too fast. The tracker buckets outcomes by burnBucketWidth and
+// keeps per-window running sums, so an observation costs O(1) amortized and
+// memory is O(longest window / burnBucketWidth), independent of request
 // count.
 //
 // Not safe for concurrent use on its own; the Hub serializes access.
 type BurnTracker struct {
 	objective float64
-	res       time.Duration
 	windows   []burnWindowState
 	onAlert   func(Alert)
 
-	buckets []burnBucket // ring, indexed by (vt/res) % len
+	buckets []burnBucket // ring, indexed by (vt/burnBucketWidth) % len
 	head    int64        // highest bucket index ever touched
 	firing  bool
 }
@@ -81,26 +80,24 @@ type burnWindowState struct {
 	tail       int64 // first absolute bucket index inside the window
 }
 
+// burnBucketWidth is the virtual time one burn bucket covers.
+const burnBucketWidth = time.Second
+
 // NewBurnTracker returns a tracker judging against the given compliance
-// objective (e.g. 0.99 = 1% error budget) over the given windows, bucketed
-// at resolution (<= 0 defaults to 1s). onAlert, when non-nil, receives
-// every firing/resolving transition of the combined rule (every window at
-// or above its threshold => firing).
-func NewBurnTracker(objective float64, windows []BurnWindow, resolution time.Duration, onAlert func(Alert)) *BurnTracker {
-	if resolution <= 0 {
-		resolution = time.Second
-	}
+// objective (e.g. 0.99 = 1% error budget) over the given windows. onAlert,
+// when non-nil, receives every firing/resolving transition of the combined
+// rule (every window at or above its threshold => firing).
+func NewBurnTracker(objective float64, windows []BurnWindow, onAlert func(Alert)) *BurnTracker {
 	if len(windows) == 0 {
 		windows = DefaultBurnWindows()
 	}
 	t := &BurnTracker{
 		objective: objective,
-		res:       resolution,
 		onAlert:   onAlert,
 	}
 	var longest int64
 	for _, w := range windows {
-		n := int64(w.Length / resolution)
+		n := int64(w.Length / burnBucketWidth)
 		if n < 1 {
 			n = 1
 		}
@@ -119,7 +116,7 @@ func NewBurnTracker(objective float64, windows []BurnWindow, resolution time.Dur
 // Observe records one request outcome at virtual time vt. bad marks an
 // error-budget-consuming outcome (failed or SLO-violating).
 func (t *BurnTracker) Observe(vt time.Duration, bad bool) {
-	idx := int64(vt / t.res)
+	idx := int64(vt / burnBucketWidth)
 	t.advanceTo(idx)
 	if idx < t.head {
 		// A straggling outcome older than the newest bucket (cross-tenant
@@ -143,7 +140,7 @@ func (t *BurnTracker) Observe(vt time.Duration, bad bool) {
 // Tick advances the tracker's notion of time without an outcome, expiring
 // old buckets so burn decays (and alerts resolve) during quiet periods.
 func (t *BurnTracker) Tick(vt time.Duration) {
-	t.advanceTo(int64(vt / t.res))
+	t.advanceTo(int64(vt / burnBucketWidth))
 	t.evaluate(vt)
 }
 

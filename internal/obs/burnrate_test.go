@@ -13,7 +13,7 @@ func sec(n int) time.Duration { return time.Duration(n) * time.Second }
 func TestBurnTrackerRateAndTransitions(t *testing.T) {
 	var alerts []Alert
 	tr := NewBurnTracker(0.9, []BurnWindow{{Name: "10s", Length: 10 * time.Second, Threshold: 2}},
-		time.Second, func(a Alert) { alerts = append(alerts, a) })
+		func(a Alert) { alerts = append(alerts, a) })
 
 	// 10 outcomes at t=1s, half bad: burn = (5/10) / 0.1 = 5.
 	for i := 0; i < 10; i++ {
@@ -51,7 +51,7 @@ func TestBurnTrackerNeedsEveryWindow(t *testing.T) {
 	tr := NewBurnTracker(0.99, []BurnWindow{
 		{Name: "5s", Length: 5 * time.Second, Threshold: 2},
 		{Name: "60s", Length: 60 * time.Second, Threshold: 2},
-	}, time.Second, nil)
+	}, nil)
 
 	// 55s of clean traffic, then one bad second: the 5s window burns hot
 	// (1 bad / 1 total => burn 100) but the 60s window holds 1/56.
@@ -75,8 +75,7 @@ func TestBurnTrackerNeedsEveryWindow(t *testing.T) {
 // a ring slot that the expiry sweep would never reclaim; once the window
 // rolls past, the sums return exactly to zero.
 func TestBurnTrackerLateOutcomesFoldForward(t *testing.T) {
-	tr := NewBurnTracker(0.99, []BurnWindow{{Name: "10s", Length: 10 * time.Second, Threshold: 1e18}},
-		time.Second, nil)
+	tr := NewBurnTracker(0.99, []BurnWindow{{Name: "10s", Length: 10 * time.Second, Threshold: 1e18}}, nil)
 	tr.Observe(sec(100), true)
 	tr.Observe(sec(3), true) // straggler far older than the ring
 	if got := tr.Burn()["10s"]; math.Abs(got-100) > 1e-9 {
@@ -90,8 +89,7 @@ func TestBurnTrackerLateOutcomesFoldForward(t *testing.T) {
 
 // Cycling the ring many times over keeps window sums exact.
 func TestBurnTrackerRingReuseStaysExact(t *testing.T) {
-	tr := NewBurnTracker(0.5, []BurnWindow{{Name: "5s", Length: 5 * time.Second, Threshold: 1e18}},
-		time.Second, nil)
+	tr := NewBurnTracker(0.5, []BurnWindow{{Name: "5s", Length: 5 * time.Second, Threshold: 1e18}}, nil)
 	// 1000 seconds, one good outcome each: the window always holds 5 good.
 	for s := 0; s < 1000; s++ {
 		tr.Observe(sec(s), false)

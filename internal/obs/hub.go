@@ -136,9 +136,6 @@ func (h *Hub) Arrive() {
 	h.mu.Unlock()
 }
 
-// Step implements telemetry.SpanSink; the hub tracks no high-water mark.
-func (h *Hub) Step() {}
-
 // Span implements telemetry.SpanSink: a finished request's span is judged
 // against the SLO, fed to the burn tracker and streamed. A request still
 // open when the run ended stays in flight.

@@ -22,9 +22,6 @@ type Options struct {
 	// DefaultBurnWindows (5m/1h virtual, threshold 14.4 each).
 	Windows []BurnWindow
 
-	// Resolution buckets burn accounting; zero defaults to 1s virtual.
-	Resolution time.Duration
-
 	// Online, when set, is the run's constant-memory aggregator; /metrics
 	// serves latency quantiles and goodput from its snapshots. Pass the
 	// same value through core.Config.Aggregator.
@@ -62,7 +59,7 @@ func NewPlane(o Options) *Plane {
 	if o.Objective == 0 {
 		o.Objective = 0.99
 	}
-	burn := NewBurnTracker(o.Objective, o.Windows, o.Resolution, nil)
+	burn := NewBurnTracker(o.Objective, o.Windows, nil)
 	hub := NewHub(o.SLO, burn)
 	burn.onAlert = hub.alert
 	return &Plane{

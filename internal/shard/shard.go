@@ -32,9 +32,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultLookahead is the conservative barrier interval: the shortest delay
-// after which a lane's present state could depend on anything another lane's
-// observer did at a barrier. Lanes share no simulation state, so correctness
+// DefaultLookahead is Run's barrier interval, a conservative one: the
+// shortest delay after which a lane's present state could depend on anything
+// another lane's observer did at a barrier. Lanes share no simulation state, so correctness
 // never depends on this value; it bounds how far lanes drift apart between
 // merge flushes. It derives from the fastest state-changing latency in the
 // serving stack — VM procurement and container cold starts — the same
@@ -108,9 +108,6 @@ type Options struct {
 	// only wall-clock time, never output.
 	Shards int
 
-	// Lookahead is the barrier interval; zero means DefaultLookahead.
-	Lookahead time.Duration
-
 	// Merge, when set, is written through each barrier's virtual time as
 	// the lanes pass it, so spans stream out in merge order with bounded
 	// queues instead of accumulating until the end. With one worker it is
@@ -143,10 +140,7 @@ func Run(cfgs []core.Config, opt Options) []core.Result {
 	if n == 0 {
 		return nil
 	}
-	la := opt.Lookahead
-	if la <= 0 {
-		la = DefaultLookahead()
-	}
+	la := DefaultLookahead()
 	workers := opt.Shards
 	if workers < 1 {
 		workers = 1

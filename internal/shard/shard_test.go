@@ -74,12 +74,10 @@ func runGrid(t *testing.T, mode core.MetricsMode, shards int) *gridSnapshot {
 	mw := telemetry.NewMergeWriter(&s.spans, &s.events, testTenants)
 	cfgs, checks, series := laneConfigs(mode, mw)
 	board := NewVTBoard(testTenants)
-	la := DefaultLookahead()
 	s.lanes = Run(cfgs, Options{
-		Shards:    shards,
-		Lookahead: la,
-		Merge:     mw,
-		Board:     board,
+		Shards: shards,
+		Merge:  mw,
+		Board:  board,
 		OnBarrier: func(barrier time.Duration) {
 			s.barriers++
 			if lag := board.Spread(); lag > s.maxLag {

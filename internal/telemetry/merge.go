@@ -128,9 +128,6 @@ func NewMergeWriter(spans, events io.Writer, lanes int) *MergeWriter {
 // Lane returns lane i's Sink.
 func (w *MergeWriter) Lane(i int) *LaneSink { return w.lanes[i] }
 
-// Lanes returns the number of lanes.
-func (w *MergeWriter) Lanes() int { return len(w.lanes) }
-
 // Lifecycle reports whether the lane consumes lifecycle events: only when
 // the writer has an events output.
 func (l *LaneSink) Lifecycle() bool { return l.w.haveEvents }
@@ -163,10 +160,6 @@ func (l *LaneSink) Arrive() {
 	l.sample()
 }
 
-// Step implements SpanSink: the high-water mark is sampled, as the lifecycle
-// event the step stands for would have sampled it.
-func (l *LaneSink) Step() { l.sample() }
-
 // Span implements SpanSink. The lane copies the span into one of its own
 // (recycled once written) and queues it under the completion time, or — for
 // a request still open at the end of the run — holds it for Close.
@@ -191,10 +184,11 @@ func (l *LaneSink) Span(s *Span) {
 		}
 		l.live.spans = append(l.live.spans, queuedSpan{key: l.key, s: c})
 	}
-	l.sample()
 }
 
-// sample updates the lane's queue high-water mark.
+// sample updates the lane's queue high-water mark. Only Arrive and Event
+// grow the queue, and both sample right after; Span moves a request from in
+// flight into a batch and Cut only shrinks it, so no peak is missed.
 func (l *LaneSink) sample() {
 	if n := l.queued(); n > l.peak {
 		l.peak = n
@@ -425,7 +419,6 @@ type tenantSpanSink struct {
 }
 
 func (t tenantSpanSink) Arrive() { t.ss.Arrive() }
-func (t tenantSpanSink) Step()   { t.ss.Step() }
 
 // Span forwards s with the tenant stamped, restoring it afterwards: other
 // sinks of a fan-out share the same span.

@@ -44,9 +44,6 @@ func (r *Recorder) Event(e Event) {
 // Arrive implements SpanSink; the recorder counts nothing.
 func (r *Recorder) Arrive() {}
 
-// Step implements SpanSink; the recorder counts nothing.
-func (r *Recorder) Step() {}
-
 // Span implements SpanSink: it keeps a copy of s.
 func (r *Recorder) Span(s *Span) {
 	c := *s

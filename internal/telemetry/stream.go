@@ -58,9 +58,6 @@ func (w *StreamWriter) Arrive() {
 	}
 }
 
-// Step implements SpanSink; the writer holds nothing a step changes.
-func (w *StreamWriter) Step() {}
-
 // Span implements SpanSink: it encodes the span and writes it at once.
 func (w *StreamWriter) Span(s *Span) {
 	w.inFlight--

@@ -210,18 +210,14 @@ type Sink interface {
 // timestamps — no event-to-span assembly. The runtime calls Arrive once per
 // request entering it, Span once per request as it completes or fails, and,
 // when the run ends, Span once more for every request still open (Done
-// false), in (Arrived, Tenant, Req) order. Step marks a lifecycle transition
-// that neither admits nor finishes a request (a dispatch, a device
-// submission, a redundant copy ending); writers that track a memory
-// high-water mark sample it there, exactly where the lifecycle event it
-// stands for would have been seen.
+// false), in (Arrived, Tenant, Req) order. A request's dispatch, device
+// submission and redundant copies reach a sink only as lifecycle events.
 //
 // Span must not retain s: the runtime reuses it. Sinks that keep spans copy
 // them.
 type SpanSink interface {
 	Sink
 	Arrive()
-	Step()
 	Span(s *Span)
 }
 
@@ -271,12 +267,6 @@ type spanFan struct {
 func (f spanFan) Arrive() {
 	for _, s := range f.spans {
 		s.Arrive()
-	}
-}
-
-func (f spanFan) Step() {
-	for _, s := range f.spans {
-		s.Step()
 	}
 }
 

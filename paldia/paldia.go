@@ -35,7 +35,9 @@ import (
 
 // Config describes one serving simulation; see the field documentation on
 // the underlying type for every knob (SLO, dispatch window, failure
-// injection, host contention, ...).
+// injection, host contention, ...). The scheme's hardware rule picks every
+// serving node, the warm-start one included: to run on fixed hardware, pass
+// a pinned scheme (NewPaldiaPinned, NewOfflineHybrid, the (P) baselines).
 type Config = core.Config
 
 // Result carries everything a run produces: the per-request collector, SLO
