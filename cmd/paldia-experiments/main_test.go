@@ -28,21 +28,24 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string) {
 var doneLine = regexp.MustCompile(`(?m)^\[[a-z0-9-]+ done in [^\]]+\]$`)
 
 // TestExperimentsStdoutGoldens pins the static tables (Table II and the
-// CPU-vs-GPU cost claim) byte for byte, as aligned text and as markdown.
-// Regenerate with `go test ./cmd/paldia-experiments -update` (only for an
-// intended output change).
+// CPU-vs-GPU cost claim) byte for byte, as aligned text and as markdown,
+// and every experiment's table at one repetition and a tenth of the paper's
+// scale. Regenerate with `go test ./cmd/paldia-experiments -update` (only
+// for an intended output change).
 func TestExperimentsStdoutGoldens(t *testing.T) {
 	for _, row := range []struct {
 		name string
 		args []string
+		runs int // experiments run, one timing line each
 	}{
-		{"table2-cpugpu", []string{"-run", "table2,cpugpu"}},
-		{"table2-cpugpu-md", []string{"-run", "table2,cpugpu", "-md"}},
+		{"table2-cpugpu", []string{"-run", "table2,cpugpu"}, 2},
+		{"table2-cpugpu-md", []string{"-run", "table2,cpugpu", "-md"}, 2},
+		{"all-reps1-scale0.1", []string{"-reps", "1", "-scale", "0.1"}, 28},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			stdout, stderr := runCLI(t, row.args...)
-			if got := len(doneLine.FindAllString(stderr, -1)); got != 2 {
-				t.Errorf("stderr has %d timing lines, want 2:\n%s", got, stderr)
+			if got := len(doneLine.FindAllString(stderr, -1)); got != row.runs {
+				t.Errorf("stderr has %d timing lines, want %d:\n%s", got, row.runs, stderr)
 			}
 			golden := filepath.Join("testdata", row.name+".txt")
 			if *update {

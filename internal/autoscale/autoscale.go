@@ -1,5 +1,6 @@
-// Package autoscale implements the paper's three autoscaling policies
-// (Section IV-C):
+// Package autoscale holds the container-count rules of the paper's three
+// autoscaling policies (Section IV-C); the serving runtime (internal/core)
+// applies them:
 //
 //   - Reactive scale-up: one container per batch of requests that will be
 //     spatially shared, n_c = ceil(n_spatial / batch_size), so every
@@ -9,7 +10,7 @@
 //   - Predictive scale-up: every ~10 s, a lightweight pluggable model
 //     (EWMA) forecasts the next window's request load and containers are
 //     pre-warmed ahead of need, hiding cold starts that reactive scale-up
-//     alone would expose.
+//     alone would expose. The loop is an engine ticker per serving lane.
 //
 //   - Delayed termination: implemented by the container pool's keep-alive
 //     window (see internal/container); surplus containers survive ~10
@@ -19,10 +20,6 @@ package autoscale
 import (
 	"math"
 	"time"
-
-	"repro/internal/container"
-	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // DefaultPredictInterval is the paper's ~10 s predictive scale-up cadence.
@@ -61,75 +58,4 @@ func PredictiveContainers(predictedRPS float64, window time.Duration, batchSize 
 	}
 	reqs := int(math.Ceil(predictedRPS*window.Seconds() - predictiveEpsilon))
 	return ReactiveContainers(reqs, batchSize)
-}
-
-// Controller drives predictive scale-up for one pool.
-type Controller struct {
-	eng *sim.Engine
-	// Pool is the container pool to pre-warm.
-	Pool *container.Pool
-	// Predict forecasts the mean request rate over [now, now+horizon] —
-	// the predict.Forecaster seam, so seasonal and percentile models plug
-	// in unchanged.
-	Predict func(now, horizon time.Duration) float64
-	// Horizon is how far ahead of the predicted ramp containers are
-	// pre-warmed. It defaults to the pool's cold-start latency: a
-	// container ordered now is warm one boot from now, so forecasting
-	// further ahead procures for traffic the boot cannot beat anyway.
-	Horizon time.Duration
-	// BatchSize supplies the current batch size (it changes with hardware).
-	BatchSize func() int
-	// Window is the dispatch window predictions are converted against.
-	Window time.Duration
-	// Interval is the prediction cadence (default ~10 s).
-	Interval time.Duration
-
-	// Sink, when set, receives AutoscalePrewarm events whenever a
-	// predictive tick grows the pool; NodeID/Spec/Tenant label them.
-	Sink   telemetry.Sink
-	NodeID int
-	Spec   string
-	Tenant int
-
-	stopped bool
-}
-
-// NewController wires a predictive scale-up loop; call Start to begin
-// ticking.
-func NewController(eng *sim.Engine, pool *container.Pool, predict func(now, horizon time.Duration) float64,
-	batchSize func() int, window time.Duration) *Controller {
-	return &Controller{
-		eng: eng, Pool: pool, Predict: predict, BatchSize: batchSize,
-		Window: window, Interval: DefaultPredictInterval,
-		Horizon: pool.ColdStart(),
-	}
-}
-
-// Start begins periodic predictive scale-up.
-func (c *Controller) Start() {
-	c.stopped = false
-	c.tick()
-}
-
-// Stop halts the loop after the current tick.
-func (c *Controller) Stop() { c.stopped = true }
-
-func (c *Controller) tick() {
-	if c.stopped {
-		return
-	}
-	need := PredictiveContainers(c.Predict(c.eng.Now(), c.Horizon), c.Window, c.BatchSize())
-	if need > c.Pool.Total() {
-		if c.Sink != nil {
-			e := telemetry.Ev(c.eng.Now(), telemetry.AutoscalePrewarm)
-			e.Node = c.NodeID
-			e.Spec = c.Spec
-			e.Tenant = c.Tenant
-			e.N = need
-			e.Detail = "predictive"
-			c.Sink.Event(e)
-		}
-		c.Pool.Ensure(need)
-	}
-	c.eng.Schedule(c.Interval, func() { c.tick() })
 }

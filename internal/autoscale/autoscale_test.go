@@ -4,9 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"repro/internal/container"
-	"repro/internal/sim"
 )
 
 func TestReactiveContainers(t *testing.T) {
@@ -96,44 +93,4 @@ func TestPredictiveCoversForecastProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestControllerPrewarmsAheadOfLoad(t *testing.T) {
-	eng := sim.NewEngine()
-	pool := container.NewPool(eng, container.GPUColdStart, container.DefaultKeepAlive)
-	rate := 0.0
-	ctl := NewController(eng, pool,
-		func(now, horizon time.Duration) float64 { return rate },
-		func() int { return 64 },
-		100*time.Millisecond)
-	ctl.Start()
-	eng.Run(25 * time.Second)
-	base := pool.Total()
-	if base != 1 {
-		t.Fatalf("baseline pool = %d, want 1", base)
-	}
-	// Predicted surge: 3200 rps * 0.1s / 64 = 5 containers.
-	rate = 3200
-	eng.Run(40 * time.Second)
-	if pool.Total() != 5 {
-		t.Fatalf("pool after predicted surge = %d, want 5", pool.Total())
-	}
-	if pool.SyncColdStarts() != 0 {
-		t.Fatal("predictive scale-up charged synchronous cold starts")
-	}
-	ctl.Stop()
-	fired := eng.Fired()
-	eng.Run(41 * time.Second)
-	eng.RunAll() // must terminate: controller stopped, no self-rescheduling
-	_ = fired
-}
-
-func TestControllerStop(t *testing.T) {
-	eng := sim.NewEngine()
-	pool := container.NewPool(eng, container.CPUColdStart, 0)
-	ctl := NewController(eng, pool, func(now, horizon time.Duration) float64 { return 0 },
-		func() int { return 8 }, time.Second)
-	ctl.Start()
-	ctl.Stop()
-	eng.RunAll() // would never return if ticking continued forever
 }

@@ -281,11 +281,10 @@ type tenant struct {
 }
 
 // lane is one tenant's share of a serving node: its container pool, profile
-// entry, predictive autoscaler and time-share lane claim.
+// entry and time-share lane claim.
 type lane struct {
 	pool  *container.Pool
 	entry *profile.Entry // the tenant's row for the node; read-only
-	ctl   *autoscale.Controller
 
 	queuedOutstanding int
 	laneHeld          bool     // a lane-container claim exists
@@ -302,6 +301,9 @@ type servingNode struct {
 	// resCap memoizes residentCap for clone/hedge admission; 0 until first
 	// computed.
 	resCap int
+	// retired is set once the node takes no new work (retire): its lanes'
+	// predictive tickers stop.
+	retired bool
 }
 
 // healthy reports whether sn can take new work: it exists (a slot's node is
@@ -481,7 +483,18 @@ func start(cfg Config, ws []Workload) *Running {
 	}
 	r.warmStart()
 	if r.tel != nil && cfg.SampleEvery > 0 {
-		telemetry.NewSampler(r.eng, r.tel, cfg.SampleEvery, r.gauges()).Start()
+		// One Sample event per gauge now and on every cadence tick after.
+		gauges := r.gauges()
+		sample := func() {
+			for _, g := range gauges {
+				e := telemetry.Ev(r.eng.Now(), telemetry.Sample)
+				e.Detail = g.Name
+				e.Value = g.Read()
+				r.tel.Event(e)
+			}
+		}
+		sample()
+		r.eng.Every(cfg.SampleEvery, func() bool { return true }, sample)
 	}
 	for _, t := range r.tenants {
 		r.scheduleArrivals(t)
@@ -676,8 +689,8 @@ func (r *runner) primary() *servingNode {
 
 // procure brings a node of s.spec up for slot s — on spot capacity when the
 // slot is spot — and lands it there: the node becomes s's serving node, its
-// autoscalers start, and land (when set) finishes the slot role's
-// bookkeeping with the node it displaced. Every acquisition goes through
+// lanes' predictive pre-warm starts, and land (when set) finishes the slot
+// role's bookkeeping with the node it displaced. Every acquisition goes through
 // here: warm start, Algorithm 1's reconfigure and failover, scale-out, and
 // pool respawn and upgrade.
 //
@@ -724,7 +737,10 @@ func (r *runner) serve(s *slot, sn *servingNode, land func(sn, old *servingNode)
 	old := s.sn
 	s.sn, s.acquiring = sn, false
 	for i := range sn.lanes {
-		sn.lanes[i].ctl.Start()
+		r.prewarm(sn, i)
+		r.eng.Every(autoscale.DefaultPredictInterval,
+			func() bool { return !sn.retired },
+			func() { r.prewarm(sn, i) })
 	}
 	if land != nil {
 		land(sn, old)
@@ -782,25 +798,38 @@ func (r *runner) wireNode(node *cluster.Node) *servingNode {
 			ln.pool.NodeID = node.ID
 			ln.pool.Spec = node.Spec.Name
 		}
-		// Containers are sized for the batches resident at once: a batch
-		// occupies its container for its (possibly inflated) execution time,
-		// so the pool target is predicted-rate x residence / batch-size.
-		// The controller is started when the node begins serving (serve);
-		// starting it earlier would race the swap-time pre-warm with slower
-		// predictive boots. It forecasts DefaultHorizon ahead through the
-		// pluggable Forecaster seam.
-		ln.ctl = autoscale.NewController(r.eng, ln.pool, t.predictAt,
-			func() int { return ln.entry.PreferredBatch },
-			residenceOf(ln.entry))
-		ln.ctl.Horizon = DefaultHorizon
-		ln.ctl.Tenant = t.idx
-		if r.tel != nil {
-			ln.ctl.Sink = r.tel
-			ln.ctl.NodeID = node.ID
-			ln.ctl.Spec = node.Spec.Name
-		}
 	}
 	return sn
+}
+
+// prewarm is lane i's predictive scale-up step (§IV-C): it grows the pool
+// to the containers the forecast rate needs. serve runs it when sn begins
+// serving and then every DefaultPredictInterval until retire; starting
+// earlier would race the swap-time pre-warm with slower predictive boots.
+// The forecast, through the pluggable Forecaster seam, looks DefaultHorizon
+// ahead: a container ordered now is warm one boot from now, so forecasting
+// further procures for traffic the boot cannot beat anyway. Containers are
+// sized for the batches resident at once: a batch occupies its container
+// for its (possibly inflated) execution time, so the target is
+// predicted-rate x residence / batch-size.
+func (r *runner) prewarm(sn *servingNode, i int) {
+	if sn.retired { // the ticker's last fire, after retire
+		return
+	}
+	ln, t := &sn.lanes[i], r.tenants[i]
+	need := autoscale.PredictiveContainers(t.predictAt(r.eng.Now(), DefaultHorizon),
+		residenceOf(ln.entry), ln.entry.PreferredBatch)
+	if need <= ln.pool.Total() {
+		return
+	}
+	if r.tel != nil {
+		e := telemetry.Ev(r.eng.Now(), telemetry.AutoscalePrewarm)
+		e.Node, e.Spec, e.Tenant = sn.node.ID, sn.node.Spec.Name, t.idx
+		e.N = need
+		e.Detail = "predictive"
+		r.tel.Event(e)
+	}
+	ln.pool.Ensure(need)
 }
 
 // emit sends one control-plane telemetry event; a no-op without a sink.

@@ -177,26 +177,33 @@ func (r *runner) swapped(sn, old *servingNode) {
 	}
 }
 
-// retire drains and releases a node that no longer receives new work.
+// drainPoll is how often a retiring node is checked for a drained device.
+const drainPoll = 500 * time.Millisecond
+
+// retire drains and releases a node that no longer receives new work. It
+// polls the node now and every 500 ms after until the device is drained or
+// two minutes (240 further polls) have passed.
 func (r *runner) retire(old *servingNode) {
-	for i := range old.lanes {
-		old.lanes[i].ctl.Stop()
-	}
-	attempts := 0
-	var poll func()
-	poll = func() {
+	old.retired = true
+	deadline := r.eng.Now() + 240*drainPoll
+	draining := func() bool {
 		dev := old.node.Device
-		drained := dev == nil || dev.Failed() ||
-			(dev.ActiveCount() == 0 && dev.LaneLength() == 0 && old.outstanding() == 0)
-		attempts++
-		if drained || attempts > 240 {
-			r.accumulateNode(old)
-			r.clu.Release(old.node)
-			return
-		}
-		r.eng.Schedule(500*time.Millisecond, poll)
+		return r.eng.Now() < deadline && dev != nil && !dev.Failed() &&
+			(dev.ActiveCount() > 0 || dev.LaneLength() > 0 || old.outstanding() > 0)
 	}
-	poll()
+	release := func() {
+		r.accumulateNode(old)
+		r.clu.Release(old.node)
+	}
+	if !draining() {
+		release()
+		return
+	}
+	r.eng.Every(drainPoll, draining, func() {
+		if !draining() { // the last poll: draining just stopped the ticker
+			release()
+		}
+	})
 }
 
 // accumulateNode folds a node's container boot counts into the run totals.

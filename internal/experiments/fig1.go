@@ -182,8 +182,7 @@ func runFig1Scheme(seed uint64, hw hardware.Spec, queuedFrac float64,
 		}
 		dev.Submit(job)
 	}
-	var tick func()
-	tick = func() {
+	eng.Every(tickEvery, func() bool { return eng.Now() < end }, func() {
 		now := eng.Now()
 		for i := range loads {
 			for batchers[i].Pending() >= loads[i].batchSz {
@@ -193,11 +192,7 @@ func runFig1Scheme(seed uint64, hw hardware.Spec, queuedFrac float64,
 				submit(i, batchers[i].TakeAll())
 			}
 		}
-		if now < end {
-			eng.Schedule(tickEvery, tick)
-		}
-	}
-	eng.Schedule(tickEvery, tick)
+	})
 	eng.Run(end + 10*time.Second)
 	return collectors
 }

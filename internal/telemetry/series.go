@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/svgplot"
 )
 
@@ -229,52 +228,4 @@ func (ss *SeriesSet) TimelineSVG(w io.Writer, title string, names ...string) err
 type Gauge struct {
 	Name string
 	Read func() float64
-}
-
-// Sampler emits one Sample event per gauge on a fixed virtual-time
-// cadence, driven by the simulation engine. Readers must not perturb the
-// simulation (use read-only state accessors).
-type Sampler struct {
-	eng    *sim.Engine
-	sink   Sink
-	every  time.Duration
-	gauges []Gauge
-	tickFn func() // tick bound once so rescheduling never re-allocates
-
-	stopped bool
-}
-
-// NewSampler wires a sampler; call Start to begin ticking. A nil sink or
-// non-positive cadence yields a sampler whose Start is a no-op.
-func NewSampler(eng *sim.Engine, sink Sink, every time.Duration, gauges []Gauge) *Sampler {
-	return &Sampler{eng: eng, sink: sink, every: every, gauges: gauges}
-}
-
-// Start samples immediately and then on every cadence tick until Stop.
-func (s *Sampler) Start() {
-	if s.sink == nil || s.every <= 0 {
-		return
-	}
-	s.stopped = false
-	if s.tickFn == nil {
-		s.tickFn = s.tick
-	}
-	s.tick()
-}
-
-// Stop halts sampling after the current tick.
-func (s *Sampler) Stop() { s.stopped = true }
-
-func (s *Sampler) tick() {
-	if s.stopped {
-		return
-	}
-	now := s.eng.Now()
-	for _, g := range s.gauges {
-		e := Ev(now, Sample)
-		e.Detail = g.Name
-		e.Value = g.Read()
-		s.sink.Event(e)
-	}
-	s.eng.Schedule(s.every, s.tickFn)
 }

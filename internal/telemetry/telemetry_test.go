@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
@@ -156,43 +154,6 @@ func TestCombine(t *testing.T) {
 type countSink struct{}
 
 func (countSink) Event(Event) {}
-
-func TestSamplerCadenceAndSeries(t *testing.T) {
-	eng := sim.NewEngine()
-	ss := NewSeriesSet()
-	v := 0.0
-	s := NewSampler(eng, ss, time.Second, []Gauge{
-		{Name: "x", Read: func() float64 { v++; return v }},
-	})
-	s.Start()
-	eng.Run(3500 * time.Millisecond)
-
-	series := ss.Get("x")
-	if series == nil {
-		t.Fatal("series x missing")
-	}
-	// Samples at 0s, 1s, 2s, 3s.
-	if len(series.Points) != 4 {
-		t.Fatalf("got %d points, want 4", len(series.Points))
-	}
-	for i, p := range series.Points {
-		if p.At != time.Duration(i)*time.Second || p.Value != float64(i+1) {
-			t.Fatalf("point %d = %+v", i, p)
-		}
-	}
-	s.Stop()
-	eng.Run(10 * time.Second)
-	if len(ss.Get("x").Points) != 4 {
-		t.Fatal("sampler kept ticking after Stop")
-	}
-
-	// Nil sink and zero cadence are inert.
-	NewSampler(eng, nil, time.Second, nil).Start()
-	NewSampler(eng, ss, 0, nil).Start()
-	if eng.Pending() != 0 {
-		t.Fatalf("inert samplers queued events: %d", eng.Pending())
-	}
-}
 
 func TestSeriesCSVRoundTrip(t *testing.T) {
 	ss := NewSeriesSet()
