@@ -244,14 +244,23 @@ func (r *runner) dispatchJob(t *tenant, node *servingNode, n int, mode device.Mo
 		return
 	}
 	ln.laneHeld = true
-	ln.pool.AcquireOrWait(func() {
-		ln.laneReady = true
-		pending := ln.lanePending
-		ln.lanePending = nil
-		for _, f := range pending {
-			f()
-		}
-	})
+	ln.pool.AcquireOrWait(ln.claimFn)
+}
+
+// claimed runs when the lane's container claim lands: the lane container is
+// serving, and every submission buffered meanwhile goes to the device. The
+// buffered batch runs from one of the lane's two pending buffers while the
+// other takes the live role, so a submission that re-enters during the loop
+// still lands in a live buffer; the drained buffer becomes the spare.
+func (ln *lane) claimed() {
+	ln.laneReady = true
+	pending := ln.lanePending
+	ln.lanePending, ln.spare = ln.spare[:0], nil
+	for _, f := range pending {
+		f()
+	}
+	clear(pending)
+	ln.spare = pending[:0]
 }
 
 // complete records the outcomes of a finished (or failed) job's requests,

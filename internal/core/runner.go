@@ -290,6 +290,8 @@ type lane struct {
 	laneHeld          bool     // a lane-container claim exists
 	laneReady         bool     // the lane container is serving
 	lanePending       []func() // lane submissions buffered until the claim lands
+	spare             []func() // lanePending's drained twin, reused by claimed
+	claimFn           func()   // ln.claimed, bound once per lane
 }
 
 // servingNode is an acquired node actively (or about to be) serving, with one
@@ -792,6 +794,7 @@ func (r *runner) wireNode(node *cluster.Node) *servingNode {
 		ln.pool = container.NewPool(r.eng, cold, r.cfg.KeepAlive)
 		ln.pool.Tenant = t.idx
 		ln.entry = t.rows.Entry(node.Spec)
+		ln.claimFn = ln.claimed
 		if r.tel != nil {
 			// r.tel includes the checker whenever one is attached.
 			ln.pool.Sink, ln.pool.Check = r.tel, r.cfg.Invariants

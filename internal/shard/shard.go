@@ -13,11 +13,13 @@
 // front. Workers only change wall-clock, which is what makes `-j N`
 // byte-identical to `-j 1` by construction rather than by luck.
 //
-// With one worker the merged telemetry is flushed through each barrier
-// before the next epoch starts. With two or more, the coordinator writes
-// epoch k's output while the workers step epoch k+1, so at OnBarrier(t) the
-// output is written through the previous barrier only; what is written, and
-// in which order, is the same.
+// Each lane encodes its own span and event lines as it steps, so the
+// coordinator's share of merged telemetry is a k-way merge of bytes. With
+// one worker the merged telemetry is flushed through each barrier before the
+// next epoch starts. With two or more, the coordinator writes epoch k's
+// output while the workers step epoch k+1, so at OnBarrier(t) the output is
+// written through the previous barrier only; what is written, and in which
+// order, is the same.
 package shard
 
 import (
@@ -193,9 +195,9 @@ func Run(cfgs []core.Config, opt Options) []core.Result {
 	}
 	// The coordinator would idle while the gang steps, so it drains the
 	// previous barrier's cut then. One worker flushes inline at the barrier
-	// instead: holding a cut across an epoch costs ~21 % more bytes per run
-	// (ShardedSpans, 502 against 415 KB/op), and a single worker overlapped
-	// measured no faster on 2 vCPUs.
+	// instead: holding a cut across an epoch keeps a second encoded batch per
+	// lane (ShardedSpans, 474 against 314 KB/op), and a single worker
+	// overlapped measured no faster on 2 vCPUs.
 	overlap := opt.Merge != nil && workers > 1
 	dispatch := func(fn func(lane int)) {
 		step = fn

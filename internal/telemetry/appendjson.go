@@ -2,9 +2,8 @@ package telemetry
 
 import (
 	"math"
-	"math/bits"
-	"slices"
 	"strconv"
+	"time"
 	"unicode/utf8"
 )
 
@@ -25,45 +24,65 @@ const digitPairs = "0001020304050607080910111213141516171819" +
 	"6061626364656667686970717273747576777879" +
 	"8081828384858687888990919293949596979899"
 
-// pow10 holds 10^0 through 10^19, the decimal-length thresholds of a uint64.
-var pow10 = [...]uint64{
-	1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
-}
-
 // appendInt appends i in decimal, byte-identical to strconv.AppendInt(buf,
-// i, 10). It sizes the number first and writes the digits in place, two at
-// a time, instead of formatting into a scratch array and copying: a span
-// line holds eleven integers, most of them nanosecond counts of seven or
-// more digits.
+// i, 10). It splits the value into 8-digit chunks, so every division after
+// the first is 32-bit, and writes each chunk without a digit loop: a span
+// line's integers are mostly IDs and nanosecond counts of six to fourteen
+// digits, one or two chunks each.
 func appendInt(buf []byte, i int64) []byte {
 	u := uint64(i)
 	if i < 0 {
 		buf = append(buf, '-')
 		u = -u
 	}
-	// Digits of u: log10 estimated from the bit length, then corrected.
-	n := bits.Len64(u) * 1233 >> 12
-	if n < len(pow10) && u >= pow10[n] {
-		n++
+	if u < 1e8 {
+		return appendUint32(buf, uint32(u))
 	}
-	n = max(n, 1)
-	buf = slices.Grow(buf, n)
-	end := len(buf) + n
-	buf = buf[:end]
-	d := buf[end-n : end]
-	for j := n; u >= 100; {
-		r := u % 100 * 2
-		u /= 100
-		j -= 2
-		d[j], d[j+1] = digitPairs[r], digitPairs[r+1]
-	}
-	if u >= 10 {
-		d[0], d[1] = digitPairs[u*2], digitPairs[u*2+1]
+	hi, lo := u/1e8, uint32(u%1e8)
+	if hi < 1e8 {
+		buf = appendUint32(buf, uint32(hi))
 	} else {
-		d[0] = byte('0' + u)
+		buf = appendUint32(buf, uint32(hi/1e8))
+		buf = append8Digits(buf, uint32(hi%1e8))
 	}
-	return buf
+	return append8Digits(buf, lo)
+}
+
+// appendUint32 appends v < 1e8 in decimal without leading zeros: as two
+// 4-digit halves, the high one only when nonzero.
+func appendUint32(buf []byte, v uint32) []byte {
+	if v < 10000 {
+		return append4Digits(buf, v)
+	}
+	hi, lo := v/10000, v%10000
+	buf = append4Digits(buf, hi)
+	c, d := lo/100*2, lo%100*2
+	return append(buf, digitPairs[c], digitPairs[c+1], digitPairs[d], digitPairs[d+1])
+}
+
+// append4Digits appends v < 10000 without leading zeros.
+func append4Digits(buf []byte, v uint32) []byte {
+	switch {
+	case v < 10:
+		return append(buf, byte('0'+v))
+	case v < 100:
+		return append(buf, digitPairs[v*2], digitPairs[v*2+1])
+	case v < 1000:
+		r := v % 100 * 2
+		return append(buf, byte('0'+v/100), digitPairs[r], digitPairs[r+1])
+	}
+	a, r := v/100*2, v%100*2
+	return append(buf, digitPairs[a], digitPairs[a+1], digitPairs[r], digitPairs[r+1])
+}
+
+// append8Digits appends v < 1e8 as exactly eight digits, zero-padded.
+func append8Digits(buf []byte, v uint32) []byte {
+	hi, lo := v/10000, v%10000
+	a, b := hi/100*2, hi%100*2
+	c, d := lo/100*2, lo%100*2
+	return append(buf,
+		digitPairs[a], digitPairs[a+1], digitPairs[b], digitPairs[b+1],
+		digitPairs[c], digitPairs[c+1], digitPairs[d], digitPairs[d+1])
 }
 
 // appendJSONString appends s as a JSON string exactly as encoding/json does
@@ -139,37 +158,82 @@ func appendJSONFloat(buf []byte, f float64) []byte {
 	return buf
 }
 
-// appendSpanLine appends the span's JSONL line — the byte-identical
-// counterpart of json.Encoder.Encode(toJSON(s)), including the trailing
-// newline. Field order and the always-present fields match spanJSON.
-func appendSpanLine(buf []byte, s *Span) []byte {
+// spanEncoder appends span JSONL lines, each the byte-identical counterpart
+// of json.Encoder.Encode(toJSON(s)) including the trailing newline; field
+// order and the always-present fields match spanJSON. It is the one span
+// encoder of every exporter, each holding its own.
+//
+// The requests of a batch job share everything but their ID and arrival,
+// and the runtime hands their spans over back to back, so the encoder keeps
+// the three runs of a line that job-level fields decide, each rebuilt only
+// when a field it encodes differs from the last span's:
+//   - node: "tenant" through the "job" key — tenant, node and spec, which
+//     change only when the lane's serving node does;
+//   - job: the job ID through the "arrived_ns" key — job, batch size, mode
+//     and failure;
+//   - tail: "cold_ns" through the "latency_ns" key — the cold, queue and
+//     exec gaps, which repeat across jobs of one batch size.
+//
+// Most jobs carry one or two requests, so the job run is rebuilt on about
+// every other line; the node run is kept apart so that its rebuilds stay
+// rare. A line costs four integers instead of eleven, plus the job run's
+// when it starts a job.
+type spanEncoder struct {
+	node    []byte // encodes nodeKey; empty until the first line
+	nodeKey nodeRun
+	job     []byte // encodes jobKey; empty until the first line
+	jobKey  jobRun
+	tail    []byte // encodes tailKey; empty until the first line
+	tailKey [3]time.Duration
+
+	mode quoted // the last Mode string and its JSON encoding
+}
+
+type nodeRun struct {
+	tenant, node int
+	spec         string
+}
+
+type jobRun struct {
+	job    int64
+	size   int
+	mode   string
+	failed bool
+}
+
+// quoted caches one string's JSON encoding.
+type quoted struct {
+	s   string
+	enc []byte // appendJSONString of s; empty until first set
+}
+
+func (q *quoted) of(s string) []byte {
+	if len(q.enc) == 0 || s != q.s {
+		q.s, q.enc = s, appendJSONString(q.enc[:0], s)
+	}
+	return q.enc
+}
+
+// appendLine appends s's JSONL line with tenant in place of s.Tenant (a
+// multi-lane writer stamps the lane without touching the runtime's span).
+func (e *spanEncoder) appendLine(buf []byte, s *Span, tenant int) []byte {
 	buf = append(buf, `{"req":`...)
 	buf = appendInt(buf, s.Req)
-	buf = append(buf, `,"tenant":`...)
-	buf = appendInt(buf, int64(s.Tenant))
-	buf = append(buf, `,"node":`...)
-	buf = appendInt(buf, int64(s.Node))
-	buf = append(buf, `,"spec":`...)
-	buf = appendJSONString(buf, s.Spec)
-	buf = append(buf, `,"job":`...)
-	buf = appendInt(buf, s.Job)
-	buf = append(buf, `,"batch":`...)
-	buf = appendInt(buf, int64(s.BatchSize))
-	buf = append(buf, `,"mode":`...)
-	buf = appendJSONString(buf, s.Mode)
-	buf = append(buf, `,"failed":`...)
-	buf = strconv.AppendBool(buf, s.Failed)
-	buf = append(buf, `,"arrived_ns":`...)
+	if k := (nodeRun{tenant, s.Node, s.Spec}); len(e.node) == 0 || k != e.nodeKey {
+		e.nodeKey, e.node = k, appendNodeRun(e.node[:0], k)
+	}
+	buf = append(buf, e.node...)
+	if k := (jobRun{s.Job, s.BatchSize, s.Mode, s.Failed}); len(e.job) == 0 || k != e.jobKey {
+		e.jobKey, e.job = k, e.appendJobRun(e.job[:0], k)
+	}
+	buf = append(buf, e.job...)
 	buf = appendInt(buf, int64(s.Arrived))
 	buf = append(buf, `,"batch_wait_ns":`...)
 	buf = appendInt(buf, int64(s.BatchWait()))
-	buf = append(buf, `,"cold_ns":`...)
-	buf = appendInt(buf, int64(s.ColdStart()))
-	buf = append(buf, `,"queue_ns":`...)
-	buf = appendInt(buf, int64(s.QueueDelay()))
-	buf = append(buf, `,"exec_ns":`...)
-	buf = appendInt(buf, int64(s.Exec()))
-	buf = append(buf, `,"latency_ns":`...)
+	if k := [3]time.Duration{s.ColdStart(), s.QueueDelay(), s.Exec()}; len(e.tail) == 0 || k != e.tailKey {
+		e.tailKey, e.tail = k, appendTailRun(e.tail[:0], k)
+	}
+	buf = append(buf, e.tail...)
 	buf = appendInt(buf, int64(s.Latency()))
 	if s.Clones != 0 {
 		buf = append(buf, `,"clones":`...)
@@ -183,6 +247,37 @@ func appendSpanLine(buf []byte, s *Span) []byte {
 		buf = appendInt(buf, int64(s.Cancelled))
 	}
 	return append(buf, '}', '\n')
+}
+
+func appendNodeRun(buf []byte, k nodeRun) []byte {
+	buf = append(buf, `,"tenant":`...)
+	buf = appendInt(buf, int64(k.tenant))
+	buf = append(buf, `,"node":`...)
+	buf = appendInt(buf, int64(k.node))
+	buf = append(buf, `,"spec":`...)
+	buf = appendJSONString(buf, k.spec)
+	return append(buf, `,"job":`...)
+}
+
+func (e *spanEncoder) appendJobRun(buf []byte, k jobRun) []byte {
+	buf = appendInt(buf, k.job)
+	buf = append(buf, `,"batch":`...)
+	buf = appendInt(buf, int64(k.size))
+	buf = append(buf, `,"mode":`...)
+	buf = append(buf, e.mode.of(k.mode)...)
+	buf = append(buf, `,"failed":`...)
+	buf = strconv.AppendBool(buf, k.failed)
+	return append(buf, `,"arrived_ns":`...)
+}
+
+func appendTailRun(buf []byte, k [3]time.Duration) []byte {
+	buf = append(buf, `,"cold_ns":`...)
+	buf = appendInt(buf, int64(k[0]))
+	buf = append(buf, `,"queue_ns":`...)
+	buf = appendInt(buf, int64(k[1]))
+	buf = append(buf, `,"exec_ns":`...)
+	buf = appendInt(buf, int64(k[2]))
+	return append(buf, `,"latency_ns":`...)
 }
 
 // appendEventLine appends the event's JSONL line — the byte-identical

@@ -59,9 +59,12 @@ func SpanJSON(s *Span) any { return toJSON(s) }
 // simulation.
 func (r *Recorder) WriteSpansJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	var buf []byte
+	var (
+		enc spanEncoder
+		buf []byte
+	)
 	for _, s := range r.Spans() {
-		buf = appendSpanLine(buf[:0], s)
+		buf = enc.appendLine(buf[:0], s, s.Tenant)
 		if _, err := bw.Write(buf); err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"io"
+	"math"
 	"slices"
 	"time"
 )
@@ -13,14 +14,17 @@ import (
 // lane gets its own SpanSink (Lane), safe to feed from that lane's
 // goroutine.
 //
-// Output leaves each lane in two steps, so that encoding and writing can
-// overlap the lanes' next epoch:
+// Each lane encodes its span and event lines itself, as they arrive, into
+// lane-owned byte chunks that it recycles once they are written; the writer
+// only merges bytes. Output leaves each lane in two steps, so that merging
+// and writing can overlap the lanes' next epoch:
 //   - Cut(t) moves every queued span and event line with key <= t
 //     from each lane's live batch into its cut batch. Only the coordinator
 //     calls it, while no lane feeds and no Drain runs.
-//   - Drain merges, encodes and writes the cut batches. It never touches a
-//     live batch, so it may run on the coordinator while the lanes feed;
-//     one Drain at a time, never concurrently with Cut.
+//   - Drain merges and writes the cut batches, one write per run of lines
+//     from the same lane and chunk. It never touches a live batch, so it may run on
+//     the coordinator while the lanes feed; one Drain at a time, never
+//     concurrently with Cut.
 //
 // FlushThrough(t) is Cut(t) and Drain back to back, and Close flushes
 // everything; call them, PeakQueued, SpansWritten and Err as Cut is
@@ -46,11 +50,14 @@ type MergeWriter struct {
 	spans      *bufio.Writer
 	events     *bufio.Writer
 	haveEvents bool
-	buf        []byte // reused JSONL line buffer
-	cursor     []int  // Drain's per-lane merge position, reused
+	enc        spanEncoder     // encodes the open spans at Close
+	buf        []byte          // reused JSONL line buffer
+	src        []*lines        // Drain's per-lane queues, reused
+	cursor     []int           // Drain's per-lane merge position, reused
+	heads      []time.Duration // Drain's per-lane next key, reused
 
 	// undrained is set by Cut and cleared by Drain: while it is set the cut
-	// batches still hold unwritten entries, so a further Cut appends to them
+	// batches still hold unwritten lines, so a further Cut appends to them
 	// instead of recycling them.
 	undrained bool
 
@@ -58,51 +65,42 @@ type MergeWriter struct {
 	err     error
 }
 
-// queuedSpan is a completed span awaiting its barrier flush.
-type queuedSpan struct {
-	key time.Duration
-	s   *Span
-}
-
-// queuedEvent is a raw event line awaiting its barrier flush.
-type queuedEvent struct {
-	key time.Duration
-	e   Event
-}
-
-func (q queuedSpan) at() time.Duration  { return q.key }
-func (q queuedEvent) at() time.Duration { return q.key }
-
-// batch is one side of a lane's double buffer. Each queue is in lane-FIFO
-// order, so its keys never decrease.
+// batch is one side of a lane's double buffer.
 type batch struct {
-	spans  []queuedSpan
-	events []queuedEvent // event lines, when the writer has an events output
+	spans  lines
+	events lines // event lines, when the writer has an events output
 }
 
 // LaneSink is one lane's SpanSink into a MergeWriter. It is not safe for
 // concurrent use; each lane feeds its own. Distinct lanes may feed
 // concurrently, and concurrently with Drain: a lane sink touches only its
-// own live batch and free list, never the shared writer state or its cut
-// batch, which only Cut, Drain and Close touch.
+// own live batch, encoder and free chunks, never the shared writer state or
+// its cut batch, which only Cut, Drain and Close touch.
 type LaneSink struct {
-	w    *MergeWriter
-	lane int
-	key  time.Duration // running max of observed event and completion times
-	peak int           // lane-local high-water mark of the live batch
+	w     *MergeWriter
+	lane  int
+	stamp bool          // multi-lane writer: stamp the lane into Tenant
+	key   time.Duration // running max of observed event and completion times
+	peak  int           // lane-local high-water mark of the live batch
 
 	inFlight int     // requests arrived whose span has not been handed over
 	open     []*Span // spans of requests still open when the run ended
-	free     []*Span // written spans, recycled by Span
 
-	live batch // fed by the lane
-	cut  batch // handed to Drain; its spans return to free at the next Cut
+	enc  spanEncoder
+	live batch    // fed by the lane
+	cut  batch    // handed to Drain; emptied at the next Cut
+	free [][]byte // written chunks, reused by the live batch
 
 	// detailIntern caches the lane's "t<lane>/<series>" sample names. The
 	// gauge-name set is tiny and fixed per run, so every Sample event after
 	// the first per series reuses one interned string instead of a Sprintf.
 	detailIntern map[string]string
 }
+
+// outBuffer sizes the writer's output buffers. Drain writes runs of a few
+// hundred bytes, so the buffer sets how often a file output costs a write
+// system call: at bufio's default 4 KiB, one every ~18 span lines.
+const outBuffer = 16 << 10
 
 // NewMergeWriter returns a writer merging `lanes` lane feeds into the spans
 // writer and, when events is non-nil, the raw event feed. Call Lane(i) for
@@ -112,15 +110,15 @@ func NewMergeWriter(spans, events io.Writer, lanes int) *MergeWriter {
 	if lanes < 1 {
 		lanes = 1
 	}
-	w := &MergeWriter{cursor: make([]int, lanes)}
-	w.spans = bufio.NewWriter(spans)
+	w := &MergeWriter{src: make([]*lines, lanes), cursor: make([]int, lanes), heads: make([]time.Duration, lanes)}
+	w.spans = bufio.NewWriterSize(spans, outBuffer)
 	if events != nil {
-		w.events = bufio.NewWriter(events)
+		w.events = bufio.NewWriterSize(events, outBuffer)
 		w.haveEvents = true
 	}
 	w.lanes = make([]*LaneSink, lanes)
 	for i := range w.lanes {
-		w.lanes[i] = &LaneSink{w: w, lane: i}
+		w.lanes[i] = &LaneSink{w: w, lane: i, stamp: lanes > 1}
 	}
 	return w
 }
@@ -132,7 +130,8 @@ func (w *MergeWriter) Lane(i int) *LaneSink { return w.lanes[i] }
 // the writer has an events output.
 func (l *LaneSink) Lifecycle() bool { return l.w.haveEvents }
 
-// Event implements Sink for one lane.
+// Event implements Sink for one lane: it encodes the event line into the
+// live batch.
 func (l *LaneSink) Event(e Event) {
 	if e.At > l.key {
 		// Event times are nondecreasing per lane in practice; the running
@@ -144,13 +143,16 @@ func (l *LaneSink) Event(e Event) {
 	if !l.w.haveEvents {
 		return
 	}
-	if len(l.w.lanes) > 1 {
+	if l.stamp {
 		e.Tenant = l.lane
 		if e.Kind == Sample {
 			e.Detail = l.prefixed(e.Detail)
 		}
 	}
-	l.live.events = append(l.live.events, queuedEvent{key: l.key, e: e})
+	q := &l.live.events
+	c := q.tail(&l.free)
+	*c = appendEventLine(*c, e)
+	q.push(l.key, 1)
 	l.sample()
 }
 
@@ -160,30 +162,29 @@ func (l *LaneSink) Arrive() {
 	l.sample()
 }
 
-// Span implements SpanSink. The lane copies the span into one of its own
-// (recycled once written) and queues it under the completion time, or — for
-// a request still open at the end of the run — holds it for Close.
+// Span implements SpanSink. The lane encodes a finished span's line into its
+// live batch under the completion time; a span still open at the end of the
+// run is copied and held for Close.
 func (l *LaneSink) Span(s *Span) {
-	var c *Span
-	if n := len(l.free); n > 0 {
-		c = l.free[n-1]
-		l.free = l.free[:n-1]
-	} else {
-		c = new(Span)
-	}
-	*c = *s
-	if len(l.w.lanes) > 1 {
-		c.Tenant = l.lane
-	}
 	l.inFlight--
-	if !c.Done() {
-		l.open = append(l.open, c)
-	} else {
-		if c.Completed > l.key {
-			l.key = c.Completed
-		}
-		l.live.spans = append(l.live.spans, queuedSpan{key: l.key, s: c})
+	tenant := s.Tenant
+	if l.stamp {
+		tenant = l.lane
 	}
+	if !s.Done() {
+		c := new(Span)
+		*c = *s
+		c.Tenant = tenant
+		l.open = append(l.open, c)
+		return
+	}
+	if s.Completed > l.key {
+		l.key = s.Completed
+	}
+	q := &l.live.spans
+	c := q.tail(&l.free)
+	*c = l.enc.appendLine(*c, s, tenant)
+	q.push(l.key, 1)
 }
 
 // sample updates the lane's queue high-water mark. Only Arrive and Event
@@ -210,15 +211,15 @@ func (l *LaneSink) prefixed(detail string) string {
 }
 
 // queued is the lane's current buffered load: requests in flight and open
-// spans, plus the spans and event lines of its live batch. Cut batches do
+// spans, plus the span and event lines of its live batch. Cut batches do
 // not count: they are the writer's, no longer the lane's.
 func (l *LaneSink) queued() int {
-	return l.inFlight + len(l.open) + len(l.live.spans) + len(l.live.events)
+	return l.inFlight + len(l.open) + l.live.spans.n + l.live.events.n
 }
 
 // FlushThrough writes every queued span and event line with key <= t, merged
 // across lanes in (key, lane, lane-FIFO) order: Cut(t), then Drain, with the
-// written spans recycled at once. Call it as Cut is called.
+// written batches emptied at once. Call it as Cut is called.
 func (w *MergeWriter) FlushThrough(t time.Duration) {
 	w.Cut(t)
 	w.Drain()
@@ -229,50 +230,31 @@ func (w *MergeWriter) FlushThrough(t time.Duration) {
 
 // Cut hands every queued span and event line with key <= t to the
 // next Drain. At a barrier every queued key is <= t and the cut is a swap of
-// each lane's two batches; it copies only the entries it takes when some
-// key lies beyond t. Spans a previous Drain wrote return to their lane's
-// free list here. Only the coordinator calls Cut, while no lane feeds and
-// no Drain runs.
+// each lane's two batches; it copies a lane's lines only when some key lies
+// beyond t. Batches a previous Drain wrote are emptied here. Only the
+// coordinator calls Cut, while no lane feeds and no Drain runs.
 func (w *MergeWriter) Cut(t time.Duration) {
 	for _, l := range w.lanes {
 		if !w.undrained {
 			l.reclaim()
 		}
-		cutThrough(&l.live.spans, &l.cut.spans, t)
-		cutThrough(&l.live.events, &l.cut.events, t)
+		cutThrough(&l.live.spans, &l.cut.spans, t, &l.free)
+		cutThrough(&l.live.events, &l.cut.events, t, &l.free)
 	}
 	w.undrained = true
 }
 
-// cutThrough moves the leading entries of *live with key <= t onto the end
-// of *cut. When *cut is empty and every entry qualifies, the slices swap.
-func cutThrough[T interface{ at() time.Duration }](live, cut *[]T, t time.Duration) {
-	q := *live
-	n := len(q)
-	for n > 0 && q[n-1].at() > t {
-		n--
-	}
-	switch {
-	case n == 0:
-	case n == len(q) && len(*cut) == 0:
-		*live, *cut = (*cut)[:0], q
-	default:
-		*cut = append(*cut, q[:n]...)
-		m := copy(q, q[n:])
-		clear(q[m:])
-		*live = q[:m]
-	}
-}
-
-// reclaim returns the cut batch's written spans to the lane's free list and
-// empties the batch for reuse as the next live batch.
+// reclaim empties the cut batch for reuse as a live batch, its chunks back
+// on the free list. When the live batch is empty too — the lane fed nothing
+// since the cut, as when FlushThrough cuts and drains in one step — the two
+// swap back, so the lane keeps the line indexes it already grew and a writer
+// flushed at every barrier grows one set per lane, not two.
 func (l *LaneSink) reclaim() {
-	for _, q := range l.cut.spans {
-		l.free = append(l.free, q.s)
+	l.cut.spans.release(&l.free)
+	l.cut.events.release(&l.free)
+	if l.live.spans.n == 0 && l.live.events.n == 0 {
+		l.live, l.cut = l.cut, l.live
 	}
-	clear(l.cut.spans)
-	clear(l.cut.events)
-	l.cut.spans, l.cut.events = l.cut.spans[:0], l.cut.events[:0]
 }
 
 // Drain writes every cut span and event line, merged across lanes in (key,
@@ -282,60 +264,74 @@ func (w *MergeWriter) Drain() {
 	if !w.undrained {
 		return // the cut batches were written already
 	}
-	clear(w.cursor)
-	for {
-		best := -1
-		var bestKey time.Duration
-		for i, l := range w.lanes {
-			if q := l.cut.spans; w.cursor[i] < len(q) {
-				if k := q[w.cursor[i]].key; best < 0 || k < bestKey {
-					best, bestKey = i, k
-				}
-			}
-		}
-		if best < 0 {
-			break
-		}
-		w.writeSpan(w.lanes[best].cut.spans[w.cursor[best]].s)
-		w.cursor[best]++
+	for i, l := range w.lanes {
+		w.src[i] = &l.cut.spans
 	}
+	w.written += w.merge(w.spans)
 	if w.haveEvents {
-		clear(w.cursor)
-		for {
-			best := -1
-			var bestKey time.Duration
-			for i, l := range w.lanes {
-				if q := l.cut.events; w.cursor[i] < len(q) {
-					if k := q[w.cursor[i]].key; best < 0 || k < bestKey {
-						best, bestKey = i, k
-					}
-				}
-			}
-			if best < 0 {
-				break
-			}
-			if w.err == nil {
-				w.buf = appendEventLine(w.buf[:0], w.lanes[best].cut.events[w.cursor[best]].e)
-				if _, err := w.events.Write(w.buf); err != nil {
-					w.err = err
-				}
-			}
-			w.cursor[best]++
+		for i, l := range w.lanes {
+			w.src[i] = &l.cut.events
 		}
+		w.merge(w.events)
 	}
 	w.undrained = false
 }
 
-func (w *MergeWriter) writeSpan(s *Span) {
-	if w.err != nil {
-		return
+// merge writes the lines of the queues in w.src to out in (key, queue,
+// FIFO) order, one write per run of consecutive line groups from the same
+// queue and chunk, and returns the number of lines written. Nothing is written
+// once an error is sticky.
+func (w *MergeWriter) merge(out *bufio.Writer) int {
+	qs, cur, heads := w.src, w.cursor, w.heads
+	// heads[i] is the key of queue i's next group, or -1 once it has none:
+	// keys are lane times, never negative.
+	for i, q := range qs {
+		cur[i], heads[i] = 0, -1
+		if len(q.groups) > 0 {
+			heads[i] = q.groups[0].key
+		}
 	}
-	w.buf = appendSpanLine(w.buf[:0], s)
-	if _, err := w.spans.Write(w.buf); err != nil {
-		w.err = err
-		return
+	written := 0
+	for {
+		// best is the queue whose next line comes first; next the queue whose
+		// next line would come after it (lowest key, then lowest index).
+		best, next := -1, len(qs)
+		var bestKey, nextKey time.Duration = -1, math.MaxInt64
+		for i, k := range heads {
+			switch {
+			case k < 0:
+			case best < 0:
+				best, bestKey = i, k
+			case k < bestKey:
+				next, nextKey = best, bestKey
+				best, bestKey = i, k
+			case k < nextKey:
+				next, nextKey = i, k
+			}
+		}
+		if best < 0 {
+			return written
+		}
+		// best's groups stay first while their keys are below next's, or
+		// equal to it with best the lower lane.
+		q := qs[best]
+		from, to := cur[best], cur[best]+1
+		for to < len(q.groups) && (q.groups[to].key < nextKey || q.groups[to].key == nextKey && best < next) {
+			to++
+		}
+		cur[best], heads[best] = to, -1
+		if to < len(q.groups) {
+			heads[best] = q.groups[to].key
+		}
+		if w.err != nil {
+			continue
+		}
+		n, err := q.writeRun(out, from, to)
+		written += n
+		if err != nil {
+			w.err = err
+		}
 	}
-	w.written++
 }
 
 // Close drains every queue, writes the spans of requests still open when
@@ -351,7 +347,15 @@ func (w *MergeWriter) Close() error {
 	}
 	slices.SortFunc(open, ArrivalOrder)
 	for _, s := range open {
-		w.writeSpan(s)
+		if w.err != nil {
+			break
+		}
+		w.buf = w.enc.appendLine(w.buf[:0], s, s.Tenant)
+		if _, err := w.spans.Write(w.buf); err != nil {
+			w.err = err
+			break
+		}
+		w.written++
 	}
 	if err := w.spans.Flush(); err != nil && w.err == nil {
 		w.err = err

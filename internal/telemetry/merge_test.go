@@ -2,10 +2,13 @@ package telemetry
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/raceflag"
 )
 
 // feedLaneLifecycle hands sink one request served as job: it arrives at
@@ -99,7 +102,7 @@ func TestMergeWriterFlushCadenceIndependent(t *testing.T) {
 				}
 				mw.Cut(at)
 				for _, l := range mw.lanes {
-					leftQueued = leftQueued || len(l.live.spans) > 0 || len(l.live.events) > 0
+					leftQueued = leftQueued || l.live.spans.n > 0 || l.live.events.n > 0
 				}
 				mw.Drain()
 			}
@@ -232,5 +235,35 @@ func TestMergeWriterTieBreaksByLane(t *testing.T) {
 	}
 	if len(spans) != 2 || spans[0].Tenant != 0 || spans[1].Tenant != 1 {
 		t.Fatalf("tie-break wrong: got tenants %v", []int{spans[0].Tenant, spans[1].Tenant})
+	}
+}
+
+// Once a lane's buffers have grown, the merged span path allocates nothing:
+// encoding spans into the live batch, the barrier Cut and the Drain that
+// writes them.
+func TestLaneSinkSpanAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc gates run in non-race builds")
+	}
+	const lanes = 3
+	w := NewMergeWriter(io.Discard, nil, lanes)
+	feed := benchFeed(256)
+	epoch := func() {
+		for lane := range lanes {
+			for i := range feed {
+				w.Lane(lane).Arrive()
+				w.Lane(lane).Span(&feed[i])
+			}
+		}
+		w.Cut(1<<63 - 1)
+		w.Drain()
+	}
+	epoch()
+	epoch() // both sides of each lane's double buffer have grown
+	if allocs := testing.AllocsPerRun(50, epoch); allocs != 0 {
+		t.Fatalf("steady-state Span+Cut+Drain allocates %.1f objects per epoch, want 0", allocs)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -49,13 +49,16 @@ type Span struct {
 }
 
 // Reset clears s to the span of a request that has reached no stage yet:
-// every timestamp Unset, no job and no node.
+// every timestamp Unset, no job and no node. It stores field by field: the
+// runtime resets a span per job, and a whole-struct literal compiles to a
+// block copy of a zeroed temporary.
 func (s *Span) Reset(req int64, tenant int) {
-	*s = Span{
-		Req: req, Tenant: tenant, Node: -1,
-		Arrived: Unset, Batched: Unset, Dispatched: Unset, Queued: Unset,
-		ExecStart: Unset, ExecEnd: Unset, Completed: Unset,
-	}
+	s.Req, s.Tenant = req, tenant
+	s.Arrived, s.Batched, s.Dispatched, s.Queued = Unset, Unset, Unset, Unset
+	s.ExecStart, s.ExecEnd, s.Completed = Unset, Unset, Unset
+	s.Job, s.Node, s.Spec, s.BatchSize, s.Mode = 0, -1, "", 0, ""
+	s.Failed = false
+	s.Clones, s.Hedged, s.Cancelled = 0, false, 0
 }
 
 // Stamp returns at when the stage happened and Unset otherwise.

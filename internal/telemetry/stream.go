@@ -17,6 +17,7 @@ import (
 type StreamWriter struct {
 	spans  *bufio.Writer
 	events *bufio.Writer
+	enc    spanEncoder
 	buf    []byte // reused JSONL line buffer
 
 	inFlight int // requests arrived whose span has not been handed over
@@ -64,7 +65,7 @@ func (w *StreamWriter) Span(s *Span) {
 	if w.err != nil {
 		return
 	}
-	w.buf = appendSpanLine(w.buf[:0], s)
+	w.buf = w.enc.appendLine(w.buf[:0], s, s.Tenant)
 	if _, err := w.spans.Write(w.buf); err != nil {
 		w.err = err
 		return

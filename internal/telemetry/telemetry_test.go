@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -287,5 +288,34 @@ func TestEventStringAndKindNames(t *testing.T) {
 		if k.String() == "" || strings.HasPrefix(k.String(), "kind(") {
 			t.Fatalf("kind %d has no name", k)
 		}
+	}
+}
+
+// Reset stores Span's fields one by one, so a field added to Span must be
+// added there too: every field of a fully dirty span must come back to the
+// fresh-span values.
+func TestSpanResetClearsEveryField(t *testing.T) {
+	var dirty Span
+	v := reflect.ValueOf(&dirty).Elem()
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("field %s: kind %s not covered", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	dirty.Reset(3, 2)
+	want := Span{
+		Req: 3, Tenant: 2, Node: -1,
+		Arrived: Unset, Batched: Unset, Dispatched: Unset, Queued: Unset,
+		ExecStart: Unset, ExecEnd: Unset, Completed: Unset,
+	}
+	if dirty != want {
+		t.Fatalf("Reset left %+v, want %+v", dirty, want)
 	}
 }
