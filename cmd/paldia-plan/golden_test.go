@@ -3,10 +3,15 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/model"
 )
 
 var update = flag.Bool("update", false, "rewrite the stdout goldens under testdata/")
@@ -22,6 +27,9 @@ func TestPlanStdoutGoldens(t *testing.T) {
 	}{
 		{"resnet50-450rps", []string{"-model", "ResNet 50", "-rate", "450"}},
 		{"bert-8rps-150ms", []string{"-model", "BERT", "-rate", "8", "-slo", "150ms"}},
+		// The policy picks g3s.xlarge here; costing the CPU nodes without
+		// their M/D/1 tail wait would pick c6i.2xlarge.
+		{"resnet50-150rps", []string{"-model", "ResNet 50", "-rate", "150"}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -47,7 +55,8 @@ func TestPlanStdoutGoldens(t *testing.T) {
 }
 
 // TestPlanExitCodes checks the error paths: each exits non-zero with a
-// message on stderr and prints nothing to stdout.
+// message on stderr and prints nothing to stdout. A rate or SLO out of range
+// exits 2, as an unparsable value does.
 func TestPlanExitCodes(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -57,6 +66,12 @@ func TestPlanExitCodes(t *testing.T) {
 	}{
 		{"unknown-model", []string{"-model", "NoSuchNet"}, 1, `unknown model "NoSuchNet"`},
 		{"bad-flag", []string{"-rate", "fast"}, 2, `invalid value "fast"`},
+		{"zero-slo", []string{"-slo", "0"}, 2, "-slo 0s"},
+		{"negative-slo", []string{"-slo", "-150ms"}, 2, "-slo -150ms"},
+		{"negative-rate", []string{"-rate", "-5"}, 2, "-rate -5"},
+		{"nan-rate", []string{"-rate", "NaN"}, 2, "-rate NaN"},
+		{"inf-rate", []string{"-rate", "+Inf"}, 2, "-rate +Inf"},
+		{"minus-inf-rate", []string{"-rate", "-Inf"}, 2, "-rate -Inf"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -70,5 +85,41 @@ func TestPlanExitCodes(t *testing.T) {
 				t.Errorf("stderr = %q, want it to contain %q", stderr.String(), c.message)
 			}
 		})
+	}
+}
+
+// TestPlanPicksWhatThePolicyPicks runs paldia-plan over every catalog model,
+// two SLOs and twelve rates from 1 to 1000 rps, and checks each printed
+// choose_best_HW pick against Paldia's DesiredHardware on an idle State at
+// the same rate: the planner must print the runtime's decision, not a copy
+// of it.
+func TestPlanPicksWhatThePolicyPicks(t *testing.T) {
+	policy := core.NewPaldia().Policy
+	rates := []float64{1, 2, 5, 8, 15, 30, 60, 100, 150, 250, 450, 1000}
+	points := 0
+	for _, m := range model.Catalog() {
+		for _, slo := range []time.Duration{150 * time.Millisecond, 200 * time.Millisecond} {
+			for _, rate := range rates {
+				args := []string{"-model", m.Name, "-rate", fmt.Sprint(rate), "-slo", slo.String()}
+				var stdout, stderr bytes.Buffer
+				if code := run(args, &stdout, &stderr); code != 0 {
+					t.Fatalf("paldia-plan %s: exit %d\n%s", strings.Join(args, " "), code, stderr.String())
+				}
+				_, line, ok := strings.Cut(stdout.String(), "choose_best_HW: ")
+				if !ok {
+					t.Fatalf("paldia-plan %s printed no pick:\n%s", strings.Join(args, " "), stdout.String())
+				}
+				printed, _, _ := strings.Cut(line, " ")
+				want := policy.DesiredHardware(&core.State{Model: m, SLO: slo, PredictedRPS: rate})
+				if printed != want.Name {
+					t.Errorf("%s at %g rps, SLO %v: paldia-plan picks %s, DesiredHardware %s",
+						m.Name, rate, slo, printed, want.Name)
+				}
+				points++
+			}
+		}
+	}
+	if points != 384 {
+		t.Fatalf("swept %d points, want 384", points)
 	}
 }

@@ -12,20 +12,19 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hardware"
 	"repro/internal/model"
-	"repro/internal/perfmodel"
-	"repro/internal/profile"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run parses argv, prints the plan to stdout and returns the exit code: 0 on
-// success, 1 for an unknown model, 2 for a flag parse error.
+// success, 1 for an unknown model, 2 for a flag parse error or a rate or SLO
+// out of range. Every number it prints comes from core.Plan.
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paldia-plan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -37,6 +36,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	if *rate < 0 || math.IsNaN(*rate) || math.IsInf(*rate, 0) {
+		fmt.Fprintf(stderr, "-rate %v: want a finite rate of 0 rps or more\n", *rate)
+		return 2
+	}
+	if *slo <= 0 {
+		fmt.Fprintf(stderr, "-slo %v: want a positive latency target\n", *slo)
+		return 2
+	}
 
 	m, ok := model.ByName(*modelName)
 	if !ok {
@@ -44,69 +51,24 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	pool := profile.CapablePool(m, *rate, *slo)
-	inPool := map[string]bool{}
-	for _, hw := range pool {
-		inPool[hw.Name] = true
-	}
-
+	plan := core.Plan(m, *rate, *slo)
 	fmt.Fprintf(stdout, "plan for %s at %.0f rps, SLO %v\n\n", m.Name, *rate, *slo)
 	fmt.Fprintf(stdout, "%-12s %-11s %8s %6s %10s %9s %9s\n",
 		"node", "device", "$/h", "batch", "T_max", "best y", "capable")
-
-	type cand struct {
-		hw   hardware.Spec
-		tmax time.Duration
-	}
-	var cands []cand
-	n := int(*rate * slo.Seconds())
-	for _, hw := range hardware.Catalog() {
-		e := profile.Lookup(m, hw)
-		var tmax time.Duration
-		bestY := "-"
+	for _, n := range plan.Nodes {
+		hw := n.Entry.Hardware
+		bestY, capable := "-", "no"
 		if hw.IsGPU() {
-			in := perfmodel.Inputs{
-				Solo: e.SoloBatch, BatchSize: e.PreferredBatch,
-				FBR: e.FBR, ComputeFrac: e.ComputeFrac,
-				N: n, SLO: *slo,
-			}
-			y, tm, _ := perfmodel.BestY(in)
-			tmax = tm
-			bestY = fmt.Sprint(y)
-		} else {
-			// One dispatch window's arrivals execute serially, as Hardware
-			// Selection approximates it — at least one request, so low
-			// rates are not planned as an empty window.
-			b := e.EffectiveBatchAt(*rate, *slo/4)
-			nWin := max(1, int(*rate*core.DefaultDispatchWindow.Seconds()))
-			tmax = perfmodel.ApproxCPUTMax(e.SoloAt(b), b, nWin, 0)
+			bestY = fmt.Sprint(n.BestY)
 		}
-		capable := "no"
-		if inPool[hw.Name] {
+		if n.Capable {
 			capable = "yes"
-			cands = append(cands, cand{hw, tmax})
 		}
 		fmt.Fprintf(stdout, "%-12s %-11s %8.2f %6d %10v %9s %9s\n",
-			hw.Name, hw.Accel, hw.CostPerHour, e.PreferredBatch,
-			tmax.Round(time.Millisecond), bestY, capable)
+			hw.Name, hw.Accel, hw.CostPerHour, n.Entry.PreferredBatch,
+			n.TMax.Round(time.Millisecond), bestY, capable)
 	}
-
-	if len(cands) == 0 {
-		fmt.Fprintln(stdout, "\nno capable node; the selection falls back to the most performant GPU")
-		return 0
-	}
-	best := cands[0].tmax
-	for _, c := range cands[1:] {
-		if c.tmax < best {
-			best = c.tmax
-		}
-	}
-	for _, c := range cands {
-		if c.tmax <= best+50*time.Millisecond {
-			fmt.Fprintf(stdout, "\nchoose_best_HW: %s (%s) at $%.2f/h — cheapest within 50ms of the best T_max (%v)\n",
-				c.hw.Name, c.hw.Accel, c.hw.CostPerHour, best.Round(time.Millisecond))
-			return 0
-		}
-	}
+	fmt.Fprintf(stdout, "\nchoose_best_HW: %s (%s) at $%.2f/h — cheapest within %v of the best T_max (%v)\n",
+		plan.Pick.Name, plan.Pick.Accel, plan.Pick.CostPerHour, plan.Window, plan.Best.Round(time.Millisecond))
 	return 0
 }

@@ -32,8 +32,8 @@ type Node struct {
 	revoked    bool          // revocation notice received
 }
 
-// HeldFor returns how long the node has been (or was) held.
-func (n *Node) HeldFor(now time.Duration) time.Duration {
+// heldFor returns how long the node has been (or was) held.
+func (n *Node) heldFor(now time.Duration) time.Duration {
 	end := now
 	if n.released {
 		end = n.releasedAt
@@ -270,7 +270,7 @@ func (c *Cluster) TotalCost() float64 {
 	now := c.eng.Now()
 	total := 0.0
 	for _, n := range c.nodes {
-		total += n.Rate() * n.HeldFor(now).Seconds()
+		total += n.Rate() * n.heldFor(now).Seconds()
 	}
 	return total
 }
@@ -279,7 +279,7 @@ func (c *Cluster) TotalCost() float64 {
 func (c *Cluster) CostByKind() (cpu, gpu float64) {
 	now := c.eng.Now()
 	for _, n := range c.nodes {
-		cost := n.Rate() * n.HeldFor(now).Seconds()
+		cost := n.Rate() * n.heldFor(now).Seconds()
 		if n.Spec.IsGPU() {
 			gpu += cost
 		} else {
@@ -297,7 +297,7 @@ func (c *Cluster) EnergyWh() float64 {
 	joulesPerWh := 3600.0
 	total := 0.0
 	for _, n := range c.nodes {
-		held := n.HeldFor(now).Seconds()
+		held := n.heldFor(now).Seconds()
 		total += n.Spec.IdlePowerW * held / joulesPerWh
 		if n.Device != nil {
 			busy := n.Device.BusyTime().Seconds()
@@ -323,7 +323,7 @@ func (c *Cluster) HeldBySpec() map[string]time.Duration {
 	now := c.eng.Now()
 	out := make(map[string]time.Duration)
 	for _, n := range c.nodes {
-		out[n.Spec.Name] += n.HeldFor(now)
+		out[n.Spec.Name] += n.heldFor(now)
 	}
 	return out
 }
@@ -339,7 +339,7 @@ func (c *Cluster) Utilization(kind hardware.Kind) float64 {
 			continue
 		}
 		busy += n.Device.BusyTime()
-		held += n.HeldFor(now)
+		held += n.heldFor(now)
 	}
 	if held <= 0 {
 		return 0

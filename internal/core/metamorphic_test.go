@@ -92,17 +92,17 @@ func TestMetamorphicSLOTighteningShrinksCapablePool(t *testing.T) {
 	slos := []time.Duration{400 * time.Millisecond, 300 * time.Millisecond,
 		200 * time.Millisecond, 150 * time.Millisecond, 100 * time.Millisecond}
 	for _, rate := range []float64{10, 50, 150, 400, 900, 2000} {
-		var looser []hardware.Spec
+		var looser []*profile.Entry
 		for i, slo := range slos {
-			pool := profile.CapablePool(m, rate, slo)
+			pool := profile.RowsFor(m).AppendCapable(nil, rate, slo)
 			if len(pool) == 0 {
 				t.Fatalf("rate %.0f SLO %v: capable pool empty (fallback contract broken)", rate, slo)
 			}
 			if i > 0 {
-				for _, hw := range pool {
-					if hw.Name != fallback.Name && !containsSpec(looser, hw) {
+				for _, e := range pool {
+					if e.Hardware.Name != fallback.Name && !containsSpec(looser, e.Hardware) {
 						t.Fatalf("rate %.0f: %s capable at SLO %v but not at looser %v",
-							rate, hw.Name, slo, slos[i-1])
+							rate, e.Hardware.Name, slo, slos[i-1])
 					}
 				}
 			}
@@ -119,9 +119,9 @@ func TestMetamorphicSLOTighteningShrinksCapablePool(t *testing.T) {
 	}
 }
 
-func containsSpec(pool []hardware.Spec, hw hardware.Spec) bool {
-	for _, p := range pool {
-		if p.Name == hw.Name {
+func containsSpec(pool []*profile.Entry, hw hardware.Spec) bool {
+	for _, e := range pool {
+		if e.Hardware.Name == hw.Name {
 			return true
 		}
 	}

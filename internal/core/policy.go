@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/hardware"
@@ -139,98 +140,155 @@ func paldiaPlanN(rate float64, slo time.Duration, pending int) int {
 
 // paldiaHardware is Algorithm 1's HARDWARE_SELECTION body.
 func paldiaHardware(s *State) hardware.Spec {
-	return paldiaHardwareAtRate(s, s.PredictedRPS)
+	e, _ := paldiaHardwareAtRate(s, s.PredictedRPS)
+	return e.Hardware
 }
 
 // paldiaHardwareReactive is the no-prediction ablation: the same selection
 // driven by the observed rate.
 func paldiaHardwareReactive(s *State) hardware.Spec {
-	return paldiaHardwareAtRate(s, s.ObservedRPS)
+	e, _ := paldiaHardwareAtRate(s, s.ObservedRPS)
+	return e.Hardware
 }
 
-func paldiaHardwareAtRate(s *State, rate float64) hardware.Spec {
+// paldiaHardwareAtRate costs every node of the capable pool at rate and
+// returns choose_best_HW's row with the best T_max. The pool stays in
+// s.poolScratch until the next pass.
+func paldiaHardwareAtRate(s *State, rate float64) (*profile.Entry, time.Duration) {
 	// get_HW_pool, sorted by cost; appended into runner-owned scratch so the
 	// per-tick pass is allocation-free once the buffers have grown.
 	s.poolScratch = s.profileRows().AppendCapable(s.poolScratch[:0], rate, s.SLO)
-	n := paldiaPlanN(rate, s.SLO, s.Pending)
-
 	cands := s.candScratch[:0]
-	in := perfmodel.Inputs{N: n, SLO: s.SLO} // one Inputs reused across the pass
 	for _, e := range s.poolScratch {
-		current := s.HasCurrent && s.Current.Name == e.Hardware.Name
-		if !e.Hardware.IsGPU() {
-			// Algorithm 1 stops probing y values for CPU candidates (there
-			// is no spatial sharing to tune); every capable CPU shape is
-			// still costed, since a bigger CPU node with queueing headroom
-			// can beat a marginal cheap one.
-			backlog := time.Duration(0)
-			if current {
-				backlog = s.Backlog
-			}
-			// A CPU node serves each dispatch window's worth of requests
-			// serially; unlike the GPU case, arrivals beyond one window
-			// never execute together, so T_max is approximated on a
-			// window's load (sustainability is already enforced by
-			// CapablePool).
-			win := s.Window
-			if win <= 0 {
-				win = DefaultDispatchWindow
-			}
-			nWin := int(rate * win.Seconds())
-			if s.Pending > nWin {
-				nWin = s.Pending
-			}
-			b := e.EffectiveBatchAt(rate, s.SLO/4)
-			solo := e.SoloAt(b)
-			tmax := perfmodel.ApproxCPUTMax(solo, b, nWin, backlog)
-			// Serial CPU service queues at utilization: T_max is a
-			// worst-case estimate, so charge a tail-flavoured M/D/1 wait.
-			// This keeps the selection off marginal CPUs — the paper's CPU
-			// nodes serve only comfortably low rates (up to ~25 rps for
-			// high-FBR models).
-			rho := queueing.Utilization(rate/float64(b), solo)
-			if wait := queueing.TailWait(rho, solo); wait >= queueing.Unstable {
-				tmax += s.SLO // saturated: disqualify via a large penalty
-			} else {
-				tmax += wait
-			}
-			cands = append(cands, hwCand{e, tmax})
-			continue
-		}
-		in.Solo = e.SoloBatch
-		in.BatchSize = e.PreferredBatch
-		in.FBR = e.FBR
-		in.ComputeFrac = e.ComputeFrac
-		in.PenaltyByJobs = e.PenaltyByJobs
-		in.ExistingDemand, in.ExistingCompute = 0, 0
-		in.ExistingJobs, in.ExistingLane = 0, 0
-		if current {
-			in.ExistingDemand = s.ActiveDemand
-			in.ExistingCompute = s.ActiveCompute
-			in.ExistingJobs = s.ActiveJobs
-			in.ExistingLane = s.LaneBacklog
-		}
-		_, tmax, _ := perfmodel.BestY(in) // serial Eq. (1) y probing per GPU
+		tmax, _ := nodeTMax(s, e, rate)
 		cands = append(cands, hwCand{e, tmax})
 	}
 	s.candScratch = cands
-	if len(cands) == 0 {
-		return hardware.MostPerformant(hardware.GPU)
+	return chooseBestHW(cands)
+}
+
+// nodeTMax is Algorithm 1's costing of node e at rate: its predicted T_max
+// and, on a GPU node, Eq. (1)'s best y (0 on a CPU node). The live device
+// state (backlog, executing jobs, lane) counts only when e is the node type
+// currently serving.
+func nodeTMax(s *State, e *profile.Entry, rate float64) (time.Duration, int) {
+	current := s.HasCurrent && s.Current.Name == e.Hardware.Name
+	if e.Hardware.Kind != hardware.GPU { // Kind, not IsGPU: its value receiver copies the Spec
+		// Algorithm 1 stops probing y values for CPU candidates (there
+		// is no spatial sharing to tune); every capable CPU shape is
+		// still costed, since a bigger CPU node with queueing headroom
+		// can beat a marginal cheap one.
+		backlog := time.Duration(0)
+		if current {
+			backlog = s.Backlog
+		}
+		// A CPU node serves each dispatch window's worth of requests
+		// serially; unlike the GPU case, arrivals beyond one window
+		// never execute together, so T_max is approximated on a
+		// window's load (sustainability is already enforced by
+		// Rows.AppendCapable).
+		win := s.Window
+		if win <= 0 {
+			win = DefaultDispatchWindow
+		}
+		nWin := int(rate * win.Seconds())
+		if s.Pending > nWin {
+			nWin = s.Pending
+		}
+		b := e.EffectiveBatchAt(rate, s.SLO/4)
+		solo := e.SoloAt(b)
+		tmax := perfmodel.ApproxCPUTMax(solo, b, nWin, backlog)
+		// Serial CPU service queues at utilization: T_max is a
+		// worst-case estimate, so charge a tail-flavoured M/D/1 wait.
+		// This keeps the selection off marginal CPUs — the paper's CPU
+		// nodes serve only comfortably low rates (up to ~25 rps for
+		// high-FBR models).
+		rho := queueing.Utilization(rate/float64(b), solo)
+		if wait := queueing.TailWait(rho, solo); wait >= queueing.Unstable {
+			tmax += s.SLO // saturated: disqualify via a large penalty
+		} else {
+			tmax += wait
+		}
+		return tmax, 0
 	}
-	// choose_best_HW: cheapest within the slack window of the most
-	// performant candidate.
+	in := perfmodel.Inputs{
+		Solo:          e.SoloBatch,
+		BatchSize:     e.PreferredBatch,
+		FBR:           e.FBR,
+		ComputeFrac:   e.ComputeFrac,
+		N:             paldiaPlanN(rate, s.SLO, s.Pending),
+		SLO:           s.SLO,
+		PenaltyByJobs: e.PenaltyByJobs,
+	}
+	if current {
+		in.ExistingDemand = s.ActiveDemand
+		in.ExistingCompute = s.ActiveCompute
+		in.ExistingJobs = s.ActiveJobs
+		in.ExistingLane = s.LaneBacklog
+	}
+	y, tmax, _ := perfmodel.BestY(in) // serial Eq. (1) y probing per GPU
+	return tmax, y
+}
+
+// chooseBestHW is Algorithm 1's choose_best_HW over the costed capable
+// pool, cheapest first: the cheapest candidate within chooseBestHWWindow of
+// the most performant one's T_max, returned with that best T_max. The pool
+// is never empty (get_HW_pool holds at least the fallback GPU), and the
+// scan stops at the latest on the best candidate itself.
+func chooseBestHW(cands []hwCand) (*profile.Entry, time.Duration) {
 	best := cands[0].tmax
 	for _, c := range cands[1:] {
 		if c.tmax < best {
 			best = c.tmax
 		}
 	}
-	for _, c := range cands { // pool is cost-ascending
-		if c.tmax <= best+chooseBestHWWindow {
-			return c.e.Hardware
-		}
+	i := 0
+	for cands[i].tmax > best+chooseBestHWWindow {
+		i++
 	}
-	return cands[len(cands)-1].e.Hardware
+	return cands[i].e, best
+}
+
+// NodePlan is one node's line in a HardwarePlan.
+type NodePlan struct {
+	// Entry is the node's profiling row for the planned model.
+	Entry *profile.Entry
+	// Capable reports whether the node is in Algorithm 1's capable pool
+	// (get_HW_pool), which holds the fallback GPU when nothing qualifies.
+	Capable bool
+	// TMax is the node's predicted T_max; BestY is Eq. (1)'s best y on a
+	// GPU node, 0 on a CPU node.
+	TMax  time.Duration
+	BestY int
+}
+
+// HardwarePlan is one read-only Hardware Selection pass, laid open.
+type HardwarePlan struct {
+	// Nodes holds every catalog node, cheapest first, each costed as
+	// Algorithm 1 costs a capable node.
+	Nodes []NodePlan
+	// Pick is choose_best_HW's node: the cheapest capable node whose T_max
+	// is within Window of Best, the lowest capable T_max.
+	Pick   hardware.Spec
+	Best   time.Duration
+	Window time.Duration
+}
+
+// Plan runs Paldia's Hardware Selection for m at a predicted rate under slo
+// on an idle cluster: no node serving yet, nothing pending or executing,
+// the default dispatch window. Its Pick comes from the pass NewPaldia's
+// DesiredHardware runs, so it is what DesiredHardware returns for that
+// State; the table costs every node again, capable or not.
+func Plan(m model.Spec, rate float64, slo time.Duration) HardwarePlan {
+	s := &State{Model: m, SLO: slo}
+	pick, best := paldiaHardwareAtRate(s, rate)
+	p := HardwarePlan{Pick: pick.Hardware, Best: best, Window: chooseBestHWWindow}
+	for _, e := range s.profileRows().ByCost {
+		n := NodePlan{Entry: e, Capable: slices.Contains(s.poolScratch, e)}
+		n.TMax, n.BestY = nodeTMax(s, e, rate)
+		p.Nodes = append(p.Nodes, n)
+	}
+	return p
 }
 
 // cheapestIsolated is the $-variants' selection: the cheapest hardware that

@@ -292,10 +292,18 @@ func (r *Rows) Entry(hw hardware.Spec) *Entry {
 	return computeEntry(r.Model, hw)
 }
 
-// AppendCapable appends the capable pool (see CapablePool) to dst as rows,
-// cheapest first, for callers that reuse a scratch slice across monitor
-// ticks (the selection hot path). The catalog's prices are distinct, so
-// filtering the cost-sorted rows in order yields exactly the sorted pool.
+// AppendCapable appends to dst, cheapest first, the rows of the nodes able
+// to serve the workload at the given sustained request rate within the SLO —
+// the pool the Hardware Selection module explores (Algorithm 1's
+// get_HW_pool). A node qualifies when (i) one batch executes within the SLO
+// in isolation, leaving room for batching delay, and (ii) it sustains the
+// rate (Entry.CanSustain) at the batch sizes reachable within the SLO's
+// batching budget. The pool is never empty: if nothing qualifies, the most
+// performant GPU is appended as the fallback of last resort (matching the
+// paper's escalation to the next more performant GPU when no feasible y
+// exists). Callers reuse dst across monitor ticks, so the selection hot path
+// allocates nothing; the catalog's prices are distinct, so filtering the
+// cost-sorted rows in order yields exactly the sorted pool.
 func (r *Rows) AppendCapable(dst []*Entry, rateRPS float64, slo time.Duration) []*Entry {
 	base := len(dst)
 	maxWait := capabilityMaxWait(slo)
@@ -344,21 +352,3 @@ func Table() []*Entry {
 // capabilityMaxWait is the batching-delay budget used by the capability
 // probes: a quarter of the SLO, leaving the rest for execution.
 func capabilityMaxWait(slo time.Duration) time.Duration { return slo / 4 }
-
-// CapablePool returns the hardware candidates able to serve the workload at
-// the given sustained request rate within the SLO — the pool the Hardware
-// Selection module explores (Algorithm 1's get_HW_pool). A node qualifies
-// when (i) one batch executes within the SLO in isolation, leaving room for
-// batching delay, and (ii) it sustains the rate (Entry.CanSustain) at the
-// batch sizes reachable within the SLO's batching budget. The returned pool
-// is sorted cheapest first; it is never empty — if nothing qualifies, the
-// most performant GPU is returned as the fallback of last resort (matching
-// the paper's escalation to the next more performant GPU when no feasible y
-// exists). It is a convenience over RowsFor(m).AppendCapable.
-func CapablePool(m model.Spec, rateRPS float64, slo time.Duration) []hardware.Spec {
-	var pool []hardware.Spec
-	for _, e := range RowsFor(m).AppendCapable(nil, rateRPS, slo) {
-		pool = append(pool, e.Hardware)
-	}
-	return pool
-}

@@ -233,11 +233,17 @@ func TestCPUServesLowRatesOnly(t *testing.T) {
 	}
 }
 
+// capablePool is the capable pool's node types: Rows.AppendCapable's rows,
+// cheapest first.
+func capablePool(m model.Spec, rateRPS float64, slo time.Duration) []hardware.Spec {
+	return specsOf(RowsFor(m).AppendCapable(nil, rateRPS, slo))
+}
+
 func TestCapablePool(t *testing.T) {
 	m := model.MustByName("ResNet 50")
 	slo := 200 * time.Millisecond
 
-	low := CapablePool(m, 10, slo)
+	low := capablePool(m, 10, slo)
 	if len(low) == 0 {
 		t.Fatal("empty pool at 10 rps")
 	}
@@ -245,7 +251,7 @@ func TestCapablePool(t *testing.T) {
 		t.Errorf("cheapest capable node at 10 rps is %v, want a CPU node", low[0])
 	}
 
-	high := CapablePool(m, 400, slo)
+	high := capablePool(m, 400, slo)
 	for _, hw := range high {
 		if hw.Kind == hardware.CPU {
 			t.Errorf("CPU node %s in pool at 400 rps", hw.Name)
@@ -268,7 +274,7 @@ func TestCapablePool(t *testing.T) {
 func TestCapablePoolNeverEmpty(t *testing.T) {
 	// Even at absurd rates the pool falls back to the most performant GPU.
 	m := model.MustByName("VGG 19")
-	pool := CapablePool(m, 1e6, 200*time.Millisecond)
+	pool := capablePool(m, 1e6, 200*time.Millisecond)
 	if len(pool) != 1 || pool[0].Accel != "V100" {
 		t.Fatalf("fallback pool = %v, want just the V100 node", pool)
 	}
@@ -356,7 +362,7 @@ func TestCapablePoolEscalatesWithRate(t *testing.T) {
 	m := model.MustByName("ResNet 50")
 	slo := 200 * time.Millisecond
 	cheapestAt := func(rate float64) string {
-		return CapablePool(m, rate, slo)[0].Accel
+		return capablePool(m, rate, slo)[0].Accel
 	}
 	low := cheapestAt(15)
 	mid := cheapestAt(200)

@@ -204,12 +204,12 @@ func TestPenaltyByJobsMemo(t *testing.T) {
 }
 
 // TestRowsAppendCapable checks the scratch-reusing capable pool returns
-// exactly CapablePool's pool and appends after existing elements.
+// exactly the reference pool and appends after existing elements.
 func TestRowsAppendCapable(t *testing.T) {
 	m := model.MustByName("ResNet 50")
 	rows := RowsFor(m)
 	for _, rate := range []float64{0, 10, 120, 400, 5000} {
-		want := CapablePool(m, rate, testSLO)
+		want := capablePoolReference(m, rate, testSLO)
 		got := specsOf(rows.AppendCapable(make([]*Entry, 0, 8), rate, testSLO))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("AppendCapable at %.0f rps = %v, want %v", rate, got, want)
@@ -233,7 +233,7 @@ func specsOf(es []*Entry) []hardware.Spec {
 
 // capablePoolReference assembles the capable pool from the reference alone
 // (solo latency at the preferred batch, sustainability): the pool
-// Rows.AppendCapable and CapablePool must match.
+// Rows.AppendCapable must match.
 func capablePoolReference(m model.Spec, rate float64, slo time.Duration) []hardware.Spec {
 	var pool []hardware.Spec
 	for _, hw := range hardware.CostSorted() {
@@ -307,9 +307,6 @@ func TestRowsMatchReference(t *testing.T) {
 				want := capablePoolReference(m, rate, slo)
 				if got := specsOf(rows.AppendCapable(nil, rate, slo)); !reflect.DeepEqual(got, want) {
 					t.Errorf("RowsFor(%s).AppendCapable(%.0f, %v) = %v, want %v", m.Name, rate, slo, got, want)
-				}
-				if got := CapablePool(m, rate, slo); !reflect.DeepEqual(got, want) {
-					t.Errorf("CapablePool(%s, %.0f, %v) = %v, want %v", m.Name, rate, slo, got, want)
 				}
 			}
 		}

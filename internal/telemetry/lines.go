@@ -92,6 +92,15 @@ func (q *lines) writeRun(out io.Writer, from, to int) (int, error) {
 	return written, nil
 }
 
+// size is the number of encoded bytes queued.
+func (q *lines) size() int {
+	n := 0
+	for _, c := range q.chunks {
+		n += len(c)
+	}
+	return n
+}
+
 // release empties q, returning its chunks to free.
 func (q *lines) release(free *[][]byte) {
 	for _, c := range q.chunks {

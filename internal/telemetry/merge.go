@@ -8,9 +8,8 @@ import (
 	"time"
 )
 
-// MergeWriter is the sharded counterpart of StreamWriter: it writes spans
-// (and, optionally, the raw event feed) from several concurrent simulation
-// lanes into one output, in a deterministic virtual-time merge order. Each
+// MergeWriter writes spans (and, optionally, the raw event feed) from
+// several concurrent simulation lanes into one output, in a deterministic virtual-time merge order. Each
 // lane gets its own SpanSink (Lane), safe to feed from that lane's
 // goroutine.
 //
@@ -34,9 +33,9 @@ import (
 // Merge order is (key, lane, arrival-within-lane), where key is the lane's
 // running maximum of event and span-completion times — a deterministic
 // function of the lane's own simulation, never of worker scheduling — so
-// `-j N` output is byte-identical for every N. With a single lane the output
-// is byte-identical to StreamWriter's: the merge reduces to the lane's FIFO,
-// which is exactly completion order.
+// `-j N` output is byte-identical for every N. With a single lane the merge
+// reduces to the lane's FIFO, which is exactly completion order;
+// StreamWriter is that one-lane writer, flushed by its lane.
 //
 // Multi-lane writers stamp the lane index into every event's and span's Tenant
 // (lanes are single-tenant simulations), so spans and event lines identify
@@ -335,8 +334,8 @@ func (w *MergeWriter) merge(out *bufio.Writer) int {
 }
 
 // Close drains every queue, writes the spans of requests still open when
-// the lanes' runs ended in the StreamWriter's deterministic (Arrived, Tenant,
-// Req) order merged across lanes, flushes the buffers, and returns the first
+// the lanes' runs ended in deterministic (Arrived, Tenant, Req) order
+// merged across lanes, flushes the buffers, and returns the first
 // error encountered.
 func (w *MergeWriter) Close() error {
 	w.FlushThrough(1<<63 - 1)
@@ -368,8 +367,9 @@ func (w *MergeWriter) Close() error {
 	return w.err
 }
 
-// Err returns the first write error encountered so far; errors are sticky,
-// like StreamWriter's.
+// Err returns the first write error encountered so far. Errors are sticky:
+// after the first failure nothing more is written, and Close reports the
+// same error.
 func (w *MergeWriter) Err() error { return w.err }
 
 // SpansWritten is the number of spans flushed so far.
