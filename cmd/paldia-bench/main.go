@@ -319,7 +319,7 @@ func cases(includeE2E bool) []benchCase {
 		}
 	}
 	cs = append(cs, streamWriterCase(), curveStreamCase())
-	cs = append(cs, cloneDispatchCase(), ageTrackerCase(), collectorResetCase(), collectorPercentileCase(), poolChurnCase(), engineTicksCase())
+	cs = append(cs, cloneDispatchCase(), ageTrackerCase(), collectorResetCase(), collectorBatchedCase(), collectorPercentileCase(), poolChurnCase(), engineTicksCase())
 	return cs
 }
 
@@ -517,6 +517,53 @@ func collectorResetCase() benchCase {
 				fill()
 			}
 			return map[string]float64{"records_per_op": n}
+		},
+	}
+}
+
+// collectorBatchedCase is collectorResetCase with the records grouped the way
+// batch jobs record them: 7 requests per job (the mean of a Fig. 3 grid)
+// share the job's dispatch and completion instants and its components, so
+// the Collector stores each job's shared fields once. The singleton rows
+// above stay the worst case; this one is the grid's usual case, and fully
+// gated — zero allocations.
+func collectorBatchedCase() benchCase {
+	return benchCase{
+		name:  "metrics/Collector-batched-refill",
+		gated: true,
+		fn: func(b *testing.B) map[string]float64 {
+			const n, perJob = 16384, 7
+			recs := make([]metrics.Record, n)
+			rng := sim.NewRNG(7).Stream("latency")
+			var dispatch, finish time.Duration
+			for i := range recs {
+				if i%perJob == 0 {
+					dispatch = time.Duration(i) * 2 * time.Millisecond
+					finish = dispatch + time.Duration(rng.ExpFloat64()*float64(80*time.Millisecond))
+				}
+				arrival := dispatch - time.Duration(perJob-1-i%perJob)*2*time.Millisecond
+				recs[i] = metrics.Record{
+					Arrival:   arrival,
+					Latency:   finish - arrival,
+					BatchWait: dispatch - arrival,
+					MinExec:   40 * time.Millisecond,
+				}
+			}
+			col := metrics.NewCollector(core.DefaultSLO)
+			fill := func() {
+				col.Reset(core.DefaultSLO)
+				for _, r := range recs {
+					col.Add(r)
+				}
+				_ = col.Percentile(99)
+			}
+			fill()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fill()
+			}
+			return map[string]float64{"records_per_op": n, "requests_per_job": perJob}
 		},
 	}
 }

@@ -56,7 +56,8 @@ func TestPlanStdoutGoldens(t *testing.T) {
 
 // TestPlanExitCodes checks the error paths: each exits non-zero with a
 // message on stderr and prints nothing to stdout. A rate or SLO out of range
-// exits 2, as an unparsable value does.
+// exits 2, as an unparsable value does, and so does a pair whose Eq. (1) N
+// is too large to cost; those return at once.
 func TestPlanExitCodes(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -72,6 +73,8 @@ func TestPlanExitCodes(t *testing.T) {
 		{"nan-rate", []string{"-rate", "NaN"}, 2, "-rate NaN"},
 		{"inf-rate", []string{"-rate", "+Inf"}, 2, "-rate +Inf"},
 		{"minus-inf-rate", []string{"-rate", "-Inf"}, 2, "-rate -Inf"},
+		{"rate-1e12", []string{"-rate", "1e12"}, 2, "-rate 1e+12 with -slo 200ms"},
+		{"slo-1000h", []string{"-slo", "1000h"}, 2, "-rate 450 with -slo 1000h0m0s"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

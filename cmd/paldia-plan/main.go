@@ -22,9 +22,15 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// maxWindowRequests caps Eq. (1)'s N, the requests that arrive within one
+// SLO: costing a GPU node walks O(N / batch) splits, so an unbounded N would
+// not finish.
+const maxWindowRequests = 1 << 20
+
 // run parses argv, prints the plan to stdout and returns the exit code: 0 on
 // success, 1 for an unknown model, 2 for a flag parse error or a rate or SLO
-// out of range. Every number it prints comes from core.Plan.
+// out of range, alone or together (rate × SLO past maxWindowRequests). Every
+// number it prints comes from core.Plan.
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paldia-plan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -42,6 +48,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if *slo <= 0 {
 		fmt.Fprintf(stderr, "-slo %v: want a positive latency target\n", *slo)
+		return 2
+	}
+	if n := *rate * slo.Seconds(); n > maxWindowRequests {
+		fmt.Fprintf(stderr, "-rate %v with -slo %v: %.3g requests per SLO window (Eq. (1) N), want at most %d\n",
+			*rate, *slo, n, maxWindowRequests)
 		return 2
 	}
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -28,8 +29,25 @@ func randomRecords(seed int64, n int) []Record {
 	return out
 }
 
+// readers is every reader of a Collector, so that one can be compared with
+// another or with the flat reference.
+type readers interface {
+	Each(func(Record))
+	Records() []Record
+	Count() int
+	SLOCompliance() float64
+	Violations() int
+	Percentile(p float64) time.Duration
+	Mean() time.Duration
+	CDF(n int) []CDFPoint
+	TailBreakdown(pLo, pHi float64) Breakdown
+	GoodputRPS(from, to time.Duration) float64
+	ArrivalRPS(from, to time.Duration) float64
+	WriteCSV(w io.Writer) error
+}
+
 // assertSameReaders requires got to answer every reader exactly as want.
-func assertSameReaders(t *testing.T, got, want *Collector) {
+func assertSameReaders(t *testing.T, got, want readers) {
 	t.Helper()
 	var ge, we []Record
 	got.Each(func(r Record) { ge = append(ge, r) })
@@ -63,12 +81,14 @@ func assertSameReaders(t *testing.T, got, want *Collector) {
 	if got.TailBreakdown(99, 99.9) != want.TailBreakdown(99, 99.9) {
 		t.Fatalf("TailBreakdown %+v, want %+v", got.TailBreakdown(99, 99.9), want.TailBreakdown(99, 99.9))
 	}
-	from, to := 10*time.Second, 40*time.Second
-	if got.GoodputRPS(from, to) != want.GoodputRPS(from, to) {
-		t.Fatalf("GoodputRPS %v, want %v", got.GoodputRPS(from, to), want.GoodputRPS(from, to))
-	}
-	if got.ArrivalRPS(from, to) != want.ArrivalRPS(from, to) {
-		t.Fatalf("ArrivalRPS %v, want %v", got.ArrivalRPS(from, to), want.ArrivalRPS(from, to))
+	for _, w := range [][2]time.Duration{{10 * time.Second, 40 * time.Second}, {-1 << 62, 1 << 62}} {
+		from, to := w[0], w[1]
+		if got.GoodputRPS(from, to) != want.GoodputRPS(from, to) {
+			t.Fatalf("GoodputRPS%v %v, want %v", w, got.GoodputRPS(from, to), want.GoodputRPS(from, to))
+		}
+		if got.ArrivalRPS(from, to) != want.ArrivalRPS(from, to) {
+			t.Fatalf("ArrivalRPS%v %v, want %v", w, got.ArrivalRPS(from, to), want.ArrivalRPS(from, to))
+		}
 	}
 	var gb, wb bytes.Buffer
 	if err := got.WriteCSV(&gb); err != nil {
@@ -83,34 +103,40 @@ func assertSameReaders(t *testing.T, got, want *Collector) {
 }
 
 // A Reset collector refilled with fewer records, then with more (past the
-// chunks it kept), answers every reader as a new collector fed the same
-// records. The sizes straddle each chunk boundary up to chunkMax and beyond.
+// chunks it kept), answers every reader as a new collector and the flat
+// reference fed the same records would. The sizes straddle each chunk
+// boundary up to chunkMax and beyond; the last fills are job-grouped, shorter
+// and then longer than the fills before them.
 func TestCollectorResetMatchesNew(t *testing.T) {
 	c := NewCollector(msec(200))
-	sizes := []struct {
-		n   int
-		slo time.Duration
+	fills := []struct {
+		recs []Record
+		slo  time.Duration
 	}{
-		{20000, msec(200)}, // past 256, 512, ... 8192 and two chunkMax chunks
-		{300, msec(150)},   // fewer: one kept chunk and a bit of the next
-		{0, msec(250)},     // empty
-		{511, msec(100)},
-		{30000, msec(180)}, // more than the first fill: kept chunks, then new ones
-		{8192 + 256, msec(220)},
+		{randomRecords(1, 20000), msec(200)}, // past 256, 512, ... 8192 and two chunkMax chunks
+		{randomRecords(2, 300), msec(150)},   // fewer: one kept chunk and a bit of the next
+		{randomRecords(3, 0), msec(250)},     // empty
+		{randomRecords(4, 511), msec(100)},
+		{randomRecords(5, 30000), msec(180)}, // more than the first fill: kept chunks, then new ones
+		{randomRecords(6, 8192+256), msec(220)},
+		{jobRecords(7, 300), msec(200)},
+		{jobRecords(8, 40000), msec(150)},
+		{nearMatchRecords(9, 8192+256), msec(220)},
 	}
-	for i, sz := range sizes {
-		recs := randomRecords(int64(i+1), sz.n)
+	for i, f := range fills {
 		if i > 0 {
-			c.Reset(sz.slo)
+			c.Reset(f.slo)
 		} else {
-			c.SLO = sz.slo
+			c.SLO = f.slo
 		}
-		want := NewCollector(sz.slo)
-		for _, r := range recs {
+		want, flat := NewCollector(f.slo), newFlatCollector(f.slo)
+		for _, r := range f.recs {
 			c.Add(r)
 			want.Add(r)
+			flat.Add(r)
 		}
 		assertSameReaders(t, c, want)
+		assertSameReaders(t, c, flat)
 	}
 }
 
